@@ -1376,30 +1376,32 @@ fn e25_planner_crossover() {
         "build + batch·per_query amortization over Theorems 3.1/3.2/2.14/4.2–4.7 engines",
     );
     let k = 3usize;
+    // A freshly constructed engine: one bulk-loaded bucket whose quant
+    // summary is still cold, no static structure built yet.
+    let fresh = |n: usize, nonzero_count: usize, quant_count: usize, guarantee| PlannerInputs {
+        n,
+        total_locations: n * k,
+        max_k: k,
+        spread: 4.0,
+        nonzero_count,
+        quant_count,
+        guarantee,
+        diagram_cap: 40,
+        index_built: false,
+        diagram_built: false,
+        spiral_built: false,
+        mc_built_samples: None,
+        dynamic_buckets: 1,
+        dynamic_quant_cold_locations: n * k,
+        quant_snapped: false,
+        shards: 0,
+        expected_shards_touched: 0.0,
+    };
     let mut t = Table::new(&["n", "batch=4", "batch=256", "batch=16k", "batch=1M"]);
     for &n in sweep(&[8usize, 64, 1_024, 32_768]) {
         let mut cells = vec![n.to_string()];
         for &batch in &[4usize, 256, 16_384, 1_048_576] {
-            let plan = planner::plan(&PlannerInputs {
-                n,
-                total_locations: n * k,
-                max_k: k,
-                spread: 4.0,
-                nonzero_count: batch,
-                quant_count: 0,
-                guarantee: Guarantee::Exact,
-                diagram_cap: 40,
-                index_built: false,
-                diagram_built: false,
-                spiral_built: false,
-                mc_built_samples: None,
-                dynamic_ready: false,
-                dynamic_buckets: 0,
-                dynamic_quant_cold_locations: 0,
-                quant_snapped: false,
-                shards: 0,
-                expected_shards_touched: 0.0,
-            });
+            let plan = planner::plan(&fresh(n, batch, 0, Guarantee::Exact));
             cells.push(plan.summary().replace("nonzero:", ""));
         }
         t.row(&cells);
@@ -1422,26 +1424,7 @@ fn e25_planner_crossover() {
     for &n in sweep(&[64usize, 1_024, 32_768]) {
         let mut cells = vec![n.to_string()];
         for &(_, g) in &tiers {
-            let plan = planner::plan(&PlannerInputs {
-                n,
-                total_locations: n * k,
-                max_k: k,
-                spread: 4.0,
-                nonzero_count: 0,
-                quant_count: 256,
-                guarantee: g,
-                diagram_cap: 40,
-                index_built: false,
-                diagram_built: false,
-                spiral_built: false,
-                mc_built_samples: None,
-                dynamic_ready: false,
-                dynamic_buckets: 0,
-                dynamic_quant_cold_locations: 0,
-                quant_snapped: false,
-                shards: 0,
-                expected_shards_touched: 0.0,
-            });
+            let plan = planner::plan(&fresh(n, 0, 256, g));
             cells.push(plan.summary().replace("quant:", ""));
         }
         t.row(&cells);
@@ -1449,26 +1432,7 @@ fn e25_planner_crossover() {
     t.print();
 
     // The full cost table at one crossover point, as the engine records it.
-    let plan = planner::plan(&PlannerInputs {
-        n: 1_024,
-        total_locations: 1_024 * k,
-        max_k: k,
-        spread: 4.0,
-        nonzero_count: 256,
-        quant_count: 256,
-        guarantee: Guarantee::Additive(0.05),
-        diagram_cap: 40,
-        index_built: false,
-        diagram_built: false,
-        spiral_built: false,
-        mc_built_samples: None,
-        dynamic_ready: false,
-        dynamic_buckets: 0,
-        dynamic_quant_cold_locations: 0,
-        quant_snapped: false,
-        shards: 0,
-        expected_shards_touched: 0.0,
-    });
+    let plan = planner::plan(&fresh(1_024, 256, 256, Guarantee::Additive(0.05)));
     let mut t = Table::new(&["candidate", "build", "per-query", "total", "chosen"]);
     for e in &plan.estimates {
         t.row(&[
@@ -1630,9 +1594,9 @@ fn e27_churn_serving() {
     for &rate in sweep(&[0.01f64, 0.10, 0.25]) {
         let set = workload::random_discrete_set(n, 3, 5.0, 2700 + (rate * 100.0) as u64);
         let engine = Engine::new(set, EngineConfig::default());
-        // Warm-up: the first apply bulk-loads the Bentley–Saxe structure
-        // (a one-time cost equal to one rebuild), and one batch warms the
-        // serving path. The baseline gets the same warm-up treatment.
+        // Warm-up: one apply and one batch warm the serving path (the
+        // Bentley–Saxe bulk load happened in `Engine::new`). The baseline
+        // gets the same warm-up treatment.
         let mut stream = ChurnStream::new(271, ChurnConfig::default(), (0..n).collect());
         let warm = engine.apply(&stream.tick(rate));
         stream.observe(&warm);
@@ -1656,7 +1620,7 @@ fn e27_churn_serving() {
             dyn_secs += secs;
             plan = resp.stats.plan.summary();
             // Baseline: a brand-new engine over the identical live set pays
-            // its index builds from zero inside the serving batch.
+            // its bulk load and index builds from zero inside the timing.
             let live = engine.live_set();
             let batch_ref = &batch;
             let (baseline, secs) = time(move || {
@@ -1868,7 +1832,7 @@ fn e29_merged_quantification() {
                     warm += st.warm_buckets as u64;
                     entries += st.entries_merged as u64;
                     live_locs += st.live_locations as u64;
-                    checksum += pi.first().map_or(0.0, |&(_, p)| p);
+                    checksum += pi.first().copied().unwrap_or(0.0);
                 }
             });
             merged_secs += secs;

@@ -939,9 +939,7 @@ impl DynamicSet {
     /// prefers [`quantification_merged`](Self::quantification_merged) once
     /// the structure is warm.
     pub fn quantification(&self, q: Point) -> Vec<(SiteId, f64)> {
-        let maps = self
-            .merged_maps
-            .get_or_init(|| Arc::new(self.build_merged_maps()));
+        let maps = self.maps();
         let mut scratch = vec![];
         let mut entries: Vec<(f64, usize, f64)> = vec![];
         maps.live_slab.entries_into(q, &mut scratch, &mut entries);
@@ -962,22 +960,18 @@ impl DynamicSet {
     /// survival factors multiply independently across sites. Enforced by
     /// `tests/dynamic_differential.rs` under every op interleaving.
     pub fn quantification_merged(&self, q: Point) -> Vec<(SiteId, f64)> {
-        self.quantification_merged_with_stats(q).0
+        let pi = self.quantification_merged_with_stats(q).0;
+        self.maps().ids.iter().copied().zip(pi).collect()
     }
 
-    /// [`quantification_merged`](Self::quantification_merged) plus the
-    /// per-query reuse metrics the serving engine aggregates.
-    pub fn quantification_merged_with_stats(
-        &self,
-        q: Point,
-    ) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
+    /// [`quantification_merged`](Self::quantification_merged) as the dense
+    /// `π` vector in ascending live-id order (entry `d` belongs to site
+    /// [`live_ids`](Self::live_ids)`()[d]`), plus the per-query reuse
+    /// metrics the serving engine aggregates. The vector is the sweep's own
+    /// allocation, so its capacity equals its length.
+    pub fn quantification_merged_with_stats(&self, q: Point) -> (Vec<f64>, QuantMergeStats) {
         let mut stats = QuantMergeStats::default();
-        // Query-invariant setup (live-id list + per-slot local→dense maps)
-        // is cached per mutation state: a serving batch pays its O(n)
-        // construction once, every subsequent query just draws streams.
-        let maps = self
-            .merged_maps
-            .get_or_init(|| Arc::new(self.build_merged_maps()));
+        let maps = self.maps();
         let n = maps.ids.len();
         if n == 0 {
             return (vec![], stats);
@@ -1001,7 +995,15 @@ impl DynamicSet {
         let mut merge = KWayMerge::new(streams);
         let pi = sweep(&mut merge, n);
         stats.entries_merged = merge.consumed();
-        (maps.ids.iter().copied().zip(pi).collect(), stats)
+        (pi, stats)
+    }
+
+    /// The merged path's query-invariant setup (live-id list + per-slot
+    /// local→dense maps), cached per mutation state: a serving batch pays
+    /// its O(n) construction once, every later query just draws streams.
+    fn maps(&self) -> &MergedQueryMaps {
+        self.merged_maps
+            .get_or_init(|| Arc::new(self.build_merged_maps()))
     }
 
     /// Builds the merged path's query-invariant maps (see
@@ -1163,9 +1165,14 @@ mod tests {
             }
             let (pi_merged, mstats) = d.quantification_merged_with_stats(q);
             assert_eq!(pi_merged.len(), pi_fresh.len());
-            for ((id, got), (dense, want)) in pi_merged.iter().zip(pi_fresh.iter().enumerate()) {
-                assert_eq!(*id, ids[dense]);
+            assert_eq!(pi_merged.capacity(), pi_merged.len(), "no spare capacity");
+            for (got, want) in pi_merged.iter().zip(&pi_fresh) {
                 assert_eq!(got.to_bits(), want.to_bits(), "merged π at {q}");
+            }
+            let pairs = d.quantification_merged(q);
+            for ((id, got), (dense, want)) in pairs.iter().zip(pi_merged.iter().enumerate()) {
+                assert_eq!(*id, ids[dense]);
+                assert_eq!(got.to_bits(), want.to_bits(), "merged pairs at {q}");
             }
             assert!(mstats.entries_merged <= mstats.live_locations);
             let (pi_warm, wstats) = d.quantification_merged_with_stats(q);

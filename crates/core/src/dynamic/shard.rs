@@ -322,11 +322,14 @@ impl ShardedReader {
     /// indices, into the shared sweep core. Bit-identical to the monolithic
     /// merged (and fresh) paths.
     pub fn quantification_merged(&self, q: Point) -> Vec<(SiteId, f64)> {
-        self.quantification_merged_with_stats(q).0
+        let pi = self.quantification_merged_with_stats(q).0;
+        self.maps().ids.iter().copied().zip(pi).collect()
     }
 
-    /// [`quantification_merged`](Self::quantification_merged) plus the
-    /// reuse metrics the serving engine aggregates (buckets and warm
+    /// [`quantification_merged`](Self::quantification_merged) as the dense
+    /// `π` vector in ascending live-id order (the sweep's own allocation,
+    /// capacity equal to length), plus the reuse metrics the serving engine
+    /// aggregates (buckets and warm
     /// buckets count across the shards that joined the merge;
     /// `shards_touched` counts every shard the query read, including the
     /// threshold probe).
@@ -352,10 +355,7 @@ impl ShardedReader {
     /// the best shard's bound `=` every bound — so the threshold probe is
     /// skipped entirely and the driver degrades to the plain all-shards
     /// merge.
-    pub fn quantification_merged_with_stats(
-        &self,
-        q: Point,
-    ) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
+    pub fn quantification_merged_with_stats(&self, q: Point) -> (Vec<f64>, QuantMergeStats) {
         let mut stats = QuantMergeStats::default();
         let maps = self.maps();
         let n = maps.ids.len();
@@ -408,7 +408,7 @@ impl ShardedReader {
         let pi = sweep(&mut merge, n);
         stats.entries_merged = merge.consumed();
         stats.shards_touched = visited.iter().filter(|&&v| v).count();
-        (maps.ids.iter().copied().zip(pi).collect(), stats)
+        (pi, stats)
     }
 
     /// The live site minimizing expected distance to `q`, with that
@@ -678,7 +678,8 @@ mod tests {
         for &q in &queries {
             let (_, nz_touched) = r.nonzero_touched(q);
             assert!(nz_touched < shards, "NN≠0 touched {nz_touched} at {q}");
-            let (_, stats) = r.quantification_merged_with_stats(q);
+            let (pi, stats) = r.quantification_merged_with_stats(q);
+            assert_eq!(pi.capacity(), pi.len(), "no spare capacity");
             assert!(
                 stats.shards_touched < shards,
                 "quant touched {} at {q}",

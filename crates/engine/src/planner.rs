@@ -13,14 +13,14 @@
 //!
 //! * `NN≠0` requests — brute force (Lemma 2.1, `O(N)`/query), the
 //!   kd-tree/group-index structure (Theorem 3.2, `O(√N + t)`/query after an
-//!   `O(N log N)` build), or `V≠0` point location (Theorem 2.14,
-//!   logarithmic queries after a very expensive arrangement build — only
-//!   eligible for small `n`).
+//!   `O(N log N)` build), the Bentley–Saxe buckets every engine holds from
+//!   construction (the same query shape once per bucket, no build), or
+//!   `V≠0` point location (Theorem 2.14, logarithmic queries after a very
+//!   expensive arrangement build — only eligible for small `n`).
 //! * quantification requests — the exact Eq. (2) fresh sweep
 //!   (`O(N log N)`/query, no build), the exact `quant:merged` k-way merge
-//!   over the Bentley–Saxe buckets' warm sorted summaries (available once
-//!   updates have been applied; priced by live-bucket count and the churn
-//!   since quantification last touched the structure), spiral search
+//!   over the Bentley–Saxe buckets' sorted summaries (priced by live-bucket
+//!   count and the locations whose summary is still cold), spiral search
 //!   (Theorem 4.7; needs an additive budget), or Monte Carlo (Theorem 4.3;
 //!   needs a probabilistic budget).
 
@@ -36,10 +36,10 @@ pub enum NonzeroPlan {
     Index,
     /// `V≠0(P)` + slab point location (Theorem 2.14).
     Diagram,
-    /// The Bentley–Saxe bucket structure maintained across updates — zero
-    /// build cost (its per-bucket indexes are kept warm incrementally by
-    /// `apply`), queries pay the Theorem 3.2 shape once per bucket. Only
-    /// available after the engine has applied updates.
+    /// The Bentley–Saxe bucket structure the engine serves from — zero
+    /// build cost (bulk-loaded at construction, its per-bucket indexes kept
+    /// warm incrementally by `apply`), queries pay the Theorem 3.2 shape
+    /// once per bucket.
     Dynamic,
 }
 
@@ -49,11 +49,10 @@ pub enum QuantPlan {
     /// The exact Eq. (2) sweep over the flat live set (the "fresh" path:
     /// assemble + stable-sort all `N` entries per query).
     Exact,
-    /// The exact k-way merge over the Bentley–Saxe buckets' warm sorted
+    /// The exact k-way merge over the Bentley–Saxe buckets' sorted
     /// summaries, with the sweep's early exit — bit-identical to `Exact`,
-    /// priced by live-bucket count and the churn since quantification last
-    /// touched the structure (cold buckets pay a lazy summary build). Only
-    /// available after the engine has applied updates, and not offered
+    /// priced by live-bucket count and the locations whose summary is still
+    /// cold (a bucket pays a lazy summary build on first use). Not offered
     /// when a snap grid is configured: snapped answers are certified
     /// interval evaluations over the flat live set, which would silently
     /// bypass the merge and its cost model.
@@ -124,15 +123,13 @@ pub struct PlannerInputs {
     pub spiral_built: bool,
     /// Sample count of an already-built Monte-Carlo structure, if any.
     pub mc_built_samples: Option<usize>,
-    /// The engine has a warm Bentley–Saxe structure (epoch > 0): the
-    /// `nonzero:dynamic` and `quant:merged` candidates become available
-    /// (their bucket structure is maintained incrementally by `apply`).
-    pub dynamic_ready: bool,
-    /// Occupied buckets of that structure (its per-query fan-out).
+    /// Occupied buckets of the engine's Bentley–Saxe structure (the
+    /// per-query fan-out of `nonzero:dynamic` and `quant:merged`).
     pub dynamic_buckets: usize,
-    /// Locations in buckets whose quantification summary is **cold** — the
-    /// churn since quantification last touched the structure. `quant:merged`
-    /// is charged a one-time lazy build over exactly these.
+    /// Locations in buckets whose quantification summary is **cold** — all
+    /// of them before quantification first runs, then the churn since it
+    /// last touched the structure. `quant:merged` is charged a one-time lazy
+    /// build over exactly these.
     pub dynamic_quant_cold_locations: usize,
     /// Quantification answers are snapped to a cache grid (certified
     /// interval evaluation over the flat live set) — the merged candidate
@@ -252,19 +249,17 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
                 16.0 * (nn.sqrt() + kbar + 24.0),
             ));
         }
-        if inp.dynamic_ready {
-            // Same two-stage query shape as the Theorem 3.2 index, fanned
-            // out over the occupied buckets (summed across shards when
-            // sharded, then scaled down to the fraction of shards a read is
-            // expected to actually visit); the build is already paid for
-            // incrementally by `apply`, so it is never charged here.
-            let buckets = (inp.dynamic_buckets.max(1) as f64 * touched_frac).max(1.0);
-            cands.push((
-                NonzeroPlan::Dynamic,
-                0.0,
-                16.0 * (nn.sqrt() + kbar + 24.0) + 8.0 * buckets * lg(nn) + gather_pruned,
-            ));
-        }
+        // Same two-stage query shape as the Theorem 3.2 index, fanned out
+        // over the occupied buckets (summed across shards when sharded,
+        // then scaled down to the fraction of shards a read is expected to
+        // actually visit); the build is paid at construction and
+        // incrementally by `apply`, so it is never charged here.
+        let buckets = (inp.dynamic_buckets.max(1) as f64 * touched_frac).max(1.0);
+        cands.push((
+            NonzeroPlan::Dynamic,
+            0.0,
+            16.0 * (nn.sqrt() + kbar + 24.0) + 8.0 * buckets * lg(nn) + gather_pruned,
+        ));
         if inp.shards == 0 && inp.n >= 2 && inp.n <= inp.diagram_cap {
             // Theorem 2.14: the arrangement has O(k n³) pieces; building it
             // dominates by far, queries are a logarithmic slab search that
@@ -298,7 +293,7 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
         let b = inp.quant_count as f64;
         let mut cands: Vec<(QuantPlan, f64, f64)> =
             vec![(QuantPlan::Exact, 0.0, 6.0 * nn * lg(nn) + gather)];
-        if inp.dynamic_ready && !inp.quant_snapped {
+        if !inp.quant_snapped {
             // Exact k-way merge over warm per-bucket summaries: cold buckets
             // (churned since the last quantification) pay one lazy kd-build,
             // then a query pays the O(live) answer assembly, the early-exit
@@ -404,8 +399,8 @@ mod tests {
             diagram_built: false,
             spiral_built: false,
             mc_built_samples: None,
-            dynamic_ready: false,
-            dynamic_buckets: 0,
+            // A bulk-loaded engine: one bucket, summaries warm.
+            dynamic_buckets: 1,
             dynamic_quant_cold_locations: 0,
             quant_snapped: false,
             shards: 0,
@@ -427,7 +422,6 @@ mod tests {
                 delta: 0.05,
             },
         );
-        inp.dynamic_ready = true;
         inp.dynamic_buckets = 12;
         inp.shards = 4;
         inp.expected_shards_touched = 4.0;
@@ -460,7 +454,6 @@ mod tests {
         // brute the cheaper NN≠0 strategy; once pruning is observed to
         // touch ~1 shard per read, the dynamic structure wins.
         let mut inp = base(667, 3, 64, 0, Guarantee::Exact);
-        inp.dynamic_ready = true;
         inp.dynamic_buckets = 96; // summed across 8 shards
         inp.shards = 8;
 
@@ -489,21 +482,15 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_candidate_appears_only_when_ready_and_beats_cold_index() {
-        let cold = plan(&base(5000, 3, 64, 0, Guarantee::Exact));
-        assert!(cold.estimates.iter().all(|e| e.name != "nonzero:dynamic"));
-
+    fn dynamic_candidate_beats_a_cold_index_until_the_batch_amortizes_it() {
         let mut inp = base(5000, 3, 64, 0, Guarantee::Exact);
-        inp.dynamic_ready = true;
         inp.dynamic_buckets = 6;
-        let p = plan(&inp);
         // For a moderate batch the warm bucket structure wins over paying a
         // fresh O(N log N) index build.
-        assert_eq!(p.nonzero, Some(NonzeroPlan::Dynamic));
-        // Once the static index exists too (sunk), huge batches may prefer
-        // its lower per-query constant; the dynamic row is still priced.
+        assert_eq!(plan(&inp).nonzero, Some(NonzeroPlan::Dynamic));
+        // A batch large enough to amortize the build prefers the index's
+        // lower per-query constant; the dynamic row is still priced.
         inp.nonzero_count = 10_000_000;
-        inp.index_built = true;
         let p = plan(&inp);
         assert!(p.estimates.iter().any(|e| e.name == "nonzero:dynamic"));
         assert_eq!(p.nonzero, Some(NonzeroPlan::Index));
@@ -513,7 +500,9 @@ mod tests {
     fn small_sets_use_brute_large_sets_use_index() {
         let small = plan(&base(16, 3, 64, 0, Guarantee::Exact));
         assert_eq!(small.nonzero, Some(NonzeroPlan::Brute));
-        let large = plan(&base(20_000, 3, 512, 0, Guarantee::Exact));
+        // The index beats the bucket structure once the batch amortizes
+        // its build against the per-bucket fan-out.
+        let large = plan(&base(20_000, 3, 65_536, 0, Guarantee::Exact));
         assert_eq!(large.nonzero, Some(NonzeroPlan::Index));
     }
 
@@ -546,16 +535,10 @@ mod tests {
     }
 
     #[test]
-    fn merged_quant_appears_only_when_dynamic_ready_and_wins_when_warm() {
-        // Static engine: no merged candidate at all.
-        let cold = plan(&base(4096, 3, 0, 64, Guarantee::Exact));
-        assert!(cold.estimates.iter().all(|e| e.name != "quant:merged"));
-        assert_eq!(cold.quant, Some(QuantPlan::Exact));
-
+    fn merged_quant_wins_when_warm_and_is_never_offered_with_a_snap_grid() {
         // Warm dynamic structure: the merged path's sublinear per-query
         // cost beats the fresh O(N log N) sweep.
         let mut inp = base(4096, 3, 0, 64, Guarantee::Exact);
-        inp.dynamic_ready = true;
         inp.dynamic_buckets = 6;
         let warm = plan(&inp);
         assert_eq!(warm.quant, Some(QuantPlan::Merged));
@@ -591,11 +574,17 @@ mod tests {
 
     #[test]
     fn guarantee_gates_quant_candidates() {
+        // An exact guarantee prices only the two exact evaluators.
         let exact = plan(&base(100, 3, 0, 32, Guarantee::Exact));
-        assert_eq!(exact.quant, Some(QuantPlan::Exact));
-        assert_eq!(exact.estimates.len(), 1);
+        assert_eq!(exact.estimates.len(), 2);
+        assert!(exact
+            .estimates
+            .iter()
+            .all(|e| e.name == "quant:fresh" || e.name == "quant:merged"));
 
-        let additive = plan(&base(4000, 3, 0, 256, Guarantee::Additive(0.05)));
+        // Spiral's per-query cost undercuts the merge's O(n) answer
+        // assembly, so a large enough batch amortizes its build.
+        let additive = plan(&base(4000, 3, 0, 4096, Guarantee::Additive(0.05)));
         assert!(matches!(additive.quant, Some(QuantPlan::Spiral { .. })));
 
         let prob = plan(&base(
@@ -608,10 +597,33 @@ mod tests {
                 delta: 0.05,
             },
         ));
-        // All three candidates priced; the chosen one is recorded.
-        assert_eq!(prob.estimates.len(), 3);
+        // All four candidates priced; the chosen one is recorded.
+        assert_eq!(prob.estimates.len(), 4);
         assert_eq!(prob.estimates.iter().filter(|e| e.chosen).count(), 1);
         assert!(prob.quant.is_some());
+    }
+
+    #[test]
+    fn probabilistic_guarantee_picks_monte_carlo_once_the_batch_amortizes_it() {
+        // A huge probability spread blows up the spiral retrieval budget,
+        // and at large n each merged answer pays an O(n) assembly, while a
+        // Monte-Carlo vote costs O(s log n) — so a batch large enough to
+        // amortize the sample build picks Monte Carlo…
+        let g = Guarantee::Probabilistic {
+            eps: 0.1,
+            delta: 0.05,
+        };
+        let mut inp = base(100_000, 3, 0, 1_000_000, g);
+        inp.spread = 1e5;
+        let p = plan(&inp);
+        assert!(
+            matches!(p.quant, Some(QuantPlan::MonteCarlo { .. })),
+            "plan: {}",
+            p.summary()
+        );
+        // …and a small batch keeps the exact merged path.
+        inp.quant_count = 64;
+        assert_eq!(plan(&inp).quant, Some(QuantPlan::Merged));
     }
 
     #[test]

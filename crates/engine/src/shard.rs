@@ -1248,10 +1248,9 @@ fn default_part() -> (Vec<Update>, Vec<SiteId>) {
     (vec![], vec![])
 }
 
-/// Sharded planner inputs: always dynamic-ready (every shard is a warm
-/// Bentley–Saxe structure from construction), bucket fan-out summed across
-/// shards, `shards ≥ 1` so only the partition-independent exact candidates
-/// are priced. `expected_touched` is the observed mean scatter-gather
+/// Sharded planner inputs: bucket fan-out summed across shards,
+/// `shards ≥ 1` so only the partition-independent exact candidates are
+/// priced. `expected_touched` is the observed mean scatter-gather
 /// fan-out (== `S` under hash; `< S` once spatial pruning bites), which
 /// prices the gather term and scales the bucket fan-out the dynamic
 /// candidates actually visit.
@@ -1276,7 +1275,6 @@ fn plan_for_sharded(
         diagram_built: false,
         spiral_built: false,
         mc_built_samples: None,
-        dynamic_ready: true,
         dynamic_buckets: core.reader.bucket_count(),
         dynamic_quant_cold_locations: quant_cold,
         quant_snapped: core.cache.grid() > 0.0,
@@ -1445,7 +1443,7 @@ fn quant_vector(
         };
         let pi = match plan {
             QuantPlan::Merged => {
-                let (pairs, st) = core.reader.quantification_merged_with_stats(q);
+                let (pi, st) = core.reader.quantification_merged_with_stats(q);
                 counters.quant_merged.fetch_add(1, Ordering::Relaxed);
                 counters
                     .bucket_touches
@@ -1454,7 +1452,7 @@ fn quant_vector(
                     .bucket_warm
                     .fetch_add(st.warm_buckets, Ordering::Relaxed);
                 record_touched(counters, st.shards_touched);
-                pairs.into_iter().map(|(_, p)| p).collect()
+                pi
             }
             _ => {
                 counters.quant_fresh.fetch_add(1, Ordering::Relaxed);

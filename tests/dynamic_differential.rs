@@ -137,8 +137,8 @@ fn check_all_families(d: &DynamicSet, mirror: &Mirror, q: Point) -> Result<(), T
     for pass in ["cold-or-warm", "warm"] {
         let (pi_merged, mstats) = d.quantification_merged_with_stats(q);
         prop_assert_eq!(pi_merged.len(), pi_fresh.len());
-        for ((id, got_pi), (dense, want_pi)) in pi_merged.iter().zip(pi_fresh.iter().enumerate()) {
-            prop_assert_eq!(*id, ids[dense]);
+        for (dense, (got_pi, want_pi)) in pi_merged.iter().zip(&pi_fresh).enumerate() {
+            let id = ids[dense];
             prop_assert_eq!(
                 got_pi.to_bits(),
                 want_pi.to_bits(),
