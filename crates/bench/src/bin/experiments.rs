@@ -1970,21 +1970,21 @@ fn e30_merge_crossover() {
     println!("   merged measured on 1-bucket and popcount(n)-bucket layouts of the same sites");
 }
 
-/// E31: apply-throughput scaling of the sharded engine. The monolithic
-/// engine snapshots the **whole** set per apply (an `O(n)` clone); the
-/// sharded engine clones only the shards a batch touches, so a batch
+/// E31: apply-throughput scaling with the shard count. A one-shard engine
+/// copies the **whole** set per apply (an `O(n)` clone); with S shards an
+/// apply copies only the shards a batch touches, so a batch
 /// confined to one shard pays `O(n/S)` — the speedup is algorithmic
 /// (clone-volume reduction), not thread-count, and shows up even on one
 /// core. The workload is the ISSUE's "disjoint-shard batches": Move
 /// batches each confined to a single shard, round-robin over shards.
 fn e31_shard_scaling() {
-    use uncertain_engine::shard::{shard_of, ShardedEngine};
-    use uncertain_engine::{EngineConfig, Update};
+    use uncertain_engine::shard::shard_of;
+    use uncertain_engine::{Engine, EngineConfig, Update};
     use uncertain_nn::model::DiscreteUncertainPoint;
     header(
         "E31",
         "sharded apply throughput vs shard count",
-        "disjoint-shard batches touch O(n/S) state per apply, so throughput scales ~S× over the monolithic clone",
+        "disjoint-shard batches touch O(n/S) state per apply, so throughput scales ~S× over the one-shard clone",
     );
     let n = if uncertain_bench::smoke() {
         100_000
@@ -2008,7 +2008,7 @@ fn e31_shard_scaling() {
     // Not `sweep(..)`: higher S is *cheaper* per apply, and the S=4 point
     // is the acceptance bar, so the full shard ladder runs even in smoke.
     for s in [1usize, 2, 4, 8, 16] {
-        let engine = ShardedEngine::new(
+        let engine = Engine::new(
             base.clone(),
             EngineConfig {
                 shards: Some(s),
@@ -2344,8 +2344,8 @@ fn e32_server_overload() {
 /// initial split.
 fn e33_partitioner_locality() {
     use uncertain_bench::cluster::{ClusterConfig, ClusterWorkload};
-    use uncertain_engine::shard::{PartitionerKind, ShardedEngine};
-    use uncertain_engine::{EngineConfig, QueryRequest, Update};
+    use uncertain_engine::shard::PartitionerKind;
+    use uncertain_engine::{Engine, EngineConfig, QueryRequest, Update};
 
     header(
         "E33",
@@ -2389,7 +2389,7 @@ fn e33_partitioner_locality() {
 
         for &s in &[4usize, 8, 16] {
             for &part in &[PartitionerKind::Hash, PartitionerKind::Spatial] {
-                let engine = ShardedEngine::new(
+                let engine = Engine::new(
                     set.clone(),
                     EngineConfig {
                         shards: Some(s),

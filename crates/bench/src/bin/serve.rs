@@ -13,6 +13,13 @@
 //! `UNC_OBS_FLUSH_MS`) to stream `obs/v1` metric snapshots — including
 //! `server.request.wall`, `server.queue.depth`, and `server.shed` — for
 //! `load_gen --obs` / `obs_check` to consume.
+//!
+//! The engine is built from `EngineConfig::default()` plus the engine's
+//! env overrides: `UNC_ENGINE_SHARDS=N` serves `N` shards (default 1),
+//! `UNC_ENGINE_PARTITIONER=hash|spatial` picks how sites map to them, and
+//! `UNC_ENGINE_REBALANCE`/`UNC_ENGINE_THREADS` tune the rest — so a
+//! spatially sharded engine, with its query pruning and rebalancing, is
+//! one env var away from the wire.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,13 +57,15 @@ fn main() {
     let _flusher = uncertain_obs::Flusher::from_env();
     let set = workload::random_discrete_set(n, k, 5.0, seed);
     let engine = Arc::new(Engine::new(set, EngineConfig::default()));
+    let shards = engine.num_shards();
     let handle = match Server::start(engine, cfg.clone()) {
         Ok(h) => h,
         Err(e) => die(&format!("cannot bind {}: {e}", cfg.addr)),
     };
     println!(
-        "serve: listening on {} (n={n}, k={k}, queue bound {}, window {}µs, max batch {})",
+        "serve: listening on {} (n={n}, k={k}, shards {}, queue bound {}, window {}µs, max batch {})",
         handle.local_addr(),
+        shards,
         cfg.queue_bound,
         cfg.batch_window.as_micros(),
         cfg.max_batch,

@@ -561,13 +561,21 @@ impl DynamicSet {
     /// counter) or previously removed from this set (a spatial rebalance
     /// migrating a site back). Semantics are otherwise identical to
     /// [`apply`](Self::apply), including the single end-of-batch carry.
-    pub fn apply_with_insert_ids(
+    /// Takes the updates by reference (any `&Update` iterator, e.g. a slice
+    /// or a per-shard selection of a caller's slice), so routing a batch
+    /// never copies the site payloads.
+    pub fn apply_with_insert_ids<'a, I>(
         &mut self,
-        updates: &[Update],
+        updates: I,
         insert_ids: &[SiteId],
-    ) -> UpdateOutcome {
+    ) -> UpdateOutcome
+    where
+        I: IntoIterator<Item = &'a Update>,
+        I::IntoIter: Clone,
+    {
+        let updates = updates.into_iter();
         let inserts = updates
-            .iter()
+            .clone()
             .filter(|u| matches!(u, Update::Insert(_)))
             .count();
         assert_eq!(
@@ -578,7 +586,36 @@ impl DynamicSet {
         self.apply_inner(updates, Some(insert_ids))
     }
 
-    fn apply_inner(&mut self, updates: &[Update], insert_ids: Option<&[SiteId]>) -> UpdateOutcome {
+    /// A copy of this set with room for `extra` more entries in its slab
+    /// and live-id list. `Clone` allocates both at exactly their length, so
+    /// an apply on a plain clone copies them a second time when its first
+    /// insert grows them; a copy made here takes the apply's appends in
+    /// place.
+    pub fn clone_with_room(&self, extra: usize) -> DynamicSet {
+        let mut entries = Vec::with_capacity(self.entries.len() + extra);
+        entries.extend_from_slice(&self.entries);
+        let mut live_ids = Vec::with_capacity(self.live_ids.len() + extra);
+        live_ids.extend_from_slice(&self.live_ids);
+        DynamicSet {
+            entries,
+            handles: self.handles.clone(),
+            next_id: self.next_id,
+            live_ids,
+            stale_ids: self.stale_ids,
+            buckets: self.buckets.clone(),
+            live: self.live,
+            dead: self.dead,
+            config: self.config,
+            stats: self.stats,
+            merged_maps: self.merged_maps.clone(),
+        }
+    }
+
+    fn apply_inner<'a>(
+        &mut self,
+        updates: impl IntoIterator<Item = &'a Update>,
+        insert_ids: Option<&[SiteId]>,
+    ) -> UpdateOutcome {
         let _span = uncertain_obs::span!("dynamic.apply");
         let mut out = UpdateOutcome::default();
         let mut pending: Vec<u32> = vec![];

@@ -43,13 +43,18 @@
 //! The `*_touched` variants report how many shards a query actually
 //! visited — the engine feeds this back into the planner's gather term.
 //!
-//! `tests/sharded_differential.rs` runs the three families after every op
-//! of randomized interleavings against a monolithic oracle at S ∈ {1, 3, 8}
-//! under both hash and spatial partitioners.
+//! A single-shard reader runs the same code: its one shard is the whole
+//! scatter order, nothing is pruned, and the gather is the shard's own
+//! bucket merge — the same bits as the shard's own [`DynamicSet`] queries,
+//! so a serving engine with `S = 1` answers exactly like the single set.
+//!
+//! `tests/sharded_differential.rs` checks engines built on this reader
+//! after every op of randomized interleavings against the core-library
+//! oracle at S ∈ {1, 3, 8} under both hash and spatial partitioners.
 
 use std::sync::{Arc, OnceLock};
 
-use super::{DynamicSet, QuantMergeStats, SiteId};
+use super::{DynamicSet, DynamicStats, QuantMergeStats, SiteId};
 use crate::model::DiscreteSet;
 use crate::quantification::sweep::{sweep, KWayMerge};
 use uncertain_geom::{Aabb, Point};
@@ -133,9 +138,6 @@ impl ShardedReader {
     /// Union of live ids, ascending — per-shard lists are each sorted and
     /// pairwise disjoint, so a merge of sorted runs suffices.
     pub fn live_ids(&self) -> Vec<SiteId> {
-        if self.shards.len() == 1 {
-            return self.shards[0].live_ids();
-        }
         let mut ids: Vec<SiteId> = self.shards.iter().flat_map(|s| s.live_ids()).collect();
         ids.sort_unstable();
         ids
@@ -213,9 +215,26 @@ impl ShardedReader {
         (total, max_k, spread)
     }
 
-    /// Occupied buckets across all shards (the merged path's fan-in).
-    pub fn bucket_count(&self) -> usize {
-        self.shards.iter().map(|s| s.stats().buckets).sum::<usize>()
+    /// [`DynamicSet::stats`] summed over the shards (the merged path's
+    /// fan-in is `buckets`).
+    pub fn stats(&self) -> DynamicStats {
+        let mut total = self.shards[0].stats();
+        for s in &self.shards[1..] {
+            let d = s.stats();
+            total.live += d.live;
+            total.tombstones += d.tombstones;
+            total.slab_entries += d.slab_entries;
+            total.buckets += d.buckets;
+            total.indexed_buckets += d.indexed_buckets;
+            let (r, t) = (&mut total.rebuild, d.rebuild);
+            r.inserts += t.inserts;
+            r.removes += t.removes;
+            r.moves += t.moves;
+            r.merges += t.merges;
+            r.global_rebuilds += t.global_rebuilds;
+            r.sites_rebuilt += t.sites_rebuilt;
+        }
+        total
     }
 
     /// Warm/cold split of quant summaries across shards, in locations.
@@ -505,6 +524,8 @@ mod tests {
     fn assert_families_match(mono: &DynamicSet, r: &ShardedReader, queries: &[Point]) {
         assert_eq!(r.len(), mono.len());
         assert_eq!(r.live_ids(), mono.live_ids());
+        let stats = r.stats();
+        assert_eq!((stats.live, stats.tombstones), (r.len(), r.tombstones()));
         for &q in queries {
             assert_eq!(r.nonzero(q), mono.nonzero(q), "NN≠0 at {q}");
             let merged = r.quantification_merged(q);

@@ -3,20 +3,28 @@
 //!
 //! The core library answers one query at a time through explicit structure
 //! choices; this crate serves query *batches* at volume and decides **how**
-//! to answer them:
+//! to answer them. There is one engine, [`Engine`]:
 //!
-//! * a std-only [thread pool](pool) (`std::thread` + channels) shards each
+//! * its snapshot is a vector of `S` Bentley–Saxe shards
+//!   ([`uncertain_nn::dynamic`]), bulk-loaded by [`Engine::new`] so the
+//!   first batch is already served by the dynamic plans and read through
+//!   one scatter-gather reader whose answers are bit-identical at every
+//!   `S`. `S = 1` is the default (`EngineConfig::shards = None` with
+//!   `UNC_ENGINE_SHARDS` unset); [`shard`] covers partitioning, the
+//!   spatial partitioner's query pruning and rebalancing, and the env
+//!   overrides. [`Engine::shard_stats`] always holds `S` rows;
+//! * a std-only [thread pool](pool) (`std::thread` + channels) splits each
 //!   batch across workers — `UNC_ENGINE_THREADS` pins the worker count for
 //!   deterministic CI runs;
 //! * a [cost-based planner](planner) picks, per batch, among brute force,
 //!   the Theorem 3.2 kd-tree/group-index structure, `V≠0` point location,
-//!   and the Bentley–Saxe bucket structure (bulk-loaded by [`Engine::new`],
-//!   so it serves from the first batch) for `NN≠0` requests, and among the
-//!   exact fresh sweep, the bit-identical `quant:merged` k-way merge over
+//!   and the Bentley–Saxe buckets for `NN≠0` requests, and among the exact
+//!   fresh sweep, the bit-identical `quant:merged` k-way merge over
 //!   per-bucket summaries, spiral search, and Monte Carlo for probability
-//!   requests — amortizing index construction over the batch and recording
-//!   its choice (plus merge-vs-sweep counters and the per-bucket reuse rate
-//!   in [`ExecStats`]);
+//!   requests — amortizing index construction over the batch (static
+//!   structures are built over the flat live union) and recording its
+//!   choice (plus merge-vs-sweep counters, the per-bucket reuse rate and
+//!   the scatter-gather fan-out in [`ExecStats`]);
 //! * a [quantization-keyed LRU result cache](cache) snaps query points to a
 //!   configurable grid; snapped answers carry a *certified* widened
 //!   [`Guarantee`] (see [`snap`]), so caching never silently degrades
@@ -26,11 +34,13 @@
 //!   (plan taken, wall time, cache hit rate, worker utilization, epoch and
 //!   live/tombstone site counts);
 //! * an **epoch/snapshot update layer**: [`Engine::apply`] takes a batch of
-//!   [`Update`]s (insert / remove / move uncertain sites), advances the
-//!   Bentley–Saxe structure ([`uncertain_nn::dynamic`]), and publishes a new
-//!   immutable snapshot behind an `Arc` swap — in-flight batches on worker
-//!   threads keep serving the epoch they started on, and epoch-stamped
-//!   cache keys make stale entries unreachable with no flush.
+//!   [`Update`]s (insert / remove / move uncertain sites) under one writer
+//!   lock, copies only the shards they touch, advances their Bentley–Saxe
+//!   structures, and publishes a new immutable snapshot behind an `Arc`
+//!   swap — in-flight batches on worker threads keep serving the epoch
+//!   they started on, and epoch-stamped cache keys make stale entries
+//!   unreachable with no flush;
+//! * a [network server](server) that fronts any engine, whatever its `S`.
 //!
 //! # Quickstart
 //!
@@ -88,7 +98,8 @@ pub mod server;
 pub mod shard;
 pub mod snap;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
@@ -96,7 +107,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use uncertain_geom::predicates::predicate_stats;
 use uncertain_geom::{Aabb, Point};
-use uncertain_nn::dynamic::DynamicSet;
+use uncertain_nn::dynamic::shard::ShardedReader;
+use uncertain_nn::dynamic::{DynamicSet, RebuildStats, UpdateOutcome};
 use uncertain_nn::model::DiscreteSet;
 use uncertain_nn::nonzero::{nonzero_nn_discrete, DiscreteNonzeroIndex, QueryScratch};
 use uncertain_nn::quantification::exact::quantification_discrete;
@@ -110,6 +122,7 @@ pub use cache::{quantize_point, snap_center, snap_radius};
 use cache::{CacheKey, CachedValue, QuantTag, ResultCache};
 pub use planner::{BatchPlan, NonzeroPlan, PlanEstimate, PlannerInputs, QuantPlan};
 pub use pool::{resolve_threads, ThreadPool, THREADS_ENV};
+use shard::{Part, PartitionerKind, Router};
 pub use uncertain_nn::dynamic::{DynamicConfig, DynamicStats, SiteId, Update};
 
 /// One query in a batch.
@@ -150,20 +163,22 @@ pub enum QueryResult {
         items: Vec<(usize, f64)>,
         guarantee: Guarantee,
     },
-    /// The request's evaluation panicked (e.g. a NaN query coordinate hit
-    /// an internal total-order assumption). The panic is caught **inside**
-    /// the request — before it can poison shared locks or strand the
-    /// batch — so the other requests of the batch, and every later batch,
-    /// are unaffected. Never cached. The serving front-end maps this to a
-    /// typed error reply instead of dying.
+    /// The request failed: a non-finite input, or an evaluation that
+    /// panicked. The panic is caught **inside** the request — before it
+    /// can poison shared locks or strand the batch — so the other requests
+    /// of the batch, and every later batch, are unaffected. Never cached.
+    /// The serving front-end maps this to a typed error reply instead of
+    /// dying.
     Failed { reason: String },
 }
 
 /// What one [`Engine::apply`] call did: the epoch it published plus the
-/// amortized-rebuild accounting for exactly this batch of updates.
+/// amortized-rebuild accounting for exactly this batch of updates (summed
+/// over the shards it touched, including a rebalance round it triggered).
 #[derive(Clone, Debug)]
 pub struct ApplyReport {
-    /// The epoch the new snapshot serves under.
+    /// The publish generation the new snapshot serves under (unchanged on
+    /// a no-op apply) — the value [`Engine::epoch`] reports.
     pub epoch: u64,
     /// Ids assigned to the `Insert` updates, in update order.
     pub inserted: Vec<SiteId>,
@@ -184,14 +199,13 @@ pub struct ApplyReport {
     pub sites_rebuilt: u64,
 }
 
-/// Per-shard serving-state summary reported by [`shard::ShardedEngine`]
-/// batches (empty on monolithic batches). One row per shard, in shard-index
-/// order, describing the snapshot the batch was served from.
+/// Per-shard serving-state summary: one row per shard, in shard-index
+/// order, describing the snapshot a batch was served from.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShardStat {
     /// Shard index in `0..shards`.
     pub shard: usize,
-    /// The shard's own epoch (bumped only when an apply touches it).
+    /// The shard's own epoch (bumped only when an apply changes it).
     pub epoch: u64,
     /// Live sites owned by this shard.
     pub live: usize,
@@ -218,23 +232,20 @@ pub struct ExecStats {
     pub cache_misses: usize,
     /// Worker count used for this batch.
     pub workers: usize,
-    /// The snapshot epoch this batch was served from (0 until the first
-    /// [`Engine::apply`]). Every answer of the batch reflects exactly this
-    /// epoch's site set.
+    /// The publish generation this batch was served from (0 until the
+    /// first effective [`Engine::apply`]). Every answer of the batch
+    /// reflects exactly this snapshot's site set.
     pub epoch: u64,
     /// Live sites in the serving snapshot.
     pub live_sites: usize,
     /// Tombstoned sites still buried in the snapshot's buckets (0 until
-    /// updates have been applied). Summed across shards on sharded batches.
+    /// updates have been applied), summed across shards.
     pub tombstones: usize,
-    /// Per-shard `(epoch, live, tombstones)` rows when the batch was served
-    /// by a [`shard::ShardedEngine`]; empty on monolithic batches. For
-    /// sharded batches [`ExecStats::epoch`] holds the publish *generation*
-    /// (the monotone counter stamped on every atomically-published
-    /// shard-epoch vector), and these rows hold the per-shard epochs.
+    /// One `(epoch, live, tombstones, warm rate)` row per shard — always
+    /// `S` rows, holding the per-shard epochs of the published vector.
     pub shard_stats: Vec<ShardStat>,
-    /// Busy (execution) time of each shard of this batch, measured inside
-    /// the shard's job. At most one shard per worker.
+    /// Busy (execution) time of each chunk of this batch, measured inside
+    /// the chunk's job. At most one chunk per worker.
     pub worker_busy: Vec<Duration>,
     /// The guarantee `NN≠0` answers of this batch were served under —
     /// always [`Guarantee::Exact`] (every plan, including `nonzero:diagram`,
@@ -268,7 +279,7 @@ pub struct ExecStats {
     pub quant_bucket_warm: usize,
     /// Σ shards visited by this batch's scatter-gather reads (each
     /// cache-missed `NN≠0:dynamic` or `quant:merged` evaluation counts the
-    /// shards its box pruning actually touched). 0 on monolithic batches.
+    /// shards its box pruning actually touched).
     pub shards_touched: usize,
     /// Scatter-gather reads behind [`ExecStats::shards_touched`] —
     /// `shards_touched / shard_reads` is the mean fan-out per query, the
@@ -352,8 +363,8 @@ impl ExecStats {
     }
 
     /// Mean shards visited per scatter-gather read; `0.0` when the batch
-    /// did none (monolithic engine, or every answer from the cache). Equal
-    /// to the shard count under hash partitioning; `< shards` measures how
+    /// did none (every answer from the cache or a static plan). Equal to
+    /// the shard count under hash partitioning; `< shards` measures how
     /// much the spatial partitioner's box pruning cut the fan-out.
     pub fn avg_shards_touched(&self) -> f64 {
         if self.shard_reads == 0 {
@@ -365,26 +376,19 @@ impl ExecStats {
 }
 
 /// Largest shard count whose per-shard `Display` tokens stay readable on
-/// one log line; above it the tokens aggregate to min/median/max unless
-/// [`STATS_VERBOSE_ENV`] is set.
+/// one log line; above it the tokens aggregate to min/median/max.
 const DISPLAY_SHARD_TOKENS_MAX: usize = 8;
-
-/// Set (to anything) to force per-shard `ExecStats` `Display` tokens at
-/// every shard count instead of the min/median/max aggregation past
-/// S = 8.
-pub const STATS_VERBOSE_ENV: &str = "UNC_STATS_VERBOSE";
 
 impl std::fmt::Display for ExecStats {
     /// Compact one-line batch summary for logs and examples:
-    /// `plan=[nonzero:index] reqs=64 wall=1.2ms qps=53388 cache=75% util=88% epoch=3 live=4096 tomb=0 stouch=0.0`.
+    /// `plan=[nonzero:index] reqs=64 wall=1.2ms qps=53388 cache=75% util=88% epoch=3 live=4096 tomb=0 stouch=1.0 shard0=3/4096/0/100%`.
     ///
-    /// Every field is printed unconditionally (even when zero). Sharded
-    /// batches append one fixed-shape `shardK=epoch/live/tomb/warm%` token
-    /// per shard up to S = 8; past that the line would be unreadable, so
-    /// the tokens aggregate to one `shards=S lo=… med=… hi=…` summary
-    /// (min/median/max of each column) unless the `UNC_STATS_VERBOSE` env
-    /// var is set — log scrapers see the same columns at every epoch and a
-    /// bounded line length at every shard count.
+    /// Every field is printed unconditionally (even when zero), followed by
+    /// one fixed-shape `shardK=epoch/live/tomb/warm%` token per shard up to
+    /// S = 8; past that the line would be unreadable, so the tokens
+    /// aggregate to one `shards=S lo=… med=… hi=…` summary (min/median/max
+    /// of each column) — log scrapers see the same columns at every epoch
+    /// and a bounded line length at every shard count.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -400,8 +404,7 @@ impl std::fmt::Display for ExecStats {
             self.tombstones,
             self.avg_shards_touched(),
         )?;
-        let verbose = std::env::var_os(STATS_VERBOSE_ENV).is_some();
-        if self.shard_stats.len() <= DISPLAY_SHARD_TOKENS_MAX || verbose {
+        if self.shard_stats.len() <= DISPLAY_SHARD_TOKENS_MAX {
             for s in &self.shard_stats {
                 write!(
                     f,
@@ -413,28 +416,27 @@ impl std::fmt::Display for ExecStats {
                     100.0 * s.quant_warm_rate
                 )?;
             }
-        } else {
-            // min/median/max per column, each rendered in the same
-            // epoch/live/tomb/warm% shape as the per-shard tokens.
-            fn col<T: Copy + Ord>(mut v: Vec<T>) -> (T, T, T) {
-                v.sort_unstable();
-                (v[0], v[v.len() / 2], v[v.len() - 1])
-            }
-            let (e_lo, e_med, e_hi) = col(self.shard_stats.iter().map(|s| s.epoch).collect());
-            let (l_lo, l_med, l_hi) = col(self.shard_stats.iter().map(|s| s.live).collect());
-            let (t_lo, t_med, t_hi) = col(self.shard_stats.iter().map(|s| s.tombstones).collect());
-            let (w_lo, w_med, w_hi) = col(self
-                .shard_stats
-                .iter()
-                .map(|s| (100.0 * s.quant_warm_rate).round() as u64)
-                .collect());
-            write!(
-                f,
-                " shards={} lo={e_lo}/{l_lo}/{t_lo}/{w_lo}% med={e_med}/{l_med}/{t_med}/{w_med}% hi={e_hi}/{l_hi}/{t_hi}/{w_hi}%",
-                self.shard_stats.len()
-            )?;
+            return Ok(());
         }
-        Ok(())
+        // min/median/max per column, each rendered in the same
+        // epoch/live/tomb/warm% shape as the per-shard tokens.
+        fn col<T: Copy + Ord>(mut v: Vec<T>) -> (T, T, T) {
+            v.sort_unstable();
+            (v[0], v[v.len() / 2], v[v.len() - 1])
+        }
+        let (e_lo, e_med, e_hi) = col(self.shard_stats.iter().map(|s| s.epoch).collect());
+        let (l_lo, l_med, l_hi) = col(self.shard_stats.iter().map(|s| s.live).collect());
+        let (t_lo, t_med, t_hi) = col(self.shard_stats.iter().map(|s| s.tombstones).collect());
+        let (w_lo, w_med, w_hi) = col(self
+            .shard_stats
+            .iter()
+            .map(|s| (100.0 * s.quant_warm_rate).round() as u64)
+            .collect());
+        write!(
+            f,
+            " shards={} lo={e_lo}/{l_lo}/{t_lo}/{w_lo}% med={e_med}/{l_med}/{t_med}/{w_med}% hi={e_hi}/{l_hi}/{t_hi}/{w_hi}%",
+            self.shard_stats.len()
+        )
     }
 }
 
@@ -445,8 +447,9 @@ pub struct BatchResponse {
     pub stats: ExecStats,
 }
 
-/// Engine configuration. `Default` is a sensible serving setup: exact
-/// answers, exact-bits caching (no snapping), auto-detected parallelism.
+/// Engine configuration. `Default` is a sensible serving setup: one shard,
+/// exact answers, exact-bits caching (no snapping), auto-detected
+/// parallelism.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Worker count. Resolution: `UNC_ENGINE_THREADS` env > this field >
@@ -466,24 +469,21 @@ pub struct EngineConfig {
     pub diagram_cap: usize,
     /// Seed for Monte-Carlo instantiation sampling (deterministic builds).
     pub mc_seed: u64,
-    /// Tuning of the Bentley–Saxe structure [`apply`](Engine::apply)
-    /// maintains (bucket-index crossover, compaction thresholds).
+    /// Tuning of each shard's Bentley–Saxe structure (bucket-index
+    /// crossover, compaction thresholds).
     pub dynamic: DynamicConfig,
-    /// Shard count for [`shard::ShardedEngine`]. Resolution:
-    /// `UNC_ENGINE_SHARDS` env > this field > detected parallelism, min 1.
-    /// Ignored by the monolithic [`Engine`].
+    /// Shard count `S`. Resolution: `UNC_ENGINE_SHARDS` env > this field >
+    /// 1.
     pub shards: Option<usize>,
-    /// How [`shard::ShardedEngine`] assigns sites to shards: `Hash`
-    /// (default — stable-id hash, write-parallel, every query fans out to
-    /// all shards) or `Spatial` (kd-split of the site cloud — clustered
-    /// queries touch few shards, applies serialize). Overridable via the
-    /// `UNC_ENGINE_PARTITIONER` env var (`hash` / `spatial`). Ignored by
-    /// the monolithic [`Engine`].
-    pub partitioner: shard::PartitionerKind,
+    /// How sites are assigned to shards: `Hash` (default — stable-id hash,
+    /// every query fans out to all shards) or `Spatial` (kd-split of the
+    /// site cloud — clustered queries touch few shards). Overridable via
+    /// the `UNC_ENGINE_PARTITIONER` env var (`hash` / `spatial`).
+    pub partitioner: PartitionerKind,
     /// Live-count imbalance ratio (max/min across shards) past which a
     /// spatial apply schedules an incremental rebalance; `0.0` disables
     /// rebalancing. Overridable via `UNC_ENGINE_REBALANCE`. Ignored under
-    /// `Hash` partitioning and by the monolithic [`Engine`].
+    /// `Hash` partitioning.
     pub rebalance_ratio: f64,
 }
 
@@ -498,15 +498,15 @@ impl Default for EngineConfig {
             mc_seed: 0xC0FFEE,
             dynamic: DynamicConfig::default(),
             shards: None,
-            partitioner: shard::PartitionerKind::Hash,
+            partitioner: PartitionerKind::Hash,
             rebalance_ratio: 4.0,
         }
     }
 }
 
-/// Lazily-built shared structures. Build cost is paid once (on the batch
-/// that first needs the structure) and sunk for all later batches — the
-/// planner is told what already exists.
+/// Lazily-built shared structures over the flat live union. Build cost is
+/// paid once (on the batch that first needs the structure) and sunk for all
+/// later batches of the epoch — the planner is told what already exists.
 #[derive(Default)]
 struct Structures {
     index: Mutex<Option<Arc<DiscreteNonzeroIndex>>>,
@@ -515,16 +515,23 @@ struct Structures {
     mc: Mutex<Option<(usize, Arc<MonteCarloPnn>)>>,
 }
 
-/// One immutable epoch snapshot: the Bentley–Saxe structure the epoch
-/// serves from, flat views of its live sites, and the epoch's lazily-built
-/// static query structures. Batches pin the snapshot they started on via
-/// `Arc`, so a concurrent [`Engine::apply`] never changes answers mid-batch.
+/// One immutable epoch snapshot: the per-shard Bentley–Saxe structures the
+/// epoch serves from, flat views of their live union, and the epoch's
+/// lazily-built static query structures. Batches pin the snapshot they
+/// started on via `Arc`, so a concurrent [`Engine::apply`] never changes
+/// answers mid-batch.
 struct EngineCore {
+    /// The publish generation: advances exactly when the shard-epoch vector
+    /// changes, so it is a collision-free cache stamp for the whole vector.
     epoch: u64,
+    /// Per-shard epochs, index = shard.
+    shard_epochs: Vec<u64>,
+    /// Scatter-gather view over one `Arc` snapshot per shard.
+    reader: ShardedReader,
     /// Live sites, densely indexed in ascending-id order — materialized
-    /// **lazily** from the dynamic structure, because construction and
-    /// apply() must stay cheap and batches served by the dynamic plans
-    /// (`NN≠0` buckets, merged quantification) never need the flat set.
+    /// **lazily**, because construction and apply() must stay cheap and
+    /// batches served by the dynamic plans (`NN≠0` buckets, merged
+    /// quantification) never need the flat set.
     set: OnceLock<DiscreteSet>,
     /// Dense index → stable site id. Lazy for the same reason as `set`: the
     /// O(live) id list is built by the first batch that maps dense results.
@@ -532,9 +539,8 @@ struct EngineCore {
     /// `(Σ k, max k, weight spread)` over live sites — the planner's shape
     /// summary, computed by the first batch of the epoch (an O(n + N) scan).
     shape: OnceLock<(usize, usize, f64)>,
-    /// The Bentley–Saxe structure this snapshot serves from: bulk-loaded by
-    /// [`Engine::new`], advanced by every effective [`Engine::apply`].
-    dynamic: Arc<DynamicSet>,
+    /// Resolved: `shards`, `partitioner` and `rebalance_ratio` hold what
+    /// the engine runs with, env overrides applied.
     config: EngineConfig,
     /// Shared across epochs; epoch-stamped keys keep entries from ever
     /// crossing snapshots.
@@ -543,39 +549,41 @@ struct EngineCore {
 }
 
 impl EngineCore {
-    /// The snapshot of `dynamic` at `epoch`, every derived view still lazy.
+    /// The snapshot of `shards` at generation `epoch`, every derived view
+    /// still lazy.
     fn new(
         epoch: u64,
-        dynamic: Arc<DynamicSet>,
+        shard_epochs: Vec<u64>,
+        shards: Vec<Arc<DynamicSet>>,
         cache: Arc<ResultCache>,
         config: EngineConfig,
     ) -> Self {
         EngineCore {
             epoch,
+            shard_epochs,
+            reader: ShardedReader::new(shards),
             set: OnceLock::new(),
             ids: OnceLock::new(),
             shape: OnceLock::new(),
-            dynamic,
             config,
             cache,
             structures: Structures::default(),
         }
     }
 
-    /// The flat live set, materializing it from the dynamic structure on
-    /// first use.
+    /// The flat live union, materializing it on first use.
     fn set(&self) -> &DiscreteSet {
-        self.set.get_or_init(|| self.dynamic.live_set())
+        self.set.get_or_init(|| self.reader.live_set())
     }
 
     /// The dense → stable-id map, materialized on first use.
     fn ids(&self) -> &[SiteId] {
-        self.ids.get_or_init(|| self.dynamic.live_ids())
+        self.ids.get_or_init(|| self.reader.live_ids())
     }
 
     /// `(total locations, max k, weight spread)` of the live sites.
     fn shape(&self) -> (usize, usize, f64) {
-        *self.shape.get_or_init(|| self.dynamic.live_shape())
+        *self.shape.get_or_init(|| self.reader.live_shape())
     }
 
     /// Maps a dense-index result vector to stable site ids. The map is
@@ -587,17 +595,43 @@ impl EngineCore {
         }
         v
     }
+
+    /// One `(epoch, live, tombstones, warm rate)` row per shard.
+    fn shard_stats(&self) -> Vec<ShardStat> {
+        self.reader
+            .shards()
+            .iter()
+            .enumerate()
+            .map(|(s, d)| {
+                let (warm, cold) = d.quant_summary_state();
+                ShardStat {
+                    shard: s,
+                    epoch: self.shard_epochs[s],
+                    live: d.len(),
+                    tombstones: d.tombstones(),
+                    quant_warm_rate: if warm + cold == 0 {
+                        0.0
+                    } else {
+                        warm as f64 / (warm + cold) as f64
+                    },
+                }
+            })
+            .collect()
+    }
 }
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 /// Sound only where the guarded state is **valid-on-panic** — true for
-/// every engine lock: `Arc` snapshot pointers are swapped atomically, the
-/// apply lock guards nothing, and the lazily-built structure slots are
-/// `Option<Arc<_>>`s that a panicking build simply leaves `None`. The one
-/// lock whose state *can* tear mid-panic is the result cache's LRU, which
-/// clears itself on poison instead (see [`cache`]). Without these, one
-/// panicking query poisons a lock and every later `.lock().unwrap()`
-/// panics too — the cascade that turns a bad request into a dead process.
+/// every engine lock but two: `Arc` snapshot pointers are swapped
+/// atomically, and the lazily-built structure slots are `Option<Arc<_>>`s
+/// that a panicking build simply leaves `None`. The two exceptions repair
+/// themselves on poison instead: the writer lock's router, which a
+/// panicking apply leaves holding routes that were never published
+/// ([`Engine::apply`] re-derives it from the published shards), and the
+/// result cache's LRU, which clears itself (see [`cache`]). Without
+/// these, one panicking query poisons a lock and every later
+/// `.lock().unwrap()` panics too — the cascade that turns a bad request
+/// into a dead process.
 pub(crate) fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -623,17 +657,26 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The serving engine: owns the uncertain-point set, its worker pool, its
-/// cache, and every lazily-built query structure. [`Engine::apply`] swaps
-/// in a new epoch snapshot; queries always serve a consistent epoch.
+/// The serving engine: owns the sharded uncertain-point set, its worker
+/// pool, its cache, and every lazily-built query structure.
+/// [`Engine::apply`] swaps in a new epoch snapshot; queries always serve a
+/// consistent epoch. See the [`shard`] module for what `S > 1` changes.
 pub struct Engine {
     /// The current snapshot. Readers take the read lock only long enough to
     /// clone the `Arc` (no lock is held while serving), writers only to
     /// store a new one.
     core: RwLock<Arc<EngineCore>>,
-    /// Serializes appliers (readers are never blocked by it).
-    apply_lock: Mutex<()>,
+    /// The writer lock: every apply holds it from routing to publication,
+    /// so the partitioner's state, the shards and the published snapshot
+    /// never disagree. Readers are never blocked by it.
+    writer: Mutex<Router>,
     pool: ThreadPool,
+    /// Scatter-gather feedback for the planner: Σ shards actually visited
+    /// and the number of such reads, across all batches. Their ratio is
+    /// the expected per-query fan-out the gather cost term uses instead of
+    /// the worst-case `S`.
+    touched_sum: AtomicU64,
+    touched_reads: AtomicU64,
 }
 
 /// The per-batch execution context handed to workers.
@@ -648,7 +691,7 @@ enum PreparedNonzero {
     Brute,
     Index(Arc<DiscreteNonzeroIndex>),
     Diagram(Arc<DiscreteNonzeroDiagram>),
-    /// The snapshot's Bentley–Saxe buckets.
+    /// Scatter-gather over the snapshot's Bentley–Saxe shards.
     Dynamic,
 }
 
@@ -674,24 +717,65 @@ struct BatchCounters {
     bucket_touches: AtomicUsize,
     bucket_warm: AtomicUsize,
     /// Σ shards visited by scatter-gather reads, and the number of such
-    /// reads (sharded engine only; monolithic batches leave both 0).
+    /// reads.
     shards_touched: AtomicUsize,
     shard_reads: AtomicUsize,
 }
 
+impl BatchCounters {
+    /// Records one scatter-gather read that visited `touched` shards.
+    fn touched(&self, touched: usize) {
+        uncertain_obs::histogram!("engine.query.shards_touched").record(touched as u64);
+        self.shards_touched.fetch_add(touched, Ordering::Relaxed);
+        self.shard_reads.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Applies one shard's sub-batch to that shard — copying it first unless
+/// this apply already holds the only reference — inside a shard-suffixed
+/// span (`engine.apply.shard3`). Returns the outcome and the rebuild work.
+fn apply_shard(
+    shard: usize,
+    set: &mut Arc<DynamicSet>,
+    part: &Part,
+) -> (UpdateOutcome, RebuildStats) {
+    let _span = uncertain_obs::span_dyn(&format!("engine.apply.shard{shard}"));
+    if Arc::get_mut(set).is_none() {
+        // Inserts and moves each append one entry: copy with room for
+        // them, so the appends do not copy the slab a second time.
+        let appends = part.0.iter().filter(|u| !matches!(***u, Update::Remove(_)));
+        *set = Arc::new(set.clone_with_room(appends.count()));
+    }
+    let set = Arc::get_mut(set).expect("the copy is unshared");
+    let before = set.stats().rebuild;
+    let outcome = set.apply_with_insert_ids(part.0.iter().map(|u| &**u), &part.1);
+    (outcome, set.stats().rebuild.since(&before))
+}
+
 impl Engine {
-    /// Builds an engine over `set`, bulk-loading it into one Bentley–Saxe
-    /// bucket so the first batch is already served by the dynamic plans.
+    /// Builds an engine over `set`, bulk-loading it into `S` Bentley–Saxe
+    /// shards so the first batch is already served by the dynamic plans.
     /// Spawns the worker pool immediately; static query structures are
     /// built lazily by the planner. Sites receive the stable ids
-    /// `0..set.len()` in input order.
+    /// `0..set.len()` in input order. The shard count resolves via
+    /// [`shard::resolve_shards`] from `config.shards`, the partitioner and
+    /// rebalance ratio via their `resolve_*` twins.
     pub fn new(set: DiscreteSet, config: EngineConfig) -> Self {
-        let dynamic = Arc::new(DynamicSet::from_set(&set, config.dynamic));
+        let config = EngineConfig {
+            shards: Some(shard::resolve_shards(config.shards)),
+            partitioner: shard::resolve_partitioner(config.partitioner),
+            rebalance_ratio: shard::resolve_rebalance(config.rebalance_ratio),
+            ..config
+        };
+        let (router, shards) = Router::load(set, &config);
         let cache = Arc::new(ResultCache::new(config.cache_capacity, config.cache_grid));
+        let core = EngineCore::new(0, vec![0; shards.len()], shards, cache, config);
         Engine {
-            core: RwLock::new(Arc::new(EngineCore::new(0, dynamic, cache, config))),
-            apply_lock: Mutex::new(()),
+            core: RwLock::new(Arc::new(core)),
+            writer: Mutex::new(router),
             pool: ThreadPool::new(resolve_threads(config.threads)),
+            touched_sum: AtomicU64::new(0),
+            touched_reads: AtomicU64::new(0),
         }
     }
 
@@ -701,10 +785,49 @@ impl Engine {
         read_ok(&self.core).clone()
     }
 
-    /// The epoch the engine currently serves (0 until the first
-    /// [`apply`](Self::apply)).
+    /// The publish generation the engine currently serves (0 until the
+    /// first effective [`apply`](Self::apply)).
     pub fn epoch(&self) -> u64 {
         self.snapshot().epoch
+    }
+
+    /// One atomic observation of `(generation, per-shard epoch vector)` —
+    /// both read from the same immutable snapshot, never torn across a
+    /// concurrent apply's publication.
+    pub fn shard_epochs(&self) -> (u64, Vec<u64>) {
+        let core = self.snapshot();
+        (core.epoch, core.shard_epochs.clone())
+    }
+
+    /// Resolved shard count `S`.
+    pub fn num_shards(&self) -> usize {
+        self.snapshot().reader.num_shards()
+    }
+
+    /// Resolved partitioner kind.
+    pub fn partitioner_kind(&self) -> PartitionerKind {
+        self.snapshot().config.partitioner
+    }
+
+    /// Rebalance rounds executed since construction.
+    pub fn rebalances(&self) -> u64 {
+        lock_ok(&self.writer).rebalances
+    }
+
+    /// One `(epoch, live, tombstones, warm rate)` row per shard of the
+    /// current snapshot — `S` rows.
+    pub fn shard_stats(&self) -> Vec<ShardStat> {
+        self.snapshot().shard_stats()
+    }
+
+    /// Per-shard live-id lists, all read from **one** published snapshot —
+    /// the observable for the single-ownership invariant: every live site
+    /// id appears in exactly one shard's list, in every snapshot, even
+    /// while rebalance migrations race (`tests/engine_epochs.rs` asserts
+    /// this from racing reader threads).
+    pub fn shard_census(&self) -> Vec<Vec<SiteId>> {
+        let core = self.snapshot();
+        core.reader.shards().iter().map(|d| d.live_ids()).collect()
     }
 
     /// The surviving sites of the current epoch, densely in ascending-id
@@ -728,90 +851,159 @@ impl Engine {
         self.snapshot().set.get().is_some()
     }
 
-    /// Shape of the dynamic structure the current epoch serves from. Always
-    /// `Some`: every engine holds one from construction.
+    /// Shape of the dynamic structure the current epoch serves from,
+    /// summed over the shards. Always `Some`: every engine holds one from
+    /// construction.
     pub fn dynamic_stats(&self) -> Option<DynamicStats> {
-        Some(self.snapshot().dynamic.stats())
+        Some(self.snapshot().reader.stats())
     }
 
     /// Applies a batch of site updates and publishes a new epoch snapshot.
     ///
-    /// Concurrent `apply` calls serialize against each other; concurrent
+    /// Applies serialize on the writer lock; concurrent
     /// [`run_batch`](Self::run_batch) calls are never blocked — a batch
     /// already in flight keeps serving the epoch it started on (its
     /// [`ExecStats::epoch`] says which), and the next batch picks up the
-    /// new snapshot. The update cost is the Bentley–Saxe amortized bound
-    /// (buckets merged by the carry rule), **not** a full rebuild.
+    /// new snapshot. The partitioner splits the batch by shard (inserts
+    /// claim their ids first, in update order); each shard whose sub-batch
+    /// changes something is copied and advanced by the Bentley–Saxe carry
+    /// rule — **not** rebuilt — several shards in parallel on the worker
+    /// pool, and untouched shards are shared with the old snapshot. A
+    /// spatial apply that pushes the live-count imbalance past the
+    /// rebalance ratio also runs the migration round before publishing, so
+    /// the user's updates and the migrations land in **one** generation.
+    ///
     /// An apply that changes nothing — an empty batch, or one whose every
     /// update missed — returns the *current* epoch and does not publish a
     /// new snapshot, so warm cache entries survive no-op ticks.
     pub fn apply(&self, updates: &[Update]) -> ApplyReport {
         let _span = uncertain_obs::span!("engine.apply");
         uncertain_obs::counter!("engine.apply.updates").add(updates.len() as u64);
-        let _writer = lock_ok(&self.apply_lock);
-        let old = self.snapshot();
-        let noop_report = |missed: usize| ApplyReport {
+        let (mut router, old) = match self.writer.lock() {
+            Ok(router) => (router, self.snapshot()),
+            Err(poisoned) => {
+                // An apply panicked after routing: the router may file ids
+                // under shards the published snapshot never saw them move
+                // to. Re-derive its state from what was published.
+                let mut router = poisoned.into_inner();
+                let old = self.snapshot();
+                router.resync(old.reader.shards());
+                self.writer.clear_poison();
+                (router, old)
+            }
+        };
+        let mut shards: Vec<Arc<DynamicSet>> = old.reader.shards().to_vec();
+        let routed = router.route(updates, shards.len());
+        let mut report = ApplyReport {
             epoch: old.epoch,
-            inserted: vec![],
+            inserted: routed.inserted,
             removed: 0,
             moved: 0,
-            missed,
-            live: old.dynamic.len(),
-            tombstones: old.dynamic.tombstones(),
+            missed: routed.missed,
+            live: 0,
+            tombstones: 0,
             merges: 0,
             global_rebuilds: 0,
             sites_rebuilt: 0,
         };
-        // Effectiveness pre-check: inserts always change the set; removes
-        // and moves only if the id is currently live. Bailing out *before*
-        // cloning the dynamic structure keeps a stream of no-op batches
-        // (e.g. replays of stale ids) from paying an O(live) clone each.
-        let effective = updates.iter().any(|u| match u {
-            Update::Insert(_) => true,
-            Update::Remove(id) | Update::Move { id, .. } => old.dynamic.contains(*id),
-        });
-        if !effective {
-            return noop_report(updates.len());
+        // Effectiveness pre-check, per shard: inserts always change a
+        // shard; removes and moves only if the id is live there. Skipping
+        // a shard *before* copying it keeps no-op sub-batches (replays of
+        // stale ids) from paying an O(live/S) clone each.
+        let mut jobs: Vec<(usize, Part)> = vec![];
+        for (s, part) in routed.parts.into_iter().enumerate() {
+            let effective = part.0.iter().any(|u| match &**u {
+                Update::Insert(_) => true,
+                Update::Remove(id) | Update::Move { id, .. } => shards[s].contains(*id),
+            });
+            if effective {
+                jobs.push((s, part));
+            } else {
+                report.missed += part.0.len();
+            }
         }
-        let mut dynamic = (*old.dynamic).clone();
-        let before = dynamic.stats().rebuild;
-        // Batched core apply: mutations land in order, all new entries
-        // merge with a single Bentley–Saxe carry.
-        let outcome = dynamic.apply(updates);
-        if outcome.inserted.is_empty() && outcome.removed == 0 && outcome.moved == 0 {
-            // Every update missed: nothing changed, keep the epoch.
-            return noop_report(outcome.missed);
+        if jobs.is_empty() {
+            report.live = old.reader.len();
+            report.tombstones = old.reader.tombstones();
+            return report;
         }
-        let delta = dynamic.stats().rebuild.since(&before);
-        let report = ApplyReport {
-            epoch: old.epoch + 1,
-            inserted: outcome.inserted,
-            removed: outcome.removed,
-            moved: outcome.moved,
-            missed: outcome.missed,
-            live: dynamic.len(),
-            tombstones: dynamic.tombstones(),
-            merges: delta.merges,
-            global_rebuilds: delta.global_rebuilds,
-            sites_rebuilt: delta.sites_rebuilt,
-        };
+        let mut done: Vec<(UpdateOutcome, RebuildStats)> = vec![];
+        if jobs.len() > 1 && self.pool.len() > 1 {
+            let dispatched = jobs.len();
+            let (tx, rx) = std::sync::mpsc::channel();
+            for (s, part) in jobs {
+                let (tx, mut set) = (tx.clone(), Arc::clone(&shards[s]));
+                // Pool jobs outlive this borrow of `updates`: they take
+                // their sub-batch by value.
+                let part: Part<'static> = (
+                    part.0
+                        .into_iter()
+                        .map(|u| Cow::Owned(u.into_owned()))
+                        .collect(),
+                    part.1,
+                );
+                self.pool.execute(move || {
+                    let r = apply_shard(s, &mut set, &part);
+                    let _ = tx.send((s, set, r));
+                });
+            }
+            drop(tx);
+            for (s, set, r) in rx {
+                shards[s] = set;
+                done.push(r);
+            }
+            // A shard job that panicked sent nothing: fail the whole apply
+            // (publishing nothing) rather than drop its updates silently.
+            assert_eq!(done.len(), dispatched, "a shard apply job panicked");
+        } else {
+            for (s, part) in &jobs {
+                done.push(apply_shard(*s, &mut shards[*s], part));
+            }
+        }
+        for (outcome, _) in &done {
+            report.removed += outcome.removed;
+            report.moved += outcome.moved;
+            report.missed += outcome.missed;
+        }
+        // A cross-shard move ran as a remove plus a same-id insert; to the
+        // caller it is exactly one move.
+        report.removed -= routed.cross_moved;
+        report.moved += routed.cross_moved;
+        if let Some(migrations) = router.rebalance(&shards) {
+            for (s, part) in &migrations {
+                done.push(apply_shard(*s, &mut shards[*s], part));
+            }
+        }
+        for (_, delta) in &done {
+            report.merges += delta.merges;
+            report.global_rebuilds += delta.global_rebuilds;
+            report.sites_rebuilt += delta.sites_rebuilt;
+        }
 
-        // No materialization here: the flat set, the live-id list, and the
-        // planner's shape summary are all produced lazily by the first
-        // consumer that observes them. An apply that only touches buckets
-        // nothing downstream has looked at is O(batch + carry) — there is
-        // no per-epoch O(n) invalidation work for state nobody built.
+        // Publish: one new core carrying every changed shard — the single
+        // pointer swap is what makes straddling batches and migrations
+        // atomic for readers. No materialization here: the flat set, the
+        // id list and the planner's shape summary are all produced lazily
+        // by the first consumer that observes them.
+        let changed: Vec<bool> = (0..shards.len())
+            .map(|s| !Arc::ptr_eq(&shards[s], &old.reader.shards()[s]))
+            .collect();
+        let shard_epochs = (0..shards.len())
+            .map(|s| old.shard_epochs[s] + u64::from(changed[s]))
+            .collect();
         let core = EngineCore::new(
-            report.epoch,
-            Arc::new(dynamic),
+            old.epoch + 1,
+            shard_epochs,
+            shards,
             Arc::clone(&old.cache),
             old.config,
         );
+        report.epoch = core.epoch;
+        report.live = core.reader.len();
+        report.tombstones = core.reader.tombstones();
+        record_apply_gauges(&core, &changed);
         *write_ok(&self.core) = Arc::new(core);
         uncertain_obs::counter!("engine.apply.effective").inc();
-        uncertain_obs::gauge!("engine.epoch").set(report.epoch as f64);
-        uncertain_obs::gauge!("engine.live_sites").set(report.live as f64);
-        uncertain_obs::gauge!("engine.tombstones").set(report.tombstones as f64);
         report
     }
 
@@ -823,6 +1015,18 @@ impl Engine {
     /// Current number of cached entries.
     pub fn cache_len(&self) -> usize {
         self.snapshot().cache.len()
+    }
+
+    /// Expected per-query scatter-gather fan-out, fed back from every prior
+    /// batch's observed shards-touched counts; before any observation, the
+    /// worst case (every shard — exact for hash partitioning).
+    fn expected_touched(&self, core: &EngineCore) -> f64 {
+        let reads = self.touched_reads.load(Ordering::Relaxed);
+        if reads == 0 {
+            core.reader.num_shards() as f64
+        } else {
+            self.touched_sum.load(Ordering::Relaxed) as f64 / reads as f64
+        }
     }
 
     /// Plans and executes one batch: answers are returned in request order,
@@ -837,7 +1041,12 @@ impl Engine {
         let nonzero_count = requests.iter().filter(|r| r.is_nonzero()).count();
         let plan = {
             let _s = uncertain_obs::span!("engine.batch.plan");
-            plan_for(&core, nonzero_count, requests.len() - nonzero_count)
+            plan_for(
+                &core,
+                nonzero_count,
+                requests.len() - nonzero_count,
+                self.expected_touched(&core),
+            )
         };
         let (prepared, built) = {
             let _s = uncertain_obs::span!("engine.batch.prepare");
@@ -857,10 +1066,10 @@ impl Engine {
                 .collect();
             (results, vec![e0.elapsed()])
         } else {
-            let shard = requests.len().div_ceil(self.pool.len());
+            let chunk_len = requests.len().div_ceil(self.pool.len());
             let (rtx, rrx) = std::sync::mpsc::channel();
-            let mut shards = 0usize;
-            for (si, chunk) in requests.chunks(shard).enumerate() {
+            let mut jobs = 0usize;
+            for (ji, chunk) in requests.chunks(chunk_len).enumerate() {
                 let core = Arc::clone(&core);
                 let prepared = prepared.clone();
                 let counters = Arc::clone(&counters);
@@ -873,31 +1082,31 @@ impl Engine {
                         .iter()
                         .map(|r| exec_one(&core, &prepared, *r, &counters, &mut scratch))
                         .collect();
-                    let _ = rtx.send((si, out, e0.elapsed()));
+                    let _ = rtx.send((ji, out, e0.elapsed()));
                 });
-                shards += 1;
+                jobs += 1;
             }
             drop(rtx);
-            let mut buf: Vec<Option<Vec<QueryResult>>> = (0..shards).map(|_| None).collect();
-            let mut busy = vec![Duration::ZERO; shards];
-            for (si, out, dt) in rrx {
-                buf[si] = Some(out);
-                busy[si] = dt;
+            let mut buf: Vec<Option<Vec<QueryResult>>> = (0..jobs).map(|_| None).collect();
+            let mut busy = vec![Duration::ZERO; jobs];
+            for (ji, out, dt) in rrx {
+                buf[ji] = Some(out);
+                busy[ji] = dt;
             }
-            // Panics are caught per-request inside `exec_one`, so shard
+            // Panics are caught per-request inside `exec_one`, so chunk
             // jobs normally always report. If a job is ever lost anyway
             // (a panic outside the per-request guard), degrade to typed
-            // failures for exactly that shard instead of unwinding the
+            // failures for exactly that chunk instead of unwinding the
             // caller — under the network server the caller is the batcher
             // thread, and its death would kill the whole serving process.
             let results = buf
                 .into_iter()
                 .enumerate()
-                .flat_map(|(si, s)| {
+                .flat_map(|(ji, s)| {
                     s.unwrap_or_else(|| {
                         uncertain_obs::counter!("engine.exec.lost_jobs").inc();
-                        let lo = si * shard;
-                        let len = shard.min(requests.len() - lo);
+                        let lo = ji * chunk_len;
+                        let len = chunk_len.min(requests.len() - lo);
                         (0..len)
                             .map(|_| QueryResult::Failed {
                                 reason: "worker job lost to a panic outside the request guard"
@@ -914,8 +1123,23 @@ impl Engine {
         uncertain_obs::histogram!("engine.batch.wall").record(wall.as_nanos() as u64);
         uncertain_obs::counter!("engine.batch.requests").add(requests.len() as u64);
         record_planner_observation(&plan, requests.len(), worker_busy.iter().sum());
-        let spans =
-            uncertain_obs::span_delta(&spans_before, &uncertain_obs::registry().span_totals());
+        // Feed this batch's observed fan-out back to the planner's gather
+        // term, and refresh the per-shard warm-rate gauges (the batch's
+        // merged evaluations are what warms the summaries).
+        let shards_touched = counters.shards_touched.load(Ordering::Relaxed);
+        let shard_reads = counters.shard_reads.load(Ordering::Relaxed);
+        self.touched_sum
+            .fetch_add(shards_touched as u64, Ordering::Relaxed);
+        self.touched_reads
+            .fetch_add(shard_reads as u64, Ordering::Relaxed);
+        let shard_stats = core.shard_stats();
+        let registry = uncertain_obs::registry();
+        for s in &shard_stats {
+            registry
+                .gauge(&format!("shard.quant.warm_rate.shard{}", s.shard))
+                .set(s.quant_warm_rate);
+        }
+        let spans = uncertain_obs::span_delta(&spans_before, &registry.span_totals());
         let predicates = predicate_stats().since(&predicates_before);
         let kernels = kernel_stats().since(&kernels_before);
         BatchResponse {
@@ -930,9 +1154,9 @@ impl Engine {
                 cache_misses: counters.misses.load(Ordering::Relaxed),
                 workers: self.pool.len(),
                 epoch: core.epoch,
-                live_sites: core.dynamic.len(),
-                tombstones: core.dynamic.tombstones(),
-                shard_stats: vec![],
+                live_sites: core.reader.len(),
+                tombstones: core.reader.tombstones(),
+                shard_stats,
                 worker_busy,
                 predicate_filter_hits: predicates.filter_hits,
                 predicate_exact_fallbacks: predicates.exact_fallbacks,
@@ -942,8 +1166,8 @@ impl Engine {
                 quant_fresh_evals: counters.quant_fresh.load(Ordering::Relaxed),
                 quant_bucket_touches: counters.bucket_touches.load(Ordering::Relaxed),
                 quant_bucket_warm: counters.bucket_warm.load(Ordering::Relaxed),
-                shards_touched: 0,
-                shard_reads: 0,
+                shards_touched,
+                shard_reads,
                 spans,
             },
         }
@@ -956,7 +1180,7 @@ impl Engine {
     /// calibration.
     pub fn estimates(&self, q: Point) -> (Vec<f64>, Guarantee) {
         let core = self.snapshot();
-        let plan = plan_for(&core, 0, 1);
+        let plan = plan_for(&core, 0, 1, self.expected_touched(&core));
         let (prepared, _) = prepare(&core, &plan);
         let counters = BatchCounters::default();
         let quant = prepared.quant.as_ref().expect("quant plan for 1 request");
@@ -965,11 +1189,44 @@ impl Engine {
     }
 }
 
-fn plan_for(core: &EngineCore, nonzero_count: usize, quant_count: usize) -> BatchPlan {
+/// Publishes one apply's serving state to the registry: engine-wide
+/// epoch/live/tombstone gauges plus per-shard gauges for every shard the
+/// apply changed.
+fn record_apply_gauges(core: &EngineCore, changed: &[bool]) {
+    uncertain_obs::gauge!("engine.epoch").set(core.epoch as f64);
+    uncertain_obs::gauge!("engine.live_sites").set(core.reader.len() as f64);
+    uncertain_obs::gauge!("engine.tombstones").set(core.reader.tombstones() as f64);
+    let registry = uncertain_obs::registry();
+    for (s, d) in core.reader.shards().iter().enumerate() {
+        if !changed[s] {
+            continue;
+        }
+        let gauge = |name: &str, v: f64| registry.gauge(&format!("{name}.shard{s}")).set(v);
+        gauge("engine.epoch", core.shard_epochs[s] as f64);
+        gauge("engine.live_sites", d.len() as f64);
+        gauge("engine.tombstones", d.tombstones() as f64);
+        let b = d.support_aabb();
+        if !b.is_empty() {
+            gauge("shard.aabb.width", b.width());
+            gauge("shard.aabb.height", b.height());
+        }
+    }
+}
+
+/// Planner inputs for one batch against `core`: bucket fan-out summed
+/// across shards, the static structures already built over the flat live
+/// union, and `expected_touched` — the observed mean scatter-gather
+/// fan-out (`S` under hash; `< S` once spatial pruning bites).
+fn plan_for(
+    core: &EngineCore,
+    nonzero_count: usize,
+    quant_count: usize,
+    expected_touched: f64,
+) -> BatchPlan {
     let (total_locations, max_k, spread) = core.shape();
-    let (_, quant_cold) = core.dynamic.quant_summary_state();
+    let (_, quant_cold) = core.reader.quant_summary_state();
     planner::plan(&PlannerInputs {
-        n: core.dynamic.len(),
+        n: core.reader.len(),
         total_locations,
         max_k,
         spread,
@@ -981,11 +1238,11 @@ fn plan_for(core: &EngineCore, nonzero_count: usize, quant_count: usize) -> Batc
         diagram_built: lock_ok(&core.structures.diagram).is_some(),
         spiral_built: lock_ok(&core.structures.spiral).is_some(),
         mc_built_samples: lock_ok(&core.structures.mc).as_ref().map(|(s, _)| *s),
-        dynamic_buckets: core.dynamic.stats().buckets,
+        dynamic_buckets: core.reader.stats().buckets,
         dynamic_quant_cold_locations: quant_cold,
         quant_snapped: core.cache.grid() > 0.0,
-        shards: 0,
-        expected_shards_touched: 0.0,
+        shards: core.reader.num_shards(),
+        expected_shards_touched: expected_touched,
     })
 }
 
@@ -1190,8 +1447,13 @@ fn exec_one_inner(
                 // fallback for boundary/guard-band queries — never inherits
                 // coordinate-snapping error.
                 PreparedNonzero::Diagram(diag) => core.map_dense(diag.query_located(q)),
-                // Already in stable site ids.
-                PreparedNonzero::Dynamic => core.dynamic.nonzero(q),
+                // Scatter-gather over the shards, already in stable site
+                // ids; box pruning decides how many shards it visits.
+                PreparedNonzero::Dynamic => {
+                    let (ids, touched) = core.reader.nonzero_touched(q);
+                    counters.touched(touched);
+                    ids
+                }
             };
             ids.sort_unstable();
             core.cache
@@ -1315,7 +1577,8 @@ fn quant_vector(
                 quantification_discrete(core.set(), q)
             }
             PreparedQuant::Merged => {
-                let (pi, st) = core.dynamic.quantification_merged_with_stats(q);
+                let (pi, st) = core.reader.quantification_merged_with_stats(q);
+                counters.touched(st.shards_touched);
                 counters.quant_merged.fetch_add(1, Ordering::Relaxed);
                 counters
                     .bucket_touches
@@ -1349,6 +1612,88 @@ mod tests {
     use uncertain_nn::workload;
 
     fn assert_send_sync<T: Send + Sync>() {}
+
+    /// Checks every answer bit for bit against the core library over the
+    /// engine's current live set — the oracle every shard count must
+    /// reproduce: `NN≠0` by Lemma 2.1 over the flat set, probabilities by
+    /// the exact Eq. (2) sweep, both mapped to stable ids.
+    pub(crate) fn assert_oracle(eng: &Engine, batch: &[QueryRequest], results: &[QueryResult]) {
+        let set = eng.live_set();
+        let ids = eng.site_ids();
+        assert_eq!(batch.len(), results.len());
+        for (req, res) in batch.iter().zip(results) {
+            let q = req.point();
+            let (tau, k) = match (req, res) {
+                (QueryRequest::Nonzero { .. }, QueryResult::Nonzero(got)) => {
+                    let mut want: Vec<usize> =
+                        set.nonzero_nn(q).into_iter().map(|d| ids[d]).collect();
+                    want.sort_unstable();
+                    assert_eq!(got, &want, "NN≠0 at {q}");
+                    continue;
+                }
+                (QueryRequest::Threshold { tau, .. }, QueryResult::Ranked { .. }) => {
+                    (Some(*tau), usize::MAX)
+                }
+                (QueryRequest::TopK { k, .. }, QueryResult::Ranked { .. }) => (None, *k),
+                other => panic!("shape mismatch: {other:?}"),
+            };
+            let QueryResult::Ranked { items, guarantee } = res else {
+                unreachable!()
+            };
+            assert_eq!(*guarantee, Guarantee::Exact);
+            let mut want: Vec<(usize, f64)> = quantification_discrete(&set, q)
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, p)| tau.map_or(p > 0.0, |t| p >= t))
+                .collect();
+            sort_ranked(&mut want);
+            want.truncate(k);
+            assert_eq!(items.len(), want.len(), "ranked length at {q}");
+            for (&(id, p), &(dense, w)) in items.iter().zip(&want) {
+                assert_eq!(id, ids[dense], "ranked id at {q}");
+                assert_eq!(p.to_bits(), w.to_bits(), "π_{id} at {q}");
+            }
+        }
+    }
+
+    /// Non-finite inputs fail typed, uncached, at every shard count and
+    /// under both partitioners — they never reach a plan's total-order
+    /// assumptions or a cache key.
+    #[test]
+    fn non_finite_queries_fail_at_every_shard_count() {
+        let set = workload::random_discrete_set(60, 3, 6.0, 71);
+        let nan = Point::new(f64::NAN, 1.0);
+        let ok = Point::new(0.5, -0.5);
+        let batch = [
+            QueryRequest::Nonzero { q: nan },
+            QueryRequest::TopK { q: nan, k: 3 },
+            QueryRequest::Threshold {
+                q: ok,
+                tau: f64::NAN,
+            },
+            QueryRequest::Threshold { q: nan, tau: 0.2 },
+        ];
+        for shards in [1, 3] {
+            for partitioner in [PartitionerKind::Hash, PartitionerKind::Spatial] {
+                let eng = Engine::new(
+                    set.clone(),
+                    EngineConfig {
+                        shards: Some(shards),
+                        partitioner,
+                        ..EngineConfig::default()
+                    },
+                );
+                let cached = eng.cache_len();
+                for res in eng.run_batch(&batch).results {
+                    assert!(
+                        matches!(res, QueryResult::Failed { .. }),
+                        "S={shards} {partitioner:?}: got {res:?}"
+                    );
+                }
+                assert_eq!(eng.cache_len(), cached, "S={shards} {partitioner:?}");
+            }
+        }
+    }
 
     #[test]
     fn engine_is_send_sync() {
@@ -1395,7 +1740,7 @@ mod tests {
     #[test]
     fn fresh_engine_serves_the_dynamic_plans_from_epoch_0() {
         let set = workload::random_discrete_set(3000, 3, 4.0, 103);
-        let eng = Engine::new(set.clone(), EngineConfig::default());
+        let eng = Engine::new(set, EngineConfig::default());
         let mut batch = vec![];
         for q in workload::random_queries(32, 60.0, 104) {
             batch.push(QueryRequest::Nonzero { q });
@@ -1406,26 +1751,7 @@ mod tests {
         assert_eq!(resp.stats.plan.summary(), "nonzero:dynamic + quant:merged");
         assert_eq!(resp.stats.quant_fresh_evals, 0);
         assert!(resp.stats.built.is_empty(), "built {:?}", resp.stats.built);
-        let exact = ExactQuantifier(&set);
-        for (req, res) in batch.iter().zip(&resp.results) {
-            match (req, res) {
-                (QueryRequest::Nonzero { q }, QueryResult::Nonzero(ids)) => {
-                    let mut want = set.nonzero_nn(*q);
-                    want.sort_unstable();
-                    assert_eq!(ids, &want, "NN≠0 at {q}");
-                }
-                (QueryRequest::TopK { q, k }, QueryResult::Ranked { items, .. }) => {
-                    let want = top_k_probable(&exact, *q, *k);
-                    assert_eq!(items.len(), want.len());
-                    let pi = quantification_discrete(&set, *q);
-                    for (&(id, p), &(want_id, _)) in items.iter().zip(&want) {
-                        assert_eq!(id, want_id, "top-k order at {q}");
-                        assert_eq!(p.to_bits(), pi[id].to_bits(), "π_{id} at {q}");
-                    }
-                }
-                other => panic!("shape mismatch: {other:?}"),
-            }
-        }
+        assert_oracle(&eng, &batch, &resp.results);
         // The bulk load happened in `new`: the first apply rebuilds nothing.
         let report = eng.apply(&[Update::Remove(0)]);
         assert_eq!(report.epoch, 1);
@@ -1481,12 +1807,8 @@ mod tests {
         };
         assert_eq!(items[0], (set.len(), 1.0));
         // Full consistency with a fresh static build over the survivors.
-        let fresh = eng.live_set();
-        let ids = eng.site_ids();
-        assert_eq!(fresh.len(), report.live);
-        let mut direct: Vec<usize> = fresh.nonzero_nn(q).into_iter().map(|d| ids[d]).collect();
-        direct.sort_unstable();
-        assert_eq!(r1.results[0], QueryResult::Nonzero(direct));
+        assert_eq!(eng.site_ids().len(), report.live);
+        assert_oracle(&eng, &batch, &r1.results);
         // Dead ids stay dead; unknown ids are reported as missed — and an
         // apply that changes nothing keeps the epoch (and its warm cache).
         let report2 = eng.apply(&[Update::Remove(old_ids[0]), Update::Remove(10_000)]);
@@ -1527,16 +1849,7 @@ mod tests {
         let resp = eng.run_batch(&batch);
         assert_eq!(resp.stats.plan.nonzero, Some(NonzeroPlan::Dynamic));
         assert!(resp.stats.built.is_empty(), "dynamic plan builds nothing");
-        let fresh = eng.live_set();
-        let ids = eng.site_ids();
-        for (req, res) in batch.iter().zip(&resp.results) {
-            let (QueryRequest::Nonzero { q }, QueryResult::Nonzero(got)) = (req, res) else {
-                panic!("shape");
-            };
-            let mut want: Vec<usize> = fresh.nonzero_nn(*q).into_iter().map(|d| ids[d]).collect();
-            want.sort_unstable();
-            assert_eq!(got, &want, "q = {q}");
-        }
+        assert_oracle(&eng, &batch, &resp.results);
         assert!(eng.dynamic_stats().unwrap().buckets >= 1);
     }
 
@@ -1564,21 +1877,7 @@ mod tests {
         assert!(resp.stats.quant_bucket_warm > 0);
 
         // Bit-identical to the exact sweep over the surviving sites.
-        let fresh = eng.live_set();
-        let ids = eng.site_ids();
-        for (req, res) in batch.iter().zip(&resp.results) {
-            let (QueryRequest::TopK { q, .. }, QueryResult::Ranked { items, guarantee }) =
-                (req, res)
-            else {
-                panic!("shape");
-            };
-            assert_eq!(*guarantee, Guarantee::Exact);
-            let pi = quantification_discrete(&fresh, *q);
-            for &(id, p) in items {
-                let dense = ids.binary_search(&id).unwrap();
-                assert_eq!(p.to_bits(), pi[dense].to_bits(), "π for site {id} at {q}");
-            }
-        }
+        assert_oracle(&eng, &batch, &resp.results);
 
         // A second identical batch is all cache hits — and therefore
         // executes neither evaluator.
@@ -1783,14 +2082,7 @@ mod tests {
             .collect();
         let resp = eng.run_batch(&batch);
         assert_eq!(resp.stats.plan.nonzero, Some(NonzeroPlan::Diagram));
-        for (req, res) in batch.iter().zip(&resp.results).take(512) {
-            let (QueryRequest::Nonzero { q }, QueryResult::Nonzero(ids)) = (req, res) else {
-                panic!("shape");
-            };
-            let mut direct = set.nonzero_nn(*q);
-            direct.sort_unstable();
-            assert_eq!(ids, &direct, "q = {q}");
-        }
+        assert_oracle(&eng, &batch[..512], &resp.results[..512]);
     }
 
     #[test]

@@ -135,22 +135,20 @@ pub struct PlannerInputs {
     /// interval evaluation over the flat live set) — the merged candidate
     /// is not offered, because the snapped evaluator would bypass it.
     pub quant_snapped: bool,
-    /// Number of shards when planning for a `ShardedEngine` (0 = the
-    /// monolithic engine). Sharded serving scatter-gathers every read, so
-    /// only the partition-independent exact strategies are priced: the
-    /// static index/diagram/spiral/MC structures are built over one flat
-    /// set and are not maintained per shard. Each query also pays a small
-    /// per-shard gather constant.
+    /// The engine's shard count `S ≥ 1`. With several shards, each
+    /// scatter-gather query pays a small per-shard gather constant; a
+    /// single shard has nothing to gather. The static index, diagram,
+    /// spiral and Monte-Carlo structures are built over the flat live
+    /// union, which is partition-independent, so every `S` prices them.
     pub shards: usize,
     /// Observed mean scatter-gather fan-out per read (shards actually
-    /// visited), fed back by the sharded engine from prior batches. Under
-    /// hash partitioning this equals `shards`; under spatial partitioning
-    /// the support-box pruning can make it much smaller, which cheapens
+    /// visited), fed back by the engine from prior batches. Under hash
+    /// partitioning this equals `shards`; under spatial partitioning the
+    /// support-box pruning can make it much smaller, which cheapens
     /// exactly the candidates that scatter per shard (`nonzero:dynamic`,
     /// `quant:merged`) — their gather constant and bucket fan-out scale
-    /// with the *expected* touched shards, not the worst case. Ignored
-    /// when `shards == 0`; clamped to `[1, shards]` otherwise (pass
-    /// `shards as f64` when no observations exist yet).
+    /// with the *expected* touched shards, not the worst case. Clamped to
+    /// `[1, shards]` (pass `shards as f64` when no observations exist yet).
     pub expected_shards_touched: f64,
 }
 
@@ -209,34 +207,27 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
     let kbar = (nn / n.max(1.0)).max(1.0);
     let mut out = BatchPlan::default();
 
-    // Per-query scatter-gather constants for sharded serving. Strategies
-    // over the *flat union* (brute, fresh sweep) pay one fold per shard
-    // unconditionally — assembling the union visits every shard. The
-    // bucket-structure strategies (dynamic, merged) scatter per shard and
-    // benefit from support-box pruning, so they pay only the *observed*
-    // expected fan-out, and their per-bucket fan-out shrinks by the same
-    // fraction (untouched shards' buckets are never visited).
-    let gather = 4.0 * inp.shards as f64;
-    let expected = if inp.shards == 0 {
-        0.0
-    } else {
-        inp.expected_shards_touched.clamp(1.0, inp.shards as f64)
-    };
-    let gather_pruned = 4.0 * expected;
-    let touched_frac = if inp.shards == 0 {
-        1.0
-    } else {
-        expected / inp.shards as f64
-    };
+    // Per-query scatter-gather constants. Strategies over the *flat union*
+    // (brute, fresh sweep) pay one fold per shard unconditionally —
+    // assembling the union visits every shard. The bucket-structure
+    // strategies (dynamic, merged) scatter per shard and benefit from
+    // support-box pruning, so they pay only the *observed* expected
+    // fan-out, and their per-bucket fan-out shrinks by the same fraction
+    // (untouched shards' buckets are never visited). One shard gathers
+    // nothing.
+    let shards = inp.shards.max(1) as f64;
+    let per_shard = if inp.shards > 1 { 4.0 } else { 0.0 };
+    let expected = inp.expected_shards_touched.clamp(1.0, shards);
+    let gather = per_shard * shards;
+    let gather_pruned = per_shard * expected;
+    let touched_frac = expected / shards;
 
     if inp.nonzero_count > 0 {
         let b = inp.nonzero_count as f64;
         let mut cands: Vec<(NonzeroPlan, f64, f64)> = vec![
             // A distance evaluation (sqrt + compare) is ~4 units.
             (NonzeroPlan::Brute, 0.0, 4.0 * nn + gather),
-        ];
-        if inp.shards == 0 {
-            cands.push((
+            (
                 NonzeroPlan::Index,
                 if inp.index_built {
                     0.0
@@ -247,11 +238,10 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
                 // reporting — O(√N + t) with a healthy constant (two tree
                 // descents with distance evaluations at every node).
                 16.0 * (nn.sqrt() + kbar + 24.0),
-            ));
-        }
+            ),
+        ];
         // Same two-stage query shape as the Theorem 3.2 index, fanned out
-        // over the occupied buckets (summed across shards when sharded,
-        // then scaled down to the fraction of shards a read is expected to
+        // over the occupied buckets (summed across shards, then scaled down to the fraction of shards a read is expected to
         // actually visit); the build is paid at construction and
         // incrementally by `apply`, so it is never charged here.
         let buckets = (inp.dynamic_buckets.max(1) as f64 * touched_frac).max(1.0);
@@ -260,7 +250,7 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
             0.0,
             16.0 * (nn.sqrt() + kbar + 24.0) + 8.0 * buckets * lg(nn) + gather_pruned,
         ));
-        if inp.shards == 0 && inp.n >= 2 && inp.n <= inp.diagram_cap {
+        if inp.n >= 2 && inp.n <= inp.diagram_cap {
             // Theorem 2.14: the arrangement has O(k n³) pieces; building it
             // dominates by far, queries are a logarithmic slab search that
             // returns a precomputed label.
@@ -312,12 +302,7 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
             ));
         }
         let eps_budget = inp.guarantee.slack();
-        if inp.shards == 0
-            && inp.n > 0
-            && eps_budget > 0.0
-            && eps_budget < 1.0
-            && inp.spread.is_finite()
-        {
+        if inp.n > 0 && eps_budget > 0.0 && eps_budget < 1.0 && inp.spread.is_finite() {
             // Spiral retrieval budget m(ρ, ε) = ⌈ρ k ln(1/ε)⌉ + k − 1.
             let m = (inp.spread * inp.max_k as f64 * (1.0 / eps_budget).ln()).ceil()
                 + inp.max_k as f64
@@ -333,7 +318,7 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
                 8.0 * m * lg(nn) + n,
             ));
         }
-        if inp.shards == 0 && inp.n > 0 {
+        if inp.n > 0 {
             if let Guarantee::Probabilistic { eps, delta } = inp.guarantee {
                 if eps > 0.0 && eps < 1.0 && delta > 0.0 && delta < 1.0 {
                     let s = samples_for_queries(eps, delta, inp.n, inp.quant_count.max(1));
@@ -403,47 +388,53 @@ mod tests {
             dynamic_buckets: 1,
             dynamic_quant_cold_locations: 0,
             quant_snapped: false,
-            shards: 0,
-            expected_shards_touched: 0.0,
+            shards: 1,
+            expected_shards_touched: 1.0,
         }
     }
 
+    fn cost(p: &BatchPlan, name: &str) -> f64 {
+        p.estimates
+            .iter()
+            .find(|e| e.name.starts_with(name))
+            .map(|e| e.total)
+            .unwrap()
+    }
+
     #[test]
-    fn sharded_serving_prices_only_exact_scatter_gather_candidates() {
-        // A sharded engine always has warm buckets, never a static index,
-        // diagram, spiral, or MC structure — those are monolithic-only.
-        let mut inp = base(
-            4000,
-            3,
-            64,
-            64,
-            Guarantee::Probabilistic {
-                eps: 0.05,
-                delta: 0.05,
-            },
-        );
+    fn every_shard_count_prices_the_static_plans() {
+        // The static structures are built over the flat live union, which
+        // is partition-independent, so S = 4 prices the same candidates as
+        // S = 1 — index, spiral and Monte Carlo included.
+        let g = Guarantee::Probabilistic {
+            eps: 0.05,
+            delta: 0.05,
+        };
+        let mut inp = base(4000, 3, 64, 64, g);
         inp.dynamic_buckets = 12;
+        let one = plan(&inp);
         inp.shards = 4;
         inp.expected_shards_touched = 4.0;
-        let p = plan(&inp);
-        for e in &p.estimates {
-            assert!(
-                matches!(
-                    e.name.as_str(),
-                    "nonzero:brute" | "nonzero:dynamic" | "quant:fresh" | "quant:merged"
-                ),
-                "unexpected sharded candidate {}",
-                e.name
-            );
+        let four = plan(&inp);
+        let names = |p: &BatchPlan| {
+            p.estimates
+                .iter()
+                .map(|e| e.name.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(&one), names(&four));
+        for want in ["nonzero:index", "quant:spiral", "quant:mc"] {
+            assert!(names(&four).iter().any(|n| n.starts_with(want)), "{want}");
         }
-        assert!(matches!(
-            p.nonzero,
-            Some(NonzeroPlan::Brute | NonzeroPlan::Dynamic)
-        ));
-        assert!(matches!(
-            p.quant,
-            Some(QuantPlan::Exact | QuantPlan::Merged)
-        ));
+        // Static rows are priced identically; only the scatter-gather rows
+        // pay the per-shard gather, which one shard does not pay at all.
+        for row in ["nonzero:index", "quant:spiral", "quant:mc"] {
+            assert_eq!(cost(&one, row), cost(&four, row), "{row}");
+        }
+        assert_eq!(
+            cost(&four, "nonzero:brute"),
+            cost(&one, "nonzero:brute") + 64.0 * 4.0 * 4.0
+        );
     }
 
     #[test]
@@ -452,8 +443,9 @@ mod tests {
         // the observed scatter-gather fan-out. At the worst case (every
         // read touches all 8 shards) the heavy per-bucket fan-out makes
         // brute the cheaper NN≠0 strategy; once pruning is observed to
-        // touch ~1 shard per read, the dynamic structure wins.
-        let mut inp = base(667, 3, 64, 0, Guarantee::Exact);
+        // touch ~1 shard per read, the dynamic structure wins. (The batch
+        // is small enough that a fresh index build never amortizes.)
+        let mut inp = base(667, 3, 8, 0, Guarantee::Exact);
         inp.dynamic_buckets = 96; // summed across 8 shards
         inp.shards = 8;
 
@@ -467,13 +459,6 @@ mod tests {
 
         // The brute row is priced identically in both plans — the feedback
         // only cheapens the strategies that actually scatter per shard.
-        let cost = |p: &BatchPlan, name: &str| {
-            p.estimates
-                .iter()
-                .find(|e| e.name == name)
-                .map(|e| e.total)
-                .unwrap()
-        };
         assert_eq!(
             cost(&worst, "nonzero:brute"),
             cost(&pruned, "nonzero:brute")
@@ -513,13 +498,6 @@ mod tests {
         inp.index_built = true;
         let warm = plan(&inp);
         // With the build sunk, the index is at least as attractive.
-        let cost = |p: &BatchPlan, name: &str| {
-            p.estimates
-                .iter()
-                .find(|e| e.name == name)
-                .map(|e| e.total)
-                .unwrap()
-        };
         assert!(cost(&warm, "nonzero:index") <= cost(&cold, "nonzero:index"));
         assert_eq!(warm.nonzero, Some(NonzeroPlan::Index));
     }

@@ -11,7 +11,7 @@
 
 use std::sync::Mutex;
 
-use uncertain_engine::shard::{shard_of, ShardedEngine};
+use uncertain_engine::shard::shard_of;
 use uncertain_engine::{Engine, EngineConfig, QueryRequest, QueryResult, Update};
 use uncertain_geom::Point;
 use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
@@ -218,7 +218,7 @@ fn cache_hits_never_serve_a_dead_epoch() {
     assert_eq!(warm2.results, fresh.results);
 }
 
-/// A `ShardedEngine` apply whose batch straddles k shards must publish all
+/// A sharded engine's apply whose batch straddles k shards must publish all
 /// k shard epochs **atomically** with respect to in-flight readers: every
 /// observed `(generation, epoch vector)` — whether via `shard_epochs()` or
 /// a batch's `ExecStats` — must be exactly one the writer published, never
@@ -226,7 +226,7 @@ fn cache_hits_never_serve_a_dead_epoch() {
 #[test]
 fn straddling_batches_publish_all_shard_epochs_atomically() {
     let set = workload::random_discrete_set(40, 3, 6.0, 601);
-    let engine = ShardedEngine::new(
+    let engine = Engine::new(
         set,
         EngineConfig {
             shards: Some(4),
@@ -277,11 +277,14 @@ fn straddling_batches_publish_all_shard_epochs_atomically() {
             let live = engine.site_ids();
             let updates = churn_updates(round, &live);
             let mut guard = published.lock().unwrap();
+            let (_, before) = engine.shard_epochs();
             let report = engine.apply(&updates);
-            if report.touched.len() >= 2 {
+            let (generation, epochs) = engine.shard_epochs();
+            assert_eq!(report.epoch, generation);
+            if epochs.iter().zip(&before).filter(|(a, b)| a != b).count() >= 2 {
                 straddled += 1;
             }
-            guard.push((report.generation, report.shard_epochs.clone()));
+            guard.push((generation, epochs));
             drop(guard);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
@@ -297,15 +300,16 @@ fn straddling_batches_publish_all_shard_epochs_atomically() {
 }
 
 /// Two concurrent appliers touching **disjoint** shards both commit: no
-/// update is lost or reverted by the racing publications, and the final
-/// answers are bit-identical to a monolithic engine that applied the same
-/// updates serially (disjoint-shard updates commute).
+/// update is lost or reverted, each bumps exactly its own shard's epoch in
+/// its own generation, and the final answers equal the oracle over the
+/// initial set minus both batches' removals (disjoint-shard updates
+/// commute).
 #[test]
 fn concurrent_disjoint_shard_appliers_both_commit() {
     let n = 60usize;
     let shards = 4usize;
     let set = workload::random_discrete_set(n, 3, 6.0, 602);
-    let engine = ShardedEngine::new(
+    let engine = Engine::new(
         set.clone(),
         EngineConfig {
             shards: Some(shards),
@@ -320,17 +324,17 @@ fn concurrent_disjoint_shard_appliers_both_commit() {
         by_shard[shard_of(id, shards)].push(id);
     }
     let (sa, sb) = (0usize, 1usize);
-    let batch_a: Vec<Update> = by_shard[sa]
+    let victims: Vec<usize> = by_shard[sa]
         .iter()
         .take(4)
-        .map(|&id| Update::Remove(id))
+        .chain(by_shard[sb].iter().take(4))
+        .copied()
         .collect();
-    let batch_b: Vec<Update> = by_shard[sb]
-        .iter()
-        .take(4)
-        .map(|&id| Update::Remove(id))
-        .collect();
-    assert!(!batch_a.is_empty() && !batch_b.is_empty());
+    let (batch_a, batch_b): (Vec<Update>, Vec<Update>) = (
+        victims[..4].iter().map(|&id| Update::Remove(id)).collect(),
+        victims[4..].iter().map(|&id| Update::Remove(id)).collect(),
+    );
+    assert_eq!((batch_a.len(), batch_b.len()), (4, 4));
 
     std::thread::scope(|scope| {
         let engine = &engine;
@@ -338,30 +342,27 @@ fn concurrent_disjoint_shard_appliers_both_commit() {
         let b = scope.spawn(move || engine.apply(&batch_b));
         let (ra, rb) = (a.join().unwrap(), b.join().unwrap());
         assert_eq!(ra.missed + rb.missed, 0, "concurrent applies lost updates");
-        assert_eq!(ra.touched, vec![sa]);
-        assert_eq!(rb.touched, vec![sb]);
+        assert_eq!((ra.removed, rb.removed), (4, 4));
+        let mut generations = [ra.epoch, rb.epoch];
+        generations.sort_unstable();
+        assert_eq!(generations, [1, 2], "one generation per apply");
     });
 
-    let (_, epochs) = engine.shard_epochs();
-    assert_eq!(epochs[sa], 1);
-    assert_eq!(epochs[sb], 1);
+    let (generation, epochs) = engine.shard_epochs();
+    assert_eq!(generation, 2);
+    for (s, &e) in epochs.iter().enumerate() {
+        assert_eq!(e, u64::from(s == sa || s == sb), "shard {s}");
+    }
 
-    // Bit-identical end state vs a monolithic engine applying both batches.
-    let mono = Engine::new(set, EngineConfig::default());
-    let all: Vec<Update> = by_shard[sa]
-        .iter()
-        .take(4)
-        .chain(by_shard[sb].iter().take(4))
-        .map(|&id| Update::Remove(id))
-        .collect();
-    mono.apply(&all);
-    assert_eq!(engine.site_ids(), mono.site_ids());
+    // The end state is the initial set minus both batches' victims.
+    let ids: Vec<usize> = (0..n).filter(|id| !victims.contains(id)).collect();
+    let oracle = EpochOracle {
+        set: DiscreteSet::new(ids.iter().map(|&id| set.points[id].clone()).collect()),
+        ids,
+    };
+    assert_eq!(engine.site_ids(), oracle.ids);
     let batch = mixed_batch(&workload::random_queries(8, 60.0, 603), 3);
-    assert_eq!(
-        engine.run_batch(&batch).results,
-        mono.run_batch(&batch).results,
-        "concurrent disjoint applies changed answers"
-    );
+    assert_batch_matches_epoch(&batch, &engine.run_batch(&batch), &oracle);
 }
 
 /// Rebalance atomicity, raced: a spatial engine under corner-wave churn
@@ -379,7 +380,7 @@ fn rebalance_races_never_show_a_site_in_zero_or_two_shards() {
 
     let n = 40usize;
     let set = workload::random_discrete_set(n, 3, 6.0, 701);
-    let engine = ShardedEngine::new(
+    let engine = Engine::new(
         set,
         EngineConfig {
             shards: Some(4),

@@ -15,6 +15,10 @@
 //!    total-order assumption) in batch N yields `QueryResult::Failed` for
 //!    exactly that request, and batch N+1 answers **bit-identical** to a
 //!    fresh engine — the mutex-poison cascade regression.
+//!
+//! Plus answer identity across the process boundary: a server fronting a
+//! spatially sharded engine answers every query bit-identical to the
+//! core-library oracle, before and after an `APPLY`.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -23,9 +27,12 @@ use std::time::{Duration, Instant};
 
 use uncertain_engine::server::protocol::{self, op, Client, ErrorCode, Reply, Request, WireError};
 use uncertain_engine::server::{Server, ServerConfig, ServerHandle};
+use uncertain_engine::shard::PartitionerKind;
 use uncertain_engine::{Engine, EngineConfig, QueryRequest, QueryResult, Update};
 use uncertain_geom::Point;
-use uncertain_nn::model::DiscreteUncertainPoint;
+use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
+use uncertain_nn::quantification::exact::quantification_discrete;
+use uncertain_nn::queries::Guarantee;
 use uncertain_nn::workload;
 
 fn start_server(queue_bound: usize, window: Duration, max_batch: usize) -> ServerHandle {
@@ -333,4 +340,115 @@ fn shutdown_is_prompt_and_idempotent() {
         t0.elapsed() < Duration::from_secs(5),
         "shutdown must not hang on live connections"
     );
+}
+
+/// The wire serves any shard count: a server in front of an S = 3 spatial
+/// engine answers NONZERO / TOPK / THRESHOLD bit-identical to the
+/// core-library oracle over the live sites, then takes an APPLY and
+/// answers the next epoch's queries bit-identical to that epoch's oracle.
+#[test]
+fn sharded_engine_over_the_wire_matches_the_oracle_at_every_epoch() {
+    let set = workload::random_discrete_set(120, 3, 5.0, 23);
+    let engine = Arc::new(Engine::new(
+        set.clone(),
+        EngineConfig {
+            shards: Some(3),
+            partitioner: PartitionerKind::Spatial,
+            ..EngineConfig::default()
+        },
+    ));
+    assert_eq!(engine.num_shards(), 3);
+    let h = Server::start(engine, ServerConfig::default()).expect("bind loopback");
+    let mut c = Client::connect(&h.local_addr().to_string()).unwrap();
+    let queries = workload::random_queries(6, 50.0, 24);
+
+    // The oracle's live sites by stable id.
+    let mut live: Vec<(u64, DiscreteUncertainPoint)> = set
+        .points
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(id, p)| (id as u64, p))
+        .collect();
+    let check_epoch = |c: &mut Client, live: &[(u64, DiscreteUncertainPoint)]| {
+        let oracle = DiscreteSet::new(live.iter().map(|(_, p)| p.clone()).collect());
+        let ids: Vec<u64> = live.iter().map(|&(id, _)| id).collect();
+        for &q in &queries {
+            let mut want: Vec<u64> = oracle.nonzero_nn(q).into_iter().map(|d| ids[d]).collect();
+            want.sort_unstable();
+            let rep = c
+                .call(&Request::Query(QueryRequest::Nonzero { q }))
+                .unwrap();
+            assert_eq!(rep, Reply::Nonzero(want), "NONZERO at {q}");
+
+            let pi = quantification_discrete(&oracle, q);
+            let ranked = |keep: &dyn Fn(f64) -> bool, k: usize| {
+                let mut items: Vec<(usize, f64)> = pi
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .filter(|&(_, p)| keep(p))
+                    .collect();
+                items.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+                items.truncate(k);
+                items
+                    .into_iter()
+                    .map(|(d, p)| (ids[d], p.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            for (req, want) in [
+                (QueryRequest::TopK { q, k: 3 }, ranked(&|p| p > 0.0, 3)),
+                (
+                    QueryRequest::Threshold { q, tau: 0.2 },
+                    ranked(&|p| p >= 0.2, usize::MAX),
+                ),
+            ] {
+                let Reply::Ranked { items, guarantee } = c.call(&Request::Query(req)).unwrap()
+                else {
+                    panic!("{req:?}: not a ranked reply");
+                };
+                assert_eq!(guarantee, Guarantee::Exact);
+                let got: Vec<(u64, u64)> = items.iter().map(|&(id, p)| (id, p.to_bits())).collect();
+                assert_eq!(got, want, "{req:?}");
+            }
+        }
+    };
+    check_epoch(&mut c, &live);
+
+    // One straddling APPLY: removes across the cloud, a long-haul move
+    // (cross-shard under the spatial split) and two inserts.
+    let moved_to = DiscreteUncertainPoint::certain(Point::new(-30.0, 28.0));
+    let inserts = [
+        DiscreteUncertainPoint::certain(Point::new(1.5, -2.0)),
+        DiscreteUncertainPoint::uniform(vec![Point::new(20.0, 20.0), Point::new(22.0, 19.0)]),
+    ];
+    let mut updates: Vec<Update> = [5usize, 60, 111]
+        .iter()
+        .map(|&id| Update::Remove(id))
+        .collect();
+    updates.push(Update::Move {
+        id: 17,
+        to: moved_to.clone(),
+    });
+    updates.extend(inserts.iter().cloned().map(Update::Insert));
+    let Reply::Apply {
+        epoch,
+        live: live_n,
+        removed,
+        moved,
+        missed,
+        inserted,
+        ..
+    } = c.call(&Request::Apply(updates)).unwrap()
+    else {
+        panic!("not an apply reply");
+    };
+    assert_eq!((epoch, removed, moved, missed), (1, 3, 1, 0));
+    assert_eq!(inserted, vec![120, 121]);
+    live.retain(|(id, _)| ![5, 60, 111].contains(id));
+    live.iter_mut().find(|(id, _)| *id == 17).unwrap().1 = moved_to;
+    live.extend(inserted.into_iter().zip(inserts));
+    assert_eq!(live_n as usize, live.len());
+    check_epoch(&mut c, &live);
+    h.shutdown();
 }

@@ -1,26 +1,31 @@
-//! Sharded-vs-monolithic differential harness: proptest-generated
-//! interleavings of insert / remove / move are applied **identically** to a
-//! monolithic [`Engine`] and to [`ShardedEngine`]s at S ∈ {1, 3, 8}, and
-//! after every op a mixed batch (`NN≠0`, Threshold, TopK) is served by all
-//! four — every sharded answer must be **bit-identical** to the monolithic
-//! one (ids equal, probability bits equal, guarantees equal), and the
-//! apply reports must assign the same ids and agree on live counts.
+//! Engines-vs-oracle differential harness: proptest-generated interleavings
+//! of insert / remove / move are applied to [`Engine`]s at S ∈ {1, 3, 8} and
+//! to the harness's own model of the live universe, and after every op a
+//! mixed batch (`NN≠0`, Threshold, TopK) served by every engine must equal
+//! the core-library oracle over the model **bit for bit** (ids equal,
+//! probability bits equal, exact guarantee) — `DiscreteSet::nonzero_nn`
+//! and `quantification_discrete` over the model's live sites. The apply
+//! reports must assign the ids the model predicts and agree on what was
+//! removed, moved, missed and left live.
 //!
-//! Why this must hold (the scatter-gather proofs live with
+//! Why this must hold at every S (the scatter-gather proofs live with
 //! `uncertain_nn::dynamic::shard::ShardedReader`): the `NN≠0` two-min fold
-//! over per-shard triples is partition-independent, the quantification
-//! k-way merge over per-shard streams reproduces the monolithic sweep's
-//! entry sequence exactly, and both engines evaluate the same exact
-//! quantifiers — so any divergence is a real bug, not float noise.
+//! over per-shard triples is partition-independent, and the quantification
+//! k-way merge over per-shard streams reproduces the fresh sweep's entry
+//! sequence exactly — so any divergence is a real bug, not float noise.
 //!
 //! CI's `shard-gauntlet` job runs this suite at default cases and again at
 //! `PROPTEST_CASES=2048` pinned to one worker.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
-use uncertain_engine::shard::{PartitionerKind, ShardedEngine};
+use uncertain_engine::shard::PartitionerKind;
 use uncertain_engine::{Engine, EngineConfig, QueryRequest, QueryResult, SiteId, Update};
 use uncertain_geom::Point;
-use uncertain_nn::model::DiscreteUncertainPoint;
+use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
+use uncertain_nn::quantification::exact::quantification_discrete;
+use uncertain_nn::queries::Guarantee;
 use uncertain_nn::workload;
 
 /// One encoded operation: `(selector, x, y, dx, dy, w)`.
@@ -38,8 +43,8 @@ fn raw_op() -> impl Strategy<Value = RawOp> {
 }
 
 /// Decodes one op into an update batch, choosing remove/move victims from
-/// the tracked live-id list (so the harness knows exactly what it asked
-/// for, independent of either engine).
+/// the model's live ids (so the harness knows exactly what it asked for,
+/// independent of any engine).
 fn op_to_updates(op: RawOp, live: &[SiteId]) -> Vec<Update> {
     let (sel, x, y, dx, dy, w) = op;
     match sel {
@@ -69,15 +74,73 @@ fn op_to_updates(op: RawOp, live: &[SiteId]) -> Vec<Update> {
     }
 }
 
-/// Maintains the harness's own live-id list from the updates it issued.
-fn track(live: &mut Vec<SiteId>, updates: &[Update], inserted: &[SiteId]) {
-    let mut fresh = inserted.iter();
-    for u in updates {
-        match u {
-            Update::Insert(_) => live.push(*fresh.next().expect("one id per insert")),
-            Update::Remove(id) => live.retain(|x| x != id),
-            Update::Move { .. } => {}
+/// What an apply must report, as the model predicts it.
+#[derive(Debug, PartialEq)]
+struct Expected {
+    inserted: Vec<SiteId>,
+    removed: usize,
+    moved: usize,
+    missed: usize,
+    live: usize,
+}
+
+/// The harness's model of the live universe: stable id → site, with fresh
+/// ids continuing after the initial `0..n`.
+struct Model {
+    sites: BTreeMap<SiteId, DiscreteUncertainPoint>,
+    next_id: SiteId,
+}
+
+impl Model {
+    fn new(set: &DiscreteSet) -> Self {
+        Model {
+            sites: set.points.iter().cloned().enumerate().collect(),
+            next_id: set.len(),
         }
+    }
+
+    fn live(&self) -> Vec<SiteId> {
+        self.sites.keys().copied().collect()
+    }
+
+    /// The flat live set in ascending-id order plus its dense → id map.
+    fn oracle(&self) -> (DiscreteSet, Vec<SiteId>) {
+        (
+            DiscreteSet::new(self.sites.values().cloned().collect()),
+            self.live(),
+        )
+    }
+
+    fn apply(&mut self, updates: &[Update]) -> Expected {
+        let mut e = Expected {
+            inserted: vec![],
+            removed: 0,
+            moved: 0,
+            missed: 0,
+            live: 0,
+        };
+        for u in updates {
+            match u {
+                Update::Insert(p) => {
+                    self.sites.insert(self.next_id, p.clone());
+                    e.inserted.push(self.next_id);
+                    self.next_id += 1;
+                }
+                Update::Remove(id) => match self.sites.remove(id) {
+                    Some(_) => e.removed += 1,
+                    None => e.missed += 1,
+                },
+                Update::Move { id, to } => match self.sites.get_mut(id) {
+                    Some(site) => {
+                        *site = to.clone();
+                        e.moved += 1;
+                    }
+                    None => e.missed += 1,
+                },
+            }
+        }
+        e.live = self.sites.len();
+        e
     }
 }
 
@@ -91,42 +154,62 @@ fn mixed_batch(queries: &[Point]) -> Vec<QueryRequest> {
     batch
 }
 
-/// Bitwise answer comparison: ids equal, probability *bits* equal,
-/// guarantees equal.
-fn assert_bit_identical(
+/// Checks one answer bit for bit against the core-library oracle over
+/// `set` (dense index `d` is site `ids[d]`).
+fn assert_oracle(
     shards: usize,
+    set: &DiscreteSet,
+    ids: &[SiteId],
+    req: &QueryRequest,
     got: &QueryResult,
-    want: &QueryResult,
 ) -> Result<(), TestCaseError> {
-    match (got, want) {
-        (QueryResult::Nonzero(g), QueryResult::Nonzero(w)) => {
-            prop_assert_eq!(g, w, "NN≠0 diverged at S={}", shards);
+    let q = req.point();
+    let (tau, k) = match (req, got) {
+        (QueryRequest::Nonzero { .. }, QueryResult::Nonzero(g)) => {
+            let mut want: Vec<SiteId> = set.nonzero_nn(q).into_iter().map(|d| ids[d]).collect();
+            want.sort_unstable();
+            prop_assert_eq!(g, &want, "NN≠0 at {} diverged at S={}", q, shards);
+            return Ok(());
         }
-        (
-            QueryResult::Ranked {
-                items: g,
-                guarantee: gg,
-            },
-            QueryResult::Ranked {
-                items: w,
-                guarantee: wg,
-            },
-        ) => {
-            prop_assert_eq!(gg, wg, "guarantee diverged at S={}", shards);
-            prop_assert_eq!(g.len(), w.len(), "ranked length diverged at S={}", shards);
-            for (&(gi, gp), &(wi, wp)) in g.iter().zip(w.iter()) {
-                prop_assert_eq!(gi, wi, "ranked id diverged at S={}", shards);
-                prop_assert_eq!(
-                    gp.to_bits(),
-                    wp.to_bits(),
-                    "π bits diverged at S={}: sharded {} vs monolithic {}",
-                    shards,
-                    gp,
-                    wp
-                );
-            }
+        (QueryRequest::Threshold { tau, .. }, QueryResult::Ranked { .. }) => {
+            (Some(*tau), usize::MAX)
         }
-        other => prop_assert!(false, "result shape mismatch at S={shards}: {other:?}"),
+        (QueryRequest::TopK { k, .. }, QueryResult::Ranked { .. }) => (None, *k),
+        other => {
+            return Err(TestCaseError::fail(format!(
+                "shape mismatch at S={shards}: {other:?}"
+            )))
+        }
+    };
+    let QueryResult::Ranked { items, guarantee } = got else {
+        unreachable!()
+    };
+    prop_assert_eq!(*guarantee, Guarantee::Exact, "guarantee at S={}", shards);
+    let mut want: Vec<(usize, f64)> = quantification_discrete(set, q)
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, p)| tau.map_or(p > 0.0, |t| p >= t))
+        .collect();
+    want.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    want.truncate(k);
+    prop_assert_eq!(
+        items.len(),
+        want.len(),
+        "ranked length at {} S={}",
+        q,
+        shards
+    );
+    for (&(gi, gp), &(d, wp)) in items.iter().zip(&want) {
+        prop_assert_eq!(gi, ids[d], "ranked id at {} S={}", q, shards);
+        prop_assert_eq!(
+            gp.to_bits(),
+            wp.to_bits(),
+            "π bits diverged at {} S={}: engine {} vs oracle {}",
+            q,
+            shards,
+            gp,
+            wp
+        );
     }
     Ok(())
 }
@@ -143,6 +226,65 @@ fn sharded_config(shards: usize, partitioner: PartitionerKind, ratio: f64) -> En
     }
 }
 
+/// The engines under test, one per shard count.
+fn engines(base: &DiscreteSet, partitioner: PartitionerKind, ratio: f64) -> Vec<Engine> {
+    SHARD_COUNTS
+        .iter()
+        .map(|&s| Engine::new(base.clone(), sharded_config(s, partitioner, ratio)))
+        .collect()
+}
+
+/// Applies `updates` to the model and every engine, then checks every
+/// engine's report, publication and answers to `batch` against the model.
+fn step(
+    model: &mut Model,
+    engines: &[Engine],
+    updates: &[Update],
+    batch: &[QueryRequest],
+) -> Result<(), TestCaseError> {
+    let want = model.apply(updates);
+    let effective = want.removed + want.moved + want.inserted.len() > 0;
+    let (set, ids) = model.oracle();
+    for (engine, &s) in engines.iter().zip(&SHARD_COUNTS) {
+        let (g0, e0) = engine.shard_epochs();
+        let r = engine.apply(updates);
+        let got = Expected {
+            inserted: r.inserted,
+            removed: r.removed,
+            moved: r.moved,
+            missed: r.missed,
+            live: r.live,
+        };
+        prop_assert_eq!(&got, &want, "apply report diverged at S={}", s);
+        // One generation per effective apply; shard epochs only ever
+        // advance, by one, and only for the shards the apply changed.
+        let (g1, e1) = engine.shard_epochs();
+        prop_assert_eq!(r.epoch, g1);
+        prop_assert_eq!(g1, g0 + u64::from(effective), "generation at S={}", s);
+        prop_assert_eq!(e1.len(), s);
+        prop_assert!(e1.iter().zip(&e0).all(|(a, b)| a == b || *a == b + 1));
+        prop_assert_eq!(effective, e1 != e0, "shard epochs at S={}", s);
+        prop_assert_eq!(engine.site_ids(), ids.clone(), "live ids at S={}", s);
+
+        let resp = engine.run_batch(batch);
+        prop_assert_eq!(resp.results.len(), batch.len());
+        for (req, res) in batch.iter().zip(&resp.results) {
+            assert_oracle(s, &set, &ids, req, res)?;
+        }
+        prop_assert_eq!(resp.stats.live_sites, want.live);
+        prop_assert_eq!(resp.stats.shard_stats.len(), s);
+        prop_assert_eq!(
+            resp.stats
+                .shard_stats
+                .iter()
+                .map(|st| st.live)
+                .sum::<usize>(),
+            want.live
+        );
+    }
+    Ok(())
+}
+
 fn run_differential(
     ops: &[RawOp],
     n0: usize,
@@ -151,33 +293,12 @@ fn run_differential(
     ratio: f64,
 ) -> Result<(), TestCaseError> {
     let base = workload::random_discrete_set(n0, 3, 5.0, seed);
-    let mono = Engine::new(base.clone(), EngineConfig::default());
-    let sharded: Vec<ShardedEngine> = SHARD_COUNTS
-        .iter()
-        .map(|&s| ShardedEngine::new(base.clone(), sharded_config(s, partitioner, ratio)))
-        .collect();
-    let mut live: Vec<SiteId> = (0..n0).collect();
+    let engines = engines(&base, partitioner, ratio);
+    let mut model = Model::new(&base);
     let fixed_queries = workload::random_queries(2, 60.0, seed ^ 1);
 
     for &op in ops {
-        let updates = op_to_updates(op, &live);
-        let report = mono.apply(&updates);
-        for (engine, &s) in sharded.iter().zip(&SHARD_COUNTS) {
-            let sr = engine.apply(&updates);
-            prop_assert_eq!(
-                &sr.inserted,
-                &report.inserted,
-                "id assignment diverged at S={}",
-                s
-            );
-            prop_assert_eq!(sr.removed, report.removed, "removed diverged at S={}", s);
-            prop_assert_eq!(sr.moved, report.moved, "moved diverged at S={}", s);
-            prop_assert_eq!(sr.missed, report.missed, "missed diverged at S={}", s);
-            prop_assert_eq!(sr.live, report.live, "live diverged at S={}", s);
-            prop_assert_eq!(sr.shard_epochs.len(), s);
-        }
-        track(&mut live, &updates, &report.inserted);
-
+        let updates = op_to_updates(op, &model.live());
         // Query at the op's own coordinates (adversarially close to the
         // mutated site) plus two fixed far-field points.
         let (_, x, y, dx, dy, _) = op;
@@ -187,25 +308,7 @@ fn run_differential(
             fixed_queries[0],
             fixed_queries[1],
         ]);
-        let want = mono.run_batch(&batch);
-        for (engine, &s) in sharded.iter().zip(&SHARD_COUNTS) {
-            let got = engine.run_batch(&batch);
-            prop_assert_eq!(got.results.len(), want.results.len());
-            for (g, w) in got.results.iter().zip(&want.results) {
-                assert_bit_identical(s, g, w)?;
-            }
-            // The serving-state stats must agree with the monolithic view.
-            prop_assert_eq!(got.stats.live_sites, want.stats.live_sites);
-            prop_assert_eq!(got.stats.shard_stats.len(), s);
-            prop_assert_eq!(
-                got.stats
-                    .shard_stats
-                    .iter()
-                    .map(|st| st.live)
-                    .sum::<usize>(),
-                want.stats.live_sites
-            );
-        }
+        step(&mut model, &engines, &updates, &batch)?;
     }
     Ok(())
 }
@@ -214,7 +317,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The headline property: at S ∈ {1, 3, 8}, every answer of every
-    /// family is bit-identical to the monolithic engine after every op.
+    /// family equals the monolithic core-library oracle bit for bit after
+    /// every op.
     #[test]
     fn sharded_engines_match_monolithic_after_every_op(
         ops in prop::collection::vec(raw_op(), 1..14),
@@ -223,8 +327,8 @@ proptest! {
     }
 
     /// Same property starting from an empty universe: the first inserts
-    /// land in (generally) different shards and the id allocator must stay
-    /// in lockstep with the monolithic engine's.
+    /// land in (generally) different shards and the id allocator must
+    /// hand out exactly the ids the model predicts.
     #[test]
     fn sharded_engines_match_monolithic_from_empty(
         ops in prop::collection::vec(raw_op(), 1..10),
@@ -235,9 +339,9 @@ proptest! {
     /// The same interleavings under the **spatial** partitioner, with an
     /// aggressive rebalance ratio so migrations fire mid-stream: routing,
     /// the cross-shard move rewrite, and rebalance rounds must all leave
-    /// every answer bit-identical to the monolithic engine after every op.
-    /// (The larger seed set keeps the live count above the rebalancer's
-    /// minimum, so the trigger is actually armed.)
+    /// every answer equal to the oracle after every op. (The larger seed
+    /// set keeps the live count above the rebalancer's minimum, so the
+    /// trigger is actually armed.)
     #[test]
     fn spatial_engines_match_monolithic_after_every_op(
         ops in prop::collection::vec(raw_op(), 1..14),
@@ -263,40 +367,24 @@ proptest! {
 #[test]
 fn long_straddling_churn_stays_bit_identical() {
     let base = workload::random_discrete_set(48, 3, 5.0, 0x51AB);
-    let mono = Engine::new(base.clone(), EngineConfig::default());
-    let sharded: Vec<ShardedEngine> = SHARD_COUNTS
-        .iter()
-        .map(|&s| {
-            ShardedEngine::new(
-                base.clone(),
-                EngineConfig {
-                    shards: Some(s),
-                    ..EngineConfig::default()
-                },
-            )
-        })
-        .collect();
-    let mut live: Vec<SiteId> = (0..48).collect();
-    let queries = workload::random_queries(3, 60.0, 0x51AB ^ 2);
-    let batch = mixed_batch(&queries);
+    let engines = engines(&base, PartitionerKind::Hash, 0.0);
+    let mut model = Model::new(&base);
+    let batch = mixed_batch(&workload::random_queries(3, 60.0, 0x51AB ^ 2));
 
     for round in 0usize..30 {
         // One straddling batch: two removes, one move, two inserts.
+        let live = model.live();
         let mut updates = vec![];
         for j in 0..2 {
-            if !live.is_empty() {
-                updates.push(Update::Remove(live[(round * 3 + j * 5) % live.len()]));
-            }
+            updates.push(Update::Remove(live[(round * 3 + j * 5) % live.len()]));
         }
-        if !live.is_empty() {
-            updates.push(Update::Move {
-                id: live[(round * 7 + 1) % live.len()],
-                to: DiscreteUncertainPoint::certain(Point::new(
-                    (round as f64 * 3.7) % 40.0 - 20.0,
-                    (round as f64 * 5.3) % 40.0 - 20.0,
-                )),
-            });
-        }
+        updates.push(Update::Move {
+            id: live[(round * 7 + 1) % live.len()],
+            to: DiscreteUncertainPoint::certain(Point::new(
+                (round as f64 * 3.7) % 40.0 - 20.0,
+                (round as f64 * 5.3) % 40.0 - 20.0,
+            )),
+        });
         for j in 0..2 {
             let v = (round * 2 + j) as f64;
             updates.push(Update::Insert(DiscreteUncertainPoint::uniform(vec![
@@ -304,59 +392,29 @@ fn long_straddling_churn_stays_bit_identical() {
                 Point::new((v * 3.1) % 50.0 - 25.0, (v * 0.7) % 50.0 - 25.0),
             ])));
         }
-
-        let report = mono.apply(&updates);
-        let want = mono.run_batch(&batch);
-        for (engine, &s) in sharded.iter().zip(&SHARD_COUNTS) {
-            let sr = engine.apply(&updates);
-            assert_eq!(sr.inserted, report.inserted, "ids diverged at S={s}");
-            assert_eq!(sr.live, report.live, "live diverged at S={s}");
-            // Shard epochs only ever advance, and only for touched shards.
-            assert!(sr.touched.iter().all(|&t| t < s));
-            let got = engine.run_batch(&batch);
-            assert_eq!(
-                got.results, want.results,
-                "answers diverged at S={s} round {round}"
-            );
-        }
-        track(&mut live, &updates, &report.inserted);
+        step(&mut model, &engines, &updates, &batch).unwrap();
     }
 
-    // End state: every sharded engine agrees with the monolithic flat view.
-    let want_ids = mono.site_ids();
-    for (engine, &s) in sharded.iter().zip(&SHARD_COUNTS) {
-        assert_eq!(engine.site_ids(), want_ids, "live ids diverged at S={s}");
-        assert_eq!(
-            engine.live_set().points.len(),
-            mono.live_set().points.len(),
-            "flat view diverged at S={s}"
-        );
+    // End state: every engine's flat view is the model's.
+    let (set, _) = model.oracle();
+    for (engine, &s) in engines.iter().zip(&SHARD_COUNTS) {
+        assert_eq!(engine.live_set().points, set.points, "flat view at S={s}");
     }
 }
 
 /// Deterministic spatial churn designed to *guarantee* rebalances: waves of
 /// inserts pile into one corner of the plane (ballooning that corner's
 /// shard), then drain while the next corner fills. Every round's answers
-/// are bit-compared against the monolithic engine, and at the end each
-/// multi-shard engine must have actually executed at least one rebalance —
-/// so the migration path (remove+insert batches, same-generation publish)
-/// is provably on the differential's critical path, not dead code.
+/// are bit-compared against the oracle, and at the end each multi-shard
+/// engine must have actually executed at least one rebalance — so the
+/// migration path (remove+insert batches, same-generation publish) is
+/// provably on the differential's critical path, not dead code.
 #[test]
 fn spatial_rebalances_fire_and_stay_bit_identical() {
     let base = workload::random_discrete_set(48, 3, 5.0, 0xB1A5);
-    let mono = Engine::new(base.clone(), EngineConfig::default());
-    let sharded: Vec<ShardedEngine> = SHARD_COUNTS
-        .iter()
-        .map(|&s| {
-            ShardedEngine::new(
-                base.clone(),
-                sharded_config(s, PartitionerKind::Spatial, 1.5),
-            )
-        })
-        .collect();
-    let mut live: Vec<SiteId> = (0..48).collect();
-    let queries = workload::random_queries(3, 90.0, 0xB1A5 ^ 2);
-    let batch = mixed_batch(&queries);
+    let engines = engines(&base, PartitionerKind::Spatial, 1.5);
+    let mut model = Model::new(&base);
+    let batch = mixed_batch(&workload::random_queries(3, 90.0, 0xB1A5 ^ 2));
     const CORNERS: [(f64, f64); 4] = [(80.0, 80.0), (-80.0, 80.0), (-80.0, -80.0), (80.0, -80.0)];
     let mut waves: Vec<Vec<SiteId>> = vec![];
 
@@ -376,26 +434,12 @@ fn spatial_rebalances_fire_and_stay_bit_identical() {
         if round >= 2 {
             updates.extend(waves[round - 2].iter().map(|&id| Update::Remove(id)));
         }
-
-        let report = mono.apply(&updates);
-        let want = mono.run_batch(&batch);
-        for (engine, &s) in sharded.iter().zip(&SHARD_COUNTS) {
-            let sr = engine.apply(&updates);
-            assert_eq!(sr.inserted, report.inserted, "ids diverged at S={s}");
-            assert_eq!(sr.removed, report.removed, "removed diverged at S={s}");
-            assert_eq!(sr.live, report.live, "live diverged at S={s}");
-            let got = engine.run_batch(&batch);
-            assert_eq!(
-                got.results, want.results,
-                "answers diverged at S={s} round {round}"
-            );
-        }
-        waves.push(report.inserted.clone());
-        track(&mut live, &updates, &report.inserted);
+        let first = model.next_id;
+        step(&mut model, &engines, &updates, &batch).unwrap();
+        waves.push((first..model.next_id).collect());
     }
 
-    for (engine, &s) in sharded.iter().zip(&SHARD_COUNTS) {
-        assert_eq!(engine.site_ids(), mono.site_ids(), "ids diverged at S={s}");
+    for (engine, &s) in engines.iter().zip(&SHARD_COUNTS) {
         if s > 1 {
             assert!(
                 engine.rebalances() >= 1,
