@@ -1,5 +1,5 @@
-//! Criterion benches for the serving engine (experiments E24, E25):
-//! batch throughput vs worker count, planner paths, and cache effect.
+//! Criterion benches for the serving engine (experiment E24): batch
+//! throughput vs worker count, cache effect, and guarantee tiers.
 //!
 //! Reports queries/sec via the harness's `Throughput` hook. Honors
 //! `UNC_ENGINE_THREADS` (pins every engine below to that worker count) and
@@ -37,25 +37,6 @@ fn bench_thread_scaling(c: &mut Criterion) {
         );
         engine.run_batch(&batch); // warm: builds the planned structure
         g.bench_with_input(BenchmarkId::new("batch512", threads), &batch, |b, batch| {
-            b.iter(|| engine.run_batch(batch));
-        });
-    }
-    g.finish();
-}
-
-/// E25 companion: the three planner paths on their home turf.
-fn bench_planner_paths(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine_plans");
-    g.sample_size(10);
-    let sizes = [(30usize, "brute"), (4_000, "index")];
-    for &(n, label) in uncertain_bench::sweep(&sizes) {
-        let n = uncertain_bench::scaled(n).max(30);
-        let set = workload::random_discrete_set(n, 3, 5.0, 3);
-        let engine = Engine::new(set, EngineConfig::default());
-        let batch = nonzero_batch(256, 4);
-        engine.run_batch(&batch);
-        g.throughput(Throughput::Elements(batch.len() as u64));
-        g.bench_with_input(BenchmarkId::new(label, n), &batch, |b, batch| {
             b.iter(|| engine.run_batch(batch));
         });
     }
@@ -142,11 +123,5 @@ fn bench_guarantees(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_thread_scaling,
-    bench_planner_paths,
-    bench_cache,
-    bench_guarantees
-);
+criterion_group!(benches, bench_thread_scaling, bench_cache, bench_guarantees);
 criterion_main!(benches);

@@ -125,7 +125,7 @@ const EXPERIMENTS: &[(&str, &str, fn())] = &[
     ),
     (
         "E25",
-        "engine planner: plan-choice crossover vs n and batch",
+        "engine planner: quantifier crossover vs n and guarantee",
         e25_planner_crossover,
     ),
     (
@@ -1243,26 +1243,36 @@ fn distinct_sets_of(d: &NonzeroVoronoiDiagram, queries: &[Point]) -> usize {
 // ---------------------------------------------------------------------------
 
 /// E24: the serving engine end to end — batch throughput scaling vs worker
-/// count, the planner switching plans across set sizes, and the result
-/// cache on a repeated-query batch.
+/// count, the planner switching quantifiers across set sizes, and the
+/// result cache on a repeated-query batch.
 fn e24_engine_serving() {
     use uncertain_engine::{Engine, EngineConfig, QueryRequest};
+    use uncertain_nn::queries::Guarantee;
     header(
         "E24",
         "engine: batch serving (threads, plans, cache)",
-        "serving layer over Theorems 3.2 / 2.14 / 4.2–4.7 structures; amortized plan choice",
+        "serving layer over Theorems 3.2 / 4.2–4.7 structures; amortized plan choice",
     );
 
-    // (a) Planner choice across set sizes, fixed batch of 256 NN≠0 queries.
+    // (a) Planner choice across set sizes under an additive ±0.05 budget,
+    // fixed batch of 256 TopK queries: the exact merge's O(n) answer
+    // assembly loses to spiral search's O(m log N) retrieval once n
+    // outgrows the spiral budget m(ρ, ε).
     let batch: Vec<QueryRequest> = workload::random_queries(256, 60.0, 24)
         .into_iter()
-        .map(|q| QueryRequest::Nonzero { q })
+        .map(|q| QueryRequest::TopK { q, k: 3 })
         .collect();
     let mut t = Table::new(&["n", "plan", "built", "wall", "q/s"]);
     let mut plans_seen: BTreeSet<String> = BTreeSet::new();
-    for &n in sweep(&[24usize, 2_048, 16_384]) {
+    for &n in sweep(&[1_024usize, 16_384, 65_536]) {
         let set = workload::random_discrete_set(n, 3, 5.0, n as u64);
-        let engine = Engine::new(set, EngineConfig::default());
+        let engine = Engine::new(
+            set,
+            EngineConfig {
+                guarantee: Guarantee::Additive(0.05),
+                ..EngineConfig::default()
+            },
+        );
         let resp = engine.run_batch(&batch);
         let plan = resp.stats.plan.summary();
         plans_seen.insert(plan.clone());
@@ -1365,19 +1375,20 @@ fn e24_engine_serving() {
     );
 }
 
-/// E25: the planner's cost model — which plan wins as n and the batch size
-/// vary, with the planner's own cost table at the crossover points.
+/// E25: the planner's cost model — which quantifier wins as n and the
+/// guarantee tier vary, with the planner's own cost table at a crossover
+/// point. (`NN≠0` has one plan, `nonzero:dynamic`, at every n and batch.)
 fn e25_planner_crossover() {
     use uncertain_engine::{planner, PlannerInputs};
     use uncertain_nn::queries::Guarantee;
     header(
         "E25",
-        "planner crossover: chosen plan vs n and batch size",
-        "build + batch·per_query amortization over Theorems 3.1/3.2/2.14/4.2–4.7 engines",
+        "planner crossover: chosen quantifier vs n and guarantee tier",
+        "build + batch·per_query amortization over Theorems 4.2–4.7 engines",
     );
     let k = 3usize;
-    // A freshly constructed engine: one bulk-loaded bucket whose quant
-    // summary is still cold, no static structure built yet.
+    // A freshly constructed one-shard engine: one bulk-loaded bucket whose
+    // quant summary is still cold, no approximate quantifier built yet.
     let fresh = |n: usize, nonzero_count: usize, quant_count: usize, guarantee| PlannerInputs {
         n,
         total_locations: n * k,
@@ -1386,29 +1397,16 @@ fn e25_planner_crossover() {
         nonzero_count,
         quant_count,
         guarantee,
-        diagram_cap: 40,
-        index_built: false,
-        diagram_built: false,
         spiral_built: false,
         mc_built_samples: None,
         dynamic_buckets: 1,
         dynamic_quant_cold_locations: n * k,
         quant_snapped: false,
-        shards: 0,
-        expected_shards_touched: 0.0,
+        shards: 1,
+        expected_shards_touched: 1.0,
     };
-    let mut t = Table::new(&["n", "batch=4", "batch=256", "batch=16k", "batch=1M"]);
-    for &n in sweep(&[8usize, 64, 1_024, 32_768]) {
-        let mut cells = vec![n.to_string()];
-        for &batch in &[4usize, 256, 16_384, 1_048_576] {
-            let plan = planner::plan(&fresh(n, batch, 0, Guarantee::Exact));
-            cells.push(plan.summary().replace("nonzero:", ""));
-        }
-        t.row(&cells);
-    }
-    t.print();
 
-    // Quantification side: guarantee tier × n, batch = 256.
+    // Guarantee tier × n, batch = 256.
     let tiers: [(&str, Guarantee); 3] = [
         ("exact", Guarantee::Exact),
         ("±0.05", Guarantee::Additive(0.05)),
@@ -1576,9 +1574,7 @@ fn e27_churn_serving() {
     let n = scaled(4_096).max(32);
     let rounds = if uncertain_bench::smoke() { 2 } else { 5 };
     // Moderate per-round batches: the regime where a per-change index
-    // rebuild cannot amortize (with huge batches the planner correctly
-    // flips back to rebuilding the static index — that crossover is E25's
-    // subject, not this experiment's).
+    // rebuild cannot amortize.
     let batch: Vec<QueryRequest> = workload::random_queries(scaled(128).max(32), 60.0, 27)
         .into_iter()
         .map(|q| QueryRequest::Nonzero { q })

@@ -143,6 +143,13 @@ impl ShardedReader {
         ids
     }
 
+    /// Union of live ids, ascending, built once per snapshot — the dense
+    /// order of every probability vector over this reader (merged answers,
+    /// and evaluations over [`live_set`](Self::live_set)).
+    pub fn ids(&self) -> &[SiteId] {
+        &self.maps().ids
+    }
+
     /// Per-shard support boxes, built once per snapshot.
     pub fn support_aabbs(&self) -> &[Aabb] {
         self.aabbs
@@ -342,7 +349,7 @@ impl ShardedReader {
     /// merged (and fresh) paths.
     pub fn quantification_merged(&self, q: Point) -> Vec<(SiteId, f64)> {
         let pi = self.quantification_merged_with_stats(q).0;
-        self.maps().ids.iter().copied().zip(pi).collect()
+        self.ids().iter().copied().zip(pi).collect()
     }
 
     /// [`quantification_merged`](Self::quantification_merged) as the dense

@@ -57,10 +57,7 @@ pub enum QuantTag {
 /// under normal traffic, with no flush or scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CacheKey {
-    /// All four `NN≠0` plans (brute, index, `V≠0` point location, dynamic
-    /// buckets) are exact — the diagram path serves certified locations and
-    /// falls back to Lemma 2.1 otherwise — so their answers share one key
-    /// and warm each other's entries (within an epoch).
+    /// `NN≠0` answers are exact, so one key per query point and epoch.
     Nonzero { epoch: u64, qx: u64, qy: u64 },
     QuantCell {
         epoch: u64,

@@ -16,15 +16,16 @@
 //! * a std-only [thread pool](pool) (`std::thread` + channels) splits each
 //!   batch across workers — `UNC_ENGINE_THREADS` pins the worker count for
 //!   deterministic CI runs;
-//! * a [cost-based planner](planner) picks, per batch, among brute force,
-//!   the Theorem 3.2 kd-tree/group-index structure, `V≠0` point location,
-//!   and the Bentley–Saxe buckets for `NN≠0` requests, and among the exact
-//!   fresh sweep, the bit-identical `quant:merged` k-way merge over
-//!   per-bucket summaries, spiral search, and Monte Carlo for probability
-//!   requests — amortizing index construction over the batch (static
-//!   structures are built over the flat live union) and recording its
-//!   choice (plus merge-vs-sweep counters, the per-bucket reuse rate and
-//!   the scatter-gather fan-out in [`ExecStats`]);
+//! * one exact evaluator per query family: `NN≠0` requests scatter-gather
+//!   over the Bentley–Saxe buckets (`nonzero:dynamic`), and probability
+//!   requests take the `quant:merged` k-way merge over per-bucket
+//!   summaries, bit-identical to the Eq. (2) sweep — or the certified
+//!   snapped evaluator when a cache grid is set. Under an approximate
+//!   [`Guarantee`] a [cost-based planner](planner) prices that evaluator
+//!   against spiral search and Monte Carlo, amortizing their construction
+//!   (over the flat live union) across the batch, and records its choice
+//!   (plus evaluation counters, the per-bucket reuse rate and the
+//!   scatter-gather fan-out in [`ExecStats`]);
 //! * a [quantization-keyed LRU result cache](cache) snaps query points to a
 //!   configurable grid; snapped answers carry a *certified* widened
 //!   [`Guarantee`] (see [`snap`]), so caching never silently degrades
@@ -105,17 +106,13 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use uncertain_geom::predicates::predicate_stats;
-use uncertain_geom::{Aabb, Point};
+use uncertain_geom::Point;
 use uncertain_nn::dynamic::shard::ShardedReader;
 use uncertain_nn::dynamic::{DynamicSet, RebuildStats, UpdateOutcome};
 use uncertain_nn::model::DiscreteSet;
-use uncertain_nn::nonzero::{nonzero_nn_discrete, DiscreteNonzeroIndex, QueryScratch};
-use uncertain_nn::quantification::exact::quantification_discrete;
 use uncertain_nn::quantification::monte_carlo::{MonteCarloPnn, SampleBackend};
 use uncertain_nn::quantification::spiral::SpiralSearch;
 use uncertain_nn::queries::Guarantee;
-use uncertain_nn::vnz::DiscreteNonzeroDiagram;
 use uncertain_spatial::soa::kernel_stats;
 
 pub use cache::{quantize_point, snap_center, snap_radius};
@@ -131,7 +128,9 @@ pub enum QueryRequest {
     /// `NN≠0(q)`: which points have nonzero probability of being nearest.
     Nonzero { q: Point },
     /// Every point that may satisfy `π_i(q) ≥ tau` given the engine's
-    /// guarantee ([DYM+05] threshold semantics: no false negatives).
+    /// guarantee ([DYM+05] threshold semantics: no false negatives). `tau`
+    /// must be positive: `tau ≤ 0` would admit every live site, `π = 0`
+    /// included, so it fails like a non-finite input.
     Threshold { q: Point, tau: f64 },
     /// The `k` most probable nearest neighbors ([BSI08]).
     TopK { q: Point, k: usize },
@@ -163,10 +162,11 @@ pub enum QueryResult {
         items: Vec<(usize, f64)>,
         guarantee: Guarantee,
     },
-    /// The request failed: a non-finite input, or an evaluation that
-    /// panicked. The panic is caught **inside** the request — before it
-    /// can poison shared locks or strand the batch — so the other requests
-    /// of the batch, and every later batch, are unaffected. Never cached.
+    /// The request failed: a non-finite input or a non-positive threshold,
+    /// or an evaluation that panicked. The panic is caught **inside** the
+    /// request — before it can poison shared locks or strand the batch — so
+    /// the other requests of the batch, and every later batch, are
+    /// unaffected. Never cached.
     /// The serving front-end maps this to a typed error reply instead of
     /// dying.
     Failed { reason: String },
@@ -248,30 +248,23 @@ pub struct ExecStats {
     /// the chunk's job. At most one chunk per worker.
     pub worker_busy: Vec<Duration>,
     /// The guarantee `NN≠0` answers of this batch were served under —
-    /// always [`Guarantee::Exact`] (every plan, including `nonzero:diagram`,
-    /// is exact); `None` when the batch had no nonzero requests.
+    /// always [`Guarantee::Exact`]; `None` when the batch had no nonzero
+    /// requests.
     pub nonzero_guarantee: Option<Guarantee>,
-    /// Adaptive-predicate filter outcomes during this batch (builds +
-    /// queries): geometric sign tests answered by the fast f64 filter vs
-    /// exact expansion fallbacks. Counters are process-global, so
-    /// concurrent batches on *other* engines fold into each other's deltas.
-    pub predicate_filter_hits: u64,
-    /// Exact-arithmetic fallbacks during this batch (see
-    /// [`ExecStats::predicate_filter_hits`]).
-    pub predicate_exact_fallbacks: u64,
     /// Distances the SoA kernels (`uncertain_spatial::soa`) evaluated in
-    /// full-width chunked lanes during this batch. Like the predicate
-    /// counters these are process-global deltas, so concurrent batches on
-    /// *other* engines fold into each other's numbers.
+    /// full-width chunked lanes during this batch. These are process-global
+    /// deltas, so concurrent batches on *other* engines fold into each
+    /// other's numbers.
     pub kernel_lane_dists: u64,
     /// Distances the same kernels evaluated one at a time (chunk remainders
     /// and scalar fallback paths; see
     /// [`ExecStats::kernel_lane_dists`]).
     pub kernel_scalar_dists: u64,
     /// Quantification evaluations served by the k-way merged path this
-    /// batch (cache hits execute neither evaluator and count in neither).
+    /// batch (cache hits execute no evaluator and count in neither field).
     pub quant_merged_evals: usize,
-    /// Quantification evaluations served by the fresh `O(N log N)` sweep.
+    /// Quantification evaluations served over the flat live set — the
+    /// snapped `O(N log N)` evaluator of an engine with a cache grid.
     pub quant_fresh_evals: usize,
     /// Bucket streams the merged evaluations drew…
     pub quant_bucket_touches: usize,
@@ -287,10 +280,10 @@ pub struct ExecStats {
     pub shard_reads: usize,
     /// Registry span totals (`uncertain_obs` wall-clock histograms across
     /// the engine, planner, cache, dynamic, and kernel layers) that
-    /// advanced during this batch, merged by span name. Like the predicate
-    /// and kernel counters these are process-global deltas, so concurrent
-    /// batches on *other* engines fold into each other's numbers. The
-    /// `.cycles` twins are dropped.
+    /// advanced during this batch, merged by span name. Like the kernel
+    /// counters these are process-global deltas, so concurrent batches on
+    /// *other* engines fold into each other's numbers. The `.cycles` twins
+    /// are dropped.
     pub spans: Vec<uncertain_obs::SpanStat>,
 }
 
@@ -322,24 +315,11 @@ impl ExecStats {
         self.batch_len as f64 / self.wall.as_secs_f64()
     }
 
-    /// Fraction of adaptive geometric predicates the f64 filter answered
-    /// during this batch; `0.0` when none ran (an idle batch reports no
-    /// hits, not a perfect rate — every ratio helper here shares that
-    /// convention). ≥ 0.99 on random inputs with work done — the exact
-    /// fallback only fires within an ulp-scale shell of a degeneracy.
-    pub fn predicate_filter_hit_rate(&self) -> f64 {
-        let total = self.predicate_filter_hits + self.predicate_exact_fallbacks;
-        if total == 0 {
-            0.0
-        } else {
-            self.predicate_filter_hits as f64 / total as f64
-        }
-    }
-
     /// Fraction of the batch's kernel distance evaluations that ran in
-    /// chunked lanes; `0.0` when the batch evaluated none. Low values mean
-    /// the workload evaluated nothing, lives in tiny kd leaves, or took
-    /// scalar fallback paths.
+    /// chunked lanes; `0.0` when the batch evaluated none (an idle batch
+    /// reports no lanes, not a perfect rate — every ratio helper here
+    /// shares that convention). Low values mean the workload evaluated
+    /// nothing, lives in tiny kd leaves, or took scalar fallback paths.
     pub fn kernel_lane_fraction(&self) -> f64 {
         let total = self.kernel_lane_dists + self.kernel_scalar_dists;
         if total == 0 {
@@ -363,7 +343,7 @@ impl ExecStats {
     }
 
     /// Mean shards visited per scatter-gather read; `0.0` when the batch
-    /// did none (every answer from the cache or a static plan). Equal to
+    /// did none (every answer from the cache or a flat-set plan). Equal to
     /// the shard count under hash partitioning; `< shards` measures how
     /// much the spatial partitioner's box pruning cut the fan-out.
     pub fn avg_shards_touched(&self) -> f64 {
@@ -381,7 +361,7 @@ const DISPLAY_SHARD_TOKENS_MAX: usize = 8;
 
 impl std::fmt::Display for ExecStats {
     /// Compact one-line batch summary for logs and examples:
-    /// `plan=[nonzero:index] reqs=64 wall=1.2ms qps=53388 cache=75% util=88% epoch=3 live=4096 tomb=0 stouch=1.0 shard0=3/4096/0/100%`.
+    /// `plan=[nonzero:dynamic] reqs=64 wall=1.2ms qps=53388 cache=75% util=88% epoch=3 live=4096 tomb=0 stouch=1.0 shard0=3/4096/0/100%`.
     ///
     /// Every field is printed unconditionally (even when zero), followed by
     /// one fixed-shape `shardK=epoch/live/tomb/warm%` token per shard up to
@@ -465,10 +445,6 @@ pub struct EngineConfig {
     /// probability answers are evaluated at cell centers and served with a
     /// certified widened guarantee.
     pub cache_grid: f64,
-    /// Largest `n` for which the planner may price the `V≠0` diagram.
-    pub diagram_cap: usize,
-    /// Seed for Monte-Carlo instantiation sampling (deterministic builds).
-    pub mc_seed: u64,
     /// Tuning of each shard's Bentley–Saxe structure (bucket-index
     /// crossover, compaction thresholds).
     pub dynamic: DynamicConfig,
@@ -494,8 +470,6 @@ impl Default for EngineConfig {
             guarantee: Guarantee::Exact,
             cache_capacity: 4096,
             cache_grid: 0.0,
-            diagram_cap: 40,
-            mc_seed: 0xC0FFEE,
             dynamic: DynamicConfig::default(),
             shards: None,
             partitioner: PartitionerKind::Hash,
@@ -504,20 +478,23 @@ impl Default for EngineConfig {
     }
 }
 
-/// Lazily-built shared structures over the flat live union. Build cost is
-/// paid once (on the batch that first needs the structure) and sunk for all
-/// later batches of the epoch — the planner is told what already exists.
+/// Seed for Monte-Carlo instantiation sampling, so builds are
+/// deterministic: two engines over one set estimate identically.
+const MC_SEED: u64 = 0xC0FFEE;
+
+/// The approximate quantifiers, built lazily over the flat live union. Build
+/// cost is paid once (on the batch that first needs the structure) and sunk
+/// for all later batches of the epoch — the planner is told what already
+/// exists.
 #[derive(Default)]
 struct Structures {
-    index: Mutex<Option<Arc<DiscreteNonzeroIndex>>>,
-    diagram: Mutex<Option<Arc<DiscreteNonzeroDiagram>>>,
     spiral: Mutex<Option<Arc<SpiralSearch>>>,
     mc: Mutex<Option<(usize, Arc<MonteCarloPnn>)>>,
 }
 
 /// One immutable epoch snapshot: the per-shard Bentley–Saxe structures the
-/// epoch serves from, flat views of their live union, and the epoch's
-/// lazily-built static query structures. Batches pin the snapshot they
+/// epoch serves from, a flat view of their live union, and the epoch's
+/// lazily-built approximate quantifiers. Batches pin the snapshot they
 /// started on via `Arc`, so a concurrent [`Engine::apply`] never changes
 /// answers mid-batch.
 struct EngineCore {
@@ -533,9 +510,6 @@ struct EngineCore {
     /// batches served by the dynamic plans (`NN≠0` buckets, merged
     /// quantification) never need the flat set.
     set: OnceLock<DiscreteSet>,
-    /// Dense index → stable site id. Lazy for the same reason as `set`: the
-    /// O(live) id list is built by the first batch that maps dense results.
-    ids: OnceLock<Vec<SiteId>>,
     /// `(Σ k, max k, weight spread)` over live sites — the planner's shape
     /// summary, computed by the first batch of the epoch (an O(n + N) scan).
     shape: OnceLock<(usize, usize, f64)>,
@@ -563,7 +537,6 @@ impl EngineCore {
             shard_epochs,
             reader: ShardedReader::new(shards),
             set: OnceLock::new(),
-            ids: OnceLock::new(),
             shape: OnceLock::new(),
             config,
             cache,
@@ -576,24 +549,15 @@ impl EngineCore {
         self.set.get_or_init(|| self.reader.live_set())
     }
 
-    /// The dense → stable-id map, materialized on first use.
+    /// The dense → stable-id map: the reader's ascending live-id list, the
+    /// order of every dense probability vector.
     fn ids(&self) -> &[SiteId] {
-        self.ids.get_or_init(|| self.reader.live_ids())
+        self.reader.ids()
     }
 
     /// `(total locations, max k, weight spread)` of the live sites.
     fn shape(&self) -> (usize, usize, f64) {
         *self.shape.get_or_init(|| self.reader.live_shape())
-    }
-
-    /// Maps a dense-index result vector to stable site ids. The map is
-    /// monotone, so ascending stays ascending.
-    fn map_dense(&self, mut v: Vec<usize>) -> Vec<usize> {
-        let ids = self.ids();
-        for i in v.iter_mut() {
-            *i = ids[*i];
-        }
-        v
     }
 
     /// One `(epoch, live, tombstones, warm rate)` row per shard.
@@ -679,27 +643,15 @@ pub struct Engine {
     touched_reads: AtomicU64,
 }
 
-/// The per-batch execution context handed to workers.
-#[derive(Clone)]
-struct Prepared {
-    nonzero: Option<PreparedNonzero>,
-    quant: Option<PreparedQuant>,
-}
-
-#[derive(Clone)]
-enum PreparedNonzero {
-    Brute,
-    Index(Arc<DiscreteNonzeroIndex>),
-    Diagram(Arc<DiscreteNonzeroDiagram>),
-    /// Scatter-gather over the snapshot's Bentley–Saxe shards.
-    Dynamic,
-}
-
+/// The per-batch quantification context handed to workers (`NN≠0` needs
+/// none: it always scatter-gathers over the snapshot's shards).
 #[derive(Clone)]
 enum PreparedQuant {
-    Exact,
     /// The k-way merged exact path over the snapshot's Bentley–Saxe buckets.
     Merged,
+    /// Certified interval evaluation at the snap-cell center over the flat
+    /// live set.
+    Snapped,
     Spiral(Arc<SpiralSearch>, f64),
     MonteCarlo(Arc<MonteCarloPnn>, Guarantee),
 }
@@ -708,10 +660,10 @@ enum PreparedQuant {
 struct BatchCounters {
     hits: AtomicUsize,
     misses: AtomicUsize,
-    /// Quantification evaluations by the merged path vs the fresh sweep
-    /// (cache hits execute neither).
+    /// Quantification evaluations by the merged path vs the flat-set
+    /// snapped evaluator (cache hits execute neither).
     quant_merged: AtomicUsize,
-    quant_fresh: AtomicUsize,
+    quant_snapped: AtomicUsize,
     /// Bucket streams drawn by merged evaluations, and how many of them
     /// were already warm — the per-bucket reuse rate.
     bucket_touches: AtomicUsize,
@@ -755,7 +707,7 @@ fn apply_shard(
 impl Engine {
     /// Builds an engine over `set`, bulk-loading it into `S` Bentley–Saxe
     /// shards so the first batch is already served by the dynamic plans.
-    /// Spawns the worker pool immediately; static query structures are
+    /// Spawns the worker pool immediately; the approximate quantifiers are
     /// built lazily by the planner. Sites receive the stable ids
     /// `0..set.len()` in input order. The shard count resolves via
     /// [`shard::resolve_shards`] from `config.shards`, the partitioner and
@@ -843,9 +795,10 @@ impl Engine {
 
     /// Whether the current epoch's flat live set has been materialized.
     /// `apply` never materializes it — only consumers that genuinely need
-    /// the flat view (static-structure builds, the fresh quant path,
-    /// [`live_set`](Self::live_set)) do, so batches served entirely by the
-    /// dynamic plans (`nonzero:dynamic`, `quant:merged`) leave it untouched.
+    /// the flat view (spiral and Monte-Carlo builds, the snapped quant
+    /// path, [`live_set`](Self::live_set)) do, so batches served entirely
+    /// by the dynamic plans (`nonzero:dynamic`, `quant:merged`) leave it
+    /// untouched.
     /// Exposed for tests and capacity planning.
     pub fn flat_set_materialized(&self) -> bool {
         self.snapshot().set.get().is_some()
@@ -1036,7 +989,6 @@ impl Engine {
         let t0 = Instant::now();
         let spans_before = uncertain_obs::registry().span_totals();
         let core = self.snapshot();
-        let predicates_before = predicate_stats();
         let kernels_before = kernel_stats();
         let nonzero_count = requests.iter().filter(|r| r.is_nonzero()).count();
         let plan = {
@@ -1048,7 +1000,7 @@ impl Engine {
                 self.expected_touched(&core),
             )
         };
-        let (prepared, built) = {
+        let (quant, built) = {
             let _s = uncertain_obs::span!("engine.batch.prepare");
             prepare(&core, &plan)
         };
@@ -1058,11 +1010,10 @@ impl Engine {
             (vec![], vec![])
         } else if self.pool.len() == 1 || requests.len() == 1 {
             // Single worker: run inline, skipping the channel round-trip.
-            let mut scratch = QueryScratch::default();
             let e0 = Instant::now();
             let results = requests
                 .iter()
-                .map(|r| exec_one(&core, &prepared, *r, &counters, &mut scratch))
+                .map(|r| exec_one(&core, quant.as_ref(), *r, &counters))
                 .collect();
             (results, vec![e0.elapsed()])
         } else {
@@ -1071,16 +1022,15 @@ impl Engine {
             let mut jobs = 0usize;
             for (ji, chunk) in requests.chunks(chunk_len).enumerate() {
                 let core = Arc::clone(&core);
-                let prepared = prepared.clone();
+                let quant = quant.clone();
                 let counters = Arc::clone(&counters);
                 let chunk: Vec<QueryRequest> = chunk.to_vec();
                 let rtx = rtx.clone();
                 self.pool.execute(move || {
                     let e0 = Instant::now();
-                    let mut scratch = QueryScratch::default();
                     let out: Vec<QueryResult> = chunk
                         .iter()
-                        .map(|r| exec_one(&core, &prepared, *r, &counters, &mut scratch))
+                        .map(|r| exec_one(&core, quant.as_ref(), *r, &counters))
                         .collect();
                     let _ = rtx.send((ji, out, e0.elapsed()));
                 });
@@ -1140,7 +1090,6 @@ impl Engine {
                 .set(s.quant_warm_rate);
         }
         let spans = uncertain_obs::span_delta(&spans_before, &registry.span_totals());
-        let predicates = predicate_stats().since(&predicates_before);
         let kernels = kernel_stats().since(&kernels_before);
         BatchResponse {
             results,
@@ -1158,12 +1107,10 @@ impl Engine {
                 tombstones: core.reader.tombstones(),
                 shard_stats,
                 worker_busy,
-                predicate_filter_hits: predicates.filter_hits,
-                predicate_exact_fallbacks: predicates.exact_fallbacks,
                 kernel_lane_dists: kernels.lane_dists,
                 kernel_scalar_dists: kernels.scalar_dists,
                 quant_merged_evals: counters.quant_merged.load(Ordering::Relaxed),
-                quant_fresh_evals: counters.quant_fresh.load(Ordering::Relaxed),
+                quant_fresh_evals: counters.quant_snapped.load(Ordering::Relaxed),
                 quant_bucket_touches: counters.bucket_touches.load(Ordering::Relaxed),
                 quant_bucket_warm: counters.bucket_warm.load(Ordering::Relaxed),
                 shards_touched,
@@ -1181,10 +1128,9 @@ impl Engine {
     pub fn estimates(&self, q: Point) -> (Vec<f64>, Guarantee) {
         let core = self.snapshot();
         let plan = plan_for(&core, 0, 1, self.expected_touched(&core));
-        let (prepared, _) = prepare(&core, &plan);
-        let counters = BatchCounters::default();
-        let quant = prepared.quant.as_ref().expect("quant plan for 1 request");
-        let (pi, g) = quant_vector(&core, quant, q, &counters);
+        let (quant, _) = prepare(&core, &plan);
+        let quant = quant.expect("quant plan for 1 request");
+        let (pi, g) = quant_vector(&core, &quant, q, &BatchCounters::default());
         (pi.as_ref().clone(), g)
     }
 }
@@ -1214,8 +1160,8 @@ fn record_apply_gauges(core: &EngineCore, changed: &[bool]) {
 }
 
 /// Planner inputs for one batch against `core`: bucket fan-out summed
-/// across shards, the static structures already built over the flat live
-/// union, and `expected_touched` — the observed mean scatter-gather
+/// across shards, the approximate quantifiers already built over the flat
+/// live union, and `expected_touched` — the observed mean scatter-gather
 /// fan-out (`S` under hash; `< S` once spatial pruning bites).
 fn plan_for(
     core: &EngineCore,
@@ -1233,9 +1179,6 @@ fn plan_for(
         nonzero_count,
         quant_count,
         guarantee: core.config.guarantee,
-        diagram_cap: core.config.diagram_cap,
-        index_built: lock_ok(&core.structures.index).is_some(),
-        diagram_built: lock_ok(&core.structures.diagram).is_some(),
         spiral_built: lock_ok(&core.structures.spiral).is_some(),
         mc_built_samples: lock_ok(&core.structures.mc).as_ref().map(|(s, _)| *s),
         dynamic_buckets: core.reader.stats().buckets,
@@ -1286,40 +1229,13 @@ fn record_planner_observation(plan: &BatchPlan, batch_len: usize, busy: Duration
     observed_c.add(observed_ns);
 }
 
-/// Builds (or fetches) the structures the plan needs, on the calling
-/// thread, so workers only ever read shared `Arc`s.
-fn prepare(core: &EngineCore, plan: &BatchPlan) -> (Prepared, Vec<&'static str>) {
+/// Builds (or fetches) the structures the quantification plan needs, on
+/// the calling thread, so workers only ever read shared `Arc`s.
+fn prepare(core: &EngineCore, plan: &BatchPlan) -> (Option<PreparedQuant>, Vec<&'static str>) {
     let mut built = vec![];
-    let nonzero = plan.nonzero.map(|np| match np {
-        NonzeroPlan::Brute => PreparedNonzero::Brute,
-        NonzeroPlan::Index => {
-            let mut slot = lock_ok(&core.structures.index);
-            let arc = slot
-                .get_or_insert_with(|| {
-                    built.push("nonzero-index");
-                    Arc::new(DiscreteNonzeroIndex::build(core.set()))
-                })
-                .clone();
-            PreparedNonzero::Index(arc)
-        }
-        NonzeroPlan::Diagram => {
-            let mut slot = lock_ok(&core.structures.diagram);
-            let arc = slot
-                .get_or_insert_with(|| {
-                    built.push("vnz-diagram");
-                    Arc::new(DiscreteNonzeroDiagram::build(
-                        core.set(),
-                        &working_bbox(core.set()),
-                    ))
-                })
-                .clone();
-            PreparedNonzero::Diagram(arc)
-        }
-        NonzeroPlan::Dynamic => PreparedNonzero::Dynamic,
-    });
     let quant = plan.quant.map(|qp| match qp {
-        QuantPlan::Exact => PreparedQuant::Exact,
         QuantPlan::Merged => PreparedQuant::Merged,
+        QuantPlan::Snapped => PreparedQuant::Snapped,
         QuantPlan::Spiral { eps } => {
             let mut slot = lock_ok(&core.structures.spiral);
             let arc = slot
@@ -1335,7 +1251,7 @@ fn prepare(core: &EngineCore, plan: &BatchPlan) -> (Prepared, Vec<&'static str>)
             let rebuild = slot.as_ref().is_none_or(|(have, _)| *have < samples);
             if rebuild {
                 built.push("monte-carlo");
-                let mut rng = StdRng::seed_from_u64(core.config.mc_seed);
+                let mut rng = StdRng::seed_from_u64(MC_SEED);
                 let mc = MonteCarloPnn::build_discrete(
                     core.set(),
                     samples,
@@ -1348,22 +1264,7 @@ fn prepare(core: &EngineCore, plan: &BatchPlan) -> (Prepared, Vec<&'static str>)
             PreparedQuant::MonteCarlo(Arc::clone(arc), core.config.guarantee)
         }
     });
-    (Prepared { nonzero, quant }, built)
-}
-
-/// Working box for the `V≠0` diagram: the set's bounding box, moderately
-/// inflated. Queries outside it fall back to the Lemma 2.1 evaluation.
-/// The margin is a performance knob only — it sizes the subdivision (and
-/// hence its snap tolerance and guard band), but certified location plus
-/// the exact fallback keeps answers exact at any margin; `0.15·diag`
-/// probes cleanly across workloads.
-fn working_bbox(set: &DiscreteSet) -> Aabb {
-    let bbox = Aabb::from_points(set.all_locations().map(|(_, _, loc, _)| loc));
-    if bbox.is_empty() {
-        return Aabb::from_corners(Point::new(-1.0, -1.0), Point::new(1.0, 1.0));
-    }
-    let diag = bbox.lo.dist(bbox.hi);
-    bbox.inflated(0.15 * diag + 4.0)
+    (quant, built)
 }
 
 /// Executes one request with per-request panic isolation: a panicking
@@ -1372,20 +1273,17 @@ fn working_bbox(set: &DiscreteSet) -> Aabb {
 /// [`QueryResult::Failed`] instead of unwinding through the worker. The
 /// panic is contained *before* it can reach any shared lock, so nothing is
 /// poisoned and the rest of the batch — and every later batch — answers
-/// normally. The scratch buffer is re-defaulted on panic (its contents are
-/// per-query transient state of unknown consistency after an unwind).
+/// normally.
 fn exec_one(
     core: &EngineCore,
-    prepared: &Prepared,
+    quant: Option<&PreparedQuant>,
     req: QueryRequest,
     counters: &BatchCounters,
-    scratch: &mut QueryScratch,
 ) -> QueryResult {
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        exec_one_inner(core, prepared, req, counters, scratch)
+        exec_one_inner(core, quant, req, counters)
     }));
     out.unwrap_or_else(|payload| {
-        *scratch = QueryScratch::default();
         uncertain_obs::counter!("engine.exec.panics").inc();
         QueryResult::Failed {
             reason: panic_reason(payload.as_ref()),
@@ -1395,19 +1293,19 @@ fn exec_one(
 
 fn exec_one_inner(
     core: &EngineCore,
-    prepared: &Prepared,
+    quant: Option<&PreparedQuant>,
     req: QueryRequest,
     counters: &BatchCounters,
-    scratch: &mut QueryScratch,
 ) -> QueryResult {
     // Non-finite inputs violate the total-order assumptions every plan
-    // shares (and would poison cache keys); fail them deterministically
-    // here — in every build profile — so `exec_one` turns the panic into
-    // a typed `Failed` instead of the answer depending on NaN comparison
-    // accidents. The wire protocol rejects them earlier; this guards
-    // direct `run_batch` callers.
+    // shares (and would poison cache keys), and a threshold `τ ≤ 0` would
+    // admit sites with `π = 0`; fail them deterministically here — in every
+    // build profile — so `exec_one` turns the panic into a typed, uncached
+    // `Failed` instead of the answer depending on NaN comparison accidents.
+    // The wire protocol rejects them earlier; this guards direct
+    // `run_batch` callers.
     let (q, tau) = match req {
-        QueryRequest::Nonzero { q } | QueryRequest::TopK { q, .. } => (q, 0.0),
+        QueryRequest::Nonzero { q } | QueryRequest::TopK { q, .. } => (q, 1.0),
         QueryRequest::Threshold { q, tau } => (q, tau),
     };
     assert!(
@@ -1416,13 +1314,11 @@ fn exec_one_inner(
         q.x,
         q.y
     );
+    assert!(tau > 0.0, "threshold tau must be positive, got {tau}");
     match req {
         QueryRequest::Nonzero { q } => {
             let _trace = uncertain_obs::trace::start("nonzero");
-            let plan = prepared.nonzero.as_ref().expect("nonzero plan");
-            // All four plans are exact (Guarantee::Exact), so their
-            // answers share one (epoch-stamped) cache key and warm each
-            // other's entries. Cached vectors hold stable site ids.
+            // Cached vectors hold stable site ids.
             let key = CacheKey::nonzero(core.epoch, q);
             if core.cache.enabled() {
                 if let Some(CachedValue::Nonzero(ids)) = core.cache.get(&key) {
@@ -1431,38 +1327,20 @@ fn exec_one_inner(
                 }
                 counters.misses.fetch_add(1, Ordering::Relaxed);
             }
-            // Opened after the cache lookup, so the per-plan execution
-            // histograms time actual evaluations only.
-            let _exec = match plan {
-                PreparedNonzero::Brute => uncertain_obs::span!("engine.exec.nonzero.brute"),
-                PreparedNonzero::Index(_) => uncertain_obs::span!("engine.exec.nonzero.index"),
-                PreparedNonzero::Diagram(_) => uncertain_obs::span!("engine.exec.nonzero.diagram"),
-                PreparedNonzero::Dynamic => uncertain_obs::span!("engine.exec.nonzero.dynamic"),
-            };
-            let mut ids = match plan {
-                PreparedNonzero::Brute => core.map_dense(nonzero_nn_discrete(core.set(), q)),
-                PreparedNonzero::Index(idx) => core.map_dense(idx.query_with(q, scratch)),
-                // Exact per Theorem 2.14: certified point location over the
-                // exact-predicate slab structure, with the Lemma 2.1
-                // fallback for boundary/guard-band queries — never inherits
-                // coordinate-snapping error.
-                PreparedNonzero::Diagram(diag) => core.map_dense(diag.query_located(q)),
-                // Scatter-gather over the shards, already in stable site
-                // ids; box pruning decides how many shards it visits.
-                PreparedNonzero::Dynamic => {
-                    let (ids, touched) = core.reader.nonzero_touched(q);
-                    counters.touched(touched);
-                    ids
-                }
-            };
-            ids.sort_unstable();
+            // Opened after the cache lookup, so the execution histogram
+            // times actual evaluations only. Scatter-gather over the shards,
+            // already in ascending stable site ids; box pruning decides how
+            // many shards it visits.
+            let _exec = uncertain_obs::span!("engine.exec.nonzero.dynamic");
+            let (ids, touched) = core.reader.nonzero_touched(q);
+            counters.touched(touched);
             core.cache
                 .insert(key, CachedValue::Nonzero(Arc::new(ids.clone())));
             QueryResult::Nonzero(ids)
         }
         QueryRequest::Threshold { q, tau } => {
             let _trace = uncertain_obs::trace::start("threshold");
-            let quant = prepared.quant.as_ref().expect("quant plan");
+            let quant = quant.expect("quant plan");
             let (pi, guarantee) = quant_vector(core, quant, q, counters);
             let slack = guarantee.slack();
             let mut items: Vec<(usize, f64)> = pi
@@ -1477,7 +1355,7 @@ fn exec_one_inner(
         }
         QueryRequest::TopK { q, k } => {
             let _trace = uncertain_obs::trace::start("topk");
-            let quant = prepared.quant.as_ref().expect("quant plan");
+            let quant = quant.expect("quant plan");
             let (pi, guarantee) = quant_vector(core, quant, q, counters);
             let mut items: Vec<(usize, f64)> = pi
                 .iter()
@@ -1509,42 +1387,35 @@ fn sort_ranked(items: &mut [(usize, f64)]) {
     items.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
 }
 
-/// The cached quantification path: returns the dense `π̂` vector and the
-/// guarantee it is served under. With a positive cache grid the vector is
-/// evaluated at the *cell center* with a certified interval — identical for
-/// every query in the cell, independent of cache state.
+/// The cached quantification path: returns the dense `π̂` vector (in
+/// ascending-id order) and the guarantee it is served under. The snapped
+/// plan evaluates at the query's *cell center* with a certified interval —
+/// identical for every query in the cell, independent of cache state.
 fn quant_vector(
     core: &EngineCore,
     quant: &PreparedQuant,
     q: Point,
     counters: &BatchCounters,
 ) -> (Arc<Vec<f64>>, Guarantee) {
-    let grid = core.cache.grid();
-    let (tag, base_guarantee) = match quant {
-        // Merged and fresh are bit-identical exact evaluators, so they
-        // share the Exact tag and warm each other's cache entries.
-        PreparedQuant::Exact | PreparedQuant::Merged => (QuantTag::Exact, Guarantee::Exact),
+    let (tag, grid) = match quant {
+        // Snapping is only certified for the exact evaluator (the interval
+        // certificate needs exact cdfs); approximate engines key exactly.
+        PreparedQuant::Merged => (QuantTag::Exact, 0.0),
+        PreparedQuant::Snapped => (QuantTag::Exact, core.cache.grid()),
         PreparedQuant::Spiral(_, eps) => (
             QuantTag::Spiral {
                 eps_bits: eps.to_bits(),
             },
-            Guarantee::Additive(*eps),
+            0.0,
         ),
-        PreparedQuant::MonteCarlo(mc, g) => (
+        PreparedQuant::MonteCarlo(mc, _) => (
             QuantTag::MonteCarlo {
                 samples: mc.num_samples(),
             },
-            *g,
+            0.0,
         ),
     };
-    // Snapping is only certified for the exact evaluators (the interval
-    // certificate needs exact cdfs); approximate engines key exactly.
-    // Snapped evaluation happens whenever a grid is set — with or without a
-    // live cache — so answers never depend on cache state. The planner
-    // never picks Merged with a snap grid configured (the snapped branch
-    // evaluates over the flat set), but keep it certified here regardless.
-    let snapped = grid > 0.0 && matches!(quant, PreparedQuant::Exact | PreparedQuant::Merged);
-    let key = CacheKey::quant(core.epoch, q, if snapped { grid } else { 0.0 }, tag);
+    let key = CacheKey::quant(core.epoch, q, grid, tag);
     if core.cache.enabled() {
         if let Some(CachedValue::Quant { pi, guarantee }) = core.cache.get(&key) {
             counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -1552,46 +1423,43 @@ fn quant_vector(
         }
         counters.misses.fetch_add(1, Ordering::Relaxed);
     }
-    let (pi, guarantee) = if snapped {
-        let _exec = uncertain_obs::span!("engine.exec.quant.snapped");
-        let center = snap_center(q, grid);
-        let (mid, halfwidth) = snap::interval_quantification(core.set(), center, snap_radius(grid));
-        let g = if halfwidth > 0.0 {
-            Guarantee::Additive(halfwidth)
-        } else {
-            Guarantee::Exact
-        };
-        (mid, g)
-    } else {
-        // Same convention as the nonzero spans: opened after the cache
-        // lookup, so the histograms time evaluations, not hits.
-        let _exec = match quant {
-            PreparedQuant::Exact => uncertain_obs::span!("engine.exec.quant.fresh"),
-            PreparedQuant::Merged => uncertain_obs::span!("engine.exec.quant.merged"),
-            PreparedQuant::Spiral(..) => uncertain_obs::span!("engine.exec.quant.spiral"),
-            PreparedQuant::MonteCarlo(..) => uncertain_obs::span!("engine.exec.quant.mc"),
-        };
-        let pi = match quant {
-            PreparedQuant::Exact => {
-                counters.quant_fresh.fetch_add(1, Ordering::Relaxed);
-                quantification_discrete(core.set(), q)
-            }
-            PreparedQuant::Merged => {
-                let (pi, st) = core.reader.quantification_merged_with_stats(q);
-                counters.touched(st.shards_touched);
-                counters.quant_merged.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .bucket_touches
-                    .fetch_add(st.buckets, Ordering::Relaxed);
-                counters
-                    .bucket_warm
-                    .fetch_add(st.warm_buckets, Ordering::Relaxed);
-                pi
-            }
-            PreparedQuant::Spiral(s, eps) => s.estimate_all(q, *eps),
-            PreparedQuant::MonteCarlo(mc, _) => mc.estimate_all(q),
-        };
-        (pi, base_guarantee)
+    // Same convention as the nonzero span: opened after the cache lookup,
+    // so the histograms time evaluations, not hits.
+    let (pi, guarantee) = match quant {
+        PreparedQuant::Merged => {
+            let _exec = uncertain_obs::span!("engine.exec.quant.merged");
+            let (pi, st) = core.reader.quantification_merged_with_stats(q);
+            counters.touched(st.shards_touched);
+            counters.quant_merged.fetch_add(1, Ordering::Relaxed);
+            counters
+                .bucket_touches
+                .fetch_add(st.buckets, Ordering::Relaxed);
+            counters
+                .bucket_warm
+                .fetch_add(st.warm_buckets, Ordering::Relaxed);
+            (pi, Guarantee::Exact)
+        }
+        PreparedQuant::Snapped => {
+            let _exec = uncertain_obs::span!("engine.exec.quant.snapped");
+            counters.quant_snapped.fetch_add(1, Ordering::Relaxed);
+            let center = snap_center(q, grid);
+            let (mid, halfwidth) =
+                snap::interval_quantification(core.set(), center, snap_radius(grid));
+            let g = if halfwidth > 0.0 {
+                Guarantee::Additive(halfwidth)
+            } else {
+                Guarantee::Exact
+            };
+            (mid, g)
+        }
+        PreparedQuant::Spiral(s, eps) => {
+            let _exec = uncertain_obs::span!("engine.exec.quant.spiral");
+            (s.estimate_all(q, *eps), Guarantee::Additive(*eps))
+        }
+        PreparedQuant::MonteCarlo(mc, g) => {
+            let _exec = uncertain_obs::span!("engine.exec.quant.mc");
+            (mc.estimate_all(q), *g)
+        }
     };
     let pi = Arc::new(pi);
     core.cache.insert(
@@ -1608,6 +1476,7 @@ fn quant_vector(
 mod tests {
     use super::*;
     use uncertain_nn::model::DiscreteUncertainPoint;
+    use uncertain_nn::quantification::exact::quantification_discrete;
     use uncertain_nn::queries::{threshold_nn, top_k_probable, ExactQuantifier};
     use uncertain_nn::workload;
 
@@ -1656,11 +1525,12 @@ mod tests {
         }
     }
 
-    /// Non-finite inputs fail typed, uncached, at every shard count and
-    /// under both partitioners — they never reach a plan's total-order
-    /// assumptions or a cache key.
+    /// Non-finite inputs and non-positive thresholds fail typed, uncached,
+    /// at every shard count and under both partitioners — they never reach
+    /// a plan's total-order assumptions or a cache key, and `τ ≤ 0` never
+    /// returns the sites with `π = 0`.
     #[test]
-    fn non_finite_queries_fail_at_every_shard_count() {
+    fn invalid_inputs_fail_uncached_at_every_shard_count() {
         let set = workload::random_discrete_set(60, 3, 6.0, 71);
         let nan = Point::new(f64::NAN, 1.0);
         let ok = Point::new(0.5, -0.5);
@@ -1672,6 +1542,8 @@ mod tests {
                 tau: f64::NAN,
             },
             QueryRequest::Threshold { q: nan, tau: 0.2 },
+            QueryRequest::Threshold { q: ok, tau: 0.0 },
+            QueryRequest::Threshold { q: ok, tau: -0.5 },
         ];
         for shards in [1, 3] {
             for partitioner in [PartitionerKind::Hash, PartitionerKind::Spatial] {
@@ -1829,7 +1701,6 @@ mod tests {
 
     #[test]
     fn dynamic_plan_serves_after_updates_and_matches_brute() {
-        // Large enough that brute loses; warm buckets beat a fresh index.
         let set = workload::random_discrete_set(3000, 3, 4.0, 77);
         let eng = Engine::new(set, EngineConfig::default());
         let mut updates: Vec<Update> = (0..60).map(Update::Remove).collect();
@@ -1855,8 +1726,6 @@ mod tests {
 
     #[test]
     fn merged_quant_plan_serves_after_updates_and_matches_fresh_bitwise() {
-        // Large enough that the merged path's sublinear queries clearly win
-        // the cost model once the dynamic structure exists.
         let set = workload::random_discrete_set(3000, 3, 4.0, 99);
         let eng = Engine::new(set, EngineConfig::default());
         let mut updates: Vec<Update> = (0..40).map(Update::Remove).collect();
@@ -1893,8 +1762,8 @@ mod tests {
     #[test]
     fn snap_grid_disables_the_merged_plan_and_stays_certified() {
         // With a snap grid, quant answers are certified interval evaluations
-        // over the flat live set — the planner must not advertise
-        // quant:merged (whose cost model the snapped branch would bypass).
+        // over the flat live set — the planner serves quant:snapped, never
+        // quant:merged.
         let set = workload::random_discrete_set(3000, 3, 4.0, 55);
         let eng = Engine::new(
             set,
@@ -1909,8 +1778,9 @@ mod tests {
             .map(|q| QueryRequest::TopK { q, k: 3 })
             .collect();
         let resp = eng.run_batch(&batch);
-        assert_eq!(resp.stats.plan.quant, Some(QuantPlan::Exact));
+        assert_eq!(resp.stats.plan.quant, Some(QuantPlan::Snapped));
         assert_eq!(resp.stats.quant_merged_evals, 0);
+        assert_eq!(resp.stats.quant_fresh_evals, resp.stats.cache_misses);
         // Snapped answers stay certified against the exact sweep.
         let fresh = eng.live_set();
         let ids = eng.site_ids();
@@ -2038,54 +1908,6 @@ mod tests {
     }
 
     #[test]
-    fn planner_switches_plans_with_scale() {
-        let small = engine(12, EngineConfig::default()).1;
-        let tiny_batch: Vec<QueryRequest> = workload::random_queries(4, 50.0, 5)
-            .into_iter()
-            .map(|q| QueryRequest::Nonzero { q })
-            .collect();
-        let plan_small = small.run_batch(&tiny_batch).stats.plan;
-        assert_eq!(plan_small.nonzero, Some(NonzeroPlan::Brute));
-
-        // The index build amortizes over a batch this large, beating the
-        // bucket structure's per-bucket fan-out.
-        let large = Engine::new(
-            workload::random_discrete_set(3000, 3, 4.0, 1),
-            EngineConfig::default(),
-        );
-        let big_batch: Vec<QueryRequest> = workload::random_queries(4096, 60.0, 6)
-            .into_iter()
-            .map(|q| QueryRequest::Nonzero { q })
-            .collect();
-        let plan_large = large.run_batch(&big_batch).stats.plan;
-        assert_eq!(plan_large.nonzero, Some(NonzeroPlan::Index));
-    }
-
-    #[test]
-    fn diagram_plan_answers_correctly() {
-        // Tiny set + enormous nonzero batch → V≠0 point location.
-        let set = workload::random_discrete_set(6, 2, 3.0, 42);
-        let eng = Engine::new(
-            set.clone(),
-            EngineConfig {
-                threads: Some(2),
-                ..EngineConfig::default()
-            },
-        );
-        // Force the plan via planner inputs: a batch large enough that the
-        // diagram build amortizes.
-        let batch: Vec<QueryRequest> = workload::random_queries(64, 40.0, 78)
-            .iter()
-            .cycle()
-            .take(200_000 / 64 * 64)
-            .map(|&q| QueryRequest::Nonzero { q })
-            .collect();
-        let resp = eng.run_batch(&batch);
-        assert_eq!(resp.stats.plan.nonzero, Some(NonzeroPlan::Diagram));
-        assert_oracle(&eng, &batch[..512], &resp.results[..512]);
-    }
-
-    #[test]
     fn empty_batch_and_empty_set() {
         let (_, eng) = engine(10, EngineConfig::default());
         let resp = eng.run_batch(&[]);
@@ -2130,34 +1952,6 @@ mod tests {
         assert!(s.throughput_qps() > 0.0);
         assert!((0.0..=1.0).contains(&s.worker_utilization()));
         assert_eq!(s.nonzero_guarantee, Some(Guarantee::Exact));
-        assert!((0.0..=1.0).contains(&s.predicate_filter_hit_rate()));
-    }
-
-    #[test]
-    fn diagram_batches_report_predicate_stats() {
-        // A diagram build runs thousands of adaptive predicates; on random
-        // inputs virtually all of them resolve in the f64 filter.
-        let set = workload::random_discrete_set(6, 2, 3.0, 7);
-        let eng = Engine::new(set, EngineConfig::default());
-        let batch: Vec<QueryRequest> = workload::random_queries(64, 40.0, 8)
-            .iter()
-            .cycle()
-            .take(8192)
-            .map(|&q| QueryRequest::Nonzero { q })
-            .collect();
-        let resp = eng.run_batch(&batch);
-        assert_eq!(resp.stats.plan.nonzero, Some(NonzeroPlan::Diagram));
-        let s = &resp.stats;
-        assert!(
-            s.predicate_filter_hits > 1000,
-            "diagram build should exercise the predicate filter (hits: {})",
-            s.predicate_filter_hits
-        );
-        assert!(
-            s.predicate_filter_hit_rate() > 0.9,
-            "fast path should dominate on random inputs (rate: {})",
-            s.predicate_filter_hit_rate()
-        );
     }
 
     #[test]
@@ -2182,11 +1976,11 @@ mod tests {
     #[test]
     fn probabilistic_guarantee_uses_monte_carlo_deterministically() {
         // The planner's Monte-Carlo crossover is a planner unit test. Here:
-        // the engine seeds its sampler from `mc_seed`, so two builds from
+        // the engine seeds its sampler from `MC_SEED`, so two builds from
         // one seed estimate identically…
         let set = workload::spread_discrete_set(400, 3, 1e5, 19);
         let build = || {
-            let mut rng = StdRng::seed_from_u64(EngineConfig::default().mc_seed);
+            let mut rng = StdRng::seed_from_u64(MC_SEED);
             MonteCarloPnn::build_discrete(&set, 256, SampleBackend::KdTree, &mut rng)
         };
         let (a, b) = (build(), build());

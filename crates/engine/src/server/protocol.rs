@@ -36,8 +36,9 @@
 //! [`WireError::TooLarge`], a stream ending mid-frame is
 //! [`WireError::Truncated`], an unknown opcode is
 //! [`WireError::BadOpcode`], and any body that is too short, too long,
-//! non-finite where a coordinate/weight is required, or over a count cap
-//! is [`WireError::Malformed`]. A clean close *between* frames is
+//! non-finite where a coordinate/weight is required, non-positive where a
+//! weight or `tau` is required, or over a count cap is
+//! [`WireError::Malformed`]. A clean close *between* frames is
 //! [`WireError::Eof`]. The server maps these to typed
 //! [`ErrorCode`] replies or a clean close — see [`super`] for which.
 
@@ -421,6 +422,10 @@ pub fn decode_request(opcode: u8, body: &[u8]) -> Result<Request, WireError> {
         op::REQ_THRESHOLD => {
             let q = read_point(&mut c)?;
             let tau = c.finite("tau")?;
+            // τ ≤ 0 would admit every live site, π = 0 included.
+            if tau <= 0.0 {
+                return Err(WireError::Malformed("non-positive tau"));
+            }
             Request::Query(QueryRequest::Threshold { q, tau })
         }
         op::REQ_TOPK => {

@@ -757,9 +757,9 @@ mod tests {
         cfg.cache_capacity = 0;
         let eng = Engine::new(set.clone(), cfg);
 
-        // All-quantification batch: at this scale the planner serves NN≠0
-        // by brute over the flat union (which never scatters), so only the
-        // merged-quant reads exercise — and count — the box pruning.
+        // All-quantification batch: NN≠0 reads scatter and prune the same
+        // way, but two merged-quant reads per query point keep the counted
+        // reads at exactly four.
         let batch: Vec<QueryRequest> = [(-120.0, -120.0), (120.0, 120.0)]
             .iter()
             .flat_map(|&(x, y)| {

@@ -31,8 +31,8 @@ const ZERO_THRESH: f64 = 1e-12;
 /// its own distance **plus `shift`**. `ties_count` selects `≤` (`true`, the
 /// exact Eq. (2) semantics) or `<` cdf accumulation at the contribution key.
 ///
-/// `shift = 0, ties_count = true` reproduces
-/// [`uncertain_nn::quantification::exact::quantification_discrete`] exactly.
+/// `shift = 0, ties_count = true` reproduces the core library's exact
+/// Eq. (2) evaluator (`uncertain_nn::quantification::exact`) bit for bit.
 pub fn quantification_shifted(
     set: &DiscreteSet,
     q: Point,

@@ -168,6 +168,33 @@ fn hostile_frames_get_typed_errors_or_clean_close() {
     h.shutdown();
 }
 
+/// A threshold `τ ≤ 0` would admit every live site, `π = 0` included, so
+/// decoding rejects it as `Malformed` (a typed reply on a surviving
+/// connection, like the malformed body of (d) above) before it can reach
+/// an engine.
+#[test]
+fn non_positive_threshold_decodes_as_malformed() {
+    let body = |tau: f64| -> Vec<u8> {
+        [0.5f64, -0.5, tau]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect()
+    };
+    for tau in [0.0, -0.0, -0.5] {
+        assert!(
+            matches!(
+                protocol::decode_request(op::REQ_THRESHOLD, &body(tau)),
+                Err(WireError::Malformed(_))
+            ),
+            "tau = {tau}"
+        );
+    }
+    assert!(matches!(
+        protocol::decode_request(op::REQ_THRESHOLD, &body(0.05)),
+        Ok(Request::Query(QueryRequest::Threshold { tau, .. })) if tau == 0.05
+    ));
+}
+
 #[test]
 fn overload_sheds_with_typed_error_and_queue_drains() {
     // Bound 2, slow 50 ms window, tiny batches: a 40-query burst must
