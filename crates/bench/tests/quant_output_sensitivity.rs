@@ -1,0 +1,100 @@
+//! Output-sensitivity of exact quantification serving: warm `quant:merged`
+//! TopK batches must allocate per query in proportion to the answer, not
+//! to the live site count. By Lemma 2.1 only `NN≠0(q)` can carry `π > 0`,
+//! and at constant site density its size does not grow with `n`, so heap
+//! bytes per query must stay flat from n = 4 096 to n = 65 536 (16× the
+//! sites). A sweep or answer that kept `n`-length state would scale ~16×.
+//!
+//! The binary installs [`CountingAlloc`] to read heap traffic, and holds a
+//! single test so no sibling test allocates while it measures.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use uncertain_bench::measure::{heap_counters, CountingAlloc};
+use uncertain_engine::{Engine, EngineConfig, QuantPlan, QueryRequest};
+use uncertain_geom::Point;
+use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Sites per unit area, held constant across sizes.
+const DENSITY: f64 = 2.0;
+/// Locations per site, all within a box of this side around its center.
+const K: usize = 3;
+const CLUSTER: f64 = 4.0;
+const BATCH: usize = 256;
+
+/// Side of the square holding `n` sites at [`DENSITY`].
+fn side(n: usize) -> f64 {
+    (n as f64 / DENSITY).sqrt()
+}
+
+fn sites(n: usize, seed: u64) -> DiscreteSet {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let half = side(n) / 2.0;
+    let r = CLUSTER / 2.0;
+    DiscreteSet::new(
+        (0..n)
+            .map(|_| {
+                let c = Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half));
+                let locs = (0..K)
+                    .map(|_| Point::new(c.x + rng.gen_range(-r..r), c.y + rng.gen_range(-r..r)))
+                    .collect();
+                let weights = (0..K).map(|_| rng.gen_range(0.2..1.0)).collect();
+                DiscreteUncertainPoint::new(locs, weights)
+            })
+            .collect(),
+    )
+}
+
+fn topk_batch(n: usize, seed: u64) -> Vec<QueryRequest> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let half = side(n) / 2.0;
+    (0..BATCH)
+        .map(|_| QueryRequest::TopK {
+            q: Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half)),
+            k: 3,
+        })
+        .collect()
+}
+
+/// Heap bytes per query of a warm, uncached, single-threaded merged TopK
+/// batch over `n` sites (the least of three batches, so a one-off
+/// allocation cannot decide the figure).
+fn heap_bytes_per_query(n: usize) -> f64 {
+    let eng = Engine::new(
+        sites(n, 7),
+        EngineConfig {
+            threads: Some(1),
+            cache_capacity: 0,
+            ..EngineConfig::default()
+        },
+    );
+    // The first batch builds the lazy per-bucket summaries.
+    eng.run_batch(&topk_batch(n, 8));
+    (0..3)
+        .map(|round| {
+            let batch = topk_batch(n, 9 + round);
+            let b0 = heap_counters().0;
+            let resp = eng.run_batch(&batch);
+            let bytes = heap_counters().0 - b0;
+            assert_eq!(resp.stats.plan.quant, Some(QuantPlan::Merged), "n = {n}");
+            assert_eq!(resp.stats.quant_merged_evals, BATCH, "n = {n}");
+            bytes as f64 / BATCH as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+#[test]
+fn merged_topk_heap_per_query_is_independent_of_n() {
+    let small = heap_bytes_per_query(4_096);
+    let large = heap_bytes_per_query(65_536);
+    println!("heap bytes/query: n = 4096: {small:.0}, n = 65536: {large:.0}");
+    assert!(small > 0.0, "CountingAlloc is not installed");
+    assert!(
+        large <= 2.0 * small,
+        "heap per query grew {:.1}× for 16× the sites ({small:.0} → {large:.0} B)",
+        large / small
+    );
+}

@@ -15,7 +15,8 @@
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-use super::quant::QuantIndex;
+use super::quant::{BucketQuantStream, QuantIndex};
+use super::SiteId;
 use crate::expected::ExpectedNnIndex;
 use crate::model::{DiscreteSet, DiscreteUncertainPoint};
 use crate::nonzero::DiscreteNonzeroIndex;
@@ -50,6 +51,11 @@ pub(crate) struct Bucket {
     /// Entry indices into the dynamic set's entry slab, parallel to
     /// `sites` (ascending public site id — deterministic local order).
     pub entry_idxs: Vec<u32>,
+    /// Local → public site id, parallel to `sites`: strictly ascending and
+    /// immutable for the bucket's lifetime (a site that moves or dies is
+    /// tombstoned here, never relabeled), so query paths read a local's id
+    /// without chasing the entry slab.
+    ids: Vec<SiteId>,
     /// Shared site payloads.
     sites: Vec<Arc<DiscreteUncertainPoint>>,
     /// Σ locations over `sites`.
@@ -73,14 +79,18 @@ pub(crate) struct Bucket {
 }
 
 impl Bucket {
-    /// Builds a bucket over `sites` (parallel to `entry_idxs`), choosing
-    /// indexed vs brute evaluation by total location count.
+    /// Builds a bucket over `sites` (parallel to `entry_idxs` and to their
+    /// strictly ascending public `ids`), choosing indexed vs brute
+    /// evaluation by total location count.
     pub fn build(
         entry_idxs: Vec<u32>,
+        ids: Vec<SiteId>,
         sites: Vec<Arc<DiscreteUncertainPoint>>,
         index_min_locations: usize,
     ) -> Self {
         debug_assert_eq!(entry_idxs.len(), sites.len());
+        debug_assert_eq!(ids.len(), sites.len());
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "bucket ids ascend");
         let total: usize = sites.iter().map(|s| s.k()).sum();
         let indexed = sites.len() >= 2 && total >= index_min_locations;
         let nonzero = indexed.then(|| DiscreteNonzeroIndex::build(&materialize(&sites)));
@@ -88,6 +98,7 @@ impl Bucket {
             Aabb::from_points(sites.iter().flat_map(|s| s.locations().iter().copied()));
         Bucket {
             entry_idxs,
+            ids,
             sites,
             total_locations: total,
             nonzero,
@@ -112,9 +123,10 @@ impl Bucket {
         &self.support_aabb
     }
 
-    /// Locations of local site `local`.
-    pub fn site_k(&self, local: usize) -> usize {
-        self.sites[local].k()
+    /// Public id of local site `local`.
+    #[inline]
+    pub fn id(&self, local: usize) -> SiteId {
+        self.ids[local]
     }
 
     /// The stage-1 group index of an indexed bucket (site id = local index)
@@ -124,9 +136,13 @@ impl Bucket {
         self.nonzero.as_ref().map(|idx| idx.groups())
     }
 
-    /// The mergeable quantification summary, built on first use.
-    pub fn quant_index(&self) -> &QuantIndex {
-        self.quant.get_or_init(|| QuantIndex::build(&self.sites))
+    /// The bucket's distance-ordered live entry stream for `q`, keyed by
+    /// public site id (`alive` is the slot's tombstone bitmap). Builds the
+    /// mergeable quantification summary on first use.
+    pub fn quant_stream<'a>(&'a self, q: Point, alive: &'a [u64]) -> BucketQuantStream<'a> {
+        self.quant
+            .get_or_init(|| QuantIndex::build(&self.sites))
+            .stream(q, &self.ids, alive)
     }
 
     /// Whether the quantification summary is already built (a warm bucket

@@ -39,9 +39,13 @@
 //!   **merged** path ([`DynamicSet::quantification_merged`]) k-way-merges
 //!   per-bucket distance-ordered streams drawn from lazily-built,
 //!   `Arc`-shared bucket summaries (tombstones filtered at draw time),
-//!   letting the sweep's early exit skip almost all entries. Both produce
-//!   the identical entry sequence through identical arithmetic, so both
-//!   are **bit-identical** to a rebuild from scratch (enforced by
+//!   letting the sweep's early exit skip almost all entries. The merged
+//!   path is output-sensitive end to end: streams emit stable site ids,
+//!   the sweep keeps state only for drawn sites, and the answer is the
+//!   `(id, π)` pairs with `π > 0` — no per-query or per-mutation `O(n)`
+//!   setup. Both produce the identical entry sequence (up to the
+//!   id ↔ dense-rank relabeling) through identical arithmetic, so both are
+//!   **bit-identical** to a rebuild from scratch (enforced by
 //!   `tests/dynamic_differential.rs`).
 //! * Expected-distance NN takes the minimum of per-bucket branch-and-bound
 //!   queries.
@@ -79,9 +83,9 @@ use std::sync::{Arc, OnceLock};
 
 use crate::model::{DiscreteSet, DiscreteUncertainPoint};
 use crate::quantification::exact::quantification_sweep;
-use crate::quantification::sweep::{sweep, KWayMerge};
+use crate::quantification::sweep::{sweep_sparse, KWayMerge};
 use bucket::Bucket;
-use quant::NO_DENSE;
+use quant::BucketQuantStream;
 use uncertain_geom::{Aabb, Point};
 
 /// Stable handle of a site across updates. Ids are assigned by
@@ -202,7 +206,8 @@ pub struct QuantMergeStats {
     pub warm_buckets: usize,
     /// Entries the merge actually drew before the sweep's early exit.
     pub entries_merged: usize,
-    /// Live locations a fresh sweep would have assembled and sorted.
+    /// Live locations a fresh sweep would have assembled and sorted (an
+    /// `O(1)` read of the counter every mutation maintains).
     pub live_locations: usize,
     /// Shards whose streams joined the merge (sharded reader only; a
     /// monolithic set leaves this 0). With spatial partitioning, shards
@@ -250,6 +255,8 @@ struct Entry {
 struct Slot {
     bucket: Arc<Bucket>,
     alive: Vec<u64>,
+    /// Set bits of `alive`: a fully-dead bucket (0) joins no query.
+    live: usize,
     /// Live-count overlay for the bucket's [`GroupIndex`]
     /// (uncertain_spatial::GroupIndex); `None` for brute buckets.
     group_live: Option<Vec<u32>>,
@@ -261,6 +268,7 @@ impl Slot {
             // Trailing bits of the last word stay clear, so the bucket's
             // word-at-a-time live iteration needs no end-of-slab masking.
             alive: uncertain_spatial::soa::bitmap_filled(bucket.entry_idxs.len(), true),
+            live: bucket.entry_idxs.len(),
             group_live: bucket.group_index().map(|g| g.live_counts()),
             bucket,
         }
@@ -269,6 +277,7 @@ impl Slot {
     #[inline]
     fn kill(&mut self, local: usize) {
         self.alive[local >> 6] &= !(1u64 << (local & 63));
+        self.live -= 1;
         if let Some(counts) = &mut self.group_live {
             self.bucket
                 .group_index()
@@ -308,27 +317,25 @@ pub struct DynamicSet {
     /// tombstone bitmap), if any.
     buckets: Vec<Option<Slot>>,
     live: usize,
+    /// Σ locations over live sites — what a fresh sweep would sort; kept
+    /// by every mutation so readers (the planner, merge statistics) get it
+    /// in `O(1)`.
+    live_locations: usize,
     /// Tombstoned entries still referenced by some bucket.
     dead: usize,
     config: DynamicConfig,
     stats: RebuildStats,
-    /// Query-invariant setup of the quantification paths (live-id list,
-    /// per-slot local→dense maps for the merged path, the live union's SoA
-    /// location slab for the fresh path), built once per mutation state and
-    /// shared by every query until the next update invalidates it. Cloned
-    /// snapshots inherit a warm cache.
-    merged_maps: OnceLock<Arc<MergedQueryMaps>>,
+    /// The fresh sweep's query-invariant setup, built once per mutation
+    /// state by the first fresh query and shared by every later one until
+    /// the next update invalidates it. The merged path never builds it.
+    /// Cloned snapshots inherit a warm view.
+    flat: OnceLock<Arc<FlatView>>,
 }
 
-/// See [`DynamicSet::merged_maps`].
-struct MergedQueryMaps {
-    /// Live ids, ascending — the dense order of the sweep output.
+/// See [`DynamicSet::flat`].
+struct FlatView {
+    /// Live ids, ascending — the dense order of the fresh sweep's output.
     ids: Vec<SiteId>,
-    /// Per Bentley–Saxe slot: the bucket's local→dense map, `None` for
-    /// unoccupied slots and for buckets with no live site left.
-    dense: Vec<Option<Vec<u32>>>,
-    /// Σ locations over live sites — what a fresh sweep would sort.
-    live_locations: usize,
     /// The live union's locations flattened into SoA slabs (canonical
     /// ascending `(dense site, location)` order) — the fresh sweep's
     /// distance pass runs the chunked-lane kernel over it instead of
@@ -347,10 +354,11 @@ impl DynamicSet {
             stale_ids: 0,
             buckets: vec![],
             live: 0,
+            live_locations: 0,
             dead: 0,
             config,
             stats: RebuildStats::default(),
-            merged_maps: OnceLock::new(),
+            flat: OnceLock::new(),
         }
     }
 
@@ -377,10 +385,11 @@ impl DynamicSet {
             stale_ids: 0,
             buckets: vec![],
             live: n,
+            live_locations: set.points.iter().map(|p| p.k()).sum(),
             dead: 0,
             config,
             stats: RebuildStats::default(),
-            merged_maps: OnceLock::new(),
+            flat: OnceLock::new(),
         };
         s.bootstrap_buckets();
         s
@@ -393,6 +402,11 @@ impl DynamicSet {
 
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// Σ locations over the live sites, `O(1)`.
+    pub fn live_locations(&self) -> usize {
+        self.live_locations
     }
 
     /// Tombstoned entries still occupying bucket slots.
@@ -478,10 +492,10 @@ impl DynamicSet {
         }
     }
 
-    /// Drops the cached merged-quantification query maps; every mutation
-    /// that changes the live set or the bucket layout must call this.
+    /// Drops the cached flat view; every mutation that changes the live
+    /// set must call this.
     fn invalidate_query_maps(&mut self) {
-        self.merged_maps = OnceLock::new();
+        self.flat = OnceLock::new();
     }
 
     /// Inserts a site, returning its fresh stable id.
@@ -604,10 +618,11 @@ impl DynamicSet {
             stale_ids: self.stale_ids,
             buckets: self.buckets.clone(),
             live: self.live,
+            live_locations: self.live_locations,
             dead: self.dead,
             config: self.config,
             stats: self.stats,
-            merged_maps: self.merged_maps.clone(),
+            flat: self.flat.clone(),
         }
     }
 
@@ -721,6 +736,7 @@ impl DynamicSet {
         };
         let entry = &mut self.entries[e as usize];
         entry.alive = false;
+        self.live_locations -= entry.site.k();
         if let Some((slot, local)) = entry.place {
             self.buckets[slot as usize]
                 .as_mut()
@@ -785,6 +801,7 @@ impl DynamicSet {
     /// and points the handle at it.
     fn push_entry(&mut self, id: SiteId, site: DiscreteUncertainPoint) -> u32 {
         let e = self.entries.len() as u32;
+        self.live_locations += site.k();
         self.entries.push(Entry {
             site: Arc::new(site),
             id,
@@ -853,11 +870,17 @@ impl DynamicSet {
         for (local, &e) in pool.iter().enumerate() {
             self.entries[e as usize].place = Some((slot as u32, local as u32));
         }
+        let ids = pool.iter().map(|&e| self.entries[e as usize].id).collect();
         let sites = pool
             .iter()
             .map(|&e| Arc::clone(&self.entries[e as usize].site))
             .collect();
-        let bucket = Arc::new(Bucket::build(pool, sites, self.config.index_min_locations));
+        let bucket = Arc::new(Bucket::build(
+            pool,
+            ids,
+            sites,
+            self.config.index_min_locations,
+        ));
         self.buckets[slot] = Some(Slot::new(bucket));
     }
 
@@ -909,7 +932,7 @@ impl DynamicSet {
         if self.live == 0 {
             return None;
         }
-        let mut best = (f64::INFINITY, u32::MAX); // (Δ, entry index)
+        let mut best = (f64::INFINITY, SiteId::MAX); // (Δ, id)
         let mut second = f64::INFINITY;
         for slot in self.buckets.iter().flatten() {
             let Some((d, local, s)) =
@@ -918,10 +941,9 @@ impl DynamicSet {
             else {
                 continue;
             };
-            let e = slot.bucket.entry_idxs[local];
             if d < best.0 {
                 second = best.0;
-                best = (d, e);
+                best = (d, slot.bucket.id(local));
             } else if d < second {
                 second = d;
             }
@@ -929,7 +951,7 @@ impl DynamicSet {
                 second = s;
             }
         }
-        Some((best.0, self.entries[best.1 as usize].id, second))
+        Some((best.0, best.1, second))
     }
 
     /// Stage 2 of `NN≠0(q)`: range-report this set's candidates against the
@@ -950,17 +972,10 @@ impl DynamicSet {
         // d2 = ∞ only with a single live site, whose δ ≤ Δ = d1 keeps it
         // inside the closed range query; its bound stays +∞ (min over ∅).
         let radius = if d2.is_finite() { d2 } else { d1 };
-        let entries = &self.entries;
         for slot in self.buckets.iter().flatten() {
             let b = &slot.bucket;
-            let mut bound = |local: usize| {
-                if entries[b.entry_idxs[local] as usize].id == best_id {
-                    d2
-                } else {
-                    d1
-                }
-            };
-            let mut push = |local: usize| out.push(entries[b.entry_idxs[local] as usize].id);
+            let mut bound = |local: usize| if b.id(local) == best_id { d2 } else { d1 };
+            let mut push = |local: usize| out.push(b.id(local));
             b.report_where(q, radius, &slot.alive, &mut bound, &mut push);
         }
     }
@@ -976,131 +991,91 @@ impl DynamicSet {
     /// prefers [`quantification_merged`](Self::quantification_merged) once
     /// the structure is warm.
     pub fn quantification(&self, q: Point) -> Vec<(SiteId, f64)> {
-        let maps = self.maps();
+        let flat = self.flat();
         let mut scratch = vec![];
         let mut entries: Vec<(f64, usize, f64)> = vec![];
-        maps.live_slab.entries_into(q, &mut scratch, &mut entries);
-        let pi = quantification_sweep(entries, maps.ids.len());
-        maps.ids.iter().copied().zip(pi).collect()
+        flat.live_slab.entries_into(q, &mut scratch, &mut entries);
+        let pi = quantification_sweep(entries, flat.ids.len());
+        flat.ids.iter().copied().zip(pi).collect()
     }
 
-    /// All quantification probabilities over the live sites by the
-    /// **merged** path: each bucket lazily builds (then keeps warm, shared
-    /// across epoch snapshots) a query-free sorted summary over its
-    /// locations, a query draws per-bucket distance-ordered streams with
+    /// The nonzero quantification probabilities over the live sites by the
+    /// **merged** path, as `(id, π)` pairs with `π > 0` in ascending id
+    /// order (every live site absent from the answer has `π = 0` exactly —
+    /// by Lemma 2.1 the answer's ids lie in [`nonzero`](Self::nonzero)).
+    /// Each bucket lazily builds (then keeps warm, shared across epoch
+    /// snapshots) a query-free sorted summary over its locations, a query
+    /// draws per-bucket distance-ordered streams of stable ids with
     /// tombstones filtered at draw time, and a k-way merge across the
     /// `O(log n)` buckets feeds the shared Eq. (2) sweep core with its
-    /// early exit. Answers are **bit-identical** to
-    /// [`quantification`](Self::quantification) (and hence to a fresh
-    /// static build): the merge reproduces the fresh path's exact entry
-    /// order, and the recombination across buckets is exact because
-    /// survival factors multiply independently across sites. Enforced by
+    /// early exit. Per-query work and memory are `O(drawn entries)` plus
+    /// the bucket fan-out — nothing is `O(n)`. Answers are
+    /// **bit-identical** to [`quantification`](Self::quantification) (and
+    /// hence to a fresh static build): the merge reproduces the fresh
+    /// path's exact entry order up to the id ↔ dense-rank relabeling, and
+    /// the recombination across buckets is exact because survival factors
+    /// multiply independently across sites. Enforced by
     /// `tests/dynamic_differential.rs` under every op interleaving.
     pub fn quantification_merged(&self, q: Point) -> Vec<(SiteId, f64)> {
-        let pi = self.quantification_merged_with_stats(q).0;
-        self.maps().ids.iter().copied().zip(pi).collect()
+        self.quantification_merged_with_stats(q).0
     }
 
-    /// [`quantification_merged`](Self::quantification_merged) as the dense
-    /// `π` vector in ascending live-id order (entry `d` belongs to site
-    /// [`live_ids`](Self::live_ids)`()[d]`), plus the per-query reuse
-    /// metrics the serving engine aggregates. The vector is the sweep's own
-    /// allocation, so its capacity equals its length.
-    pub fn quantification_merged_with_stats(&self, q: Point) -> (Vec<f64>, QuantMergeStats) {
-        let mut stats = QuantMergeStats::default();
-        let maps = self.maps();
-        let n = maps.ids.len();
-        if n == 0 {
-            return (vec![], stats);
-        }
-        stats.live_locations = maps.live_locations;
+    /// [`quantification_merged`](Self::quantification_merged) plus the
+    /// per-query reuse metrics the serving engine aggregates.
+    pub fn quantification_merged_with_stats(
+        &self,
+        q: Point,
+    ) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
+        let mut stats = QuantMergeStats {
+            live_locations: self.live_locations,
+            ..QuantMergeStats::default()
+        };
         let mut streams = vec![];
-        for (slot, dense_of_local) in self.buckets.iter().zip(&maps.dense) {
-            let (Some(slot), Some(dense_of_local)) = (slot, dense_of_local) else {
-                continue; // unoccupied slot, or a fully-dead bucket
-            };
-            stats.buckets += 1;
-            if slot.bucket.quant_warm() {
-                stats.warm_buckets += 1;
-            }
-            streams.push(
-                slot.bucket
-                    .quant_index()
-                    .stream(q, dense_of_local, &slot.alive),
-            );
-        }
+        self.open_quant_streams(q, &mut streams, &mut stats);
         let mut merge = KWayMerge::new(streams);
-        let pi = sweep(&mut merge, n);
+        let pi = sweep_sparse(&mut merge);
         stats.entries_merged = merge.consumed();
         (pi, stats)
     }
 
-    /// The merged path's query-invariant setup (live-id list + per-slot
-    /// local→dense maps), cached per mutation state: a serving batch pays
-    /// its O(n) construction once, every later query just draws streams.
-    fn maps(&self) -> &MergedQueryMaps {
-        self.merged_maps
-            .get_or_init(|| Arc::new(self.build_merged_maps()))
-    }
-
-    /// Builds the merged path's query-invariant maps (see
-    /// [`MergedQueryMaps`]): `O(n log n)` once per mutation state.
-    fn build_merged_maps(&self) -> MergedQueryMaps {
-        let ids = self.live_ids();
-        let (dense, live_locations) = self.dense_maps_for(&ids);
-        let mut live_slab =
-            crate::quantification::slab::LocationSlab::with_capacity(live_locations);
-        for (dense_idx, &id) in ids.iter().enumerate() {
-            let site = &self.entries[self.handles[&id] as usize].site;
-            for (&loc, &w) in site.locations().iter().zip(site.weights()) {
-                live_slab.push(dense_idx, loc, w);
-            }
-        }
-        MergedQueryMaps {
-            ids,
-            dense,
-            live_locations,
-            live_slab,
-        }
-    }
-
-    /// Per-slot local→dense maps against an externally-supplied dense id
-    /// order, plus the Σ of live locations: the shared core of the
-    /// monolithic merged maps (dense order = this set's own live ids) and
-    /// the sharded gather maps (dense order = the *union* of all shards'
-    /// live ids, so per-shard streams emit globally-dense indices and the
-    /// cross-shard k-way merge reproduces the monolithic entry sequence).
-    /// `ids` must be sorted ascending and contain every live id of `self`.
-    fn dense_maps_for(&self, ids: &[SiteId]) -> (Vec<Option<Vec<u32>>>, usize) {
-        let mut dense = Vec::with_capacity(self.buckets.len());
-        let mut live_locations = 0;
-        for slot in &self.buckets {
-            let Some(slot) = slot else {
-                dense.push(None);
+    /// Opens one id-keyed stream per bucket with a live site (fully-dead
+    /// buckets are skipped), counting them and their warm summaries into
+    /// `stats` — the per-set half of every merged query, monolithic or
+    /// sharded.
+    fn open_quant_streams<'a>(
+        &'a self,
+        q: Point,
+        streams: &mut Vec<BucketQuantStream<'a>>,
+        stats: &mut QuantMergeStats,
+    ) {
+        for slot in self.buckets.iter().flatten() {
+            if slot.live == 0 {
                 continue;
-            };
-            let b = &slot.bucket;
-            // Dead locals keep NO_DENSE; the stream's alive-bitmap filter
-            // never lets them through.
-            let mut any_live = false;
-            let map: Vec<u32> = b
-                .entry_idxs
-                .iter()
-                .enumerate()
-                .map(|(local, &e)| {
-                    let entry = &self.entries[e as usize];
-                    if entry.alive {
-                        any_live = true;
-                        live_locations += b.site_k(local);
-                        ids.binary_search(&entry.id).map_or(NO_DENSE, |d| d as u32)
-                    } else {
-                        NO_DENSE
-                    }
-                })
-                .collect();
-            dense.push(any_live.then_some(map));
+            }
+            stats.buckets += 1;
+            if slot.bucket.quant_warm() {
+                stats.warm_buckets += 1;
+            }
+            streams.push(slot.bucket.quant_stream(q, &slot.alive));
         }
-        (dense, live_locations)
+    }
+
+    /// The fresh path's query-invariant setup (ascending live-id list + the
+    /// live union's SoA slab), cached per mutation state: `O(N)` once, then
+    /// shared by every fresh query until the next update.
+    fn flat(&self) -> &FlatView {
+        self.flat.get_or_init(|| {
+            let ids = self.live_ids();
+            let mut live_slab =
+                crate::quantification::slab::LocationSlab::with_capacity(self.live_locations);
+            for (dense_idx, &id) in ids.iter().enumerate() {
+                let site = &self.entries[self.handles[&id] as usize].site;
+                for (&loc, &w) in site.locations().iter().zip(site.weights()) {
+                    live_slab.push(dense_idx, loc, w);
+                }
+            }
+            Arc::new(FlatView { ids, live_slab })
+        })
     }
 
     /// Warm/cold split of the per-bucket quantification summaries, in
@@ -1142,11 +1117,10 @@ impl DynamicSet {
     /// bitwise-equal values — the returned *value* is always the exact
     /// minimum, the witness id among exact ties is unspecified.
     pub fn expected_nn(&self, q: Point) -> Option<(SiteId, f64)> {
-        let entries = &self.entries;
         let mut best: Option<(SiteId, f64)> = None;
         for slot in self.buckets.iter().flatten() {
             if let Some((local, e)) = slot.bucket.expected_nn_where(q, &slot.alive) {
-                let id = entries[slot.bucket.entry_idxs[local] as usize].id;
+                let id = slot.bucket.id(local);
                 let better = match best {
                     None => true,
                     Some((bid, be)) => e < be || (e == be && id < bid),
@@ -1175,6 +1149,7 @@ mod tests {
         let fresh = d.live_set();
         let ids = d.live_ids();
         assert_eq!(fresh.len(), d.len());
+        assert_eq!(d.live_locations(), d.live_shape().0, "Σk counter drifted");
         for &q in queries {
             // NN≠0 vs brute Lemma 2.1 and vs a fresh Theorem 3.2 index.
             let got = d.nonzero(q);
@@ -1200,17 +1175,28 @@ mod tests {
                 assert_eq!(*id, ids[dense]);
                 assert_eq!(got.to_bits(), want.to_bits(), "π at {q}");
             }
+            // The merged path answers the sites with π > 0, ascending by id
+            // — a subset of NN≠0(q) (Lemma 2.1).
             let (pi_merged, mstats) = d.quantification_merged_with_stats(q);
-            assert_eq!(pi_merged.len(), pi_fresh.len());
-            assert_eq!(pi_merged.capacity(), pi_merged.len(), "no spare capacity");
-            for (got, want) in pi_merged.iter().zip(&pi_fresh) {
+            let want: Vec<(SiteId, f64)> = pi_fresh
+                .iter()
+                .enumerate()
+                .filter(|&(_, &p)| p > 0.0)
+                .map(|(dense, &p)| (ids[dense], p))
+                .collect();
+            assert_eq!(pi_merged.len(), want.len(), "merged answer size at {q}");
+            for ((id, got), (wid, want)) in pi_merged.iter().zip(&want) {
+                assert_eq!(id, wid, "merged ids at {q}");
                 assert_eq!(got.to_bits(), want.to_bits(), "merged π at {q}");
             }
-            let pairs = d.quantification_merged(q);
-            for ((id, got), (dense, want)) in pairs.iter().zip(pi_merged.iter().enumerate()) {
-                assert_eq!(*id, ids[dense]);
-                assert_eq!(got.to_bits(), want.to_bits(), "merged pairs at {q}");
-            }
+            let nonzero = d.nonzero(q);
+            assert!(
+                pi_merged
+                    .iter()
+                    .all(|(id, _)| nonzero.binary_search(id).is_ok()),
+                "merged answer outside NN≠0 at {q}"
+            );
+            assert_eq!(d.quantification_merged(q), pi_merged);
             assert!(mstats.entries_merged <= mstats.live_locations);
             let (pi_warm, wstats) = d.quantification_merged_with_stats(q);
             assert_eq!(pi_merged, pi_warm, "warm merged answer drifted at {q}");

@@ -19,23 +19,28 @@
 //! dead sites at draw time against the slot's alive bitmap, the same
 //! overlay the `NN≠0` path uses.
 //!
+//! Streams emit **stable site ids** (the bucket's immutable, ascending
+//! local → id list), not positions in some per-snapshot dense order, so a
+//! query needs no `O(n)` id map and the sweep keeps state only for the
+//! sites it draws.
+//!
 //! Ordering contract (what makes merged answers bit-identical to a fresh
 //! sweep): the kd iterator yields exact `q.dist(loc)` values in
 //! non-decreasing order, and the stream buffers each run of equal distances
-//! and sorts it by `(site, location index)` — precisely the tie order a
-//! stable distance sort of the canonical flat entry list produces.
+//! and sorts it by `(site id, location index)`. The fresh sweep's dense
+//! index of a site is the rank of its id among the ascending live ids — a
+//! strictly increasing relabeling — so `(d, id, location)` order is exactly
+//! the `(d, dense, location)` tie order a stable distance sort of the
+//! canonical flat entry list produces.
 
 use std::sync::Arc;
 
+use super::SiteId;
 use crate::model::DiscreteUncertainPoint;
 use crate::quantification::sweep::{SweepEntry, SweepSource};
 use uncertain_geom::Point;
 use uncertain_spatial::kdtree::NearestIter;
 use uncertain_spatial::KdTree;
-
-/// Marker for a local site with no live dense index (tombstoned, or a stale
-/// entry whose id has since moved to another bucket).
-pub(crate) const NO_DENSE: u32 = u32::MAX;
 
 /// A bucket's query-free sorted summary: kd-tree over locations + flat
 /// per-location tables.
@@ -74,22 +79,19 @@ impl QuantIndex {
         }
     }
 
-    /// Opens a distance-ordered live entry stream for `q`.
-    /// `dense_of_local[local]` maps the bucket's local sites to dense sweep
-    /// indices ([`NO_DENSE`] for dead locals — consistent with `alive`, the
-    /// slot's tombstone bitmap, which is what actually filters). The map is
-    /// borrowed: it is query-invariant, so the dynamic layer builds it once
-    /// per snapshot state and shares it across every query.
+    /// Opens a distance-ordered live entry stream for `q`. `ids[local]` is
+    /// the public id of the bucket's local site (strictly ascending);
+    /// `alive`, the slot's tombstone bitmap, filters dead locals.
     pub fn stream<'a>(
         &'a self,
         q: Point,
-        dense_of_local: &'a [u32],
+        ids: &'a [SiteId],
         alive: &'a [u64],
     ) -> BucketQuantStream<'a> {
         BucketQuantStream {
             index: self,
             iter: self.kd.nearest_iter(q),
-            dense_of_local,
+            ids,
             alive,
             lookahead: None,
             batch: vec![],
@@ -103,14 +105,15 @@ impl QuantIndex {
 pub(crate) struct BucketQuantStream<'a> {
     index: &'a QuantIndex,
     iter: NearestIter<'a>,
-    dense_of_local: &'a [u32],
+    /// Local → public site id.
+    ids: &'a [SiteId],
     /// The slot's tombstone bitmap (bit per local site).
     alive: &'a [u64],
     /// The first drawn kd item beyond the current equal-distance run.
     lookahead: Option<(f64, u32)>,
-    /// The current equal-distance run: `(dense, location index, weight)`,
+    /// The current equal-distance run: `(site id, location index, weight)`,
     /// sorted ascending — the stable-sort tie order.
-    batch: Vec<(u32, u32, f64)>,
+    batch: Vec<(SiteId, u32, f64)>,
     batch_pos: usize,
     batch_d: f64,
 }
@@ -121,7 +124,7 @@ impl BucketQuantStream<'_> {
         let local = self.index.owner[flat as usize] as usize;
         if self.alive[local >> 6] & (1u64 << (local & 63)) != 0 {
             self.batch.push((
-                self.dense_of_local[local],
+                self.ids[local],
                 self.index.loc_idx[flat as usize],
                 self.index.weight[flat as usize],
             ));
@@ -133,10 +136,9 @@ impl SweepSource for BucketQuantStream<'_> {
     fn next_entry(&mut self) -> Option<SweepEntry> {
         loop {
             if self.batch_pos < self.batch.len() {
-                let (dense, _, w) = self.batch[self.batch_pos];
+                let (id, _, w) = self.batch[self.batch_pos];
                 self.batch_pos += 1;
-                debug_assert_ne!(dense, NO_DENSE, "live local without a dense index");
-                return Some((self.batch_d, dense as usize, w));
+                return Some((self.batch_d, id, w));
             }
             // Refill: draw the next equal-distance run from the kd stream
             // (dead runs come out empty and the loop draws the next one).
@@ -161,8 +163,7 @@ impl SweepSource for BucketQuantStream<'_> {
                     None => break,
                 }
             }
-            self.batch
-                .sort_unstable_by_key(|&(dense, li, _)| (dense, li));
+            self.batch.sort_unstable_by_key(|&(id, li, _)| (id, li));
         }
     }
 }
@@ -170,7 +171,7 @@ impl SweepSource for BucketQuantStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantification::sweep::sweep;
+    use crate::quantification::sweep::sweep_sparse;
     use crate::workload;
 
     #[test]
@@ -180,9 +181,9 @@ mod tests {
             set.points.iter().map(|p| Arc::new(p.clone())).collect();
         let qi = QuantIndex::build(&sites);
         let alive = vec![u64::MAX; 1];
-        let dense: Vec<u32> = (0..sites.len() as u32).collect();
+        let ids: Vec<SiteId> = (0..sites.len()).collect();
         for q in workload::random_queries(10, 50.0, 92) {
-            let mut stream = qi.stream(q, &dense, &alive);
+            let mut stream = qi.stream(q, &ids, &alive);
             let mut got = vec![];
             while let Some(e) = stream.next_entry() {
                 got.push(e);
@@ -212,20 +213,14 @@ mod tests {
         let sites: Vec<Arc<DiscreteUncertainPoint>> =
             set.points.iter().map(|p| Arc::new(p.clone())).collect();
         let qi = QuantIndex::build(&sites);
-        // Kill locals 1, 4, 5; remap survivors to dense 0..5.
+        // Kill locals 1, 4, 5; label locals with sparse ascending ids.
         let mut alive = vec![u64::MAX; 1];
-        let mut dense = vec![NO_DENSE; 8];
-        let mut next = 0u32;
-        for (local, slot) in dense.iter_mut().enumerate() {
-            if [1usize, 4, 5].contains(&local) {
-                alive[0] &= !(1u64 << local);
-            } else {
-                *slot = next;
-                next += 1;
-            }
+        for local in [1usize, 4, 5] {
+            alive[0] &= !(1u64 << local);
         }
+        let ids: Vec<SiteId> = (0..8).map(|local| 1000 + 7 * local).collect();
         let q = Point::new(0.5, -0.5);
-        let mut stream = qi.stream(q, &dense, &alive);
+        let mut stream = qi.stream(q, &ids, &alive);
         let survivors = crate::model::DiscreteSet::new(
             set.points
                 .iter()
@@ -234,10 +229,20 @@ mod tests {
                 .map(|(_, p)| p.clone())
                 .collect(),
         );
-        let pi_stream = sweep(&mut stream, 5);
+        let pi_stream = sweep_sparse(&mut stream);
         let pi_fresh = crate::quantification::exact::quantification_discrete(&survivors, q);
-        for (a, b) in pi_stream.iter().zip(&pi_fresh) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // Survivor `dense` is local `live_locals[dense]`, id `ids[local]`.
+        let live_locals: Vec<usize> = (0..8).filter(|l| ![1, 4, 5].contains(l)).collect();
+        let want: Vec<(SiteId, f64)> = pi_fresh
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p > 0.0)
+            .map(|(dense, &p)| (ids[live_locals[dense]], p))
+            .collect();
+        assert_eq!(pi_stream.len(), want.len());
+        for ((gi, gp), (wi, wp)) in pi_stream.iter().zip(&want) {
+            assert_eq!(gi, wi);
+            assert_eq!(gp.to_bits(), wp.to_bits());
         }
     }
 }

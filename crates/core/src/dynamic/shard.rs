@@ -14,13 +14,14 @@
 //!   folds per-shard [`DynamicSet::nonzero_two_min`] triples with the same
 //!   fold the monolithic set applies per bucket, then gathers per-shard
 //!   range reports against the (globally identical) threshold floats.
-//! * Quantification — the k-way merge heap orders entries by
-//!   `(distance, dense site)`, and each site is in exactly one shard, so a
-//!   merge over *all shards'* bucket streams — with each stream mapping its
-//!   locals to **globally dense** indices (position in the union's
-//!   ascending live-id order, see [`DynamicSet::dense_maps_for`]) — draws
-//!   the exact entry sequence the monolithic merge draws, into the same
-//!   Eq. (2) sweep core.
+//! * Quantification — bucket streams emit stable site ids, the k-way merge
+//!   heap orders entries by `(distance, id)`, and each site is in exactly
+//!   one shard, so a merge over *all shards'* bucket streams draws the
+//!   exact entry sequence the monolithic merge draws, into the same Eq. (2)
+//!   sweep core. No cross-shard id map is needed: a site's dense index in
+//!   the union is the rank of its id among the union's ascending live ids,
+//!   a strictly increasing relabeling, so `(d, id)` ties order exactly as
+//!   `(d, dense)` ties do in the fresh sweep over the union.
 //! * Expected-distance NN — the minimum of per-shard branch-and-bound
 //!   minima, folded with the monolithic cross-bucket tie rule (exact ties
 //!   break to the smaller id; the witness among bitwise-equal values is
@@ -56,7 +57,7 @@ use std::sync::{Arc, OnceLock};
 
 use super::{DynamicSet, DynamicStats, QuantMergeStats, SiteId};
 use crate::model::DiscreteSet;
-use crate::quantification::sweep::{sweep, KWayMerge};
+use crate::quantification::sweep::{sweep_sparse, KWayMerge};
 use uncertain_geom::{Aabb, Point};
 
 /// Relative pruning slack for the expected-NN shard skip, mirroring the
@@ -75,27 +76,16 @@ pub fn shard_of(id: SiteId, shards: usize) -> usize {
     (((id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % shards as u64) as usize
 }
 
-/// Query-invariant gather state, built once per shard-epoch vector and
-/// shared by every query against that snapshot (the sharded analogue of the
-/// monolithic set's cached merged maps).
-struct GatherMaps {
-    /// Union of all shards' live ids, ascending — the dense order of the
-    /// merged sweep output, identical to the monolithic set's.
-    ids: Vec<SiteId>,
-    /// Per shard: per-slot local→*global*-dense maps.
-    dense: Vec<Vec<Option<Vec<u32>>>>,
-    /// Σ locations over the union's live sites.
-    live_locations: usize,
-}
-
 /// A read-only scatter-gather view over one snapshot of every shard.
 ///
 /// Holds `Arc` snapshots, so an in-flight reader is never disturbed by
-/// appliers publishing new shard epochs. Construction is O(S); the gather
-/// maps and per-shard support boxes are built lazily and cached.
+/// appliers publishing new shard epochs. Construction is O(S); the union's
+/// live-id list (only off-path consumers need it) and the per-shard support
+/// boxes are built lazily and cached.
 pub struct ShardedReader {
     shards: Vec<Arc<DynamicSet>>,
-    maps: OnceLock<GatherMaps>,
+    /// Union of all shards' live ids, ascending.
+    ids: OnceLock<Vec<SiteId>>,
     /// Per-shard support boxes (see [`DynamicSet::support_aabb`]).
     aabbs: OnceLock<Vec<Aabb>>,
 }
@@ -106,7 +96,7 @@ impl ShardedReader {
         assert!(!shards.is_empty(), "at least one shard");
         ShardedReader {
             shards,
-            maps: OnceLock::new(),
+            ids: OnceLock::new(),
             aabbs: OnceLock::new(),
         }
     }
@@ -143,11 +133,16 @@ impl ShardedReader {
         ids
     }
 
-    /// Union of live ids, ascending, built once per snapshot — the dense
-    /// order of every probability vector over this reader (merged answers,
-    /// and evaluations over [`live_set`](Self::live_set)).
+    /// Union of live ids, ascending, built once per snapshot by the first
+    /// caller (`O(n log n)`) — the dense order of evaluations over
+    /// [`live_set`](Self::live_set). Merged answers never need it.
     pub fn ids(&self) -> &[SiteId] {
-        &self.maps().ids
+        self.ids.get_or_init(|| self.live_ids())
+    }
+
+    /// Σ locations over the union's live sites, `O(S)`.
+    pub fn live_locations(&self) -> usize {
+        self.shards.iter().map(|s| s.live_locations()).sum()
     }
 
     /// Per-shard support boxes, built once per snapshot.
@@ -344,18 +339,15 @@ impl ShardedReader {
     }
 
     /// Merged quantification over the union: one k-way merge across the
-    /// surviving shards' bucket streams, each emitting globally-dense
-    /// indices, into the shared sweep core. Bit-identical to the monolithic
-    /// merged (and fresh) paths.
+    /// surviving shards' id-keyed bucket streams into the shared sweep
+    /// core, answering `(id, π)` for `π > 0` in ascending id order.
+    /// Bit-identical to the monolithic merged (and fresh) paths.
     pub fn quantification_merged(&self, q: Point) -> Vec<(SiteId, f64)> {
-        let pi = self.quantification_merged_with_stats(q).0;
-        self.ids().iter().copied().zip(pi).collect()
+        self.quantification_merged_with_stats(q).0
     }
 
-    /// [`quantification_merged`](Self::quantification_merged) as the dense
-    /// `π` vector in ascending live-id order (the sweep's own allocation,
-    /// capacity equal to length), plus the reuse metrics the serving engine
-    /// aggregates (buckets and warm
+    /// [`quantification_merged`](Self::quantification_merged) plus the
+    /// reuse metrics the serving engine aggregates (buckets and warm
     /// buckets count across the shards that joined the merge;
     /// `shards_touched` counts every shard the query read, including the
     /// threshold probe).
@@ -372,7 +364,7 @@ impl ShardedReader {
     /// batch at `d2`, so the driver's `zeros >= 2` exit fires no later than
     /// that batch. Every live site of a shard with `dist[s] > d2` has *all*
     /// entries at distance `> d2`, i.e. strictly after the exit batch in
-    /// the `(d, dense)` merge order — the sweep never processes them. (At
+    /// the `(d, id)` merge order — the sweep never processes them. (At
     /// most one such entry is drawn as the driver's batch-boundary
     /// lookahead and discarded; only [`KWayMerge::consumed`] — a statistic,
     /// not an answer — can differ.) Dropping those shards' streams
@@ -381,14 +373,14 @@ impl ShardedReader {
     /// the best shard's bound `=` every bound — so the threshold probe is
     /// skipped entirely and the driver degrades to the plain all-shards
     /// merge.
-    pub fn quantification_merged_with_stats(&self, q: Point) -> (Vec<f64>, QuantMergeStats) {
-        let mut stats = QuantMergeStats::default();
-        let maps = self.maps();
-        let n = maps.ids.len();
-        if n == 0 {
-            return (vec![], stats);
-        }
-        stats.live_locations = maps.live_locations;
+    pub fn quantification_merged_with_stats(
+        &self,
+        q: Point,
+    ) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
+        let mut stats = QuantMergeStats {
+            live_locations: self.live_locations(),
+            ..QuantMergeStats::default()
+        };
         let (dist, order) = self.scatter_order(q);
         let mut visited = vec![false; self.shards.len()];
         let uniform_bounds = match (order.first(), order.last()) {
@@ -409,29 +401,15 @@ impl ShardedReader {
                 break; // ascending order: every later shard is beyond too
             }
             visited[s] = true;
-            let shard = &self.shards[s];
-            for (slot, dense_of_local) in shard.buckets.iter().zip(&maps.dense[s]) {
-                let (Some(slot), Some(dense_of_local)) = (slot, dense_of_local) else {
-                    continue; // unoccupied slot, or a fully-dead bucket
-                };
-                stats.buckets += 1;
-                if slot.bucket.quant_warm() {
-                    stats.warm_buckets += 1;
-                }
-                streams.push(
-                    slot.bucket
-                        .quant_index()
-                        .stream(q, dense_of_local, &slot.alive),
-                );
-            }
+            self.shards[s].open_quant_streams(q, &mut streams, &mut stats);
         }
         // Stream *indices* differ from the monolithic merge (and between
-        // partitioners), but the heap's `(d, dense, stream)` tie-break
-        // never reaches the stream field on distinct sites (ordered by
-        // `dense`) and a single site's entries all share one stream — so
-        // the drawn entry sequence is independent of stream numbering.
+        // partitioners), but the heap's `(d, id, stream)` tie-break never
+        // reaches the stream field on distinct sites (ordered by id) and a
+        // single site's entries all share one stream — so the drawn entry
+        // sequence is independent of stream numbering.
         let mut merge = KWayMerge::new(streams);
-        let pi = sweep(&mut merge, n);
+        let pi = sweep_sparse(&mut merge);
         stats.entries_merged = merge.consumed();
         stats.shards_touched = visited.iter().filter(|&&v| v).count();
         (pi, stats)
@@ -484,24 +462,6 @@ impl ShardedReader {
         }
         (best, touched)
     }
-
-    fn maps(&self) -> &GatherMaps {
-        self.maps.get_or_init(|| {
-            let ids = self.live_ids();
-            let mut dense = Vec::with_capacity(self.shards.len());
-            let mut live_locations = 0;
-            for shard in &self.shards {
-                let (maps, locs) = shard.dense_maps_for(&ids);
-                dense.push(maps);
-                live_locations += locs;
-            }
-            GatherMaps {
-                ids,
-                dense,
-                live_locations,
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -536,7 +496,11 @@ mod tests {
         for &q in queries {
             assert_eq!(r.nonzero(q), mono.nonzero(q), "NN≠0 at {q}");
             let merged = r.quantification_merged(q);
-            let want = mono.quantification(q);
+            let want: Vec<(SiteId, f64)> = mono
+                .quantification(q)
+                .into_iter()
+                .filter(|&(_, p)| p > 0.0)
+                .collect();
             assert_eq!(merged.len(), want.len());
             for ((id, got), (wid, w)) in merged.iter().zip(&want) {
                 assert_eq!(id, wid);
@@ -707,7 +671,11 @@ mod tests {
             let (_, nz_touched) = r.nonzero_touched(q);
             assert!(nz_touched < shards, "NN≠0 touched {nz_touched} at {q}");
             let (pi, stats) = r.quantification_merged_with_stats(q);
-            assert_eq!(pi.capacity(), pi.len(), "no spare capacity");
+            let nonzero = r.nonzero(q);
+            assert!(
+                pi.iter().all(|(id, _)| nonzero.binary_search(id).is_ok()),
+                "answer ids outside NN≠0 at {q} (Lemma 2.1)"
+            );
             assert!(
                 stats.shards_touched < shards,
                 "quant touched {} at {q}",

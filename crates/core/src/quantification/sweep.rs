@@ -18,9 +18,16 @@
 //!   stream recombines a partition of the site set **exactly** — the
 //!   decomposition the dynamic (Bentley–Saxe) layer exploits to reuse
 //!   warm per-bucket summaries across updates;
-//! * [`sweep`] — the driver. One piece of arithmetic for every caller, so
-//!   two sources that emit the same entry sequence produce **bit-identical**
-//!   probability vectors.
+//! * [`sweep_sparse`] — the sweep itself. One piece of arithmetic for
+//!   every caller, so two sources that emit the same entry sequence produce
+//!   **bit-identical** probabilities. It keeps running state only for the
+//!   sites it actually draws, keyed by the entry's site key in a per-query
+//!   map, and returns the `(key, π)` pairs with `π > 0` in ascending key
+//!   order — `O(drawn sites)` memory and output, however large the site
+//!   set or the key space. By Lemma 2.1 only sites of `NN≠0(q)` can end
+//!   with `π > 0`, so the answer's natural size is `|NN≠0(q)|`, not `n`;
+//! * [`sweep`] — the dense form for callers that want all `n` values (the
+//!   fresh oracle, spiral search): the sparse result scattered into zeros.
 //!
 //! The driver stops early once two sites have fully entered their cdfs
 //! (`zeros ≥ 2`): from that point every η-contribution of Eq. (2) is
@@ -30,9 +37,11 @@
 //! entries.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
-/// One sweep entry: `(distance to the query, dense site index, weight)`.
+/// One sweep entry: `(distance to the query, site key, weight)`. The key
+/// identifies the site: a dense index for the flat slab, a stable site id
+/// for the dynamic layer's bucket streams.
 pub type SweepEntry = (f64, usize, f64);
 
 /// Factors below this are treated as exactly zero (weights are normalized,
@@ -42,10 +51,12 @@ pub(crate) const ZERO_THRESH: f64 = 1e-12;
 /// An ordered entry stream feeding the Eq. (2) sweep.
 ///
 /// Contract: entries come out in non-decreasing distance, and entries at
-/// *equal* distance come out in ascending `(site index, location index)`
+/// *equal* distance come out in ascending `(site key, location index)`
 /// order — the order a stable distance sort of the canonical flat entry
-/// list produces. Two sources honoring the contract over the same entry
-/// multiset are interchangeable bit-for-bit under [`sweep`].
+/// list (sites in ascending key order) produces. Two sources honoring the
+/// contract over the same entry multiset are interchangeable bit-for-bit
+/// under [`sweep_sparse`] — and so are two sources whose keys differ by a
+/// strictly increasing relabeling, up to that relabeling of the output.
 pub trait SweepSource {
     /// The next entry, or `None` when the stream is exhausted.
     fn next_entry(&mut self) -> Option<SweepEntry>;
@@ -86,13 +97,13 @@ impl SweepSource for SortedSlab {
     }
 }
 
-/// A stream head waiting in the merge heap. Ordered by `(distance, site,
-/// stream)`; entries of one site always live in one stream, so the stream
+/// A stream head waiting in the merge heap. Ordered by `(distance, site
+/// key, stream)`; entries of one site always live in one stream, so the stream
 /// index only tie-breaks distinct sites at equal distance — and site order
 /// is exactly what the single-slab tie order prescribes.
 struct Head {
     d: f64,
-    dense: usize,
+    key: usize,
     w: f64,
     stream: u32,
 }
@@ -103,7 +114,7 @@ impl Head {
         // panicking the merge heap.
         self.d
             .total_cmp(&other.d)
-            .then(self.dense.cmp(&other.dense))
+            .then(self.key.cmp(&other.key))
             .then(self.stream.cmp(&other.stream))
     }
 }
@@ -130,7 +141,7 @@ impl Ord for Head {
 ///
 /// Each input stream must honor the [`SweepSource`] contract on its own
 /// slice of the site set (streams own disjoint sites). The merge then
-/// honors it globally: the heap orders heads by `(distance, site)`, which
+/// honors it globally: the heap orders heads by `(distance, site key)`, which
 /// reproduces the stable-sort tie order of the equivalent single slab.
 pub struct KWayMerge<S> {
     streams: Vec<S>,
@@ -142,10 +153,10 @@ impl<S: SweepSource> KWayMerge<S> {
     pub fn new(mut streams: Vec<S>) -> Self {
         let mut heap = BinaryHeap::with_capacity(streams.len());
         for (si, s) in streams.iter_mut().enumerate() {
-            if let Some((d, dense, w)) = s.next_entry() {
+            if let Some((d, key, w)) = s.next_entry() {
                 heap.push(Head {
                     d,
-                    dense,
+                    key,
                     w,
                     stream: si as u32,
                 });
@@ -173,55 +184,130 @@ impl<S: SweepSource> KWayMerge<S> {
 impl<S: SweepSource> SweepSource for KWayMerge<S> {
     fn next_entry(&mut self) -> Option<SweepEntry> {
         let head = self.heap.pop()?;
-        if let Some((d, dense, w)) = self.streams[head.stream as usize].next_entry() {
+        if let Some((d, key, w)) = self.streams[head.stream as usize].next_entry() {
             self.heap.push(Head {
                 d,
-                dense,
+                key,
                 w,
                 stream: head.stream,
             });
         }
         self.consumed += 1;
-        Some((head.d, head.dense, head.w))
+        Some((head.d, head.key, head.w))
     }
 }
 
-/// The Eq. (2) sweep driver over any ordered entry source: returns all
-/// `π_i` for dense site indices `0..n`.
+/// Running state of one drawn site: its key, `π_i` so far, `G_{q,i}(r)` so
+/// far, and the survival factor `1 − G_{q,i}(r)` (clamped at 0).
+struct SiteState {
+    key: usize,
+    pi: f64,
+    w_acc: f64,
+    factor: f64,
+}
+
+/// Multiplicative (Fibonacci) hashing for the sweep's per-query
+/// key → state map. Keys are dense indices or stable site ids — integers
+/// with no adversary — so SipHash's DoS resistance buys nothing here.
+#[derive(Clone, Copy, Default)]
+struct FibHasher(u64);
+
+impl std::hash::Hasher for FibHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The product's well-mixed high half becomes the low bits the table
+        // indexes by.
+        self.0.rotate_left(32)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+type FibBuild = std::hash::BuildHasherDefault<FibHasher>;
+
+/// The sites a sweep has drawn: key → slot map plus per-slot running
+/// state, both `O(drawn sites)`.
+#[derive(Default)]
+struct Drawn {
+    slot_of: HashMap<usize, u32, FibBuild>,
+    state: Vec<SiteState>,
+}
+
+impl Drawn {
+    /// The slot of `key`, opening it with the initial state
+    /// `(π, G, 1 − G) = (0, 0, 1)` on first sight.
+    #[inline]
+    fn slot(&mut self, key: usize) -> u32 {
+        let state = &mut self.state;
+        *self.slot_of.entry(key).or_insert_with(|| {
+            state.push(SiteState {
+                key,
+                pi: 0.0,
+                w_acc: 0.0,
+                factor: 1.0,
+            });
+            (state.len() - 1) as u32
+        })
+    }
+}
+
+/// The Eq. (2) sweep over any ordered entry source, keeping state
+/// only for the sites it draws: returns `(key, π_key)` for every drawn key
+/// with `π > 0`, in ascending key order. Keys are whatever the source
+/// emits — dense indices for the flat slab, stable site ids for the
+/// dynamic layer's bucket streams — and may be arbitrarily large: the
+/// sweep's memory is `O(drawn sites)`, never `O(max key)`. Every key
+/// absent from the output — never drawn, or drawn and left at `π = 0` —
+/// has `π = 0` exactly; by Lemma 2.1 the output keys of a sweep over the
+/// whole site set lie in `NN≠0(q)`.
 ///
 /// Distance ties are processed in batches — Eq. (2)'s cdf uses `≤ r`, so
 /// all locations at the same distance enter their cdfs (phase 1) before any
 /// of them contributes its η (phase 2). The driver takes `&mut` so callers
 /// keep the source and can read its statistics afterwards.
-pub fn sweep<S: SweepSource + ?Sized>(source: &mut S, n: usize) -> Vec<f64> {
-    let mut pi = vec![0.0f64; n];
-    let mut w_acc = vec![0.0f64; n]; // G_{q,i}(r) so far
-    let mut factors = vec![1.0f64; n]; // (1 − G_{q,i}(r)), clamped at 0
-    let mut product = 1.0f64; // Π over i with factors[i] > 0
-    let mut zeros = 0usize; // #{i : factors[i] == 0}
+pub fn sweep_sparse<S: SweepSource + ?Sized>(source: &mut S) -> Vec<(usize, f64)> {
+    let mut drawn = Drawn::default();
+    let mut product = 1.0f64; // Π over drawn i with factor > 0
+    let mut zeros = 0usize; // #{i : factor == 0}
 
-    let mut batch: Vec<(usize, f64)> = vec![];
+    let mut batch: Vec<(u32, f64)> = vec![];
     let mut pending = source.next_entry();
-    while let Some((d, i0, w0)) = pending {
+    while let Some((d, k0, w0)) = pending {
         batch.clear();
-        batch.push((i0, w0));
+        batch.push((drawn.slot(k0), w0));
         loop {
             pending = source.next_entry();
             match pending {
-                Some((d2, i2, w2)) if d2 == d => batch.push((i2, w2)),
+                Some((d2, k2, w2)) if d2 == d => batch.push((drawn.slot(k2), w2)),
                 _ => break,
             }
         }
         // Phase 1: all locations at distance exactly d enter their cdfs
         // (ties count against each other — `≤` in Eq. (2)).
-        for &(i, w) in &batch {
-            let old = factors[i];
-            w_acc[i] += w;
-            let mut newf = 1.0 - w_acc[i];
+        for &(s, w) in &batch {
+            let st = &mut drawn.state[s as usize];
+            let old = st.factor;
+            st.w_acc += w;
+            let mut newf = 1.0 - st.w_acc;
             if newf < ZERO_THRESH {
                 newf = 0.0;
             }
-            factors[i] = newf;
+            st.factor = newf;
             if old > 0.0 {
                 if newf > 0.0 {
                     product *= newf / old;
@@ -233,8 +319,9 @@ pub fn sweep<S: SweepSource + ?Sized>(source: &mut S, n: usize) -> Vec<f64> {
         }
         // Phase 2: each batch member contributes
         // η(p; q) = w · Π_{j≠i} (1 − G_{q,j}(d)).
-        for &(i, w) in &batch {
-            let fi = factors[i];
+        for &(s, w) in &batch {
+            let st = &mut drawn.state[s as usize];
+            let fi = st.factor;
             let eta = if zeros == 0 {
                 w * product / fi
             } else if zeros == 1 && fi == 0.0 {
@@ -242,13 +329,33 @@ pub fn sweep<S: SweepSource + ?Sized>(source: &mut S, n: usize) -> Vec<f64> {
             } else {
                 0.0
             };
-            pi[i] += eta;
+            st.pi += eta;
         }
         // Two sites fully entered: every remaining η is exactly 0.0, so the
         // rest of the stream cannot change any output bit. Stop drawing.
         if zeros >= 2 {
             break;
         }
+    }
+    let mut out: Vec<(usize, f64)> = drawn
+        .state
+        .into_iter()
+        .filter(|st| st.pi > 0.0)
+        .map(|st| (st.key, st.pi))
+        .collect();
+    out.sort_unstable_by_key(|&(key, _)| key);
+    out
+}
+
+/// The dense form of [`sweep_sparse`]: all `π_i` for dense site indices
+/// `0..n` (every key the source emits must be `< n`), the sparse result
+/// scattered into zeros. Bit-identical to a sweep keeping `n`-length state:
+/// the per-site arithmetic is the same, and an undrawn or `π = 0` site is
+/// exactly `0.0` either way.
+pub fn sweep<S: SweepSource + ?Sized>(source: &mut S, n: usize) -> Vec<f64> {
+    let mut pi = vec![0.0f64; n];
+    for (i, p) in sweep_sparse(source) {
+        pi[i] = p;
     }
     pi
 }
@@ -340,6 +447,106 @@ mod tests {
         entries
     }
 
+    /// Runs [`sweep_sparse`] over `source` (whose keys are the reference's
+    /// site indices plus `offset`) and checks it against the full dense
+    /// reference: exactly the `π > 0` sites, keys strictly ascending,
+    /// bit-identical values.
+    fn assert_sparse_matches(
+        source: &mut dyn SweepSource,
+        full: &[f64],
+        offset: usize,
+        what: &str,
+    ) {
+        let got = sweep_sparse(source);
+        assert!(
+            got.windows(2).all(|w| w[0].0 < w[1].0),
+            "keys not strictly ascending: {what}"
+        );
+        assert!(got.iter().all(|&(_, p)| p > 0.0), "π ≤ 0 reported: {what}");
+        let want: Vec<(usize, f64)> = full
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p > 0.0)
+            .map(|(i, &p)| (i + offset, p))
+            .collect();
+        assert_eq!(got.len(), want.len(), "answer size: {what}");
+        for ((gk, gp), (wk, wp)) in got.iter().zip(&want) {
+            assert_eq!(gk, wk, "keys: {what}");
+            assert_eq!(gp.to_bits(), wp.to_bits(), "π of key {gk}: {what}");
+        }
+    }
+
+    fn offset_keys(entries: &[SweepEntry], offset: usize) -> Vec<SweepEntry> {
+        entries
+            .iter()
+            .map(|&(d, i, w)| (d, i + offset, w))
+            .collect()
+    }
+
+    /// Offsetting every key by 10⁹ proves the sweep holds no key-sized
+    /// state: a dense sweep would need a 10⁹-entry vector per query.
+    const FAR: usize = 1_000_000_000;
+
+    #[test]
+    fn sparse_sweep_is_bit_identical_to_the_full_sweep() {
+        for seed in 1u64..20 {
+            for ties in [false, true] {
+                let entries = random_entries(30, 3, seed, ties);
+                let full = sweep_full(entries.clone(), 30);
+                for offset in [0, FAR] {
+                    let mut slab = SortedSlab::new(offset_keys(&entries, offset));
+                    let what = format!("seed {seed} ties {ties} offset {offset}");
+                    assert_sparse_matches(&mut slab, &full, offset, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_sweep_handles_a_site_with_equal_distance_locations() {
+        // Site 0 enters its whole cdf in one tie batch (three locations at
+        // d = 1), alongside other sites' locations at the same distance.
+        let entries: Vec<SweepEntry> = vec![
+            (1.0, 0, 0.2),
+            (1.0, 0, 0.3),
+            (1.0, 0, 0.5),
+            (0.5, 2, 0.4),
+            (1.0, 1, 0.5),
+            (1.0, 2, 0.6),
+            (2.0, 1, 0.5),
+            (0.75, 3, 0.1),
+            (3.0, 3, 0.9),
+        ];
+        let full = sweep_full(entries.clone(), 4);
+        assert!(full.iter().filter(|&&p| p > 0.0).count() >= 2);
+        for offset in [0, FAR] {
+            let mut slab = SortedSlab::new(offset_keys(&entries, offset));
+            assert_sparse_matches(&mut slab, &full, offset, &format!("offset {offset}"));
+        }
+    }
+
+    #[test]
+    fn sparse_sweep_over_kway_partitions_matches_the_full_sweep() {
+        for seed in 1u64..16 {
+            for parts in [1usize, 2, 5] {
+                for ties in [false, true] {
+                    let entries = random_entries(24, 3, seed, ties);
+                    let full = sweep_full(entries.clone(), 24);
+                    for offset in [0, FAR] {
+                        let mut shards: Vec<Vec<SweepEntry>> = vec![vec![]; parts];
+                        for e in offset_keys(&entries, offset) {
+                            shards[e.1 % parts].push(e);
+                        }
+                        let mut merge =
+                            KWayMerge::new(shards.into_iter().map(SortedSlab::new).collect());
+                        let what = format!("seed {seed} parts {parts} ties {ties} offset {offset}");
+                        assert_sparse_matches(&mut merge, &full, offset, &what);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn early_exit_is_bit_identical_to_the_full_sweep() {
         for seed in 1u64..20 {
@@ -412,6 +619,7 @@ mod tests {
     fn empty_and_single_sources() {
         let mut slab = SortedSlab::new(vec![]);
         assert!(sweep(&mut slab, 0).is_empty());
+        assert!(sweep_sparse(&mut SortedSlab::new(vec![])).is_empty());
         let mut merge: KWayMerge<SortedSlab> = KWayMerge::new(vec![]);
         assert_eq!(sweep(&mut merge, 3), vec![0.0; 3]);
         let mut one = SortedSlab::new(vec![(1.0, 0, 1.0)]);

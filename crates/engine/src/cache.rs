@@ -12,6 +12,12 @@
 //! Snapping applies to the quantification paths. `NN≠0` answers are sets
 //! with no slack vocabulary to absorb a perturbation, so nonzero entries
 //! always use exact-bits keys.
+//!
+//! An entry is `O(|answer|)` bytes, independent of the live site count:
+//! `NN≠0` entries hold the answer's ids, and quantification entries hold
+//! the *ranked* positive estimates — for exact engines a subset of
+//! `NN≠0(q)` (Lemma 2.1) — from which TopK and Threshold answers are
+//! prefixes.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -101,9 +107,12 @@ impl CacheKey {
 /// A cached answer. `Arc`s keep hits allocation-free across worker threads.
 #[derive(Clone, Debug)]
 pub enum CachedValue {
+    /// `NN≠0(q)` as ascending site ids.
     Nonzero(Arc<Vec<usize>>),
+    /// Every positive estimate as `(site id, π̂)`, in answer order:
+    /// decreasing estimate, ties by increasing id.
     Quant {
-        pi: Arc<Vec<f64>>,
+        ranked: Arc<Vec<(usize, f64)>>,
         guarantee: Guarantee,
     },
 }

@@ -510,9 +510,10 @@ struct EngineCore {
     /// batches served by the dynamic plans (`NN≠0` buckets, merged
     /// quantification) never need the flat set.
     set: OnceLock<DiscreteSet>,
-    /// `(Σ k, max k, weight spread)` over live sites — the planner's shape
-    /// summary, computed by the first batch of the epoch (an O(n + N) scan).
-    shape: OnceLock<(usize, usize, f64)>,
+    /// `(max k, weight spread)` over live sites — the spiral and
+    /// Monte-Carlo rows of the planner need them, so only engines whose
+    /// guarantee admits those plans pay the O(n + N) scan, once per epoch.
+    shape: OnceLock<(usize, f64)>,
     /// Resolved: `shards`, `partitioner` and `rebalance_ratio` hold what
     /// the engine runs with, env overrides applied.
     config: EngineConfig,
@@ -550,14 +551,18 @@ impl EngineCore {
     }
 
     /// The dense → stable-id map: the reader's ascending live-id list, the
-    /// order of every dense probability vector.
+    /// order of every dense probability vector. Built lazily; the merged
+    /// path never needs it.
     fn ids(&self) -> &[SiteId] {
         self.reader.ids()
     }
 
-    /// `(total locations, max k, weight spread)` of the live sites.
-    fn shape(&self) -> (usize, usize, f64) {
-        *self.shape.get_or_init(|| self.reader.live_shape())
+    /// `(max k, weight spread)` of the live sites.
+    fn shape(&self) -> (usize, f64) {
+        *self.shape.get_or_init(|| {
+            let (_, max_k, spread) = self.reader.live_shape();
+            (max_k, spread)
+        })
     }
 
     /// One `(epoch, live, tombstones, warm rate)` row per shard.
@@ -1123,15 +1128,22 @@ impl Engine {
     /// Probability estimates for a single query through the planner + cache
     /// (the path Threshold/TopK answers are derived from), with the
     /// guarantee they are served under. Dense over the current epoch's live
-    /// sites in [`site_ids`](Self::site_ids) order. Exposed for tests and
-    /// calibration.
+    /// sites in [`site_ids`](Self::site_ids) order — the served answer's
+    /// positive estimates scattered into zeros, so `O(n)`. Exposed for
+    /// tests and calibration.
     pub fn estimates(&self, q: Point) -> (Vec<f64>, Guarantee) {
         let core = self.snapshot();
         let plan = plan_for(&core, 0, 1, self.expected_touched(&core));
         let (quant, _) = prepare(&core, &plan);
         let quant = quant.expect("quant plan for 1 request");
-        let (pi, g) = quant_vector(&core, &quant, q, &BatchCounters::default());
-        (pi.as_ref().clone(), g)
+        let (ranked, g) = quant_ranked(&core, &quant, q, &BatchCounters::default());
+        let ids = core.ids();
+        let mut pi = vec![0.0; ids.len()];
+        for &(id, p) in ranked.iter() {
+            let dense = ids.binary_search(&id).expect("answer ids are live");
+            pi[dense] = p;
+        }
+        (pi, g)
     }
 }
 
@@ -1162,23 +1174,31 @@ fn record_apply_gauges(core: &EngineCore, changed: &[bool]) {
 /// Planner inputs for one batch against `core`: bucket fan-out summed
 /// across shards, the approximate quantifiers already built over the flat
 /// live union, and `expected_touched` — the observed mean scatter-gather
-/// fan-out (`S` under hash; `< S` once spatial pruning bites).
+/// fan-out (`S` under hash; `< S` once spatial pruning bites). Every input
+/// is `O(S · buckets)` to read except the `(max k, spread)` shape scan,
+/// which only a quant batch under an approximate guarantee pays (once per
+/// epoch) — an exact engine's rows do not depend on it.
 fn plan_for(
     core: &EngineCore,
     nonzero_count: usize,
     quant_count: usize,
     expected_touched: f64,
 ) -> BatchPlan {
-    let (total_locations, max_k, spread) = core.shape();
+    let guarantee = core.config.guarantee;
+    let (max_k, spread) = if quant_count > 0 && guarantee.slack() > 0.0 {
+        core.shape()
+    } else {
+        (0, 1.0)
+    };
     let (_, quant_cold) = core.reader.quant_summary_state();
     planner::plan(&PlannerInputs {
         n: core.reader.len(),
-        total_locations,
+        total_locations: core.reader.live_locations(),
         max_k,
         spread,
         nonzero_count,
         quant_count,
-        guarantee: core.config.guarantee,
+        guarantee,
         spiral_built: lock_ok(&core.structures.spiral).is_some(),
         mc_built_samples: lock_ok(&core.structures.mc).as_ref().map(|(s, _)| *s),
         dynamic_buckets: core.reader.stats().buckets,
@@ -1341,62 +1361,73 @@ fn exec_one_inner(
         QueryRequest::Threshold { q, tau } => {
             let _trace = uncertain_obs::trace::start("threshold");
             let quant = quant.expect("quant plan");
-            let (pi, guarantee) = quant_vector(core, quant, q, counters);
-            let slack = guarantee.slack();
-            let mut items: Vec<(usize, f64)> = pi
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, p)| p >= tau - slack)
-                .collect();
-            sort_ranked(&mut items);
-            map_ranked(core, &mut items);
+            let (ranked, guarantee) = quant_ranked(core, quant, q, counters);
+            let cut = tau - guarantee.slack();
+            let end = ranked.partition_point(|&(_, p)| p >= cut);
+            let mut items = ranked[..end].to_vec();
+            if cut <= 0.0 {
+                // Only an approximate guarantee gets here (τ > 0): its
+                // no-false-negative promise admits every live site, the
+                // zero estimates included, ascending by id after the
+                // positive ones.
+                let mut positive: Vec<SiteId> = ranked.iter().map(|&(id, _)| id).collect();
+                positive.sort_unstable();
+                items.extend(
+                    core.ids()
+                        .iter()
+                        .filter(|id| positive.binary_search(id).is_err())
+                        .map(|&id| (id, 0.0)),
+                );
+            }
             QueryResult::Ranked { items, guarantee }
         }
         QueryRequest::TopK { q, k } => {
             let _trace = uncertain_obs::trace::start("topk");
             let quant = quant.expect("quant plan");
-            let (pi, guarantee) = quant_vector(core, quant, q, counters);
-            let mut items: Vec<(usize, f64)> = pi
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(_, p)| p > 0.0)
-                .collect();
-            sort_ranked(&mut items);
-            items.truncate(k);
-            map_ranked(core, &mut items);
+            let (ranked, guarantee) = quant_ranked(core, quant, q, counters);
+            let items = ranked[..k.min(ranked.len())].to_vec();
             QueryResult::Ranked { items, guarantee }
         }
     }
 }
 
-/// Rewrites dense indices of ranked items to stable site ids. Done *after*
-/// sorting: the dense→id map is monotone, so the tie order (by ascending
-/// index) is unchanged.
-fn map_ranked(core: &EngineCore, items: &mut [(usize, f64)]) {
-    let ids = core.ids();
-    for (i, _) in items.iter_mut() {
-        *i = ids[*i];
-    }
-}
-
-/// Decreasing estimate, ties by increasing index — the same order the
+/// Decreasing estimate, ties by increasing id — the same order the
 /// single-threaded `uncertain_nn::queries` helpers produce.
 fn sort_ranked(items: &mut [(usize, f64)]) {
     items.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
 }
 
-/// The cached quantification path: returns the dense `π̂` vector (in
-/// ascending-id order) and the guarantee it is served under. The snapped
-/// plan evaluates at the query's *cell center* with a certified interval —
-/// identical for every query in the cell, independent of cache state.
-fn quant_vector(
+/// Ranks a dense estimate vector (in ascending live-id order): its positive
+/// entries as `(id, π̂)` in answer order.
+fn rank_dense(core: &EngineCore, pi: &[f64]) -> Vec<(SiteId, f64)> {
+    let ids = core.ids();
+    let mut items: Vec<(SiteId, f64)> = pi
+        .iter()
+        .zip(ids)
+        .filter(|&(&p, _)| p > 0.0)
+        .map(|(&p, &id)| (id, p))
+        .collect();
+    sort_ranked(&mut items);
+    items
+}
+
+/// The cached quantification path: returns the query's **ranked answer**
+/// — every positive estimate as `(id, π̂)`, by decreasing estimate then
+/// increasing id — and the guarantee it is served under. TopK is a
+/// k-prefix of it and Threshold a prefix by estimate, so one entry serves
+/// both, and its size is the answer's (`|NN≠0(q)|` at most for exact
+/// engines, by Lemma 2.1), not `n`. The merged plan ranks its sparse sweep
+/// output directly; the snapped, spiral and Monte-Carlo evaluators produce
+/// dense vectors over the flat live set, which are ranked once here. The
+/// snapped plan evaluates at the query's *cell center* with a certified
+/// interval — identical for every query in the cell, independent of cache
+/// state.
+fn quant_ranked(
     core: &EngineCore,
     quant: &PreparedQuant,
     q: Point,
     counters: &BatchCounters,
-) -> (Arc<Vec<f64>>, Guarantee) {
+) -> (Arc<Vec<(SiteId, f64)>>, Guarantee) {
     let (tag, grid) = match quant {
         // Snapping is only certified for the exact evaluator (the interval
         // certificate needs exact cdfs); approximate engines key exactly.
@@ -1417,18 +1448,18 @@ fn quant_vector(
     };
     let key = CacheKey::quant(core.epoch, q, grid, tag);
     if core.cache.enabled() {
-        if let Some(CachedValue::Quant { pi, guarantee }) = core.cache.get(&key) {
+        if let Some(CachedValue::Quant { ranked, guarantee }) = core.cache.get(&key) {
             counters.hits.fetch_add(1, Ordering::Relaxed);
-            return (pi, guarantee);
+            return (ranked, guarantee);
         }
         counters.misses.fetch_add(1, Ordering::Relaxed);
     }
     // Same convention as the nonzero span: opened after the cache lookup,
     // so the histograms time evaluations, not hits.
-    let (pi, guarantee) = match quant {
+    let (ranked, guarantee) = match quant {
         PreparedQuant::Merged => {
             let _exec = uncertain_obs::span!("engine.exec.quant.merged");
-            let (pi, st) = core.reader.quantification_merged_with_stats(q);
+            let (mut pi, st) = core.reader.quantification_merged_with_stats(q);
             counters.touched(st.shards_touched);
             counters.quant_merged.fetch_add(1, Ordering::Relaxed);
             counters
@@ -1437,6 +1468,7 @@ fn quant_vector(
             counters
                 .bucket_warm
                 .fetch_add(st.warm_buckets, Ordering::Relaxed);
+            sort_ranked(&mut pi);
             (pi, Guarantee::Exact)
         }
         PreparedQuant::Snapped => {
@@ -1450,26 +1482,29 @@ fn quant_vector(
             } else {
                 Guarantee::Exact
             };
-            (mid, g)
+            (rank_dense(core, &mid), g)
         }
         PreparedQuant::Spiral(s, eps) => {
             let _exec = uncertain_obs::span!("engine.exec.quant.spiral");
-            (s.estimate_all(q, *eps), Guarantee::Additive(*eps))
+            (
+                rank_dense(core, &s.estimate_all(q, *eps)),
+                Guarantee::Additive(*eps),
+            )
         }
         PreparedQuant::MonteCarlo(mc, g) => {
             let _exec = uncertain_obs::span!("engine.exec.quant.mc");
-            (mc.estimate_all(q), *g)
+            (rank_dense(core, &mc.estimate_all(q)), *g)
         }
     };
-    let pi = Arc::new(pi);
+    let ranked = Arc::new(ranked);
     core.cache.insert(
         key,
         CachedValue::Quant {
-            pi: Arc::clone(&pi),
+            ranked: Arc::clone(&ranked),
             guarantee,
         },
     );
-    (pi, guarantee)
+    (ranked, guarantee)
 }
 
 #[cfg(test)]
@@ -1630,20 +1665,32 @@ mod tests {
         assert_eq!(report.sites_rebuilt, 0);
     }
 
+    /// A cached merged answer is the ranked positive estimates — by
+    /// Lemma 2.1 a subset of `NN≠0(q)`, so its size never depends on `n`.
     #[test]
-    fn cached_merged_answers_hold_no_spare_capacity() {
+    fn cached_merged_answers_lie_in_nonzero() {
         let (_, eng) = engine(500, EngineConfig::default());
         let core = eng.snapshot();
         let counters = BatchCounters::default();
-        let (pi, _) = quant_vector(
-            &core,
-            &PreparedQuant::Merged,
-            Point::new(1.0, 2.0),
-            &counters,
-        );
-        assert_eq!(counters.quant_merged.load(Ordering::Relaxed), 1);
-        assert_eq!(pi.len(), 500);
-        assert_eq!(pi.capacity(), pi.len());
+        for q in workload::random_queries(16, 60.0, 5) {
+            let (ranked, g) = quant_ranked(&core, &PreparedQuant::Merged, q, &counters);
+            assert_eq!(g, Guarantee::Exact);
+            let nonzero = core.reader.nonzero(q);
+            assert!(!ranked.is_empty() && ranked.len() <= nonzero.len());
+            assert!(
+                ranked
+                    .iter()
+                    .all(|(id, p)| *p > 0.0 && nonzero.binary_search(id).is_ok()),
+                "answer ids outside NN≠0 at {q}"
+            );
+            assert!(
+                ranked
+                    .windows(2)
+                    .all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)),
+                "answer order at {q}"
+            );
+        }
+        assert_eq!(counters.quant_merged.load(Ordering::Relaxed), 16);
     }
 
     #[test]

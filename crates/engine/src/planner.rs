@@ -220,9 +220,11 @@ pub fn plan(inp: &PlannerInputs) -> BatchPlan {
         } else {
             // Exact k-way merge over warm per-bucket summaries: cold buckets
             // (churned since the last quantification) pay one lazy kd-build,
-            // then a query pays the O(live) answer assembly, the early-exit
-            // stream draws (a few multiples of k̄), and the per-bucket heap
-            // fan-out — sublinear in N, which is the whole point.
+            // then a query pays the early-exit stream draws (a few multiples
+            // of k̄) and the per-bucket heap fan-out — sublinear in N, which
+            // is the whole point. The `2n` term priced the dense answer the
+            // merge used to assemble; answers are now sparse (`O(|NN≠0|)`),
+            // so the term is stale and kept only until E25 re-derives it.
             let cold = inp.dynamic_quant_cold_locations as f64;
             (
                 QuantPlan::Merged,
@@ -434,8 +436,8 @@ mod tests {
         assert_eq!(exact.estimates.len(), 1);
         assert_eq!(exact.estimates[0].name, "quant:merged");
 
-        // Spiral's per-query cost undercuts the merge's O(n) answer
-        // assembly, so a large enough batch amortizes its build.
+        // Spiral's per-query cost undercuts the merge row's priced `2n`
+        // answer term, so a large enough batch amortizes its build.
         let additive = plan(&base(4000, 3, 0, 4096, Guarantee::Additive(0.05)));
         assert!(matches!(additive.quant, Some(QuantPlan::Spiral { .. })));
 
@@ -458,7 +460,7 @@ mod tests {
     #[test]
     fn probabilistic_guarantee_picks_monte_carlo_once_the_batch_amortizes_it() {
         // A huge probability spread blows up the spiral retrieval budget,
-        // and at large n each merged answer pays an O(n) assembly, while a
+        // and at large n the merge row prices a `2n` answer term, while a
         // Monte-Carlo vote costs O(s log n) — so a batch large enough to
         // amortize the sample build picks Monte Carlo…
         let g = Guarantee::Probabilistic {

@@ -131,14 +131,26 @@ fn check_all_families(d: &DynamicSet, mirror: &Mirror, q: Point) -> Result<(), T
     }
 
     // Quantification, merged-path variant (k-way merge over per-bucket
-    // sorted summaries, tombstones filtered at draw time): bit-identical to
-    // the same oracle — first touching cold summaries, then again with
+    // sorted summaries, tombstones filtered at draw time): the oracle's
+    // π > 0 sites, ascending by id, bit-identical — and, by Lemma 2.1, a
+    // subset of NN≠0(q) — first touching cold summaries, then again with
     // every bucket warm.
+    let want_merged: Vec<(SiteId, f64)> = pi_fresh
+        .iter()
+        .enumerate()
+        .filter(|&(_, &p)| p > 0.0)
+        .map(|(dense, &p)| (ids[dense], p))
+        .collect();
     for pass in ["cold-or-warm", "warm"] {
         let (pi_merged, mstats) = d.quantification_merged_with_stats(q);
-        prop_assert_eq!(pi_merged.len(), pi_fresh.len());
-        for (dense, (got_pi, want_pi)) in pi_merged.iter().zip(&pi_fresh).enumerate() {
-            let id = ids[dense];
+        prop_assert_eq!(
+            pi_merged.len(),
+            want_merged.len(),
+            "merged answer size at {}",
+            q
+        );
+        for (&(id, got_pi), &(want_id, want_pi)) in pi_merged.iter().zip(&want_merged) {
+            prop_assert_eq!(id, want_id, "merged ids ({}) at {}", pass, q);
             prop_assert_eq!(
                 got_pi.to_bits(),
                 want_pi.to_bits(),
@@ -148,6 +160,12 @@ fn check_all_families(d: &DynamicSet, mirror: &Mirror, q: Point) -> Result<(), T
                 q,
                 got_pi,
                 want_pi
+            );
+            prop_assert!(
+                got.binary_search(&id).is_ok(),
+                "merged id {} outside NN≠0 at {}",
+                id,
+                q
             );
         }
         prop_assert!(mstats.entries_merged <= mstats.live_locations);

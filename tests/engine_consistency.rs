@@ -260,3 +260,85 @@ fn stats_report_plan_cache_and_utilization() {
     assert_eq!(repeat.stats.cache_misses, 0);
     assert_eq!(resp.results, repeat.results);
 }
+
+/// The dense filter the ranked answers must reproduce: `(id, π̂)` for every
+/// estimate passing `keep`, by decreasing estimate then increasing id.
+fn dense_filter(pi: &[f64], ids: &[usize], keep: impl Fn(f64) -> bool) -> Vec<(usize, f64)> {
+    let mut items: Vec<(usize, f64)> = pi
+        .iter()
+        .zip(ids)
+        .filter(|&(&p, _)| keep(p))
+        .map(|(&p, &id)| (id, p))
+        .collect();
+    items.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    items
+}
+
+/// Approximate engines serve TopK and Threshold as prefixes of a cached
+/// ranked answer, padding Threshold with the zero estimates when
+/// `τ − slack ≤ 0`. Both must equal the plain dense filter of
+/// `Engine::estimates(q)`, on either side of the slack.
+#[test]
+fn approximate_ranked_answers_equal_the_dense_filter_of_estimates() {
+    // Unit spread and k = 2 keep the spiral budget small, so a large batch
+    // plans the approximate evaluator rather than the exact merge.
+    let set = workload::spread_discrete_set(1500, 2, 1.0, 109);
+    let queries = workload::random_queries(100, 60.0, 110);
+    for requested in [
+        Guarantee::Additive(0.05),
+        Guarantee::Probabilistic {
+            eps: 0.1,
+            delta: 0.05,
+        },
+    ] {
+        let slack = requested.slack();
+        let (below, above) = (0.5 * slack, slack + 0.05);
+        let mut batch = vec![];
+        for &q in &queries {
+            batch.push(QueryRequest::TopK { q, k: 4 });
+            batch.push(QueryRequest::Threshold { q, tau: below });
+            batch.push(QueryRequest::Threshold { q, tau: above });
+        }
+        let engine = engine_with(&set, 1, requested);
+        let resp = engine.run_batch(&batch);
+        let plan = resp.stats.plan.summary();
+        assert!(
+            plan.contains("spiral") || plan.contains("mc"),
+            "{requested:?} planned {plan}, not an approximate evaluator"
+        );
+        let ids = engine.site_ids();
+        let mut padded = 0;
+        for (req, res) in batch.iter().zip(&resp.results) {
+            let QueryResult::Ranked { items, guarantee } = res else {
+                panic!("shape mismatch: {res:?}");
+            };
+            let (pi, g) = engine.estimates(req.point());
+            assert_eq!(*guarantee, g, "{requested:?} at {}", req.point());
+            let want = match *req {
+                QueryRequest::TopK { k, .. } => {
+                    let mut v = dense_filter(&pi, &ids, |p| p > 0.0);
+                    v.truncate(k);
+                    v
+                }
+                QueryRequest::Threshold { tau, .. } => {
+                    if tau <= g.slack() {
+                        padded += 1;
+                        assert_eq!(items.len(), ids.len(), "τ ≤ slack admits every site");
+                    }
+                    dense_filter(&pi, &ids, |p| p >= tau - g.slack())
+                }
+                QueryRequest::Nonzero { .. } => unreachable!(),
+            };
+            assert_eq!(items.len(), want.len(), "{req:?} under {requested:?}");
+            for (&(id, p), &(wid, w)) in items.iter().zip(&want) {
+                assert_eq!(id, wid, "{req:?} under {requested:?}");
+                assert_eq!(p.to_bits(), w.to_bits(), "{req:?} under {requested:?}");
+            }
+        }
+        assert_eq!(
+            padded,
+            queries.len(),
+            "{requested:?}: τ ≤ slack never served"
+        );
+    }
+}
