@@ -1,5 +1,5 @@
 //! Criterion benches for the serving engine (experiment E24): batch
-//! throughput vs worker count, cache effect, and guarantee tiers.
+//! throughput vs worker count and cache effect.
 //!
 //! Reports queries/sec via the harness's `Throughput` hook. Honors
 //! `UNC_ENGINE_THREADS` (pins every engine below to that worker count) and
@@ -7,7 +7,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use uncertain_engine::{Engine, EngineConfig, QueryRequest};
-use uncertain_nn::queries::Guarantee;
 use uncertain_nn::workload;
 
 fn nonzero_batch(m: usize, seed: u64) -> Vec<QueryRequest> {
@@ -84,44 +83,5 @@ fn bench_cache(c: &mut Criterion) {
     g.finish();
 }
 
-/// Guarantee tiers end to end: exact vs spiral vs Monte Carlo serving.
-fn bench_guarantees(c: &mut Criterion) {
-    let n = if criterion::smoke_mode() { 150 } else { 1_500 };
-    let set = workload::random_discrete_set(n, 3, 5.0, 7);
-    let batch: Vec<QueryRequest> = workload::random_queries(128, 60.0, 8)
-        .into_iter()
-        .map(|q| QueryRequest::TopK { q, k: 3 })
-        .collect();
-    let tiers: [(&str, Guarantee); 3] = [
-        ("exact", Guarantee::Exact),
-        ("spiral", Guarantee::Additive(0.05)),
-        (
-            "mc",
-            Guarantee::Probabilistic {
-                eps: 0.1,
-                delta: 0.05,
-            },
-        ),
-    ];
-    let mut g = c.benchmark_group("engine_guarantees");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(batch.len() as u64));
-    for &(label, guarantee) in uncertain_bench::sweep(&tiers) {
-        let engine = Engine::new(
-            set.clone(),
-            EngineConfig {
-                guarantee,
-                cache_capacity: 0, // measure the quantifier, not the cache
-                ..EngineConfig::default()
-            },
-        );
-        engine.run_batch(&batch);
-        g.bench_with_input(BenchmarkId::new(label, n), &batch, |b, batch| {
-            b.iter(|| engine.run_batch(batch));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_thread_scaling, bench_cache, bench_guarantees);
+criterion_group!(benches, bench_thread_scaling, bench_cache);
 criterion_main!(benches);

@@ -125,8 +125,8 @@ const EXPERIMENTS: &[(&str, &str, fn())] = &[
     ),
     (
         "E25",
-        "engine planner: quantifier crossover vs n and guarantee",
-        e25_planner_crossover,
+        "quantifier cost: exact merge vs spiral vs Monte Carlo",
+        e25_quantifier_costs,
     ),
     (
         "E26",
@@ -1242,58 +1242,39 @@ fn distinct_sets_of(d: &NonzeroVoronoiDiagram, queries: &[Point]) -> usize {
 
 // ---------------------------------------------------------------------------
 
-/// E24: the serving engine end to end — batch throughput scaling vs worker
-/// count, the planner switching quantifiers across set sizes, and the
-/// result cache on a repeated-query batch.
+/// E24: the serving engine end to end — the exact plan across set sizes,
+/// batch throughput scaling vs worker count, and the result cache on a
+/// repeated-query batch.
 fn e24_engine_serving() {
     use uncertain_engine::{Engine, EngineConfig, QueryRequest};
-    use uncertain_nn::queries::Guarantee;
     header(
         "E24",
         "engine: batch serving (threads, plans, cache)",
-        "serving layer over Theorems 3.2 / 4.2–4.7 structures; amortized plan choice",
+        "serving layer over the Theorem 3.2 / Eq. (2) structures; exact answers at every n",
     );
 
-    // (a) Planner choice across set sizes under an additive ±0.05 budget,
-    // fixed batch of 256 TopK queries: the exact merge's O(n) answer
-    // assembly loses to spiral search's O(m log N) retrieval once n
-    // outgrows the spiral budget m(ρ, ε).
+    // (a) The plan across set sizes, fixed batch of 256 TopK queries: every
+    // probability request is answered by the exact k-way merge (E25 prices
+    // it against the approximate quantifiers).
     let batch: Vec<QueryRequest> = workload::random_queries(256, 60.0, 24)
         .into_iter()
         .map(|q| QueryRequest::TopK { q, k: 3 })
         .collect();
-    let mut t = Table::new(&["n", "plan", "built", "wall", "q/s"]);
-    let mut plans_seen: BTreeSet<String> = BTreeSet::new();
+    let mut t = Table::new(&["n", "plan", "wall", "q/s"]);
     for &n in sweep(&[1_024usize, 16_384, 65_536]) {
         let set = workload::random_discrete_set(n, 3, 5.0, n as u64);
-        let engine = Engine::new(
-            set,
-            EngineConfig {
-                guarantee: Guarantee::Additive(0.05),
-                ..EngineConfig::default()
-            },
-        );
+        let engine = Engine::new(set, EngineConfig::default());
         let resp = engine.run_batch(&batch);
         let plan = resp.stats.plan.summary();
-        plans_seen.insert(plan.clone());
+        assert_eq!(plan, "quant:merged", "n = {n}");
         t.row(&[
             n.to_string(),
             plan,
-            format!("{:?}", resp.stats.built),
             fmt_time(resp.stats.wall.as_secs_f64()),
             format!("{:.0}", resp.stats.throughput_qps()),
         ]);
     }
     t.print();
-    println!(
-        "   distinct plans across the sweep: {} {:?}",
-        plans_seen.len(),
-        plans_seen
-    );
-    assert!(
-        plans_seen.len() >= 2,
-        "the planner should switch plans across this sweep"
-    );
 
     // (b) Throughput scaling vs thread count (one mid-size set, warm
     // structures, cold cache per engine).
@@ -1375,73 +1356,154 @@ fn e24_engine_serving() {
     );
 }
 
-/// E25: the planner's cost model — which quantifier wins as n and the
-/// guarantee tier vary, with the planner's own cost table at a crossover
-/// point. (`NN≠0` has one plan, `nonzero:dynamic`, at every n and batch.)
-fn e25_planner_crossover() {
-    use uncertain_engine::{planner, PlannerInputs};
-    use uncertain_nn::queries::Guarantee;
+/// `n` sites at unit density (mean spacing 1) in a square of side `√n`
+/// centered on the origin, `k = 3` locations each within a box of side
+/// `diameter` around the site's center — the constant-density family whose
+/// `|NN≠0(q)|` does not grow with `n`.
+fn unit_density_set(n: usize, diameter: f64, seed: u64) -> DiscreteSet {
+    use rand::Rng;
+    use uncertain_nn::model::DiscreteUncertainPoint;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (half, r) = ((n as f64).sqrt() / 2.0, diameter / 2.0);
+    DiscreteSet::new(
+        (0..n)
+            .map(|_| {
+                let c = Point::new(rng.gen_range(-half..half), rng.gen_range(-half..half));
+                let locs = (0..3)
+                    .map(|_| Point::new(c.x + rng.gen_range(-r..r), c.y + rng.gen_range(-r..r)))
+                    .collect();
+                let weights = (0..3).map(|_| rng.gen_range(0.2..1.0)).collect();
+                DiscreteUncertainPoint::new(locs, weights)
+            })
+            .collect(),
+    )
+}
+
+/// E25: the paper's three quantifiers measured on the core library, one
+/// thread: the exact Eq. (2) k-way merge over bulk-loaded Bentley–Saxe
+/// buckets (what the engine serves), spiral search (Theorem 4.7) and Monte
+/// Carlo (Theorem 4.3), each warm, in µs/query, with the approximate
+/// quantifiers' measured errors. The timings are printed, not asserted.
+fn e25_quantifier_costs() {
+    use std::sync::Arc;
+    use uncertain_nn::dynamic::shard::ShardedReader;
+    use uncertain_nn::dynamic::{DynamicConfig, DynamicSet};
     header(
         "E25",
-        "planner crossover: chosen quantifier vs n and guarantee tier",
-        "build + batch·per_query amortization over Theorems 4.2–4.7 engines",
+        "quantifier cost: exact merge vs spiral search vs Monte Carlo",
+        "Eq. (2) exact (Theorem 4.2) vs Theorems 4.3 / 4.7 approximations, per query",
     );
-    let k = 3usize;
-    // A freshly constructed one-shard engine: one bulk-loaded bucket whose
-    // quant summary is still cold, no approximate quantifier built yet.
-    let fresh = |n: usize, nonzero_count: usize, quant_count: usize, guarantee| PlannerInputs {
-        n,
-        total_locations: n * k,
-        max_k: k,
-        spread: 4.0,
-        nonzero_count,
-        quant_count,
-        guarantee,
-        spiral_built: false,
-        mc_built_samples: None,
-        dynamic_buckets: 1,
-        dynamic_quant_cold_locations: n * k,
-        quant_snapped: false,
-        shards: 1,
-        expected_shards_touched: 1.0,
-    };
-
-    // Guarantee tier × n, batch = 256.
-    let tiers: [(&str, Guarantee); 3] = [
-        ("exact", Guarantee::Exact),
-        ("±0.05", Guarantee::Additive(0.05)),
-        (
-            "p(0.05,.05)",
-            Guarantee::Probabilistic {
-                eps: 0.05,
-                delta: 0.05,
-            },
-        ),
+    const EPS: f64 = 0.05;
+    const MC_SAMPLES: usize = 64;
+    // (label, set, query span): two constant-density families at cluster
+    // diameter 1.5× and 6× the mean site spacing, and the unit-spread set.
+    type Family = (&'static str, fn(usize) -> (DiscreteSet, f64));
+    let families: [Family; 3] = [
+        ("low overlap (1.5×)", |n| {
+            (unit_density_set(n, 1.5, 251), (n as f64).sqrt())
+        }),
+        ("heavy overlap (6×)", |n| {
+            (unit_density_set(n, 6.0, 252), (n as f64).sqrt())
+        }),
+        ("spread ρ=1, k=2", |n| {
+            (workload::spread_discrete_set(n, 2, 1.0, 253), 60.0)
+        }),
     ];
-    let mut t = Table::new(&["n", "exact", "±0.05", "p(0.05,.05)"]);
-    for &n in sweep(&[64usize, 1_024, 32_768]) {
-        let mut cells = vec![n.to_string()];
-        for &(_, g) in &tiers {
-            let plan = planner::plan(&fresh(n, 0, 256, g));
-            cells.push(plan.summary().replace("quant:", ""));
+    let m = scaled(256).max(8);
+    let err_queries = m.min(32);
+    let per_query = |f: &mut dyn FnMut()| {
+        // Best of three warm passes over the batch, in µs per query.
+        (0..3)
+            .map(|_| time(&mut *f).1)
+            .fold(f64::INFINITY, f64::min)
+            * 1e6
+            / m as f64
+    };
+    let mut t = Table::new(&[
+        "set",
+        "n",
+        "merged µs",
+        &format!("spiral(ε={EPS}) µs"),
+        &format!("mc(s={MC_SAMPLES}) µs"),
+        "spiral build",
+        "mc build",
+        "spiral max err",
+        "mc max err",
+    ]);
+    for (label, make) in families {
+        for &n in sweep(&[1_024usize, 16_384, 65_536]) {
+            let (set, span) = make(n);
+            let queries = workload::random_queries(m, span, n as u64 + 25);
+            let reader = ShardedReader::new(vec![Arc::new(DynamicSet::from_set(
+                &set,
+                DynamicConfig::default(),
+            ))]);
+            let (spiral, spiral_build) = time(|| SpiralSearch::build(&set));
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let (mc, mc_build) = time(|| {
+                MonteCarloPnn::build_discrete(&set, MC_SAMPLES, SampleBackend::KdTree, &mut rng)
+            });
+            for &q in &queries {
+                // Warm: the merge builds its per-bucket summaries lazily.
+                std::hint::black_box(reader.quantification_merged_with_stats(q));
+            }
+            let merged_us = per_query(&mut || {
+                for &q in &queries {
+                    std::hint::black_box(reader.quantification_merged_with_stats(q));
+                }
+            });
+            let spiral_us = per_query(&mut || {
+                for &q in &queries {
+                    std::hint::black_box(spiral.estimate_all(q, EPS));
+                }
+            });
+            let mc_us = per_query(&mut || {
+                for &q in &queries {
+                    std::hint::black_box(mc.estimate_all(q));
+                }
+            });
+            let (mut spiral_err, mut mc_err) = (0.0f64, 0.0f64);
+            for &q in &queries[..err_queries] {
+                let exact = quantification_discrete(&set, q);
+                // The merge is exact: its positive entries are the sweep's,
+                // bit for bit.
+                let (merged, _) = reader.quantification_merged_with_stats(q);
+                assert_eq!(
+                    merged.len(),
+                    exact.iter().filter(|&&p| p > 0.0).count(),
+                    "{label} n = {n} at {q}"
+                );
+                for (id, p) in merged {
+                    assert_eq!(p.to_bits(), exact[id].to_bits(), "{label} n = {n} at {q}");
+                }
+                let (s, c) = (spiral.estimate_all(q, EPS), mc.estimate_all(q));
+                for i in 0..set.len() {
+                    spiral_err = spiral_err.max(exact[i] - s[i]); // one-sided
+                    mc_err = mc_err.max((exact[i] - c[i]).abs());
+                }
+            }
+            assert!(
+                spiral_err <= EPS + 1e-9,
+                "{label} n = {n}: spiral error {spiral_err} exceeds ε (Theorem 4.7)"
+            );
+            t.row(&[
+                label.to_string(),
+                n.to_string(),
+                format!("{merged_us:.1}"),
+                format!("{spiral_us:.1}"),
+                format!("{mc_us:.1}"),
+                fmt_time(spiral_build),
+                fmt_time(mc_build),
+                fmt(spiral_err),
+                fmt(mc_err),
+            ]);
         }
-        t.row(&cells);
     }
     t.print();
-
-    // The full cost table at one crossover point, as the engine records it.
-    let plan = planner::plan(&fresh(1_024, 256, 256, Guarantee::Additive(0.05)));
-    let mut t = Table::new(&["candidate", "build", "per-query", "total", "chosen"]);
-    for e in &plan.estimates {
-        t.row(&[
-            e.name.clone(),
-            format!("{:.0}", e.build),
-            format!("{:.0}", e.per_query),
-            format!("{:.0}", e.total),
-            if e.chosen { "*".into() } else { "".into() },
-        ]);
-    }
-    t.print();
+    println!(
+        "   {m} queries per row, errors over the first {err_queries}; the engine serves \
+         the merged column for every request"
+    );
 }
 
 /// E26: the adaptive predicate kernel — how often the f64 filter certifies
@@ -2381,8 +2443,7 @@ fn e33_partitioner_locality() {
             )
         };
         // All-quantification batch: merged quantification is the scatter-
-        // gather read whose fan-out the box pruning cuts (and the planner
-        // always picks it at this scale).
+        // gather read whose fan-out the box pruning cuts.
         let batch: Vec<QueryRequest> = queries
             .iter()
             .map(|&q| QueryRequest::TopK { q, k: 4 })
@@ -2416,9 +2477,8 @@ fn e33_partitioner_locality() {
                         .collect();
                     engine.apply(&drain);
                 }
-                // One warm-up batch: builds the lazy quant summaries and
-                // feeds the first fan-out observation back to the planner,
-                // so the timed batch is steady state.
+                // One warm-up batch builds the lazy quant summaries, so the
+                // timed batch is steady state.
                 engine.run_batch(&batch);
                 let (stats, secs) = time(|| engine.run_batch(&batch).stats);
                 let mean = stats.avg_shards_touched();

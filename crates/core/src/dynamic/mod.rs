@@ -318,8 +318,7 @@ pub struct DynamicSet {
     buckets: Vec<Option<Slot>>,
     live: usize,
     /// Σ locations over live sites — what a fresh sweep would sort; kept
-    /// by every mutation so readers (the planner, merge statistics) get it
-    /// in `O(1)`.
+    /// by every mutation so readers (merge statistics) get it in `O(1)`.
     live_locations: usize,
     /// Tombstoned entries still referenced by some bucket.
     dead: usize,
@@ -452,9 +451,10 @@ impl DynamicSet {
         )
     }
 
-    /// Allocation-free shape summary of the live sites for cost models:
+    /// Allocation-free shape summary of the live sites:
     /// `(total locations N, max per-site k, weight spread ρ)`. `O(n + N)`
-    /// scan, no materialization.
+    /// scan, no materialization — the reference the `O(1)` Σk counter is
+    /// tested against.
     pub fn live_shape(&self) -> (usize, usize, f64) {
         let mut total = 0usize;
         let mut max_k = 0usize;
@@ -987,9 +987,9 @@ impl DynamicSet {
     /// [`quantification_discrete`](crate::quantification::exact) on a fresh
     /// static build over the survivors, because both paths feed identical
     /// entries in identical order to the shared Eq. (2) sweep core.
-    /// `O(N log N)` per query with no per-bucket reuse; the serving planner
-    /// prefers [`quantification_merged`](Self::quantification_merged) once
-    /// the structure is warm.
+    /// `O(N log N)` per query with no per-bucket reuse; the serving engine
+    /// answers with [`quantification_merged`](Self::quantification_merged)
+    /// instead.
     pub fn quantification(&self, q: Point) -> Vec<(SiteId, f64)> {
         let flat = self.flat();
         let mut scratch = vec![];
@@ -1081,7 +1081,7 @@ impl DynamicSet {
     /// Warm/cold split of the per-bucket quantification summaries, in
     /// locations: `(warm, cold)`. Cold locations are exactly the buckets
     /// churn has replaced since quantification last touched them — the
-    /// planner's signal for pricing the merged path's lazy build cost.
+    /// engine reports the split as each shard's warm rate.
     pub fn quant_summary_state(&self) -> (usize, usize) {
         let mut warm = 0;
         let mut cold = 0;

@@ -42,7 +42,7 @@
 //! degrades to the plain scatter-gather. Under a spatial partitioner the
 //! boxes are near-disjoint and clustered queries touch `O(1)` shards.
 //! The `*_touched` variants report how many shards a query actually
-//! visited — the engine feeds this back into the planner's gather term.
+//! visited — the engine reports it as its per-batch fan-out.
 //!
 //! A single-shard reader runs the same code: its one shard is the whole
 //! scatter order, nothing is pruned, and the gather is the shard's own
@@ -190,33 +190,6 @@ impl ShardedReader {
         DiscreteSet::new(sites.into_iter().map(|(_, s)| (*s).clone()).collect())
     }
 
-    /// Exact global shape summary `(total locations N, max per-site k,
-    /// weight spread ρ)` — the same scan [`DynamicSet::live_shape`] does,
-    /// folded across shards (spread needs the global weight extremes, so
-    /// per-shard spreads alone would not recombine exactly).
-    pub fn live_shape(&self) -> (usize, usize, f64) {
-        let mut total = 0usize;
-        let mut max_k = 0usize;
-        let mut w_min = f64::INFINITY;
-        let mut w_max = 0.0f64;
-        for shard in &self.shards {
-            for e in shard.entries.iter().filter(|e| e.alive) {
-                total += e.site.k();
-                max_k = max_k.max(e.site.k());
-                for &w in e.site.weights() {
-                    w_min = w_min.min(w);
-                    w_max = w_max.max(w);
-                }
-            }
-        }
-        let spread = if w_min.is_finite() && w_min > 0.0 {
-            w_max / w_min
-        } else {
-            1.0
-        };
-        (total, max_k, spread)
-    }
-
     /// [`DynamicSet::stats`] summed over the shards (the merged path's
     /// fan-in is `buckets`).
     pub fn stats(&self) -> DynamicStats {
@@ -237,18 +210,6 @@ impl ShardedReader {
             r.sites_rebuilt += t.sites_rebuilt;
         }
         total
-    }
-
-    /// Warm/cold split of quant summaries across shards, in locations.
-    pub fn quant_summary_state(&self) -> (usize, usize) {
-        let mut warm = 0;
-        let mut cold = 0;
-        for s in &self.shards {
-            let (w, c) = s.quant_summary_state();
-            warm += w;
-            cold += c;
-        }
-        (warm, cold)
     }
 
     /// `NN≠0(q)` over the union, ascending public ids — bit-identical to a

@@ -15,7 +15,7 @@
 //!
 //! An entry is `O(|answer|)` bytes, independent of the live site count:
 //! `NN≠0` entries hold the answer's ids, and quantification entries hold
-//! the *ranked* positive estimates — for exact engines a subset of
+//! the *ranked* positive estimates — for merged answers a subset of
 //! `NN≠0(q)` (Lemma 2.1) — from which TopK and Threshold answers are
 //! prefixes.
 
@@ -44,17 +44,8 @@ pub fn snap_radius(grid: f64) -> f64 {
     grid * std::f64::consts::FRAC_1_SQRT_2
 }
 
-/// Which quantification engine produced a cached probability vector — part
-/// of the key, so engines with different guarantees never alias.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum QuantTag {
-    Exact,
-    Spiral { eps_bits: u64 },
-    MonteCarlo { samples: usize },
-}
-
 /// Cache key: exact query bits for nonzero sets, snapped cell or exact bits
-/// for probability vectors.
+/// for ranked probability answers.
 ///
 /// Every variant carries the engine **epoch** the answer was computed
 /// under. Applying updates ([`crate::Engine::apply`]) bumps the epoch, so
@@ -64,18 +55,20 @@ pub enum QuantTag {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CacheKey {
     /// `NN≠0` answers are exact, so one key per query point and epoch.
-    Nonzero { epoch: u64, qx: u64, qy: u64 },
+    Nonzero {
+        epoch: u64,
+        qx: u64,
+        qy: u64,
+    },
     QuantCell {
         epoch: u64,
         kx: i64,
         ky: i64,
-        tag: QuantTag,
     },
     QuantExact {
         epoch: u64,
         qx: u64,
         qy: u64,
-        tag: QuantTag,
     },
 }
 
@@ -89,16 +82,15 @@ impl CacheKey {
     }
 
     /// Quantification key: snapped when `grid > 0`, exact bits otherwise.
-    pub fn quant(epoch: u64, q: Point, grid: f64, tag: QuantTag) -> Self {
+    pub fn quant(epoch: u64, q: Point, grid: f64) -> Self {
         if grid > 0.0 {
             let (kx, ky) = quantize_point(q, grid);
-            CacheKey::QuantCell { epoch, kx, ky, tag }
+            CacheKey::QuantCell { epoch, kx, ky }
         } else {
             CacheKey::QuantExact {
                 epoch,
                 qx: q.x.to_bits(),
                 qy: q.y.to_bits(),
-                tag,
             }
         }
     }
@@ -386,25 +378,19 @@ mod tests {
     }
 
     #[test]
-    fn keys_do_not_alias_across_tags() {
+    fn keys_do_not_alias_across_query_families() {
+        // One query point keys a nonzero set and a ranked probability
+        // answer apart, snapped or not.
         let q = Point::new(1.0, 2.0);
-        let a = CacheKey::quant(0, q, 0.0, QuantTag::Exact);
-        let b = CacheKey::quant(
-            0,
-            q,
-            0.0,
-            QuantTag::Spiral {
-                eps_bits: 0.01f64.to_bits(),
-            },
-        );
-        assert_ne!(a, b);
-        assert_ne!(CacheKey::nonzero(0, q), a);
-        // Identical queries share the nonzero key: every nonzero plan is
-        // exact, so entries are interchangeable across plans.
+        let exact = CacheKey::quant(0, q, 0.0);
+        assert_ne!(CacheKey::nonzero(0, q), exact);
+        assert_ne!(CacheKey::nonzero(0, q), CacheKey::quant(0, q, 0.5));
+        // Identical queries share a key.
         assert_eq!(
             CacheKey::nonzero(0, q),
             CacheKey::nonzero(0, Point::new(1.0, 2.0))
         );
+        assert_eq!(exact, CacheKey::quant(0, Point::new(1.0, 2.0), 0.0));
     }
 
     #[test]
@@ -413,13 +399,7 @@ mod tests {
         // this is the whole stale-epoch invalidation mechanism.
         let q = Point::new(1.0, 2.0);
         assert_ne!(CacheKey::nonzero(0, q), CacheKey::nonzero(1, q));
-        assert_ne!(
-            CacheKey::quant(0, q, 0.0, QuantTag::Exact),
-            CacheKey::quant(1, q, 0.0, QuantTag::Exact)
-        );
-        assert_ne!(
-            CacheKey::quant(3, q, 0.5, QuantTag::Exact),
-            CacheKey::quant(4, q, 0.5, QuantTag::Exact)
-        );
+        assert_ne!(CacheKey::quant(0, q, 0.0), CacheKey::quant(1, q, 0.0));
+        assert_ne!(CacheKey::quant(3, q, 0.5), CacheKey::quant(4, q, 0.5));
     }
 }

@@ -20,12 +20,10 @@
 //!   over the Bentley–Saxe buckets (`nonzero:dynamic`), and probability
 //!   requests take the `quant:merged` k-way merge over per-bucket
 //!   summaries, bit-identical to the Eq. (2) sweep — or the certified
-//!   snapped evaluator when a cache grid is set. Under an approximate
-//!   [`Guarantee`] a [cost-based planner](planner) prices that evaluator
-//!   against spiral search and Monte Carlo, amortizing their construction
-//!   (over the flat live union) across the batch, and records its choice
-//!   (plus evaluation counters, the per-bucket reuse rate and the
-//!   scatter-gather fan-out in [`ExecStats`]);
+//!   snapped evaluator when a cache grid is set (`quant:snapped`). Exact
+//!   answers satisfy every [`Guarantee`] a caller can ask for, so there is
+//!   no plan to choose: [`ExecStats`] records the plan taken, evaluation
+//!   counters, the per-bucket reuse rate and the scatter-gather fan-out;
 //! * a [quantization-keyed LRU result cache](cache) snaps query points to a
 //!   configurable grid; snapped answers carry a *certified* widened
 //!   [`Guarantee`] (see [`snap`]), so caching never silently degrades
@@ -93,31 +91,25 @@
 //! ```
 
 pub mod cache;
-pub mod planner;
 pub mod pool;
 pub mod server;
 pub mod shard;
 pub mod snap;
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use uncertain_geom::Point;
 use uncertain_nn::dynamic::shard::ShardedReader;
 use uncertain_nn::dynamic::{DynamicSet, RebuildStats, UpdateOutcome};
 use uncertain_nn::model::DiscreteSet;
-use uncertain_nn::quantification::monte_carlo::{MonteCarloPnn, SampleBackend};
-use uncertain_nn::quantification::spiral::SpiralSearch;
 use uncertain_nn::queries::Guarantee;
 use uncertain_spatial::soa::kernel_stats;
 
 pub use cache::{quantize_point, snap_center, snap_radius};
-use cache::{CacheKey, CachedValue, QuantTag, ResultCache};
-pub use planner::{BatchPlan, NonzeroPlan, PlanEstimate, PlannerInputs, QuantPlan};
+use cache::{CacheKey, CachedValue, ResultCache};
 pub use pool::{resolve_threads, ThreadPool, THREADS_ENV};
 use shard::{Part, PartitionerKind, Router};
 pub use uncertain_nn::dynamic::{DynamicConfig, DynamicStats, SiteId, Update};
@@ -218,12 +210,71 @@ pub struct ShardStat {
     pub quant_warm_rate: f64,
 }
 
+/// Execution strategy for the `NN≠0` requests of a batch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NonzeroPlan {
+    /// Scatter-gather over the Bentley–Saxe buckets every engine holds from
+    /// construction: the Theorem 3.2 query shape once per bucket, no build.
+    Dynamic,
+}
+
+/// Execution strategy for the probability (Threshold/TopK) requests.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QuantPlan {
+    /// The exact k-way merge over the Bentley–Saxe buckets' sorted
+    /// summaries, with the sweep's early exit — bit-identical to the Eq. (2)
+    /// sweep over the flat live set.
+    Merged,
+    /// Certified interval evaluation at the query's snap-cell center over
+    /// the flat live set (see [`snap`]) — the evaluator of an engine with a
+    /// cache grid, in place of `Merged`.
+    Snapped,
+}
+
+impl std::fmt::Display for NonzeroPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NonzeroPlan::Dynamic => write!(f, "nonzero:dynamic"),
+        }
+    }
+}
+
+impl std::fmt::Display for QuantPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            QuantPlan::Merged => write!(f, "quant:merged"),
+            QuantPlan::Snapped => write!(f, "quant:snapped"),
+        }
+    }
+}
+
+/// The evaluators one batch ran: one per query family present in it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BatchPlan {
+    pub nonzero: Option<NonzeroPlan>,
+    pub quant: Option<QuantPlan>,
+}
+
+impl BatchPlan {
+    /// Short human-readable summary, e.g. `"nonzero:dynamic + quant:merged"`.
+    pub fn summary(&self) -> String {
+        match (&self.nonzero, &self.quant) {
+            (Some(nz), Some(qp)) => format!("{nz} + {qp}"),
+            (Some(nz), None) => nz.to_string(),
+            (None, Some(qp)) => qp.to_string(),
+            (None, None) => "idle".to_string(),
+        }
+    }
+}
+
 /// Execution report for one batch.
 #[derive(Clone, Debug)]
 pub struct ExecStats {
-    /// The planner's decision (with its full cost table).
+    /// The evaluators the batch ran.
     pub plan: BatchPlan,
-    /// Structures built during this batch (empty on warm batches).
+    /// Structures built during this batch. Always empty: every structure a
+    /// plan reads is built by [`Engine::new`], [`Engine::apply`] or lazily
+    /// inside the evaluation itself. Kept so existing readers compile.
     pub built: Vec<&'static str>,
     /// End-to-end wall time for the batch.
     pub wall: Duration,
@@ -275,11 +326,10 @@ pub struct ExecStats {
     /// shards its box pruning actually touched).
     pub shards_touched: usize,
     /// Scatter-gather reads behind [`ExecStats::shards_touched`] —
-    /// `shards_touched / shard_reads` is the mean fan-out per query, the
-    /// number the planner's gather term is fed back.
+    /// `shards_touched / shard_reads` is the mean fan-out per query.
     pub shard_reads: usize,
     /// Registry span totals (`uncertain_obs` wall-clock histograms across
-    /// the engine, planner, cache, dynamic, and kernel layers) that
+    /// the engine, cache, dynamic, and kernel layers) that
     /// advanced during this batch, merged by span name. Like the kernel
     /// counters these are process-global deltas, so concurrent batches on
     /// *other* engines fold into each other's numbers. The `.cycles` twins
@@ -428,16 +478,12 @@ pub struct BatchResponse {
 }
 
 /// Engine configuration. `Default` is a sensible serving setup: one shard,
-/// exact answers, exact-bits caching (no snapping), auto-detected
-/// parallelism.
+/// exact-bits caching (no snapping), auto-detected parallelism.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Worker count. Resolution: `UNC_ENGINE_THREADS` env > this field >
     /// detected parallelism.
     pub threads: Option<usize>,
-    /// The guarantee requested of probability answers; gates which
-    /// quantifiers the planner may pick.
-    pub guarantee: Guarantee,
     /// Result-cache capacity in entries; `0` disables the cache entirely
     /// (no lookups or lock traffic — for measuring raw execution).
     pub cache_capacity: usize,
@@ -467,7 +513,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: None,
-            guarantee: Guarantee::Exact,
             cache_capacity: 4096,
             cache_grid: 0.0,
             dynamic: DynamicConfig::default(),
@@ -478,25 +523,10 @@ impl Default for EngineConfig {
     }
 }
 
-/// Seed for Monte-Carlo instantiation sampling, so builds are
-/// deterministic: two engines over one set estimate identically.
-const MC_SEED: u64 = 0xC0FFEE;
-
-/// The approximate quantifiers, built lazily over the flat live union. Build
-/// cost is paid once (on the batch that first needs the structure) and sunk
-/// for all later batches of the epoch — the planner is told what already
-/// exists.
-#[derive(Default)]
-struct Structures {
-    spiral: Mutex<Option<Arc<SpiralSearch>>>,
-    mc: Mutex<Option<(usize, Arc<MonteCarloPnn>)>>,
-}
-
 /// One immutable epoch snapshot: the per-shard Bentley–Saxe structures the
-/// epoch serves from, a flat view of their live union, and the epoch's
-/// lazily-built approximate quantifiers. Batches pin the snapshot they
-/// started on via `Arc`, so a concurrent [`Engine::apply`] never changes
-/// answers mid-batch.
+/// epoch serves from and a lazy flat view of their live union. Batches pin
+/// the snapshot they started on via `Arc`, so a concurrent
+/// [`Engine::apply`] never changes answers mid-batch.
 struct EngineCore {
     /// The publish generation: advances exactly when the shard-epoch vector
     /// changes, so it is a collision-free cache stamp for the whole vector.
@@ -510,17 +540,12 @@ struct EngineCore {
     /// batches served by the dynamic plans (`NN≠0` buckets, merged
     /// quantification) never need the flat set.
     set: OnceLock<DiscreteSet>,
-    /// `(max k, weight spread)` over live sites — the spiral and
-    /// Monte-Carlo rows of the planner need them, so only engines whose
-    /// guarantee admits those plans pay the O(n + N) scan, once per epoch.
-    shape: OnceLock<(usize, f64)>,
     /// Resolved: `shards`, `partitioner` and `rebalance_ratio` hold what
     /// the engine runs with, env overrides applied.
     config: EngineConfig,
     /// Shared across epochs; epoch-stamped keys keep entries from ever
     /// crossing snapshots.
     cache: Arc<ResultCache>,
-    structures: Structures,
 }
 
 impl EngineCore {
@@ -538,10 +563,8 @@ impl EngineCore {
             shard_epochs,
             reader: ShardedReader::new(shards),
             set: OnceLock::new(),
-            shape: OnceLock::new(),
             config,
             cache,
-            structures: Structures::default(),
         }
     }
 
@@ -557,12 +580,14 @@ impl EngineCore {
         self.reader.ids()
     }
 
-    /// `(max k, weight spread)` of the live sites.
-    fn shape(&self) -> (usize, f64) {
-        *self.shape.get_or_init(|| {
-            let (_, max_k, spread) = self.reader.live_shape();
-            (max_k, spread)
-        })
+    /// The quantification evaluator: the snapped one iff the cache snaps
+    /// query points to a grid, the exact merge otherwise.
+    fn quant_plan(&self) -> QuantPlan {
+        if self.cache.grid() > 0.0 {
+            QuantPlan::Snapped
+        } else {
+            QuantPlan::Merged
+        }
     }
 
     /// One `(epoch, live, tombstones, warm rate)` row per shard.
@@ -592,12 +617,12 @@ impl EngineCore {
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 /// Sound only where the guarded state is **valid-on-panic** — true for
 /// every engine lock but two: `Arc` snapshot pointers are swapped
-/// atomically, and the lazily-built structure slots are `Option<Arc<_>>`s
-/// that a panicking build simply leaves `None`. The two exceptions repair
-/// themselves on poison instead: the writer lock's router, which a
-/// panicking apply leaves holding routes that were never published
-/// ([`Engine::apply`] re-derives it from the published shards), and the
-/// result cache's LRU, which clears itself (see [`cache`]). Without
+/// atomically, and the server's batch queue only ever gains or loses whole
+/// entries. The two exceptions repair themselves on poison instead: the
+/// writer lock's router, which a panicking apply leaves holding routes
+/// that were never published ([`Engine::apply`] re-derives it from the
+/// published shards), and the result cache's LRU, which clears itself
+/// (see [`cache`]). Without
 /// these, one panicking query poisons a lock and every later
 /// `.lock().unwrap()` panics too — the cascade that turns a bad request
 /// into a dead process.
@@ -627,7 +652,7 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The serving engine: owns the sharded uncertain-point set, its worker
-/// pool, its cache, and every lazily-built query structure.
+/// pool and its cache.
 /// [`Engine::apply`] swaps in a new epoch snapshot; queries always serve a
 /// consistent epoch. See the [`shard`] module for what `S > 1` changes.
 pub struct Engine {
@@ -640,25 +665,6 @@ pub struct Engine {
     /// never disagree. Readers are never blocked by it.
     writer: Mutex<Router>,
     pool: ThreadPool,
-    /// Scatter-gather feedback for the planner: Σ shards actually visited
-    /// and the number of such reads, across all batches. Their ratio is
-    /// the expected per-query fan-out the gather cost term uses instead of
-    /// the worst-case `S`.
-    touched_sum: AtomicU64,
-    touched_reads: AtomicU64,
-}
-
-/// The per-batch quantification context handed to workers (`NN≠0` needs
-/// none: it always scatter-gathers over the snapshot's shards).
-#[derive(Clone)]
-enum PreparedQuant {
-    /// The k-way merged exact path over the snapshot's Bentley–Saxe buckets.
-    Merged,
-    /// Certified interval evaluation at the snap-cell center over the flat
-    /// live set.
-    Snapped,
-    Spiral(Arc<SpiralSearch>, f64),
-    MonteCarlo(Arc<MonteCarloPnn>, Guarantee),
 }
 
 #[derive(Default)]
@@ -712,8 +718,7 @@ fn apply_shard(
 impl Engine {
     /// Builds an engine over `set`, bulk-loading it into `S` Bentley–Saxe
     /// shards so the first batch is already served by the dynamic plans.
-    /// Spawns the worker pool immediately; the approximate quantifiers are
-    /// built lazily by the planner. Sites receive the stable ids
+    /// Spawns the worker pool immediately. Sites receive the stable ids
     /// `0..set.len()` in input order. The shard count resolves via
     /// [`shard::resolve_shards`] from `config.shards`, the partitioner and
     /// rebalance ratio via their `resolve_*` twins.
@@ -731,8 +736,6 @@ impl Engine {
             core: RwLock::new(Arc::new(core)),
             writer: Mutex::new(router),
             pool: ThreadPool::new(resolve_threads(config.threads)),
-            touched_sum: AtomicU64::new(0),
-            touched_reads: AtomicU64::new(0),
         }
     }
 
@@ -800,8 +803,8 @@ impl Engine {
 
     /// Whether the current epoch's flat live set has been materialized.
     /// `apply` never materializes it — only consumers that genuinely need
-    /// the flat view (spiral and Monte-Carlo builds, the snapped quant
-    /// path, [`live_set`](Self::live_set)) do, so batches served entirely
+    /// the flat view (the snapped quant path,
+    /// [`live_set`](Self::live_set)) do, so batches served entirely
     /// by the dynamic plans (`nonzero:dynamic`, `quant:merged`) leave it
     /// untouched.
     /// Exposed for tests and capacity planning.
@@ -940,9 +943,9 @@ impl Engine {
 
         // Publish: one new core carrying every changed shard — the single
         // pointer swap is what makes straddling batches and migrations
-        // atomic for readers. No materialization here: the flat set, the
-        // id list and the planner's shape summary are all produced lazily
-        // by the first consumer that observes them.
+        // atomic for readers. No materialization here: the flat set and
+        // the id list are produced lazily by the first consumer that
+        // observes them.
         let changed: Vec<bool> = (0..shards.len())
             .map(|s| !Arc::ptr_eq(&shards[s], &old.reader.shards()[s]))
             .collect();
@@ -975,19 +978,7 @@ impl Engine {
         self.snapshot().cache.len()
     }
 
-    /// Expected per-query scatter-gather fan-out, fed back from every prior
-    /// batch's observed shards-touched counts; before any observation, the
-    /// worst case (every shard — exact for hash partitioning).
-    fn expected_touched(&self, core: &EngineCore) -> f64 {
-        let reads = self.touched_reads.load(Ordering::Relaxed);
-        if reads == 0 {
-            core.reader.num_shards() as f64
-        } else {
-            self.touched_sum.load(Ordering::Relaxed) as f64 / reads as f64
-        }
-    }
-
-    /// Plans and executes one batch: answers are returned in request order,
+    /// Executes one batch: answers are returned in request order,
     /// alongside the plan taken and the execution stats. The whole batch is
     /// served from one epoch snapshot ([`ExecStats::epoch`]).
     pub fn run_batch(&self, requests: &[QueryRequest]) -> BatchResponse {
@@ -996,18 +987,9 @@ impl Engine {
         let core = self.snapshot();
         let kernels_before = kernel_stats();
         let nonzero_count = requests.iter().filter(|r| r.is_nonzero()).count();
-        let plan = {
-            let _s = uncertain_obs::span!("engine.batch.plan");
-            plan_for(
-                &core,
-                nonzero_count,
-                requests.len() - nonzero_count,
-                self.expected_touched(&core),
-            )
-        };
-        let (quant, built) = {
-            let _s = uncertain_obs::span!("engine.batch.prepare");
-            prepare(&core, &plan)
+        let plan = BatchPlan {
+            nonzero: (nonzero_count > 0).then_some(NonzeroPlan::Dynamic),
+            quant: (nonzero_count < requests.len()).then(|| core.quant_plan()),
         };
         let counters = Arc::new(BatchCounters::default());
 
@@ -1018,7 +1000,7 @@ impl Engine {
             let e0 = Instant::now();
             let results = requests
                 .iter()
-                .map(|r| exec_one(&core, quant.as_ref(), *r, &counters))
+                .map(|r| exec_one(&core, *r, &counters))
                 .collect();
             (results, vec![e0.elapsed()])
         } else {
@@ -1027,7 +1009,6 @@ impl Engine {
             let mut jobs = 0usize;
             for (ji, chunk) in requests.chunks(chunk_len).enumerate() {
                 let core = Arc::clone(&core);
-                let quant = quant.clone();
                 let counters = Arc::clone(&counters);
                 let chunk: Vec<QueryRequest> = chunk.to_vec();
                 let rtx = rtx.clone();
@@ -1035,7 +1016,7 @@ impl Engine {
                     let e0 = Instant::now();
                     let out: Vec<QueryResult> = chunk
                         .iter()
-                        .map(|r| exec_one(&core, quant.as_ref(), *r, &counters))
+                        .map(|r| exec_one(&core, *r, &counters))
                         .collect();
                     let _ = rtx.send((ji, out, e0.elapsed()));
                 });
@@ -1077,16 +1058,8 @@ impl Engine {
         let wall = t0.elapsed();
         uncertain_obs::histogram!("engine.batch.wall").record(wall.as_nanos() as u64);
         uncertain_obs::counter!("engine.batch.requests").add(requests.len() as u64);
-        record_planner_observation(&plan, requests.len(), worker_busy.iter().sum());
-        // Feed this batch's observed fan-out back to the planner's gather
-        // term, and refresh the per-shard warm-rate gauges (the batch's
-        // merged evaluations are what warms the summaries).
-        let shards_touched = counters.shards_touched.load(Ordering::Relaxed);
-        let shard_reads = counters.shard_reads.load(Ordering::Relaxed);
-        self.touched_sum
-            .fetch_add(shards_touched as u64, Ordering::Relaxed);
-        self.touched_reads
-            .fetch_add(shard_reads as u64, Ordering::Relaxed);
+        // Refresh the per-shard warm-rate gauges (the batch's merged
+        // evaluations are what warms the summaries).
         let shard_stats = core.shard_stats();
         let registry = uncertain_obs::registry();
         for s in &shard_stats {
@@ -1101,7 +1074,7 @@ impl Engine {
             stats: ExecStats {
                 nonzero_guarantee: (nonzero_count > 0).then_some(Guarantee::Exact),
                 plan,
-                built,
+                built: vec![],
                 wall,
                 batch_len: requests.len(),
                 cache_hits: counters.hits.load(Ordering::Relaxed),
@@ -1118,25 +1091,22 @@ impl Engine {
                 quant_fresh_evals: counters.quant_snapped.load(Ordering::Relaxed),
                 quant_bucket_touches: counters.bucket_touches.load(Ordering::Relaxed),
                 quant_bucket_warm: counters.bucket_warm.load(Ordering::Relaxed),
-                shards_touched,
-                shard_reads,
+                shards_touched: counters.shards_touched.load(Ordering::Relaxed),
+                shard_reads: counters.shard_reads.load(Ordering::Relaxed),
                 spans,
             },
         }
     }
 
-    /// Probability estimates for a single query through the planner + cache
-    /// (the path Threshold/TopK answers are derived from), with the
+    /// Probability estimates for a single query through the evaluator and
+    /// cache (the path Threshold/TopK answers are derived from), with the
     /// guarantee they are served under. Dense over the current epoch's live
     /// sites in [`site_ids`](Self::site_ids) order — the served answer's
     /// positive estimates scattered into zeros, so `O(n)`. Exposed for
     /// tests and calibration.
     pub fn estimates(&self, q: Point) -> (Vec<f64>, Guarantee) {
         let core = self.snapshot();
-        let plan = plan_for(&core, 0, 1, self.expected_touched(&core));
-        let (quant, _) = prepare(&core, &plan);
-        let quant = quant.expect("quant plan for 1 request");
-        let (ranked, g) = quant_ranked(&core, &quant, q, &BatchCounters::default());
+        let (ranked, g) = quant_ranked(&core, q, &BatchCounters::default());
         let ids = core.ids();
         let mut pi = vec![0.0; ids.len()];
         for &(id, p) in ranked.iter() {
@@ -1171,122 +1141,6 @@ fn record_apply_gauges(core: &EngineCore, changed: &[bool]) {
     }
 }
 
-/// Planner inputs for one batch against `core`: bucket fan-out summed
-/// across shards, the approximate quantifiers already built over the flat
-/// live union, and `expected_touched` — the observed mean scatter-gather
-/// fan-out (`S` under hash; `< S` once spatial pruning bites). Every input
-/// is `O(S · buckets)` to read except the `(max k, spread)` shape scan,
-/// which only a quant batch under an approximate guarantee pays (once per
-/// epoch) — an exact engine's rows do not depend on it.
-fn plan_for(
-    core: &EngineCore,
-    nonzero_count: usize,
-    quant_count: usize,
-    expected_touched: f64,
-) -> BatchPlan {
-    let guarantee = core.config.guarantee;
-    let (max_k, spread) = if quant_count > 0 && guarantee.slack() > 0.0 {
-        core.shape()
-    } else {
-        (0, 1.0)
-    };
-    let (_, quant_cold) = core.reader.quant_summary_state();
-    planner::plan(&PlannerInputs {
-        n: core.reader.len(),
-        total_locations: core.reader.live_locations(),
-        max_k,
-        spread,
-        nonzero_count,
-        quant_count,
-        guarantee,
-        spiral_built: lock_ok(&core.structures.spiral).is_some(),
-        mc_built_samples: lock_ok(&core.structures.mc).as_ref().map(|(s, _)| *s),
-        dynamic_buckets: core.reader.stats().buckets,
-        dynamic_quant_cold_locations: quant_cold,
-        quant_snapped: core.cache.grid() > 0.0,
-        shards: core.reader.num_shards(),
-        expected_shards_touched: expected_touched,
-    })
-}
-
-/// Feeds the planner's predicted cost (the chosen rows' abstract "location
-/// visit" units) and the batch's observed busy time into the registry, so
-/// dumps can compare what the cost model promised against what execution
-/// delivered. A batch whose ns-per-unit ratio deviates by more than 4× in
-/// either direction from the cumulative mean ratio counts as a
-/// misprediction — a deliberately coarse heuristic: unit costs drift with
-/// cache warmth and data shape, so only order-of-magnitude surprises are
-/// flagged.
-fn record_planner_observation(plan: &BatchPlan, batch_len: usize, busy: Duration) {
-    if batch_len == 0 {
-        return;
-    }
-    let predicted: f64 = plan
-        .estimates
-        .iter()
-        .filter(|e| e.chosen)
-        .map(|e| e.total)
-        .sum();
-    let observed_ns = busy.as_nanos() as u64;
-    if predicted <= 0.0 || observed_ns == 0 {
-        return;
-    }
-    let predicted_units = predicted.round().max(1.0) as u64;
-    let predicted_c = uncertain_obs::counter!("engine.planner.predicted_units");
-    let observed_c = uncertain_obs::counter!("engine.planner.observed_ns");
-    // Read the cumulative totals *before* folding this batch in, so the
-    // batch is judged against history, not against itself.
-    let (cum_units, cum_ns) = (predicted_c.get(), observed_c.get());
-    let batch_ratio = observed_ns as f64 / predicted_units as f64;
-    uncertain_obs::histogram!("engine.planner.ns_per_unit").record(batch_ratio.round() as u64);
-    if cum_units > 0 && cum_ns > 0 {
-        let mean_ratio = cum_ns as f64 / cum_units as f64;
-        if batch_ratio > 4.0 * mean_ratio || batch_ratio < 0.25 * mean_ratio {
-            uncertain_obs::counter!("engine.planner.mispredictions").inc();
-        }
-    }
-    predicted_c.add(predicted_units);
-    observed_c.add(observed_ns);
-}
-
-/// Builds (or fetches) the structures the quantification plan needs, on
-/// the calling thread, so workers only ever read shared `Arc`s.
-fn prepare(core: &EngineCore, plan: &BatchPlan) -> (Option<PreparedQuant>, Vec<&'static str>) {
-    let mut built = vec![];
-    let quant = plan.quant.map(|qp| match qp {
-        QuantPlan::Merged => PreparedQuant::Merged,
-        QuantPlan::Snapped => PreparedQuant::Snapped,
-        QuantPlan::Spiral { eps } => {
-            let mut slot = lock_ok(&core.structures.spiral);
-            let arc = slot
-                .get_or_insert_with(|| {
-                    built.push("spiral");
-                    Arc::new(SpiralSearch::build(core.set()))
-                })
-                .clone();
-            PreparedQuant::Spiral(arc, eps)
-        }
-        QuantPlan::MonteCarlo { samples } => {
-            let mut slot = lock_ok(&core.structures.mc);
-            let rebuild = slot.as_ref().is_none_or(|(have, _)| *have < samples);
-            if rebuild {
-                built.push("monte-carlo");
-                let mut rng = StdRng::seed_from_u64(MC_SEED);
-                let mc = MonteCarloPnn::build_discrete(
-                    core.set(),
-                    samples,
-                    SampleBackend::KdTree,
-                    &mut rng,
-                );
-                *slot = Some((samples, Arc::new(mc)));
-            }
-            let (_, arc) = slot.as_ref().unwrap();
-            PreparedQuant::MonteCarlo(Arc::clone(arc), core.config.guarantee)
-        }
-    });
-    (quant, built)
-}
-
 /// Executes one request with per-request panic isolation: a panicking
 /// evaluation (NaN coordinates violating a total-order assumption, a
 /// pathological input tripping an internal assertion) yields a typed
@@ -1294,14 +1148,9 @@ fn prepare(core: &EngineCore, plan: &BatchPlan) -> (Option<PreparedQuant>, Vec<&
 /// panic is contained *before* it can reach any shared lock, so nothing is
 /// poisoned and the rest of the batch — and every later batch — answers
 /// normally.
-fn exec_one(
-    core: &EngineCore,
-    quant: Option<&PreparedQuant>,
-    req: QueryRequest,
-    counters: &BatchCounters,
-) -> QueryResult {
+fn exec_one(core: &EngineCore, req: QueryRequest, counters: &BatchCounters) -> QueryResult {
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        exec_one_inner(core, quant, req, counters)
+        exec_one_inner(core, req, counters)
     }));
     out.unwrap_or_else(|payload| {
         uncertain_obs::counter!("engine.exec.panics").inc();
@@ -1311,12 +1160,7 @@ fn exec_one(
     })
 }
 
-fn exec_one_inner(
-    core: &EngineCore,
-    quant: Option<&PreparedQuant>,
-    req: QueryRequest,
-    counters: &BatchCounters,
-) -> QueryResult {
+fn exec_one_inner(core: &EngineCore, req: QueryRequest, counters: &BatchCounters) -> QueryResult {
     // Non-finite inputs violate the total-order assumptions every plan
     // shares (and would poison cache keys), and a threshold `τ ≤ 0` would
     // admit sites with `π = 0`; fail them deterministically here — in every
@@ -1360,14 +1204,13 @@ fn exec_one_inner(
         }
         QueryRequest::Threshold { q, tau } => {
             let _trace = uncertain_obs::trace::start("threshold");
-            let quant = quant.expect("quant plan");
-            let (ranked, guarantee) = quant_ranked(core, quant, q, counters);
+            let (ranked, guarantee) = quant_ranked(core, q, counters);
             let cut = tau - guarantee.slack();
             let end = ranked.partition_point(|&(_, p)| p >= cut);
             let mut items = ranked[..end].to_vec();
             if cut <= 0.0 {
-                // Only an approximate guarantee gets here (τ > 0): its
-                // no-false-negative promise admits every live site, the
+                // Only a snapped answer with halfwidth ≥ τ gets here (τ > 0):
+                // its no-false-negative promise admits every live site, the
                 // zero estimates included, ascending by id after the
                 // positive ones.
                 let mut positive: Vec<SiteId> = ranked.iter().map(|&(id, _)| id).collect();
@@ -1383,8 +1226,7 @@ fn exec_one_inner(
         }
         QueryRequest::TopK { q, k } => {
             let _trace = uncertain_obs::trace::start("topk");
-            let quant = quant.expect("quant plan");
-            let (ranked, guarantee) = quant_ranked(core, quant, q, counters);
+            let (ranked, guarantee) = quant_ranked(core, q, counters);
             let items = ranked[..k.min(ranked.len())].to_vec();
             QueryResult::Ranked { items, guarantee }
         }
@@ -1415,38 +1257,20 @@ fn rank_dense(core: &EngineCore, pi: &[f64]) -> Vec<(SiteId, f64)> {
 /// — every positive estimate as `(id, π̂)`, by decreasing estimate then
 /// increasing id — and the guarantee it is served under. TopK is a
 /// k-prefix of it and Threshold a prefix by estimate, so one entry serves
-/// both, and its size is the answer's (`|NN≠0(q)|` at most for exact
-/// engines, by Lemma 2.1), not `n`. The merged plan ranks its sparse sweep
-/// output directly; the snapped, spiral and Monte-Carlo evaluators produce
-/// dense vectors over the flat live set, which are ranked once here. The
-/// snapped plan evaluates at the query's *cell center* with a certified
-/// interval — identical for every query in the cell, independent of cache
-/// state.
+/// both, and its size is the answer's (`|NN≠0(q)|` at most, by Lemma 2.1),
+/// not `n`. The merged plan ranks its sparse sweep output directly; the
+/// snapped evaluator produces a dense vector over the flat live set, which
+/// is ranked once here. The snapped plan evaluates at the query's *cell
+/// center* with a certified interval — identical for every query in the
+/// cell, independent of cache state.
 fn quant_ranked(
     core: &EngineCore,
-    quant: &PreparedQuant,
     q: Point,
     counters: &BatchCounters,
 ) -> (Arc<Vec<(SiteId, f64)>>, Guarantee) {
-    let (tag, grid) = match quant {
-        // Snapping is only certified for the exact evaluator (the interval
-        // certificate needs exact cdfs); approximate engines key exactly.
-        PreparedQuant::Merged => (QuantTag::Exact, 0.0),
-        PreparedQuant::Snapped => (QuantTag::Exact, core.cache.grid()),
-        PreparedQuant::Spiral(_, eps) => (
-            QuantTag::Spiral {
-                eps_bits: eps.to_bits(),
-            },
-            0.0,
-        ),
-        PreparedQuant::MonteCarlo(mc, _) => (
-            QuantTag::MonteCarlo {
-                samples: mc.num_samples(),
-            },
-            0.0,
-        ),
-    };
-    let key = CacheKey::quant(core.epoch, q, grid, tag);
+    let plan = core.quant_plan();
+    let grid = core.cache.grid();
+    let key = CacheKey::quant(core.epoch, q, grid);
     if core.cache.enabled() {
         if let Some(CachedValue::Quant { ranked, guarantee }) = core.cache.get(&key) {
             counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -1456,8 +1280,8 @@ fn quant_ranked(
     }
     // Same convention as the nonzero span: opened after the cache lookup,
     // so the histograms time evaluations, not hits.
-    let (ranked, guarantee) = match quant {
-        PreparedQuant::Merged => {
+    let (ranked, guarantee) = match plan {
+        QuantPlan::Merged => {
             let _exec = uncertain_obs::span!("engine.exec.quant.merged");
             let (mut pi, st) = core.reader.quantification_merged_with_stats(q);
             counters.touched(st.shards_touched);
@@ -1471,7 +1295,7 @@ fn quant_ranked(
             sort_ranked(&mut pi);
             (pi, Guarantee::Exact)
         }
-        PreparedQuant::Snapped => {
+        QuantPlan::Snapped => {
             let _exec = uncertain_obs::span!("engine.exec.quant.snapped");
             counters.quant_snapped.fetch_add(1, Ordering::Relaxed);
             let center = snap_center(q, grid);
@@ -1483,17 +1307,6 @@ fn quant_ranked(
                 Guarantee::Exact
             };
             (rank_dense(core, &mid), g)
-        }
-        PreparedQuant::Spiral(s, eps) => {
-            let _exec = uncertain_obs::span!("engine.exec.quant.spiral");
-            (
-                rank_dense(core, &s.estimate_all(q, *eps)),
-                Guarantee::Additive(*eps),
-            )
-        }
-        PreparedQuant::MonteCarlo(mc, g) => {
-            let _exec = uncertain_obs::span!("engine.exec.quant.mc");
-            (rank_dense(core, &mc.estimate_all(q)), *g)
         }
     };
     let ranked = Arc::new(ranked);
@@ -1673,7 +1486,7 @@ mod tests {
         let core = eng.snapshot();
         let counters = BatchCounters::default();
         for q in workload::random_queries(16, 60.0, 5) {
-            let (ranked, g) = quant_ranked(&core, &PreparedQuant::Merged, q, &counters);
+            let (ranked, g) = quant_ranked(&core, q, &counters);
             assert_eq!(g, Guarantee::Exact);
             let nonzero = core.reader.nonzero(q);
             assert!(!ranked.is_empty() && ranked.len() <= nonzero.len());
@@ -1809,7 +1622,7 @@ mod tests {
     #[test]
     fn snap_grid_disables_the_merged_plan_and_stays_certified() {
         // With a snap grid, quant answers are certified interval evaluations
-        // over the flat live set — the planner serves quant:snapped, never
+        // over the flat live set — the engine serves quant:snapped, never
         // quant:merged.
         let set = workload::random_discrete_set(3000, 3, 4.0, 55);
         let eng = Engine::new(
@@ -2018,59 +1831,5 @@ mod tests {
             "quant batches should evaluate distances through the SoA kernels"
         );
         assert!((0.0..=1.0).contains(&s.kernel_lane_fraction()));
-    }
-
-    #[test]
-    fn probabilistic_guarantee_uses_monte_carlo_deterministically() {
-        // The planner's Monte-Carlo crossover is a planner unit test. Here:
-        // the engine seeds its sampler from `MC_SEED`, so two builds from
-        // one seed estimate identically…
-        let set = workload::spread_discrete_set(400, 3, 1e5, 19);
-        let build = || {
-            let mut rng = StdRng::seed_from_u64(MC_SEED);
-            MonteCarloPnn::build_discrete(&set, 256, SampleBackend::KdTree, &mut rng)
-        };
-        let (a, b) = (build(), build());
-        for q in workload::random_queries(16, 60.0, 20) {
-            assert_eq!(a.estimate_all(q), b.estimate_all(q));
-        }
-        // …and probabilistic engines answer identically across instances,
-        // within their declared slack, whichever plan serves them.
-        let config = EngineConfig {
-            guarantee: Guarantee::Probabilistic {
-                eps: 0.1,
-                delta: 0.05,
-            },
-            ..EngineConfig::default()
-        };
-        let (e1, e2) = (
-            Engine::new(set.clone(), config),
-            Engine::new(set.clone(), config),
-        );
-        let batch: Vec<QueryRequest> = workload::random_queries(32, 60.0, 20)
-            .iter()
-            .cycle()
-            .take(1024)
-            .map(|&q| QueryRequest::TopK { q, k: 1 })
-            .collect();
-        let (r1, r2) = (e1.run_batch(&batch), e2.run_batch(&batch));
-        assert!(r1.stats.cache_hits > 0, "repeated queries must hit cache");
-        // Same seed → identical estimates across engine instances.
-        assert_eq!(r1.results, r2.results);
-        // The MC winner's exact probability is within slack of the optimum.
-        let exact = ExactQuantifier(&set);
-        for (req, res) in batch.iter().zip(&r1.results).take(32) {
-            let (QueryRequest::TopK { q, .. }, QueryResult::Ranked { items, guarantee }) =
-                (req, res)
-            else {
-                panic!("shape");
-            };
-            if let (Some(&(winner, _)), Some((_, best))) =
-                (items.first(), top_k_probable(&exact, *q, 1).first())
-            {
-                let pi = quantification_discrete(&set, *q);
-                assert!(pi[winner] >= best - 2.0 * guarantee.slack() - 1e-9);
-            }
-        }
     }
 }
