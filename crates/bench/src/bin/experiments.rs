@@ -1810,14 +1810,18 @@ fn e28_amortized_updates() {
 
 /// E29: merged quantification vs the fresh sweep under churn — the same
 /// dynamic structure absorbing update waves, then serving the identical
-/// quantification batch through both exact plan variants. Fresh pays the
-/// full `O(N log N)` assemble+sort per query; merged draws warm per-bucket
-/// distance-ordered streams through the k-way merge and stops at the
-/// sweep's early exit. Answers are cross-checked bitwise every round.
+/// quantification batch through the merged path and the static sweep.
+/// Fresh runs the static sweep over a location slab of the live set, built
+/// once per round outside the timed region, so it pays the full
+/// `O(N log N)` distance pass + sort per query; merged draws warm
+/// per-bucket distance-ordered streams through the k-way merge and stops
+/// at the sweep's early exit. Answers are cross-checked bitwise every round.
 fn e29_merged_quantification() {
     use rand::Rng;
     use uncertain_nn::dynamic::{DynamicConfig, DynamicSet, Update};
     use uncertain_nn::model::DiscreteUncertainPoint;
+    use uncertain_nn::quantification::exact::quantification_sweep;
+    use uncertain_nn::quantification::LocationSlab;
     header(
         "E29",
         "merged quantification vs fresh sweep under churn",
@@ -1894,11 +1898,13 @@ fn e29_merged_quantification() {
                 }
             });
             merged_secs += secs;
-            // Fresh pass over the identical structure and queries.
+            // Fresh pass over the identical live set and queries; the slab
+            // is the epoch's setup, built before the clock starts.
+            let (slab, ids) = (LocationSlab::from_set(&d.live_set()), d.live_ids());
             let (_, secs) = time(|| {
                 for &q in &queries {
-                    let pi = d.quantification(q);
-                    checksum -= pi.iter().map(|&(_, p)| p).sum::<f64>();
+                    let pi = quantification_sweep(slab.entries(q), ids.len());
+                    checksum -= pi.iter().sum::<f64>();
                 }
             });
             fresh_secs += secs;
@@ -1906,9 +1912,10 @@ fn e29_merged_quantification() {
             for &q in queries.iter().take(4) {
                 // The merged answer is the fresh one's π > 0 pairs.
                 let merged = d.quantification_merged(q);
-                let fresh: Vec<_> = d
-                    .quantification(q)
-                    .into_iter()
+                let fresh: Vec<_> = ids
+                    .iter()
+                    .copied()
+                    .zip(quantification_sweep(slab.entries(q), ids.len()))
                     .filter(|&(_, p)| p > 0.0)
                     .collect();
                 assert_eq!(merged.len(), fresh.len());
@@ -1958,6 +1965,8 @@ fn e29_merged_quantification() {
 /// popcount-of-n layout an insert-only history produces.
 fn e30_merge_crossover() {
     use uncertain_nn::dynamic::{DynamicConfig, DynamicSet};
+    use uncertain_nn::quantification::exact::quantification_sweep;
+    use uncertain_nn::quantification::LocationSlab;
     header(
         "E30",
         "merged-vs-fresh crossover vs bucket count",
@@ -1984,33 +1993,36 @@ fn e30_merge_crossover() {
         for p in &base.points {
             fragmented.insert(p.clone());
         }
+        // The fresh sweep's setup: the live set's location slab, built once
+        // outside the timed region.
+        let slab = LocationSlab::from_set(&compact.live_set());
         let mut checksum = 0.0f64;
-        let mut measure = |d: &DynamicSet, merged: bool| {
+        // Each evaluator answers `(answer length, first estimate)`.
+        let mut measure = |eval: &dyn Fn(Point) -> (usize, f64)| {
             // Warm pass, then timed passes.
             for &q in &queries {
-                checksum += if merged {
-                    d.quantification_merged(q).first().map_or(0.0, |&(_, p)| p)
-                } else {
-                    d.quantification(q).first().map_or(0.0, |&(_, p)| p)
-                };
+                checksum += eval(q).1;
             }
             let reps = if uncertain_bench::smoke() { 1 } else { 3 };
             let (_, secs) = time(|| {
                 for _ in 0..reps {
                     for &q in &queries {
-                        if merged {
-                            checksum += d.quantification_merged(q).len() as f64;
-                        } else {
-                            checksum += d.quantification(q).len() as f64;
-                        }
+                        checksum += eval(q).0 as f64;
                     }
                 }
             });
             secs / (reps * queries.len()) as f64
         };
-        let merged_compact = measure(&compact, true);
-        let merged_frag = measure(&fragmented, true);
-        let fresh = measure(&compact, false);
+        let merged = |d: &DynamicSet, q: Point| {
+            let pi = d.quantification_merged(q);
+            (pi.len(), pi.first().map_or(0.0, |&(_, p)| p))
+        };
+        let merged_compact = measure(&|q| merged(&compact, q));
+        let merged_frag = measure(&|q| merged(&fragmented, q));
+        let fresh = measure(&|q| {
+            let pi = quantification_sweep(slab.entries(q), n);
+            (pi.len(), pi.first().copied().unwrap_or(0.0))
+        });
         assert!(checksum > 0.0);
         // Both layouts answer identically (ids 0..n in both).
         for &q in queries.iter().take(3) {

@@ -33,18 +33,16 @@
 //! * Quantification recombines exactly because locations are independent
 //!   across sites: the Eq. (2) survival factors multiply across buckets, so
 //!   the sweep over the union of live locations *is* the per-bucket
-//!   recombination. Two interchangeable implementations share one sweep
-//!   core: the **fresh** path ([`DynamicSet::quantification`]) assembles
-//!   and stable-sorts the live union's entries per query, and the
-//!   **merged** path ([`DynamicSet::quantification_merged`]) k-way-merges
-//!   per-bucket distance-ordered streams drawn from lazily-built,
-//!   `Arc`-shared bucket summaries (tombstones filtered at draw time),
-//!   letting the sweep's early exit skip almost all entries. The merged
-//!   path is output-sensitive end to end: streams emit stable site ids,
-//!   the sweep keeps state only for drawn sites, and the answer is the
-//!   `(id, π)` pairs with `π > 0` — no per-query or per-mutation `O(n)`
-//!   setup. Both produce the identical entry sequence (up to the
-//!   id ↔ dense-rank relabeling) through identical arithmetic, so both are
+//!   recombination. The **merged** path
+//!   ([`DynamicSet::quantification_merged`]) k-way-merges per-bucket
+//!   distance-ordered streams drawn from lazily-built, `Arc`-shared bucket
+//!   summaries (tombstones filtered at draw time), letting the sweep's
+//!   early exit skip almost all entries. It is output-sensitive end to
+//!   end: streams emit stable site ids, the sweep keeps state only for
+//!   drawn sites, and the answer is the `(id, π)` pairs with `π > 0` — no
+//!   per-query or per-mutation `O(n)` setup. It produces the entry
+//!   sequence of the static sweep over the live union (up to the
+//!   id ↔ dense-rank relabeling) through identical arithmetic, so it is
 //!   **bit-identical** to a rebuild from scratch (enforced by
 //!   `tests/dynamic_differential.rs`).
 //! * Expected-distance NN takes the minimum of per-bucket branch-and-bound
@@ -79,10 +77,9 @@ mod quant;
 pub mod shard;
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::model::{DiscreteSet, DiscreteUncertainPoint};
-use crate::quantification::exact::quantification_sweep;
 use crate::quantification::sweep::{sweep_sparse, KWayMerge};
 use bucket::Bucket;
 use quant::BucketQuantStream;
@@ -206,7 +203,7 @@ pub struct QuantMergeStats {
     pub warm_buckets: usize,
     /// Entries the merge actually drew before the sweep's early exit.
     pub entries_merged: usize,
-    /// Live locations a fresh sweep would have assembled and sorted (an
+    /// Live locations a static sweep would have assembled and sorted (an
     /// `O(1)` read of the counter every mutation maintains).
     pub live_locations: usize,
     /// Shards whose streams joined the merge (sharded reader only; a
@@ -308,8 +305,8 @@ pub struct DynamicSet {
     /// filter by handle; compaction restores density once stale ids reach
     /// half the list). Fresh ids are strictly increasing, so inserts push.
     /// Keeps inserts and removes `O(1)` amortized while
-    /// [`live_ids`](Self::live_ids) / [`quantification`](Self::quantification)
-    /// stay `O(live)` instead of `O(lifetime inserts)`.
+    /// [`live_ids`](Self::live_ids) stays `O(live)` instead of
+    /// `O(lifetime inserts)`.
     live_ids: Vec<SiteId>,
     /// Removed ids still sitting in `live_ids`.
     stale_ids: usize,
@@ -317,29 +314,13 @@ pub struct DynamicSet {
     /// tombstone bitmap), if any.
     buckets: Vec<Option<Slot>>,
     live: usize,
-    /// Σ locations over live sites — what a fresh sweep would sort; kept
+    /// Σ locations over live sites — what a static sweep would sort; kept
     /// by every mutation so readers (merge statistics) get it in `O(1)`.
     live_locations: usize,
     /// Tombstoned entries still referenced by some bucket.
     dead: usize,
     config: DynamicConfig,
     stats: RebuildStats,
-    /// The fresh sweep's query-invariant setup, built once per mutation
-    /// state by the first fresh query and shared by every later one until
-    /// the next update invalidates it. The merged path never builds it.
-    /// Cloned snapshots inherit a warm view.
-    flat: OnceLock<Arc<FlatView>>,
-}
-
-/// See [`DynamicSet::flat`].
-struct FlatView {
-    /// Live ids, ascending — the dense order of the fresh sweep's output.
-    ids: Vec<SiteId>,
-    /// The live union's locations flattened into SoA slabs (canonical
-    /// ascending `(dense site, location)` order) — the fresh sweep's
-    /// distance pass runs the chunked-lane kernel over it instead of
-    /// chasing per-site `Arc`s through the handle map on every query.
-    live_slab: crate::quantification::slab::LocationSlab,
 }
 
 impl DynamicSet {
@@ -357,7 +338,6 @@ impl DynamicSet {
             dead: 0,
             config,
             stats: RebuildStats::default(),
-            flat: OnceLock::new(),
         }
     }
 
@@ -388,7 +368,6 @@ impl DynamicSet {
             dead: 0,
             config,
             stats: RebuildStats::default(),
-            flat: OnceLock::new(),
         };
         s.bootstrap_buckets();
         s
@@ -492,15 +471,8 @@ impl DynamicSet {
         }
     }
 
-    /// Drops the cached flat view; every mutation that changes the live
-    /// set must call this.
-    fn invalidate_query_maps(&mut self) {
-        self.flat = OnceLock::new();
-    }
-
     /// Inserts a site, returning its fresh stable id.
     pub fn insert(&mut self, site: DiscreteUncertainPoint) -> SiteId {
-        self.invalidate_query_maps();
         let id = self.alloc_id();
         self.stats.inserts += 1;
         let e = self.push_entry(id, site);
@@ -622,7 +594,6 @@ impl DynamicSet {
             dead: self.dead,
             config: self.config,
             stats: self.stats,
-            flat: self.flat.clone(),
         }
     }
 
@@ -670,9 +641,6 @@ impl DynamicSet {
                 }
             }
         }
-        if !pending.is_empty() || out.removed > 0 {
-            self.invalidate_query_maps();
-        }
         if !pending.is_empty() {
             self.carry(pending);
         }
@@ -706,7 +674,6 @@ impl DynamicSet {
         if !self.tombstone(id) {
             return false;
         }
-        self.invalidate_query_maps();
         self.handles.remove(&id);
         self.drop_live_id();
         self.stats.removes += 1;
@@ -720,7 +687,6 @@ impl DynamicSet {
         if !self.tombstone(id) {
             return false;
         }
-        self.invalidate_query_maps();
         self.stats.moves += 1;
         let e = self.push_entry(id, site);
         self.carry(vec![e]);
@@ -753,7 +719,6 @@ impl DynamicSet {
     /// threshold; exposed for explicit compaction.
     pub fn rebuild_all(&mut self) {
         let _span = uncertain_obs::span!("dynamic.rebuild");
-        self.invalidate_query_maps();
         self.stats.global_rebuilds += 1;
         self.stats.sites_rebuilt += self.live as u64;
         uncertain_obs::counter!("dynamic.global_rebuilds").inc();
@@ -980,25 +945,6 @@ impl DynamicSet {
         }
     }
 
-    /// All quantification probabilities over the live sites, as ascending
-    /// `(id, π)` pairs, by the **fresh sweep**: evaluate the live union's
-    /// distances on the cached SoA location slab (chunked-lane kernel) and
-    /// stable-sort the entry list — bit-identical to
-    /// [`quantification_discrete`](crate::quantification::exact) on a fresh
-    /// static build over the survivors, because both paths feed identical
-    /// entries in identical order to the shared Eq. (2) sweep core.
-    /// `O(N log N)` per query with no per-bucket reuse; the serving engine
-    /// answers with [`quantification_merged`](Self::quantification_merged)
-    /// instead.
-    pub fn quantification(&self, q: Point) -> Vec<(SiteId, f64)> {
-        let flat = self.flat();
-        let mut scratch = vec![];
-        let mut entries: Vec<(f64, usize, f64)> = vec![];
-        flat.live_slab.entries_into(q, &mut scratch, &mut entries);
-        let pi = quantification_sweep(entries, flat.ids.len());
-        flat.ids.iter().copied().zip(pi).collect()
-    }
-
     /// The nonzero quantification probabilities over the live sites by the
     /// **merged** path, as `(id, π)` pairs with `π > 0` in ascending id
     /// order (every live site absent from the answer has `π = 0` exactly —
@@ -1010,9 +956,10 @@ impl DynamicSet {
     /// `O(log n)` buckets feeds the shared Eq. (2) sweep core with its
     /// early exit. Per-query work and memory are `O(drawn entries)` plus
     /// the bucket fan-out — nothing is `O(n)`. Answers are
-    /// **bit-identical** to [`quantification`](Self::quantification) (and
-    /// hence to a fresh static build): the merge reproduces the fresh
-    /// path's exact entry order up to the id ↔ dense-rank relabeling, and
+    /// **bit-identical** to a fresh static build
+    /// ([`quantification_discrete`](crate::quantification::exact) over
+    /// [`live_set`](Self::live_set)): the merge reproduces the static
+    /// sweep's exact entry order up to the id ↔ dense-rank relabeling, and
     /// the recombination across buckets is exact because survival factors
     /// multiply independently across sites. Enforced by
     /// `tests/dynamic_differential.rs` under every op interleaving.
@@ -1058,24 +1005,6 @@ impl DynamicSet {
             }
             streams.push(slot.bucket.quant_stream(q, &slot.alive));
         }
-    }
-
-    /// The fresh path's query-invariant setup (ascending live-id list + the
-    /// live union's SoA slab), cached per mutation state: `O(N)` once, then
-    /// shared by every fresh query until the next update.
-    fn flat(&self) -> &FlatView {
-        self.flat.get_or_init(|| {
-            let ids = self.live_ids();
-            let mut live_slab =
-                crate::quantification::slab::LocationSlab::with_capacity(self.live_locations);
-            for (dense_idx, &id) in ids.iter().enumerate() {
-                let site = &self.entries[self.handles[&id] as usize].site;
-                for (&loc, &w) in site.locations().iter().zip(site.weights()) {
-                    live_slab.push(dense_idx, loc, w);
-                }
-            }
-            Arc::new(FlatView { ids, live_slab })
-        })
     }
 
     /// Warm/cold split of the per-bucket quantification summaries, in
@@ -1144,6 +1073,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The oracle's quantification over `d`'s live sites: the static Eq. (2)
+    /// sweep over [`DynamicSet::live_set`], as ascending `(id, π)` pairs.
+    fn oracle_quant(d: &DynamicSet, q: Point) -> Vec<(SiteId, f64)> {
+        d.live_ids()
+            .into_iter()
+            .zip(quantification_discrete(&d.live_set(), q))
+            .collect()
+    }
+
     /// Checks every query family of `d` against a fresh static build.
     fn assert_matches_fresh(d: &DynamicSet, queries: &[Point]) {
         let fresh = d.live_set();
@@ -1166,15 +1104,10 @@ mod tests {
                 .map(|id| ids.binary_search(id).unwrap())
                 .collect();
             assert_eq!(via_index, want_dense);
-            // Quantification: bit-identical — via the fresh sweep *and* the
-            // k-way merged path (cold, then warm).
+            // Quantification: the k-way merged path (cold, then warm) is
+            // bit-identical to the static sweep over the live set.
             let pi_fresh = quantification_discrete(&fresh, q);
-            let pi_dyn = d.quantification(q);
-            assert_eq!(pi_dyn.len(), pi_fresh.len());
-            for ((id, got), (dense, want)) in pi_dyn.iter().zip(pi_fresh.iter().enumerate()) {
-                assert_eq!(*id, ids[dense]);
-                assert_eq!(got.to_bits(), want.to_bits(), "π at {q}");
-            }
+            assert_eq!(pi_fresh.len(), ids.len());
             // The merged path answers the sites with π > 0, ascending by id
             // — a subset of NN≠0(q) (Lemma 2.1).
             let (pi_merged, mstats) = d.quantification_merged_with_stats(q);
@@ -1326,7 +1259,11 @@ mod tests {
         assert_eq!(batched.live_ids(), one_by_one.live_ids());
         for q in workload::random_queries(5, 60.0, 16) {
             assert_eq!(batched.nonzero(q), one_by_one.nonzero(q));
-            assert_eq!(batched.quantification(q), one_by_one.quantification(q));
+            assert_eq!(oracle_quant(&batched, q), oracle_quant(&one_by_one, q));
+            assert_eq!(
+                batched.quantification_merged(q),
+                one_by_one.quantification_merged(q)
+            );
         }
         // …with strictly less rebuild work (one carry vs one per insert).
         let (b, s) = (
@@ -1449,12 +1386,13 @@ mod tests {
         let mut d = DynamicSet::new(DynamicConfig::default());
         let q = Point::new(0.0, 0.0);
         assert!(d.nonzero(q).is_empty());
-        assert!(d.quantification(q).is_empty());
+        assert!(oracle_quant(&d, q).is_empty());
+        assert!(d.quantification_merged(q).is_empty());
         assert!(d.expected_nn(q).is_none());
         let id = d.insert(DiscreteUncertainPoint::certain(Point::new(3.0, 4.0)));
         assert_eq!(d.nonzero(q), vec![id]);
-        let pi = d.quantification(q);
-        assert_eq!(pi, vec![(id, 1.0)]);
+        assert_eq!(oracle_quant(&d, q), vec![(id, 1.0)]);
+        assert_eq!(d.quantification_merged(q), vec![(id, 1.0)]);
         let (eid, e) = d.expected_nn(q).unwrap();
         assert_eq!(eid, id);
         assert_eq!(e, 5.0);

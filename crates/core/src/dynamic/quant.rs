@@ -24,10 +24,10 @@
 //! query needs no `O(n)` id map and the sweep keeps state only for the
 //! sites it draws.
 //!
-//! Ordering contract (what makes merged answers bit-identical to a fresh
-//! sweep): the kd iterator yields exact `q.dist(loc)` values in
+//! Ordering contract (what makes merged answers bit-identical to the static
+//! sweep over the live set): the kd iterator yields exact `q.dist(loc)` values in
 //! non-decreasing order, and the stream buffers each run of equal distances
-//! and sorts it by `(site id, location index)`. The fresh sweep's dense
+//! and sorts it by `(site id, location index)`. The static sweep's dense
 //! index of a site is the rank of its id among the ascending live ids — a
 //! strictly increasing relabeling — so `(d, id, location)` order is exactly
 //! the `(d, dense, location)` tie order a stable distance sort of the

@@ -21,7 +21,7 @@
 //!   sweep core. No cross-shard id map is needed: a site's dense index in
 //!   the union is the rank of its id among the union's ascending live ids,
 //!   a strictly increasing relabeling, so `(d, id)` ties order exactly as
-//!   `(d, dense)` ties do in the fresh sweep over the union.
+//!   `(d, dense)` ties do in the static sweep over the union.
 //! * Expected-distance NN — the minimum of per-shard branch-and-bound
 //!   minima, folded with the monolithic cross-bucket tie rule (exact ties
 //!   break to the smaller id; the witness among bitwise-equal values is
@@ -79,13 +79,10 @@ pub fn shard_of(id: SiteId, shards: usize) -> usize {
 /// A read-only scatter-gather view over one snapshot of every shard.
 ///
 /// Holds `Arc` snapshots, so an in-flight reader is never disturbed by
-/// appliers publishing new shard epochs. Construction is O(S); the union's
-/// live-id list (only off-path consumers need it) and the per-shard support
-/// boxes are built lazily and cached.
+/// appliers publishing new shard epochs. Construction is O(S); the
+/// per-shard support boxes are built lazily and cached.
 pub struct ShardedReader {
     shards: Vec<Arc<DynamicSet>>,
-    /// Union of all shards' live ids, ascending.
-    ids: OnceLock<Vec<SiteId>>,
     /// Per-shard support boxes (see [`DynamicSet::support_aabb`]).
     aabbs: OnceLock<Vec<Aabb>>,
 }
@@ -96,7 +93,6 @@ impl ShardedReader {
         assert!(!shards.is_empty(), "at least one shard");
         ShardedReader {
             shards,
-            ids: OnceLock::new(),
             aabbs: OnceLock::new(),
         }
     }
@@ -133,13 +129,6 @@ impl ShardedReader {
         ids
     }
 
-    /// Union of live ids, ascending, built once per snapshot by the first
-    /// caller (`O(n log n)`) — the dense order of evaluations over
-    /// [`live_set`](Self::live_set). Merged answers never need it.
-    pub fn ids(&self) -> &[SiteId] {
-        self.ids.get_or_init(|| self.live_ids())
-    }
-
     /// Σ locations over the union's live sites, `O(S)`.
     pub fn live_locations(&self) -> usize {
         self.shards.iter().map(|s| s.live_locations()).sum()
@@ -170,9 +159,9 @@ impl ShardedReader {
     }
 
     /// Materializes the union as a static set in ascending id order —
-    /// identical to the monolithic [`DynamicSet::live_set`], so fresh-path
-    /// evaluation (brute `NN≠0`, fresh/snapped quantification) over it is
-    /// bit-identical too. Gathers from whichever shard holds each site (no
+    /// identical to the monolithic [`DynamicSet::live_set`], so oracle
+    /// evaluation (brute `NN≠0`, the static quantification sweep) over it
+    /// is bit-identical too. Gathers from whichever shard holds each site (no
     /// assumption about the partitioning scheme).
     pub fn live_set(&self) -> DiscreteSet {
         let mut sites: Vec<(SiteId, Arc<crate::model::DiscreteUncertainPoint>)> =
@@ -430,6 +419,7 @@ mod tests {
     use super::*;
     use crate::dynamic::{DynamicConfig, Update};
     use crate::model::DiscreteUncertainPoint;
+    use crate::quantification::exact::quantification_discrete;
     use crate::workload;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -458,8 +448,9 @@ mod tests {
             assert_eq!(r.nonzero(q), mono.nonzero(q), "NN≠0 at {q}");
             let merged = r.quantification_merged(q);
             let want: Vec<(SiteId, f64)> = mono
-                .quantification(q)
+                .live_ids()
                 .into_iter()
+                .zip(quantification_discrete(&mono.live_set(), q))
                 .filter(|&(_, p)| p > 0.0)
                 .collect();
             assert_eq!(merged.len(), want.len());

@@ -1,51 +1,20 @@
-//! Quantization-keyed LRU result cache.
+//! Exact-bits LRU result cache.
 //!
-//! Keys are query points snapped to a configurable grid (cell side
-//! [`EngineConfig::cache_grid`](crate::EngineConfig); `0` disables snapping
-//! and keys on the exact f64 bits, which still de-duplicates repeated
-//! identical queries). Snapped entries are **evaluated at the cell center**
-//! with a certified interval (see [`crate::snap`]), so every query in the
-//! cell receives the identical answer together with a `Guarantee` whose
-//! slack is widened by the certified snap error — correctness is preserved
-//! by construction, and answers do not depend on cache state.
-//!
-//! Snapping applies to the quantification paths. `NN≠0` answers are sets
-//! with no slack vocabulary to absorb a perturbation, so nonzero entries
-//! always use exact-bits keys.
+//! Keys are the query's exact f64 bits plus the serving epoch, so repeated
+//! identical queries share one entry and a hit returns the very answer a
+//! miss would compute: answers never depend on cache state.
 //!
 //! An entry is `O(|answer|)` bytes, independent of the live site count:
 //! `NN≠0` entries hold the answer's ids, and quantification entries hold
-//! the *ranked* positive estimates — for merged answers a subset of
-//! `NN≠0(q)` (Lemma 2.1) — from which TopK and Threshold answers are
-//! prefixes.
+//! the *ranked* positive estimates — a subset of `NN≠0(q)` (Lemma 2.1) —
+//! from which TopK and Threshold answers are prefixes.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard};
 use uncertain_geom::Point;
-use uncertain_nn::queries::Guarantee;
 
-/// Snaps a point to grid cell indices (cell side `grid`). The cell center
-/// is `(kx·grid, ky·grid)`; every point of the cell is within
-/// [`snap_radius`] of it.
-pub fn quantize_point(q: Point, grid: f64) -> (i64, i64) {
-    assert!(grid > 0.0);
-    ((q.x / grid).round() as i64, (q.y / grid).round() as i64)
-}
-
-/// The cell center of the cell containing `q`.
-pub fn snap_center(q: Point, grid: f64) -> Point {
-    let (kx, ky) = quantize_point(q, grid);
-    Point::new(kx as f64 * grid, ky as f64 * grid)
-}
-
-/// Max distance from any point of a cell to its center: `grid·√2/2`.
-pub fn snap_radius(grid: f64) -> f64 {
-    grid * std::f64::consts::FRAC_1_SQRT_2
-}
-
-/// Cache key: exact query bits for nonzero sets, snapped cell or exact bits
-/// for ranked probability answers.
+/// Cache key: the exact query bits, one variant per query family.
 ///
 /// Every variant carries the engine **epoch** the answer was computed
 /// under. Applying updates ([`crate::Engine::apply`]) bumps the epoch, so
@@ -55,21 +24,10 @@ pub fn snap_radius(grid: f64) -> f64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CacheKey {
     /// `NN≠0` answers are exact, so one key per query point and epoch.
-    Nonzero {
-        epoch: u64,
-        qx: u64,
-        qy: u64,
-    },
-    QuantCell {
-        epoch: u64,
-        kx: i64,
-        ky: i64,
-    },
-    QuantExact {
-        epoch: u64,
-        qx: u64,
-        qy: u64,
-    },
+    Nonzero { epoch: u64, qx: u64, qy: u64 },
+    /// Ranked probability answers are exact too, and one entry serves both
+    /// TopK and Threshold.
+    Quant { epoch: u64, qx: u64, qy: u64 },
 }
 
 impl CacheKey {
@@ -81,17 +39,11 @@ impl CacheKey {
         }
     }
 
-    /// Quantification key: snapped when `grid > 0`, exact bits otherwise.
-    pub fn quant(epoch: u64, q: Point, grid: f64) -> Self {
-        if grid > 0.0 {
-            let (kx, ky) = quantize_point(q, grid);
-            CacheKey::QuantCell { epoch, kx, ky }
-        } else {
-            CacheKey::QuantExact {
-                epoch,
-                qx: q.x.to_bits(),
-                qy: q.y.to_bits(),
-            }
+    pub fn quant(epoch: u64, q: Point) -> Self {
+        CacheKey::Quant {
+            epoch,
+            qx: q.x.to_bits(),
+            qy: q.y.to_bits(),
         }
     }
 }
@@ -101,12 +53,9 @@ impl CacheKey {
 pub enum CachedValue {
     /// `NN≠0(q)` as ascending site ids.
     Nonzero(Arc<Vec<usize>>),
-    /// Every positive estimate as `(site id, π̂)`, in answer order:
+    /// Every positive estimate as `(site id, π)`, in answer order:
     /// decreasing estimate, ties by increasing id.
-    Quant {
-        ranked: Arc<Vec<(usize, f64)>>,
-        guarantee: Guarantee,
-    },
+    Quant(Arc<Vec<(usize, f64)>>),
 }
 
 /// A classic O(1) LRU: hash map into a slab of doubly-linked nodes.
@@ -224,21 +173,13 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
 /// serving, shard it by key hash.
 pub struct ResultCache {
     inner: Option<Mutex<LruCache<CacheKey, CachedValue>>>,
-    grid: f64,
 }
 
 impl ResultCache {
-    pub fn new(capacity: usize, grid: f64) -> Self {
-        assert!(grid >= 0.0, "cache grid must be non-negative");
+    pub fn new(capacity: usize) -> Self {
         ResultCache {
             inner: (capacity > 0).then(|| Mutex::new(LruCache::new(capacity))),
-            grid,
         }
-    }
-
-    /// Grid cell side (`0` = exact-bits keying).
-    pub fn grid(&self) -> f64 {
-        self.grid
     }
 
     /// `false` when built with capacity 0.
@@ -334,7 +275,7 @@ mod tests {
 
     #[test]
     fn poisoned_cache_clears_and_keeps_serving() {
-        let cache = ResultCache::new(8, 0.0);
+        let cache = ResultCache::new(8);
         let key = CacheKey::nonzero(0, Point::new(1.0, 2.0));
         cache.insert(key, CachedValue::Nonzero(Arc::new(vec![3])));
         assert_eq!(cache.len(), 1);
@@ -359,38 +300,18 @@ mod tests {
     }
 
     #[test]
-    fn quantize_is_stable_within_cell() {
-        let g = 0.5;
-        let q = Point::new(3.1, -2.2);
-        let c = snap_center(q, g);
-        assert!(q.dist(c) <= snap_radius(g) + 1e-12);
-        // Points well inside the same cell share the key.
-        let k0 = quantize_point(c, g);
-        for (dx, dy) in [(0.2, 0.1), (-0.24, 0.24), (0.0, -0.2)] {
-            let p = Point::new(c.x + dx * g / 0.5, c.y + dy * g / 0.5);
-            // stay strictly inside ±g/2 of the center
-            let p = Point::new(
-                c.x + (p.x - c.x).clamp(-0.49 * g, 0.49 * g),
-                c.y + (p.y - c.y).clamp(-0.49 * g, 0.49 * g),
-            );
-            assert_eq!(quantize_point(p, g), k0);
-        }
-    }
-
-    #[test]
     fn keys_do_not_alias_across_query_families() {
         // One query point keys a nonzero set and a ranked probability
-        // answer apart, snapped or not.
+        // answer apart.
         let q = Point::new(1.0, 2.0);
-        let exact = CacheKey::quant(0, q, 0.0);
+        let exact = CacheKey::quant(0, q);
         assert_ne!(CacheKey::nonzero(0, q), exact);
-        assert_ne!(CacheKey::nonzero(0, q), CacheKey::quant(0, q, 0.5));
         // Identical queries share a key.
         assert_eq!(
             CacheKey::nonzero(0, q),
             CacheKey::nonzero(0, Point::new(1.0, 2.0))
         );
-        assert_eq!(exact, CacheKey::quant(0, Point::new(1.0, 2.0), 0.0));
+        assert_eq!(exact, CacheKey::quant(0, Point::new(1.0, 2.0)));
     }
 
     #[test]
@@ -399,7 +320,7 @@ mod tests {
         // this is the whole stale-epoch invalidation mechanism.
         let q = Point::new(1.0, 2.0);
         assert_ne!(CacheKey::nonzero(0, q), CacheKey::nonzero(1, q));
-        assert_ne!(CacheKey::quant(0, q, 0.0), CacheKey::quant(1, q, 0.0));
-        assert_ne!(CacheKey::quant(3, q, 0.5), CacheKey::quant(4, q, 0.5));
+        assert_ne!(CacheKey::quant(0, q), CacheKey::quant(1, q));
+        assert_ne!(CacheKey::quant(3, q), CacheKey::quant(4, q));
     }
 }

@@ -19,15 +19,12 @@
 //! * one exact evaluator per query family: `NN≠0` requests scatter-gather
 //!   over the Bentley–Saxe buckets (`nonzero:dynamic`), and probability
 //!   requests take the `quant:merged` k-way merge over per-bucket
-//!   summaries, bit-identical to the Eq. (2) sweep — or the certified
-//!   snapped evaluator when a cache grid is set (`quant:snapped`). Exact
-//!   answers satisfy every [`Guarantee`] a caller can ask for, so there is
-//!   no plan to choose: [`ExecStats`] records the plan taken, evaluation
-//!   counters, the per-bucket reuse rate and the scatter-gather fan-out;
-//! * a [quantization-keyed LRU result cache](cache) snaps query points to a
-//!   configurable grid; snapped answers carry a *certified* widened
-//!   [`Guarantee`] (see [`snap`]), so caching never silently degrades
-//!   correctness;
+//!   summaries, bit-identical to the Eq. (2) sweep. Exact answers satisfy
+//!   every [`Guarantee`] a caller can ask for, so there is no plan to
+//!   choose: [`ExecStats`] records the plan taken, evaluation counters, the
+//!   per-bucket reuse rate and the scatter-gather fan-out;
+//! * an [LRU result cache](cache) keyed on the exact query bits and the
+//!   epoch, so a hit returns the very answer a miss would compute;
 //! * a typed request/response API: [`Engine`], [`QueryRequest`],
 //!   [`BatchResponse`] with per-request [`QueryResult`]s plus [`ExecStats`]
 //!   (plan taken, wall time, cache hit rate, worker utilization, epoch and
@@ -94,11 +91,10 @@ pub mod cache;
 pub mod pool;
 pub mod server;
 pub mod shard;
-pub mod snap;
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use uncertain_geom::Point;
@@ -108,7 +104,6 @@ use uncertain_nn::model::DiscreteSet;
 use uncertain_nn::queries::Guarantee;
 use uncertain_spatial::soa::kernel_stats;
 
-pub use cache::{quantize_point, snap_center, snap_radius};
 use cache::{CacheKey, CachedValue, ResultCache};
 pub use pool::{resolve_threads, ThreadPool, THREADS_ENV};
 use shard::{Part, PartitionerKind, Router};
@@ -144,7 +139,8 @@ impl QueryRequest {
 }
 
 /// One answer. Probability answers carry the guarantee they were served
-/// under — widened when the answer came from a snapped cache cell.
+/// under — always [`Guarantee::Exact`], kept in the type and on the wire
+/// so readers of the `unc/1` reply tag keep compiling.
 #[derive(Clone, Debug, PartialEq)]
 pub enum QueryResult {
     /// Sorted point indices with `π_i(q) > 0`.
@@ -223,12 +219,8 @@ pub enum NonzeroPlan {
 pub enum QuantPlan {
     /// The exact k-way merge over the Bentley–Saxe buckets' sorted
     /// summaries, with the sweep's early exit — bit-identical to the Eq. (2)
-    /// sweep over the flat live set.
+    /// sweep over the live set.
     Merged,
-    /// Certified interval evaluation at the query's snap-cell center over
-    /// the flat live set (see [`snap`]) — the evaluator of an engine with a
-    /// cache grid, in place of `Merged`.
-    Snapped,
 }
 
 impl std::fmt::Display for NonzeroPlan {
@@ -243,7 +235,6 @@ impl std::fmt::Display for QuantPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             QuantPlan::Merged => write!(f, "quant:merged"),
-            QuantPlan::Snapped => write!(f, "quant:snapped"),
         }
     }
 }
@@ -298,10 +289,6 @@ pub struct ExecStats {
     /// Busy (execution) time of each chunk of this batch, measured inside
     /// the chunk's job. At most one chunk per worker.
     pub worker_busy: Vec<Duration>,
-    /// The guarantee `NN≠0` answers of this batch were served under —
-    /// always [`Guarantee::Exact`]; `None` when the batch had no nonzero
-    /// requests.
-    pub nonzero_guarantee: Option<Guarantee>,
     /// Distances the SoA kernels (`uncertain_spatial::soa`) evaluated in
     /// full-width chunked lanes during this batch. These are process-global
     /// deltas, so concurrent batches on *other* engines fold into each
@@ -312,10 +299,10 @@ pub struct ExecStats {
     /// [`ExecStats::kernel_lane_dists`]).
     pub kernel_scalar_dists: u64,
     /// Quantification evaluations served by the k-way merged path this
-    /// batch (cache hits execute no evaluator and count in neither field).
+    /// batch (cache hits execute no evaluator and are not counted).
     pub quant_merged_evals: usize,
-    /// Quantification evaluations served over the flat live set — the
-    /// snapped `O(N log N)` evaluator of an engine with a cache grid.
+    /// Quantification evaluations served over a flat live set. Always 0:
+    /// every evaluation is merged. Kept so existing readers compile.
     pub quant_fresh_evals: usize,
     /// Bucket streams the merged evaluations drew…
     pub quant_bucket_touches: usize,
@@ -393,7 +380,7 @@ impl ExecStats {
     }
 
     /// Mean shards visited per scatter-gather read; `0.0` when the batch
-    /// did none (every answer from the cache or a flat-set plan). Equal to
+    /// did none (every answer from the cache). Equal to
     /// the shard count under hash partitioning; `< shards` measures how
     /// much the spatial partitioner's box pruning cut the fan-out.
     pub fn avg_shards_touched(&self) -> f64 {
@@ -478,7 +465,7 @@ pub struct BatchResponse {
 }
 
 /// Engine configuration. `Default` is a sensible serving setup: one shard,
-/// exact-bits caching (no snapping), auto-detected parallelism.
+/// a 4096-entry cache, auto-detected parallelism.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Worker count. Resolution: `UNC_ENGINE_THREADS` env > this field >
@@ -487,10 +474,6 @@ pub struct EngineConfig {
     /// Result-cache capacity in entries; `0` disables the cache entirely
     /// (no lookups or lock traffic — for measuring raw execution).
     pub cache_capacity: usize,
-    /// Cache grid cell side; `0.0` keys on exact query bits. When positive,
-    /// probability answers are evaluated at cell centers and served with a
-    /// certified widened guarantee.
-    pub cache_grid: f64,
     /// Tuning of each shard's Bentley–Saxe structure (bucket-index
     /// crossover, compaction thresholds).
     pub dynamic: DynamicConfig,
@@ -514,7 +497,6 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: None,
             cache_capacity: 4096,
-            cache_grid: 0.0,
             dynamic: DynamicConfig::default(),
             shards: None,
             partitioner: PartitionerKind::Hash,
@@ -524,9 +506,8 @@ impl Default for EngineConfig {
 }
 
 /// One immutable epoch snapshot: the per-shard Bentley–Saxe structures the
-/// epoch serves from and a lazy flat view of their live union. Batches pin
-/// the snapshot they started on via `Arc`, so a concurrent
-/// [`Engine::apply`] never changes answers mid-batch.
+/// epoch serves from. Batches pin the snapshot they started on via `Arc`,
+/// so a concurrent [`Engine::apply`] never changes answers mid-batch.
 struct EngineCore {
     /// The publish generation: advances exactly when the shard-epoch vector
     /// changes, so it is a collision-free cache stamp for the whole vector.
@@ -535,11 +516,6 @@ struct EngineCore {
     shard_epochs: Vec<u64>,
     /// Scatter-gather view over one `Arc` snapshot per shard.
     reader: ShardedReader,
-    /// Live sites, densely indexed in ascending-id order — materialized
-    /// **lazily**, because construction and apply() must stay cheap and
-    /// batches served by the dynamic plans (`NN≠0` buckets, merged
-    /// quantification) never need the flat set.
-    set: OnceLock<DiscreteSet>,
     /// Resolved: `shards`, `partitioner` and `rebalance_ratio` hold what
     /// the engine runs with, env overrides applied.
     config: EngineConfig,
@@ -549,8 +525,7 @@ struct EngineCore {
 }
 
 impl EngineCore {
-    /// The snapshot of `shards` at generation `epoch`, every derived view
-    /// still lazy.
+    /// The snapshot of `shards` at generation `epoch`.
     fn new(
         epoch: u64,
         shard_epochs: Vec<u64>,
@@ -562,31 +537,8 @@ impl EngineCore {
             epoch,
             shard_epochs,
             reader: ShardedReader::new(shards),
-            set: OnceLock::new(),
             config,
             cache,
-        }
-    }
-
-    /// The flat live union, materializing it on first use.
-    fn set(&self) -> &DiscreteSet {
-        self.set.get_or_init(|| self.reader.live_set())
-    }
-
-    /// The dense → stable-id map: the reader's ascending live-id list, the
-    /// order of every dense probability vector. Built lazily; the merged
-    /// path never needs it.
-    fn ids(&self) -> &[SiteId] {
-        self.reader.ids()
-    }
-
-    /// The quantification evaluator: the snapped one iff the cache snaps
-    /// query points to a grid, the exact merge otherwise.
-    fn quant_plan(&self) -> QuantPlan {
-        if self.cache.grid() > 0.0 {
-            QuantPlan::Snapped
-        } else {
-            QuantPlan::Merged
         }
     }
 
@@ -671,10 +623,9 @@ pub struct Engine {
 struct BatchCounters {
     hits: AtomicUsize,
     misses: AtomicUsize,
-    /// Quantification evaluations by the merged path vs the flat-set
-    /// snapped evaluator (cache hits execute neither).
+    /// Quantification evaluations by the merged path (cache hits execute
+    /// none).
     quant_merged: AtomicUsize,
-    quant_snapped: AtomicUsize,
     /// Bucket streams drawn by merged evaluations, and how many of them
     /// were already warm — the per-bucket reuse rate.
     bucket_touches: AtomicUsize,
@@ -730,7 +681,7 @@ impl Engine {
             ..config
         };
         let (router, shards) = Router::load(set, &config);
-        let cache = Arc::new(ResultCache::new(config.cache_capacity, config.cache_grid));
+        let cache = Arc::new(ResultCache::new(config.cache_capacity));
         let core = EngineCore::new(0, vec![0; shards.len()], shards, cache, config);
         Engine {
             core: RwLock::new(Arc::new(core)),
@@ -792,24 +743,15 @@ impl Engine {
 
     /// The surviving sites of the current epoch, densely in ascending-id
     /// order (index `dense` is site [`site_ids`](Self::site_ids)`[dense]`).
+    /// Gathered from the shards on every call, `O(n)`: an oracle's input,
+    /// never read on the serving path.
     pub fn live_set(&self) -> DiscreteSet {
-        self.snapshot().set().clone()
+        self.snapshot().reader.live_set()
     }
 
     /// Stable ids of the current epoch's live sites, ascending.
     pub fn site_ids(&self) -> Vec<SiteId> {
-        self.snapshot().ids().to_vec()
-    }
-
-    /// Whether the current epoch's flat live set has been materialized.
-    /// `apply` never materializes it — only consumers that genuinely need
-    /// the flat view (the snapped quant path,
-    /// [`live_set`](Self::live_set)) do, so batches served entirely
-    /// by the dynamic plans (`nonzero:dynamic`, `quant:merged`) leave it
-    /// untouched.
-    /// Exposed for tests and capacity planning.
-    pub fn flat_set_materialized(&self) -> bool {
-        self.snapshot().set.get().is_some()
+        self.snapshot().reader.live_ids()
     }
 
     /// Shape of the dynamic structure the current epoch serves from,
@@ -943,9 +885,7 @@ impl Engine {
 
         // Publish: one new core carrying every changed shard — the single
         // pointer swap is what makes straddling batches and migrations
-        // atomic for readers. No materialization here: the flat set and
-        // the id list are produced lazily by the first consumer that
-        // observes them.
+        // atomic for readers.
         let changed: Vec<bool> = (0..shards.len())
             .map(|s| !Arc::ptr_eq(&shards[s], &old.reader.shards()[s]))
             .collect();
@@ -989,7 +929,7 @@ impl Engine {
         let nonzero_count = requests.iter().filter(|r| r.is_nonzero()).count();
         let plan = BatchPlan {
             nonzero: (nonzero_count > 0).then_some(NonzeroPlan::Dynamic),
-            quant: (nonzero_count < requests.len()).then(|| core.quant_plan()),
+            quant: (nonzero_count < requests.len()).then_some(QuantPlan::Merged),
         };
         let counters = Arc::new(BatchCounters::default());
 
@@ -1072,7 +1012,6 @@ impl Engine {
         BatchResponse {
             results,
             stats: ExecStats {
-                nonzero_guarantee: (nonzero_count > 0).then_some(Guarantee::Exact),
                 plan,
                 built: vec![],
                 wall,
@@ -1088,7 +1027,7 @@ impl Engine {
                 kernel_lane_dists: kernels.lane_dists,
                 kernel_scalar_dists: kernels.scalar_dists,
                 quant_merged_evals: counters.quant_merged.load(Ordering::Relaxed),
-                quant_fresh_evals: counters.quant_snapped.load(Ordering::Relaxed),
+                quant_fresh_evals: 0,
                 quant_bucket_touches: counters.bucket_touches.load(Ordering::Relaxed),
                 quant_bucket_warm: counters.bucket_warm.load(Ordering::Relaxed),
                 shards_touched: counters.shards_touched.load(Ordering::Relaxed),
@@ -1099,21 +1038,20 @@ impl Engine {
     }
 
     /// Probability estimates for a single query through the evaluator and
-    /// cache (the path Threshold/TopK answers are derived from), with the
-    /// guarantee they are served under. Dense over the current epoch's live
-    /// sites in [`site_ids`](Self::site_ids) order — the served answer's
-    /// positive estimates scattered into zeros, so `O(n)`. Exposed for
-    /// tests and calibration.
-    pub fn estimates(&self, q: Point) -> (Vec<f64>, Guarantee) {
+    /// cache (the path Threshold/TopK answers are derived from). Dense over
+    /// the current epoch's live sites in [`site_ids`](Self::site_ids) order
+    /// — the served answer's positive estimates scattered into zeros, so
+    /// `O(n)`. Exposed for tests and calibration.
+    pub fn estimates(&self, q: Point) -> Vec<f64> {
         let core = self.snapshot();
-        let (ranked, g) = quant_ranked(&core, q, &BatchCounters::default());
-        let ids = core.ids();
+        let ranked = quant_ranked(&core, q, &BatchCounters::default());
+        let ids = core.reader.live_ids();
         let mut pi = vec![0.0; ids.len()];
         for &(id, p) in ranked.iter() {
             let dense = ids.binary_search(&id).expect("answer ids are live");
             pi[dense] = p;
         }
-        (pi, g)
+        pi
     }
 }
 
@@ -1204,31 +1142,22 @@ fn exec_one_inner(core: &EngineCore, req: QueryRequest, counters: &BatchCounters
         }
         QueryRequest::Threshold { q, tau } => {
             let _trace = uncertain_obs::trace::start("threshold");
-            let (ranked, guarantee) = quant_ranked(core, q, counters);
-            let cut = tau - guarantee.slack();
-            let end = ranked.partition_point(|&(_, p)| p >= cut);
-            let mut items = ranked[..end].to_vec();
-            if cut <= 0.0 {
-                // Only a snapped answer with halfwidth ≥ τ gets here (τ > 0):
-                // its no-false-negative promise admits every live site, the
-                // zero estimates included, ascending by id after the
-                // positive ones.
-                let mut positive: Vec<SiteId> = ranked.iter().map(|&(id, _)| id).collect();
-                positive.sort_unstable();
-                items.extend(
-                    core.ids()
-                        .iter()
-                        .filter(|id| positive.binary_search(id).is_err())
-                        .map(|&id| (id, 0.0)),
-                );
+            // τ > 0, so the sites with `π ≥ τ` are a prefix of the ranked
+            // positive estimates.
+            let ranked = quant_ranked(core, q, counters);
+            let end = ranked.partition_point(|&(_, p)| p >= tau);
+            QueryResult::Ranked {
+                items: ranked[..end].to_vec(),
+                guarantee: Guarantee::Exact,
             }
-            QueryResult::Ranked { items, guarantee }
         }
         QueryRequest::TopK { q, k } => {
             let _trace = uncertain_obs::trace::start("topk");
-            let (ranked, guarantee) = quant_ranked(core, q, counters);
-            let items = ranked[..k.min(ranked.len())].to_vec();
-            QueryResult::Ranked { items, guarantee }
+            let ranked = quant_ranked(core, q, counters);
+            QueryResult::Ranked {
+                items: ranked[..k.min(ranked.len())].to_vec(),
+                guarantee: Guarantee::Exact,
+            }
         }
     }
 }
@@ -1239,85 +1168,37 @@ fn sort_ranked(items: &mut [(usize, f64)]) {
     items.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
 }
 
-/// Ranks a dense estimate vector (in ascending live-id order): its positive
-/// entries as `(id, π̂)` in answer order.
-fn rank_dense(core: &EngineCore, pi: &[f64]) -> Vec<(SiteId, f64)> {
-    let ids = core.ids();
-    let mut items: Vec<(SiteId, f64)> = pi
-        .iter()
-        .zip(ids)
-        .filter(|&(&p, _)| p > 0.0)
-        .map(|(&p, &id)| (id, p))
-        .collect();
-    sort_ranked(&mut items);
-    items
-}
-
 /// The cached quantification path: returns the query's **ranked answer**
-/// — every positive estimate as `(id, π̂)`, by decreasing estimate then
-/// increasing id — and the guarantee it is served under. TopK is a
-/// k-prefix of it and Threshold a prefix by estimate, so one entry serves
-/// both, and its size is the answer's (`|NN≠0(q)|` at most, by Lemma 2.1),
-/// not `n`. The merged plan ranks its sparse sweep output directly; the
-/// snapped evaluator produces a dense vector over the flat live set, which
-/// is ranked once here. The snapped plan evaluates at the query's *cell
-/// center* with a certified interval — identical for every query in the
-/// cell, independent of cache state.
-fn quant_ranked(
-    core: &EngineCore,
-    q: Point,
-    counters: &BatchCounters,
-) -> (Arc<Vec<(SiteId, f64)>>, Guarantee) {
-    let plan = core.quant_plan();
-    let grid = core.cache.grid();
-    let key = CacheKey::quant(core.epoch, q, grid);
+/// — every positive estimate as `(id, π)`, by decreasing estimate then
+/// increasing id. TopK is a k-prefix of it and Threshold a prefix by
+/// estimate, so one entry serves both, and its size is the answer's
+/// (`|NN≠0(q)|` at most, by Lemma 2.1), not `n`.
+fn quant_ranked(core: &EngineCore, q: Point, counters: &BatchCounters) -> Arc<Vec<(SiteId, f64)>> {
+    let key = CacheKey::quant(core.epoch, q);
     if core.cache.enabled() {
-        if let Some(CachedValue::Quant { ranked, guarantee }) = core.cache.get(&key) {
+        if let Some(CachedValue::Quant(ranked)) = core.cache.get(&key) {
             counters.hits.fetch_add(1, Ordering::Relaxed);
-            return (ranked, guarantee);
+            return ranked;
         }
         counters.misses.fetch_add(1, Ordering::Relaxed);
     }
     // Same convention as the nonzero span: opened after the cache lookup,
-    // so the histograms time evaluations, not hits.
-    let (ranked, guarantee) = match plan {
-        QuantPlan::Merged => {
-            let _exec = uncertain_obs::span!("engine.exec.quant.merged");
-            let (mut pi, st) = core.reader.quantification_merged_with_stats(q);
-            counters.touched(st.shards_touched);
-            counters.quant_merged.fetch_add(1, Ordering::Relaxed);
-            counters
-                .bucket_touches
-                .fetch_add(st.buckets, Ordering::Relaxed);
-            counters
-                .bucket_warm
-                .fetch_add(st.warm_buckets, Ordering::Relaxed);
-            sort_ranked(&mut pi);
-            (pi, Guarantee::Exact)
-        }
-        QuantPlan::Snapped => {
-            let _exec = uncertain_obs::span!("engine.exec.quant.snapped");
-            counters.quant_snapped.fetch_add(1, Ordering::Relaxed);
-            let center = snap_center(q, grid);
-            let (mid, halfwidth) =
-                snap::interval_quantification(core.set(), center, snap_radius(grid));
-            let g = if halfwidth > 0.0 {
-                Guarantee::Additive(halfwidth)
-            } else {
-                Guarantee::Exact
-            };
-            (rank_dense(core, &mid), g)
-        }
-    };
-    let ranked = Arc::new(ranked);
-    core.cache.insert(
-        key,
-        CachedValue::Quant {
-            ranked: Arc::clone(&ranked),
-            guarantee,
-        },
-    );
-    (ranked, guarantee)
+    // so the histogram times evaluations, not hits.
+    let _exec = uncertain_obs::span!("engine.exec.quant.merged");
+    let (mut pi, st) = core.reader.quantification_merged_with_stats(q);
+    counters.touched(st.shards_touched);
+    counters.quant_merged.fetch_add(1, Ordering::Relaxed);
+    counters
+        .bucket_touches
+        .fetch_add(st.buckets, Ordering::Relaxed);
+    counters
+        .bucket_warm
+        .fetch_add(st.warm_buckets, Ordering::Relaxed);
+    sort_ranked(&mut pi);
+    let ranked = Arc::new(pi);
+    core.cache
+        .insert(key, CachedValue::Quant(Arc::clone(&ranked)));
+    ranked
 }
 
 #[cfg(test)]
@@ -1332,7 +1213,7 @@ mod tests {
 
     /// Checks every answer bit for bit against the core library over the
     /// engine's current live set — the oracle every shard count must
-    /// reproduce: `NN≠0` by Lemma 2.1 over the flat set, probabilities by
+    /// reproduce: `NN≠0` by Lemma 2.1 over the live set, probabilities by
     /// the exact Eq. (2) sweep, both mapped to stable ids.
     pub(crate) fn assert_oracle(eng: &Engine, batch: &[QueryRequest], results: &[QueryResult]) {
         let set = eng.live_set();
@@ -1486,8 +1367,7 @@ mod tests {
         let core = eng.snapshot();
         let counters = BatchCounters::default();
         for q in workload::random_queries(16, 60.0, 5) {
-            let (ranked, g) = quant_ranked(&core, q, &counters);
-            assert_eq!(g, Guarantee::Exact);
+            let ranked = quant_ranked(&core, q, &counters);
             let nonzero = core.reader.nonzero(q);
             assert!(!ranked.is_empty() && ranked.len() <= nonzero.len());
             assert!(
@@ -1620,80 +1500,27 @@ mod tests {
     }
 
     #[test]
-    fn snap_grid_disables_the_merged_plan_and_stays_certified() {
-        // With a snap grid, quant answers are certified interval evaluations
-        // over the flat live set — the engine serves quant:snapped, never
-        // quant:merged.
-        let set = workload::random_discrete_set(3000, 3, 4.0, 55);
-        let eng = Engine::new(
-            set,
-            EngineConfig {
-                cache_grid: 0.5,
-                ..EngineConfig::default()
-            },
-        );
-        eng.apply(&(0..30).map(Update::Remove).collect::<Vec<_>>());
-        let batch: Vec<QueryRequest> = workload::random_queries(8, 60.0, 56)
-            .into_iter()
-            .map(|q| QueryRequest::TopK { q, k: 3 })
-            .collect();
-        let resp = eng.run_batch(&batch);
-        assert_eq!(resp.stats.plan.quant, Some(QuantPlan::Snapped));
-        assert_eq!(resp.stats.quant_merged_evals, 0);
-        assert_eq!(resp.stats.quant_fresh_evals, resp.stats.cache_misses);
-        // Snapped answers stay certified against the exact sweep.
-        let fresh = eng.live_set();
-        let ids = eng.site_ids();
-        for (req, res) in batch.iter().zip(&resp.results) {
-            let (QueryRequest::TopK { q, .. }, QueryResult::Ranked { items, guarantee }) =
-                (req, res)
-            else {
-                panic!("shape");
-            };
-            let pi = quantification_discrete(&fresh, *q);
-            for &(id, p) in items {
-                let dense = ids.binary_search(&id).unwrap();
-                assert!(
-                    (p - pi[dense]).abs() <= guarantee.slack() + 1e-9,
-                    "site {id} at {q}: {p} vs {} (slack {})",
-                    pi[dense],
-                    guarantee.slack()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn apply_and_dynamic_plans_never_materialize_the_flat_set() {
         let set = workload::random_discrete_set(3000, 3, 4.0, 101);
         let eng = Engine::new(set, EngineConfig::default());
         // Nonzero batches (dynamic buckets) and quant batches (merged
-        // k-way path) both answer in stable ids without the flat view.
+        // k-way path) both answer in stable ids, before and after an apply.
         let mut batch: Vec<QueryRequest> = vec![];
         for q in workload::random_queries(32, 60.0, 102) {
             batch.push(QueryRequest::Nonzero { q });
             batch.push(QueryRequest::Threshold { q, tau: 0.2 });
         }
-        let serve_without_flat_set = || {
+        let serve_dynamic = || {
             let resp = eng.run_batch(&batch);
             assert_eq!(resp.stats.plan.nonzero, Some(NonzeroPlan::Dynamic));
             assert_eq!(resp.stats.plan.quant, Some(QuantPlan::Merged));
-            assert!(
-                !eng.flat_set_materialized(),
-                "dynamic plans must not materialize the flat live set"
-            );
+            assert_eq!(resp.stats.quant_fresh_evals, 0);
+            assert_oracle(&eng, &batch, &resp.results);
         };
-        // Construction bulk-loads the buckets and nothing else.
-        assert!(!eng.flat_set_materialized());
-        serve_without_flat_set();
+        serve_dynamic();
         let updates: Vec<Update> = (0..30).map(Update::Remove).collect();
         eng.apply(&updates);
-        // The new epoch defers everything: apply itself built nothing.
-        assert!(!eng.flat_set_materialized());
-        serve_without_flat_set();
-        // Only a consumer that genuinely needs the flat view pays for it.
-        let _ = eng.live_set();
-        assert!(eng.flat_set_materialized());
+        serve_dynamic();
     }
 
     #[test]
@@ -1742,32 +1569,6 @@ mod tests {
     }
 
     #[test]
-    fn snapped_cache_serves_whole_cell_with_certified_guarantee() {
-        let config = EngineConfig {
-            cache_grid: 0.5,
-            ..EngineConfig::default()
-        };
-        let (set, eng) = engine(12, config);
-        let q = Point::new(3.21, -4.37);
-        let (pi, g) = eng.estimates(q);
-        // The same cell, a different query point: identical answer, one hit.
-        let q2 = Point::new(3.19, -4.41);
-        assert_eq!(quantize_point(q, 0.5), quantize_point(q2, 0.5));
-        let (pi2, g2) = eng.estimates(q2);
-        assert_eq!(pi, pi2);
-        assert_eq!(g, g2);
-        // Certified: the widened slack bounds the error vs the exact value.
-        let exact = quantification_discrete(&set, q);
-        for (i, (est, ex)) in pi.iter().zip(&exact).enumerate() {
-            assert!(
-                (est - ex).abs() <= g.slack() + 1e-9,
-                "π_{i}: {est} vs {ex}, slack {}",
-                g.slack()
-            );
-        }
-    }
-
-    #[test]
     fn empty_batch_and_empty_set() {
         let (_, eng) = engine(10, EngineConfig::default());
         let resp = eng.run_batch(&[]);
@@ -1811,7 +1612,6 @@ mod tests {
         assert!(s.wall > Duration::ZERO);
         assert!(s.throughput_qps() > 0.0);
         assert!((0.0..=1.0).contains(&s.worker_utilization()));
-        assert_eq!(s.nonzero_guarantee, Some(Guarantee::Exact));
     }
 
     #[test]

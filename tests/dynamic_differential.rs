@@ -6,10 +6,10 @@
 //!
 //! * `NN≠0` — must equal the Lemma 2.1 evaluation of a fresh static build
 //!   (and a fresh Theorem 3.2 index) exactly;
-//! * quantification — must be **bit-identical** to the Eq. (2) sweep over
-//!   the fresh build, via **both plan variants**: the fresh-path sweep over
-//!   the live union *and* the k-way merged path over per-bucket sorted
-//!   summaries (cold, then again warm). All paths share one sweep core fed
+//! * quantification — the k-way merged path over per-bucket sorted
+//!   summaries (cold, then again warm) must be **bit-identical** to the
+//!   Eq. (2) sweep over the fresh build, as must that sweep over the
+//!   dynamic set's own `live_set()`. Both paths share one sweep core fed
 //!   the same entry order, so any divergence is a real bug, not float
 //!   noise;
 //! * expected-distance NN — minimal value bit-identical to a fresh
@@ -113,16 +113,19 @@ fn check_all_families(d: &DynamicSet, mirror: &Mirror, q: Point) -> Result<(), T
     let via_index: Vec<SiteId> = via_index.into_iter().map(|dense| ids[dense]).collect();
     prop_assert_eq!(&got, &via_index, "fresh-index mismatch at {}", q);
 
-    // Quantification, fresh-path variant: bit-identical to the oracle.
+    // Quantification: the static Eq. (2) sweep over the mirror's build and
+    // over the dynamic set's own live set, zipped with its live ids, agree
+    // bit for bit.
     let pi_fresh = quantification_discrete(&fresh, q);
-    let pi_dyn = d.quantification(q);
-    prop_assert_eq!(pi_dyn.len(), pi_fresh.len());
-    for ((id, got_pi), (dense, want_pi)) in pi_dyn.iter().zip(pi_fresh.iter().enumerate()) {
-        prop_assert_eq!(*id, ids[dense]);
+    let live_ids = d.live_ids();
+    prop_assert_eq!(&live_ids, &ids);
+    let pi_live = quantification_discrete(&d.live_set(), q);
+    prop_assert_eq!(pi_live.len(), pi_fresh.len());
+    for ((id, got_pi), want_pi) in live_ids.iter().zip(&pi_live).zip(&pi_fresh) {
         prop_assert_eq!(
             got_pi.to_bits(),
             want_pi.to_bits(),
-            "π for site {} at {}: dynamic {} vs fresh {}",
+            "π for site {} at {}: live set {} vs fresh {}",
             id,
             q,
             got_pi,
@@ -130,8 +133,8 @@ fn check_all_families(d: &DynamicSet, mirror: &Mirror, q: Point) -> Result<(), T
         );
     }
 
-    // Quantification, merged-path variant (k-way merge over per-bucket
-    // sorted summaries, tombstones filtered at draw time): the oracle's
+    // The merged path (k-way merge over per-bucket sorted summaries,
+    // tombstones filtered at draw time) must answer with the oracle's
     // π > 0 sites, ascending by id, bit-identical — and, by Lemma 2.1, a
     // subset of NN≠0(q) — first touching cold summaries, then again with
     // every bucket warm.

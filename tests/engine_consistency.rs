@@ -1,8 +1,7 @@
 //! Engine ↔ library consistency: batched, multi-threaded engine answers must
 //! be **identical** to the direct single-threaded library calls — nonzero
-//! sets and, without a cache grid, probabilities too; snapped probability
-//! answers stay within their certified slack — for all three request
-//! shapes, at 1 worker and at >1 workers.
+//! sets and probabilities alike — for all three request shapes, at 1 worker
+//! and at >1 workers.
 //!
 //! CI runs this suite twice: once with `UNC_ENGINE_THREADS=1` and once with
 //! the environment's default parallelism (the env var overrides the explicit
@@ -11,7 +10,6 @@
 
 use uncertain_engine::{Engine, EngineConfig, QueryRequest, QueryResult};
 use uncertain_geom::Point;
-use uncertain_nn::quantification::exact::quantification_discrete;
 use uncertain_nn::queries::{threshold_nn, top_k_probable, ExactQuantifier, Guarantee, Quantifier};
 use uncertain_nn::workload;
 
@@ -26,12 +24,11 @@ fn mixed_batch(queries: &[Point], tau: f64, k: usize) -> Vec<QueryRequest> {
     batch
 }
 
-fn engine_with(set: &uncertain_nn::DiscreteSet, threads: usize, cache_grid: f64) -> Engine {
+fn engine_with(set: &uncertain_nn::DiscreteSet, threads: usize) -> Engine {
     Engine::new(
         set.clone(),
         EngineConfig {
             threads: Some(threads),
-            cache_grid,
             ..EngineConfig::default()
         },
     )
@@ -45,7 +42,7 @@ fn exact_engine_matches_library_at_one_and_many_workers() {
     let exact = ExactQuantifier(&set);
 
     for threads in [1usize, 4] {
-        let engine = engine_with(&set, threads, 0.0);
+        let engine = engine_with(&set, threads);
         let resp = engine.run_batch(&batch);
         assert_eq!(resp.results.len(), batch.len());
         for (req, res) in batch.iter().zip(&resp.results) {
@@ -79,77 +76,33 @@ fn exact_engine_matches_library_at_one_and_many_workers() {
 #[test]
 fn batched_results_are_identical_across_worker_counts() {
     // Threaded execution must be a pure performance knob: bit-identical
-    // results regardless of sharding, with and without a cache grid.
+    // results regardless of how the batch is split across workers.
     let set = workload::random_discrete_set(80, 3, 5.0, 103);
     let batch = mixed_batch(&workload::random_queries(48, 60.0, 104), 0.2, 4);
-    for cache_grid in [0.0, 0.5] {
-        let r1 = engine_with(&set, 1, cache_grid).run_batch(&batch);
-        let r4 = engine_with(&set, 4, cache_grid).run_batch(&batch);
-        assert_eq!(
-            r1.results, r4.results,
-            "results diverged across worker counts at cache grid {cache_grid}"
-        );
-    }
+    let r1 = engine_with(&set, 1).run_batch(&batch);
+    let r4 = engine_with(&set, 4).run_batch(&batch);
+    assert_eq!(
+        r1.results, r4.results,
+        "results diverged across worker counts"
+    );
 }
 
 #[test]
 fn engine_quantifier_agrees_with_library_quantifier_trait() {
     // `Engine::estimates` is the same quantity `Quantifier::estimate_all`
-    // exposes; under the exact guarantee they must agree bit-for-bit.
+    // exposes; both are exact, so they must agree bit-for-bit.
     let set = workload::random_discrete_set(35, 3, 5.0, 107);
-    let engine = engine_with(&set, 1, 0.0);
+    let engine = engine_with(&set, 1);
     let exact = ExactQuantifier(&set);
     for q in workload::random_queries(20, 60.0, 108) {
-        let (pi, g) = engine.estimates(q);
-        assert_eq!(g, Guarantee::Exact);
-        assert_eq!(pi, exact.estimate_all(q));
-    }
-}
-
-#[test]
-fn snapped_cache_identity_within_cells_and_certified_error() {
-    // With a positive grid every query in a cell gets the identical answer,
-    // and the widened guarantee certifies the distance to the exact answer.
-    let set = workload::random_discrete_set(25, 3, 6.0, 109);
-    let grid = 0.75;
-    let engine = Engine::new(
-        set.clone(),
-        EngineConfig {
-            threads: Some(2),
-            cache_grid: grid,
-            ..EngineConfig::default()
-        },
-    );
-    for center in workload::random_queries(15, 50.0, 110) {
-        let jitter = [
-            Point::new(center.x + 0.2 * grid, center.y - 0.1 * grid),
-            Point::new(center.x - 0.15 * grid, center.y + 0.22 * grid),
-        ];
-        let (pi0, g0) = engine.estimates(center);
-        for q in jitter {
-            if uncertain_engine::quantize_point(q, grid)
-                != uncertain_engine::quantize_point(center, grid)
-            {
-                continue; // jitter crossed a cell boundary: different key
-            }
-            let (pi, g) = engine.estimates(q);
-            assert_eq!(pi0, pi, "same cell must serve identical answers");
-            assert_eq!(g0, g);
-            let exact = quantification_discrete(&set, q);
-            for (i, (est, ex)) in pi.iter().zip(&exact).enumerate() {
-                assert!(
-                    (est - ex).abs() <= g.slack() + 1e-9,
-                    "certified slack violated for π_{i}"
-                );
-            }
-        }
+        assert_eq!(engine.estimates(q), exact.estimate_all(q));
     }
 }
 
 #[test]
 fn stats_report_plan_cache_and_utilization() {
     let set = workload::random_discrete_set(1500, 3, 5.0, 111);
-    let engine = engine_with(&set, 2, 0.0);
+    let engine = engine_with(&set, 2);
     let batch: Vec<QueryRequest> = workload::random_queries(24, 60.0, 112)
         .iter()
         .cycle()
@@ -180,45 +133,44 @@ fn dense_filter(pi: &[f64], ids: &[usize], keep: impl Fn(f64) -> bool) -> Vec<(u
     items
 }
 
-/// Snapped engines serve TopK and Threshold as prefixes of a cached ranked
-/// answer, padding Threshold with the zero estimates when `τ − slack ≤ 0`
-/// (a threshold below the cell's certified halfwidth). Both must equal the
-/// plain dense filter of `Engine::estimates(q)`, on either side of the
-/// slack.
+/// The engine serves TopK and Threshold as prefixes of one cached ranked
+/// answer. Both must equal the plain dense filter of `Engine::estimates(q)`
+/// bit for bit: TopK its first `k` positive estimates, Threshold every
+/// estimate `≥ τ`. `τ = f64::MIN_POSITIVE` is the smallest threshold a
+/// request may carry, so it must return exactly the sites with `π > 0` and
+/// never a site with `π = 0`.
 #[test]
-fn approximate_ranked_answers_equal_the_dense_filter_of_estimates() {
+fn ranked_answers_equal_the_dense_filter_of_estimates() {
     let set = workload::random_discrete_set(300, 3, 6.0, 109);
     let queries = workload::random_queries(60, 60.0, 110);
-    let grid = 0.5;
-    // A second engine learns each cell's served slack, so the batch below
-    // runs on a cold cache with thresholds on both sides of it.
-    let probe = engine_with(&set, 1, grid);
+    // A second engine learns each query's estimates, so the batch below
+    // runs on a cold cache with a threshold that ties an actual estimate.
+    let probe = engine_with(&set, 1);
     let mut batch = vec![];
     for &q in &queries {
-        let slack = probe.estimates(q).1.slack();
         batch.push(QueryRequest::TopK { q, k: 4 });
+        batch.push(QueryRequest::Threshold { q, tau: 0.25 });
         batch.push(QueryRequest::Threshold {
             q,
-            tau: slack + 0.05,
+            tau: f64::MIN_POSITIVE,
         });
-        if slack > 0.0 {
-            batch.push(QueryRequest::Threshold {
-                q,
-                tau: 0.5 * slack,
-            });
+        let mut pi = probe.estimates(q);
+        pi.sort_by(|a, b| b.total_cmp(a));
+        if pi.len() > 1 && pi[1] > 0.0 {
+            batch.push(QueryRequest::Threshold { q, tau: pi[1] });
         }
     }
-    let engine = engine_with(&set, 1, grid);
+    let engine = engine_with(&set, 1);
     let resp = engine.run_batch(&batch);
-    assert_eq!(resp.stats.plan.summary(), "quant:snapped");
+    assert_eq!(resp.stats.plan.summary(), "quant:merged");
     let ids = engine.site_ids();
-    let mut padded = 0;
+    let mut zeros_excluded = 0;
     for (req, res) in batch.iter().zip(&resp.results) {
         let QueryResult::Ranked { items, guarantee } = res else {
             panic!("shape mismatch: {res:?}");
         };
-        let (pi, g) = engine.estimates(req.point());
-        assert_eq!(*guarantee, g, "at {}", req.point());
+        assert_eq!(*guarantee, Guarantee::Exact);
+        let pi = engine.estimates(req.point());
         let want = match *req {
             QueryRequest::TopK { k, .. } => {
                 let mut v = dense_filter(&pi, &ids, |p| p > 0.0);
@@ -226,11 +178,12 @@ fn approximate_ranked_answers_equal_the_dense_filter_of_estimates() {
                 v
             }
             QueryRequest::Threshold { tau, .. } => {
-                if tau <= g.slack() {
-                    padded += 1;
-                    assert_eq!(items.len(), ids.len(), "τ ≤ slack admits every site");
+                let v = dense_filter(&pi, &ids, |p| p >= tau);
+                if tau == f64::MIN_POSITIVE {
+                    assert_eq!(v, dense_filter(&pi, &ids, |p| p > 0.0), "{req:?}");
+                    zeros_excluded += ids.len() - v.len();
                 }
-                dense_filter(&pi, &ids, |p| p >= tau - g.slack())
+                v
             }
             QueryRequest::Nonzero { .. } => unreachable!(),
         };
@@ -240,8 +193,5 @@ fn approximate_ranked_answers_equal_the_dense_filter_of_estimates() {
             assert_eq!(p.to_bits(), w.to_bits(), "{req:?}");
         }
     }
-    assert!(
-        padded > 0,
-        "no threshold below the served slack was exercised"
-    );
+    assert!(zeros_excluded > 0, "no site with π = 0 was exercised");
 }

@@ -20,7 +20,6 @@ use uncertain_geom::{Aabb, Point};
 use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
 use uncertain_nn::quantification::exact::quantification_discrete;
 use uncertain_nn::quantification::ProbabilisticVoronoiDiagram;
-use uncertain_nn::queries::Guarantee;
 use uncertain_nn::vnz::DiscreteNonzeroDiagram;
 use uncertain_nn::workload;
 use uncertain_voronoi::Delaunay;
@@ -243,7 +242,6 @@ fn engine_dynamic_plan_matches_brute_on_boundaries_at_1_and_4_workers() {
             .collect();
         let resp = engine.run_batch(&batch);
         assert_eq!(resp.stats.plan.nonzero, Some(NonzeroPlan::Dynamic));
-        assert_eq!(resp.stats.nonzero_guarantee, Some(Guarantee::Exact));
         for (req, res) in batch.iter().zip(&resp.results) {
             let (QueryRequest::Nonzero { q }, QueryResult::Nonzero(ids)) = (req, res) else {
                 panic!("result shape mismatch");

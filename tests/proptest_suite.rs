@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 use uncertain_arrangement::segment::{segment_intersections, Segment};
 use uncertain_arrangement::subdivision::{Subdivision, TaggedSegment};
-use uncertain_engine::{quantize_point, snap_center, snap_radius, Engine, EngineConfig};
 use uncertain_geom::apollonius::{tangent_circles, Tangency};
 use uncertain_geom::hyperbola::PolarBranch;
 use uncertain_geom::sec::smallest_enclosing_circle;
@@ -245,69 +244,6 @@ proptest! {
         for i in 0..set.len() {
             // Truncation can only lose probability mass.
             prop_assert!(est[i] <= exact[i] + 1e-9);
-        }
-    }
-
-    #[test]
-    fn cache_keys_stable_under_subgrid_perturbation(
-        grid in 0.05f64..4.0,
-        kx in -200i64..200,
-        ky in -200i64..200,
-        fx in -0.49f64..0.49,
-        fy in -0.49f64..0.49,
-    ) {
-        // Any point strictly inside a cell snaps to the cell's key, and the
-        // cell center round-trips exactly.
-        let center = Point::new(kx as f64 * grid, ky as f64 * grid);
-        prop_assert_eq!(quantize_point(center, grid), (kx, ky));
-        let p = Point::new(center.x + fx * grid, center.y + fy * grid);
-        prop_assert_eq!(quantize_point(p, grid), (kx, ky));
-        // The snapped center is within the advertised snap radius.
-        prop_assert!(p.dist(snap_center(p, grid)) <= snap_radius(grid) + 1e-9);
-    }
-
-    #[test]
-    fn cached_answers_respect_widened_guarantee_slack(
-        clusters in prop::collection::vec((pt(), 0.1f64..4.0), 2..8),
-        q in pt(),
-        grid in 0.1f64..1.5,
-    ) {
-        // A snapped cache cell serves one answer for every query in the
-        // cell; its widened `Guarantee::slack()` must certifiably bound the
-        // error against exact recomputation at the *actual* query point.
-        let points: Vec<DiscreteUncertainPoint> = clusters
-            .iter()
-            .enumerate()
-            .map(|(i, &(c, spread))| {
-                DiscreteUncertainPoint::uniform(vec![
-                    Point::new(c.x - spread, c.y + 0.07 * i as f64),
-                    Point::new(c.x + spread, c.y),
-                    Point::new(c.x, c.y + spread),
-                ])
-            })
-            .collect();
-        let set = DiscreteSet::new(points);
-        let engine = Engine::new(
-            set.clone(),
-            EngineConfig {
-                threads: Some(1),
-                cache_grid: grid,
-                ..EngineConfig::default()
-            },
-        );
-        // First call computes and caches the cell; second serves the hit.
-        let (pi_miss, g_miss) = engine.estimates(q);
-        let (pi_hit, g_hit) = engine.estimates(q);
-        prop_assert_eq!(&pi_miss, &pi_hit, "cache must not change answers");
-        prop_assert_eq!(g_miss, g_hit);
-        let exact = quantification_discrete(&set, q);
-        let slack = g_hit.slack();
-        for (i, (est, ex)) in pi_hit.iter().zip(&exact).enumerate() {
-            prop_assert!(
-                (est - ex).abs() <= slack + 1e-9,
-                "π_{}: cached {} vs exact {} beyond widened slack {}",
-                i, est, ex, slack
-            );
         }
     }
 }
