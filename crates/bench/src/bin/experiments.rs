@@ -185,7 +185,7 @@ const EXPERIMENTS: &[(&str, &str, fn())] = &[
     ),
     (
         "A4",
-        "ablation: expected-NN vs most-probable-NN disagreement",
+        "ablation: expected-NN vs most-probable-NN disagreement, query cost",
         a4_expected_vs_probable,
     ),
     (
@@ -424,12 +424,12 @@ fn e5_disjoint() {
         "complexity O(λn²) for disjoint disks with radius ratio λ; Ω(n²) lower bound",
     );
     println!("   upper-bound regime (random disjoint instances):");
-    let mut t = Table::new(&["λ", "n", "vertices", "µ=V+E+F"]);
+    let mut t = Table::new(&["λ", "n", "vertices", "µ=V+E+F", "build"]);
     for &lambda in sweep(&[1.0f64, 2.0, 4.0, 8.0]) {
         let (mut xs, mut ys) = (vec![], vec![]);
         for &n in sweep(&[16usize, 32, 64]) {
             let set = workload::disjoint_disk_set(n, lambda, 7 + n as u64);
-            let d = NonzeroVoronoiDiagram::build(set.regions());
+            let (d, secs) = time(|| NonzeroVoronoiDiagram::build(set.regions()));
             let c = d.complexity();
             xs.push(n as f64);
             ys.push(c.total().max(1) as f64);
@@ -438,6 +438,7 @@ fn e5_disjoint() {
                 n.to_string(),
                 c.vertices.to_string(),
                 c.total().to_string(),
+                fmt_time(secs),
             ]);
         }
         t.row(&[
@@ -445,6 +446,7 @@ fn e5_disjoint() {
             "slope".into(),
             format!("{:.2}", loglog_slope(&xs, &ys)),
             "(≤ 2 expected)".into(),
+            "-".into(),
         ]);
     }
     t.print();
@@ -1011,12 +1013,18 @@ fn e15_guaranteed() {
         "cells with |NN≠0| = 1 have O(n) total complexity (vs Θ(n³) for the full diagram)",
     );
     use uncertain_nn::vnz::GuaranteedVoronoi;
-    let mut t = Table::new(&["n", "guaranteed complexity", "V≠0 vertices", "ratio"]);
+    let mut t = Table::new(&[
+        "n",
+        "guaranteed complexity",
+        "V≠0 vertices",
+        "ratio",
+        "build",
+    ]);
     let (mut xs, mut ys) = (vec![], vec![]);
     for &n in sweep(&[16usize, 32, 64, 128, 256]) {
         let set = workload::random_disk_set(n, 0.2, 1.0, 3 + n as u64);
         let disks = set.regions();
-        let gv = GuaranteedVoronoi::build(&disks);
+        let (gv, build) = time(|| GuaranteedVoronoi::build(&disks));
         let gc = gv.total_complexity();
         let vz = if n <= 64 {
             NonzeroVoronoiDiagram::build(disks)
@@ -1032,6 +1040,7 @@ fn e15_guaranteed() {
             gc.to_string(),
             vz,
             format!("{:.2}", gc as f64 / n as f64),
+            fmt_time(build),
         ]);
     }
     t.print();
@@ -1140,6 +1149,28 @@ fn a4_expected_vs_probable() {
             format!("{diam}"),
             format!("{:.1}%", 100.0 * agree as f64 / queries.len() as f64),
         ]);
+    }
+    t.print();
+
+    println!("   expected-NN query cost: index vs scanning every expected distance");
+    let mut t = Table::new(&["n", "query (index)", "query (brute)"]);
+    for &n in sweep(&[1_000usize, 10_000]) {
+        let n = scaled(n);
+        let set = workload::random_discrete_set(n, 4, 1.0, n as u64);
+        let idx = ExpectedNnIndex::build_discrete(&set);
+        let queries = workload::random_queries(scaled(200), 60.0, 13);
+        let tq = time_avg(1, || {
+            for &q in &queries {
+                std::hint::black_box(idx.query(q));
+            }
+        }) / queries.len() as f64;
+        let tb = time_avg(1, || {
+            for &q in &queries {
+                let all = idx.all_expected(q);
+                std::hint::black_box(all.iter().copied().fold(f64::INFINITY, f64::min));
+            }
+        }) / queries.len() as f64;
+        t.row(&[n.to_string(), fmt_time(tq), fmt_time(tb)]);
     }
     t.print();
 }

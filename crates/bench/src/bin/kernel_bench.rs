@@ -3,35 +3,37 @@
 //! (`uncertain_spatial::soa`) against their scalar reference forms, under
 //! wall/cycle/heap counters (see `uncertain_bench::measure`).
 //!
-//! Two hot kernels from the serving path are measured at several sizes:
+//! Two kernels the kd-tree leaves run are measured at several sizes:
 //!
-//! * `disk_filter_masked` — the tombstone-masked in-disk filter behind the
-//!   Theorem 3.2 stage-2 scan of the dynamic layer (bitmask-AND lanes vs a
-//!   per-entry liveness branch).
-//! * `dist_all` — the bulk distance evaluation behind the Eq. (2) sweep's
-//!   entry assembly (chunked lanes vs one `Point::dist` per location).
+//! * `disk_filter_leaf` — the in-disk filter `KdTree::range_rec` runs on
+//!   every visited leaf (the Theorem 3.2 stage-2 range report), called over
+//!   consecutive [`LEAF_SIZE`]-point ranges covering the slab.
+//! * `dist_all` — the distance fill behind `nearest_iter` leaves (the
+//!   merged quantification streams) and the static Eq. (2) oracle's entry
+//!   assembly (chunked lanes vs one `Point::dist` per location).
 //!
 //! Usage: `kernel_bench [--smoke] [--out PATH] [--check BASELINE]
 //! [--overhead-check]`
 //!
-//! `--smoke` (or `UNC_BENCH_SMOKE=1`) drops to a few reps per cell — enough
-//! for CI to exercise every kernel and emit a schema-valid artifact, too
-//! noisy for real ratios. `--out` writes the JSON document. `--check`
-//! compares this run's scalar-over-SoA speedups against a baseline document
-//! with a generous tolerance (ratios, not absolute times, so it holds
-//! across machines) and exits nonzero on a gross regression.
-//! `--overhead-check` measures the per-invocation cost of the kernels'
-//! registry instrumentation against the fastest measured kernel and fails
-//! above 5%.
+//! `--smoke` drops to a few reps per cell — enough for CI to exercise every
+//! kernel and emit a schema-valid artifact, too noisy for real ratios.
+//! `--out` writes the JSON document. `--check` compares this run's
+//! scalar-over-SoA speedups against a baseline document with a generous
+//! tolerance (ratios, not absolute times, so it holds across machines) and
+//! exits nonzero on a gross regression or on a baseline row this run did
+//! not measure. `--overhead-check` measures the per-invocation cost of the
+//! kernels' registry instrumentation against the fastest measured kernel
+//! and fails above 5%.
 
 use std::process::ExitCode;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use uncertain_bench::measure::{
-    measure_reps, parse_speedups, BenchDoc, CountingAlloc, KernelReport,
+    measure_reps, parse_speedups, BenchDoc, CountingAlloc, KernelReport, Speedup,
 };
 use uncertain_geom::Point;
+use uncertain_spatial::kdtree::LEAF_SIZE;
 use uncertain_spatial::PointSlab;
 
 #[global_allocator]
@@ -49,11 +51,10 @@ fn main() -> ExitCode {
     let mut out_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut overhead_check = false;
-    let mut smoke = uncertain_bench::smoke();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--smoke" => smoke = true,
+            "--smoke" => uncertain_bench::set_smoke(true),
             "--out" => out_path = argv.next(),
             "--check" => check_path = argv.next(),
             "--overhead-check" => overhead_check = true,
@@ -63,6 +64,7 @@ fn main() -> ExitCode {
             }
         }
     }
+    let smoke = uncertain_bench::smoke();
     let reps = if smoke { 5 } else { 400 };
 
     let mut doc = BenchDoc {
@@ -75,15 +77,18 @@ fn main() -> ExitCode {
     };
 
     for &n in &SIZES {
-        let (slab, alive, q, r) = workload(n);
-        bench_pair(&mut doc, "disk_filter_masked", n, reps, {
-            let (slab, alive) = (&slab, &alive);
+        let (slab, q, r) = workload(n);
+        bench_pair(&mut doc, "disk_filter_leaf", n, reps, {
+            let slab = &slab;
             move |soa| {
                 let mut acc = 0.0f64;
-                if soa {
-                    slab.for_each_in_disk_masked(q, r, alive, |_, d| acc += d);
-                } else {
-                    slab.for_each_in_disk_masked_scalar(q, r, alive, |_, d| acc += d);
+                for start in (0..n).step_by(LEAF_SIZE) {
+                    let end = (start + LEAF_SIZE).min(n);
+                    if soa {
+                        slab.for_each_in_disk_in_range(start, end, q, r, |_, d| acc += d);
+                    } else {
+                        slab.for_each_in_disk_in_range_scalar(start, end, q, r, |_, d| acc += d);
+                    }
                 }
                 std::hint::black_box(acc);
             }
@@ -188,8 +193,8 @@ fn overhead_check_passes(doc: &BenchDoc) -> bool {
 }
 
 /// Random workload for size `n`: points uniform in a square, query at the
-/// center, radius catching roughly half the points, ~3/4 of entries live.
-fn workload(n: usize) -> (PointSlab, Vec<u64>, Point, f64) {
+/// center, radius catching roughly half the points.
+fn workload(n: usize) -> (PointSlab, Point, f64) {
     let mut rng = StdRng::seed_from_u64(0x5eed ^ n as u64);
     let mut slab = PointSlab::with_capacity(n);
     for _ in 0..n {
@@ -198,16 +203,7 @@ fn workload(n: usize) -> (PointSlab, Vec<u64>, Point, f64) {
             rng.gen_range(-50.0..50.0),
         ));
     }
-    let words = n.div_ceil(64);
-    let mut alive = vec![0u64; words];
-    for (i, w) in alive.iter_mut().enumerate() {
-        *w = rng.gen::<u64>() | rng.gen::<u64>(); // ~75% bits set
-        let base = i * 64;
-        if n - base < 64 {
-            *w &= (1u64 << (n - base)) - 1;
-        }
-    }
-    (slab, alive, Point::new(0.0, 0.0), 40.0)
+    (slab, Point::new(0.0, 0.0), 40.0)
 }
 
 /// Benches the scalar and SoA variants of one kernel at one size.
@@ -219,10 +215,12 @@ fn bench_pair(doc: &mut BenchDoc, name: &str, n: usize, reps: usize, mut body: i
     }
 }
 
-/// Every (kernel, n) present in both documents must not have regressed by
-/// more than [`CHECK_TOLERANCE`]; entries missing on either side are
-/// reported but don't fail (sizes may evolve).
-fn check_against(doc: &BenchDoc, baseline: &[uncertain_bench::measure::Speedup]) -> bool {
+/// Every baseline (kernel, n) must be measured by this run and must not
+/// have regressed by more than [`CHECK_TOLERANCE`]. A baseline row the run
+/// lacks fails the check: `SIZES` is fixed and smoke runs measure the same
+/// cells, so a missing row means a kernel was renamed or dropped without
+/// regenerating the baseline.
+fn check_against(doc: &BenchDoc, baseline: &[Speedup]) -> bool {
     let mut ok = true;
     for b in baseline {
         match doc
@@ -238,8 +236,46 @@ fn check_against(doc: &BenchDoc, baseline: &[uncertain_bench::measure::Speedup])
                 ok = false;
             }
             Some(_) => {}
-            None => eprintln!("note: baseline entry {} n={} not measured", b.kernel, b.n),
+            None => {
+                eprintln!("MISSING {} n={}: baseline row not measured", b.kernel, b.n);
+                ok = false;
+            }
         }
     }
     ok
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc_with(speedups: &[(&str, usize, f64)]) -> BenchDoc {
+        BenchDoc {
+            created_unix: 0,
+            smoke: true,
+            kernels: vec![],
+            speedups: speedups
+                .iter()
+                .map(|&(kernel, n, scalar_over_soa)| Speedup {
+                    kernel: kernel.into(),
+                    n,
+                    scalar_over_soa,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn check_requires_every_baseline_row() {
+        let baseline =
+            doc_with(&[("dist_all", 1024, 1.0), ("disk_filter_leaf", 1024, 2.0)]).speedups;
+        let matching = doc_with(&[("dist_all", 1024, 1.1), ("disk_filter_leaf", 1024, 1.9)]);
+        assert!(check_against(&matching, &baseline));
+        // A renamed kernel leaves its baseline row unmeasured: that fails.
+        let renamed = doc_with(&[("dist_all", 1024, 1.1), ("disk_filter_new", 1024, 1.9)]);
+        assert!(!check_against(&renamed, &baseline));
+        // So does a gross ratio regression.
+        let slow = doc_with(&[("dist_all", 1024, 1.1), ("disk_filter_leaf", 1024, 0.4)]);
+        assert!(!check_against(&slow, &baseline));
+    }
 }

@@ -1,4 +1,5 @@
-//! Shared helpers for the experiment harness and Criterion benches.
+//! Shared helpers for the experiment harness, the kernel bench and the
+//! serving binaries.
 //!
 //! The paper is a theory paper: its "evaluation" is a set of theorems
 //! (complexity bounds) plus explicit lower-bound constructions and one
@@ -28,12 +29,10 @@ pub fn set_smoke(on: bool) {
 }
 
 /// True when experiments and benches should shrink to token workloads that
-/// still exercise every code path: enabled by `--smoke` on the `experiments`
-/// binary (via [`set_smoke`]) or by setting `UNC_BENCH_SMOKE=1` in the
-/// environment (picked up by the Criterion benches too).
+/// still exercise every code path: enabled by `--smoke` on the
+/// `experiments` and `kernel_bench` binaries (via [`set_smoke`]).
 pub fn smoke() -> bool {
     SMOKE.load(Ordering::Relaxed)
-        || std::env::var("UNC_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
 /// Scales a workload size down (÷100, floor 8) in smoke mode.

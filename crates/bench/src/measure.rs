@@ -209,9 +209,9 @@ pub struct Summary {
 }
 
 fn pick_sorted(sorted: &[f64], p: f64) -> f64 {
-    // Snap `p·n` to the integer it mathematically equals before `ceil`
-    // (0.95 × 20 lands an ulp high in f64) — same nearest-rank
-    // convention as the vendored criterion harness.
+    // Snap `p·n` to the integer it mathematically equals before `ceil`:
+    // 0.95 × 20 and 0.07 × 100 land an ulp high in f64, and a bare `ceil`
+    // then overshoots the nearest rank by one.
     let exact = p * sorted.len() as f64;
     let nearest = exact.round();
     let rank = if (exact - nearest).abs() <= 1e-9 * nearest.max(1.0) {
@@ -246,7 +246,7 @@ pub fn summarize(samples: &[f64]) -> Summary {
 /// One (kernel, variant, n) cell of the report.
 #[derive(Clone, Debug)]
 pub struct KernelReport {
-    /// Kernel under test, e.g. `"disk_filter_masked"`.
+    /// Kernel under test, e.g. `"disk_filter_leaf"`.
     pub name: String,
     /// `"scalar"` or `"soa"`.
     pub variant: String,
@@ -457,6 +457,48 @@ mod tests {
         }
     }
 
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
+        assert_eq!(percentile(&xs, 0.50), 5.0);
+        assert_eq!(percentile(&xs, 0.95), 10.0);
+        assert_eq!(percentile(&xs, 1.0), 10.0);
+        assert_eq!(percentile(&[3.5], 0.5), 3.5);
+        assert_eq!(percentile(&[3.5], 0.95), 3.5);
+    }
+
+    #[test]
+    fn percentile_snaps_fp_noise_before_ceil() {
+        // 0.07 × 100 evaluates to 7.000000000000001 in f64; naive ceil
+        // reads rank 8 where nearest-rank says 7.
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&xs, 0.07), 7.0);
+        // Sweep every integer percent over several sizes against the
+        // integer-arithmetic ground truth ⌈p·n⌉ computed exactly.
+        for n in [1usize, 2, 3, 10, 19, 100, 997] {
+            let xs: Vec<f64> = (1..=n).map(|i| i as f64).collect();
+            for pct in 1..=100u32 {
+                let rank = (pct as usize * n).div_ceil(100).max(1);
+                assert_eq!(
+                    percentile(&xs, pct as f64 / 100.0),
+                    rank as f64,
+                    "p = {pct}%, n = {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn percentile_tiny_samples() {
+        // n = 1: every percentile is the sample.
+        for p in [0.01, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(percentile(&[42.0], p), 42.0);
+        }
+        // n = 2: median is the first element (⌈0.5·2⌉ = 1), p95 the second.
+        assert_eq!(percentile(&[1.0, 9.0], 0.50), 1.0);
+        assert_eq!(percentile(&[1.0, 9.0], 0.95), 9.0);
+    }
+
     /// Serializes the tests that read or reset the process-wide live/peak
     /// counters ([`heap_scope`] resets the peak). Sibling tests on other
     /// threads still allocate concurrently, so assertions keep margins far
@@ -546,8 +588,8 @@ mod tests {
             created_unix: 1_700_000_000,
             smoke: true,
             kernels: vec![
-                KernelReport::from_runs("disk_filter_masked", "scalar", 4096, &runs),
-                KernelReport::from_runs("disk_filter_masked", "soa", 4096, &runs),
+                KernelReport::from_runs("disk_filter_leaf", "scalar", 4096, &runs),
+                KernelReport::from_runs("disk_filter_leaf", "soa", 4096, &runs),
             ],
             speedups: vec![],
         };
@@ -557,7 +599,7 @@ mod tests {
         assert!(json.contains("\"schema\": \"bench-kernels/v1\""));
         let parsed = parse_speedups(&json);
         assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].kernel, "disk_filter_masked");
+        assert_eq!(parsed[0].kernel, "disk_filter_leaf");
         assert_eq!(parsed[0].n, 4096);
         assert!((parsed[0].scalar_over_soa - doc.speedups[0].scalar_over_soa).abs() < 1e-3);
     }

@@ -11,7 +11,10 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use uncertain_geom::{Aabb, Point};
 
-const LEAF_SIZE: usize = 8;
+/// Maximum number of points in a leaf. Leaf scans (range reporting's
+/// in-disk filter, the nearest-neighbor distance fill) run the `soa` kernels
+/// over ranges of at most this many points.
+pub const LEAF_SIZE: usize = 8;
 
 #[derive(Clone, Debug)]
 struct Node {

@@ -16,11 +16,12 @@
 //!   branch-and-bound with exact refinement (the first stage of the
 //!   Theorem 3.2 query).
 //!
-//! The distance evaluations inside those primitives run on the
-//! structure-of-arrays kernels in [`soa`] — flat `x[]`/`y[]` slabs scanned in
-//! fixed-width chunks with branch-free hit masks, bit-identical to the scalar
-//! `Point::dist` loops they replace (see the module docs for the exactness
-//! contract and the process-global [`soa::KernelStats`] counters).
+//! The kd-tree's leaf scans run on the structure-of-arrays kernels in
+//! [`soa`]: flat `x[]`/`y[]` slabs scanned in fixed-width chunks with
+//! branch-free hit masks, over leaves of at most [`kdtree::LEAF_SIZE`]
+//! points, bit-identical to the scalar `Point::dist` loops they replace (see
+//! the module docs for the exactness contract and the process-global
+//! [`soa::KernelStats`] counters).
 
 pub mod disk_index;
 pub mod group_index;

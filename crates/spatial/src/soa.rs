@@ -1,4 +1,4 @@
-//! Structure-of-arrays distance kernels with masked tombstone filtering.
+//! Structure-of-arrays distance kernels.
 //!
 //! The two hot loops behind every query family — the Theorem 3.2 stage-2
 //! range scan and the Eq. (2) sweep's distance-evaluation pass — spend their
@@ -10,13 +10,19 @@
 //! * [`PointSlab`] — parallel `x[]` / `y[]` coordinate arrays ("structure of
 //!   arrays"), so a distance pass reads two contiguous f64 streams.
 //! * Chunked-lane kernels ([`PointSlab::dist_range_into`],
-//!   [`PointSlab::for_each_in_disk_in_range`],
-//!   [`PointSlab::for_each_in_disk_masked`]) that process [`LANES`] points
+//!   [`PointSlab::for_each_in_disk_in_range`]) that process [`LANES`] points
 //!   per step with branch-free hit masks. They are written in plain `std`
 //!   Rust in the shape LLVM reliably autovectorizes (fixed-width inner
 //!   loops over slices, no early exits, mask accumulation instead of
 //!   per-element branches); `std::simd` is nightly-only and this workspace
 //!   builds on stable, so no explicit-SIMD feature is wired up.
+//!
+//! Both run on kd-tree leaves of at most [`crate::kdtree::LEAF_SIZE`]
+//! points: range reporting filters each visited leaf with
+//! `for_each_in_disk_in_range` (callers such as the dynamic layer's buckets
+//! test liveness per hit), and nearest-neighbor iteration fills leaf
+//! distances with `dist_range_into`. `dist_all_into` is the same fill over
+//! a whole slab.
 //!
 //! # Exactness contract
 //!
@@ -32,7 +38,7 @@
 //!
 //! Each chunked kernel has a `_scalar` reference twin (the naive
 //! branch-per-element loop) used by the differential tests and the kernel
-//! benches; both sides tally into the process-global [`KernelStats`]
+//! bench; both sides tally into the process-global [`KernelStats`]
 //! counters so `ExecStats` can report what fraction of distance work ran
 //! through the lane kernels.
 
@@ -330,81 +336,6 @@ impl PointSlab {
         }
         record(0, (end - start) as u64);
     }
-
-    /// Calls `f(i, dist_i)` for every slab index `i` that is **alive** in the
-    /// tombstone bitmap and within (closed) distance `r` of `q`, in
-    /// ascending index order. The liveness test is folded into the hit mask
-    /// with a bitwise AND — no per-entry branch — which is the tombstone
-    /// filtering mode the dynamic (Bentley–Saxe) layer uses on its bucket
-    /// slabs.
-    ///
-    /// `alive` must cover the slab: `alive.len() * 64 >= self.len()`, bit
-    /// `i & 63` of word `i >> 6` set iff entry `i` is live.
-    pub fn for_each_in_disk_masked<F: FnMut(usize, f64)>(
-        &self,
-        q: Point,
-        r: f64,
-        alive: &[u64],
-        mut f: F,
-    ) {
-        let n = self.len();
-        assert!(alive.len() * 64 >= n, "alive bitmap too short for slab");
-        let xs = &self.xs[..n];
-        let ys = &self.ys[..n];
-        let chunks = n / LANES;
-        for c in 0..chunks {
-            let base = c * LANES;
-            // `base` is a multiple of LANES (= 4), so the chunk never
-            // straddles a 64-bit bitmap word.
-            let live = (alive[base >> 6] >> (base & 63)) as u32;
-            let mut d = [0.0f64; LANES];
-            let mut mask = 0u32;
-            for l in 0..LANES {
-                d[l] = dist_xy(q.x, q.y, xs[base + l], ys[base + l]);
-            }
-            for (l, &dl) in d.iter().enumerate() {
-                mask |= ((dl <= r) as u32 & (live >> l) & 1) << l;
-            }
-            while mask != 0 {
-                let l = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                f(base + l, d[l]);
-            }
-        }
-        for i in chunks * LANES..n {
-            if bitmap_get(alive, i) {
-                let d = dist_xy(q.x, q.y, xs[i], ys[i]);
-                if d <= r {
-                    f(i, d);
-                }
-            }
-        }
-        record((chunks * LANES) as u64, (n - chunks * LANES) as u64);
-    }
-
-    /// Scalar reference for [`Self::for_each_in_disk_masked`]: per-entry
-    /// liveness branch, then the distance test.
-    pub fn for_each_in_disk_masked_scalar<F: FnMut(usize, f64)>(
-        &self,
-        q: Point,
-        r: f64,
-        alive: &[u64],
-        mut f: F,
-    ) {
-        let n = self.len();
-        assert!(alive.len() * 64 >= n, "alive bitmap too short for slab");
-        let mut scalar = 0u64;
-        for i in 0..n {
-            if bitmap_get(alive, i) {
-                scalar += 1;
-                let d = q.dist(self.get(i));
-                if d <= r {
-                    f(i, d);
-                }
-            }
-        }
-        record(0, scalar);
-    }
 }
 
 #[cfg(test)]
@@ -453,30 +384,6 @@ mod tests {
                 slab.for_each_in_disk_in_range(0, n, q, r, |i, d| a.push((i, d.to_bits())));
                 slab.for_each_in_disk_in_range_scalar(0, n, q, r, |i, d| b.push((i, d.to_bits())));
                 assert_eq!(a, b, "n={n} r={r}");
-            }
-        }
-    }
-
-    #[test]
-    fn masked_filter_matches_scalar_across_mask_shapes() {
-        let n = 203;
-        let slab = slab_of(n, 99);
-        let q = Point::new(5.0, 5.0);
-        let r = 40.0;
-        let all = bitmap_filled(n, true);
-        let none = bitmap_filled(n, false);
-        let mut alternating = bitmap_filled(n, false);
-        for i in (0..n).step_by(2) {
-            alternating[i >> 6] |= 1 << (i & 63);
-        }
-        for (name, mask) in [("all", &all), ("none", &none), ("alt", &alternating)] {
-            let mut a = vec![];
-            let mut b = vec![];
-            slab.for_each_in_disk_masked(q, r, mask, |i, d| a.push((i, d.to_bits())));
-            slab.for_each_in_disk_masked_scalar(q, r, mask, |i, d| b.push((i, d.to_bits())));
-            assert_eq!(a, b, "mask shape {name}");
-            if name == "none" {
-                assert!(a.is_empty());
             }
         }
     }

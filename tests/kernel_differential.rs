@@ -1,16 +1,16 @@
 //! Differential suite for the SoA chunked-lane distance kernels
 //! (`uncertain_spatial::soa`): the vectorized filter phase must be
 //! **bit-identical** — same distances, same hit order — to the scalar
-//! reference forms, across every tombstone-mask shape (all-live, all-dead,
-//! alternating, random) and degenerate geometry (coincident locations from
-//! grid snapping, zero weights, boundary radii). This is the contract that
+//! reference forms, over arbitrary subranges (the kd-tree leaf call shape)
+//! and degenerate geometry (coincident locations from grid snapping, zero
+//! weights, boundary radii). This is the contract that
 //! lets the exact Lemma 2.1 / Eq. (2) decision logic sit on top of the
 //! vectorized distance pass without an exactness audit per call site.
 
 use proptest::prelude::*;
 use uncertain_geom::Point;
 use uncertain_nn::quantification::slab::LocationSlab;
-use uncertain_spatial::soa::{bitmap_filled, PointSlab};
+use uncertain_spatial::soa::PointSlab;
 
 fn pt() -> impl Strategy<Value = Point> {
     (-50.0f64..50.0, -50.0f64..50.0).prop_map(|(x, y)| Point::new(x, y))
@@ -20,28 +20,6 @@ fn pt() -> impl Strategy<Value = Point> {
 /// query distances land exactly on radius boundaries.
 fn grid_pt() -> impl Strategy<Value = Point> {
     (-6i32..=6, -6i32..=6).prop_map(|(x, y)| Point::new(x as f64, y as f64))
-}
-
-/// A tombstone bitmap over `n` entries: 0 = all live, 1 = all dead,
-/// 2 = alternating, 3 = random (from `seed_words`). Trailing bits beyond
-/// `n` are kept clear, matching the dynamic layer's bitmap convention.
-fn mask_for(shape: u8, seed_words: &[u64], n: usize) -> Vec<u64> {
-    let words = n.div_ceil(64);
-    let mut v = match shape {
-        0 => return bitmap_filled(n, true),
-        1 => vec![0u64; words],
-        2 => vec![0x5555_5555_5555_5555u64; words],
-        _ => (0..words)
-            .map(|i| seed_words[i % seed_words.len().max(1)])
-            .collect(),
-    };
-    if let Some(last) = v.last_mut() {
-        let tail = n - (words - 1) * 64;
-        if tail < 64 {
-            *last &= (1u64 << tail) - 1;
-        }
-    }
-    v
 }
 
 /// Hits as `(index, distance bits)` — comparing bits catches any deviation
@@ -82,30 +60,6 @@ proptest! {
         let scalar =
             hits_of(|f| slab.for_each_in_disk_in_range_scalar(0, pts.len(), q, r, f));
         prop_assert_eq!(lane, scalar);
-    }
-
-    #[test]
-    fn masked_filter_matches_scalar_across_mask_shapes(
-        pts in prop::collection::vec(pt(), 1..300),
-        q in pt(),
-        r in 0.0f64..80.0,
-        shape in 0u8..4,
-        seed_words in prop::collection::vec(0u64..=u64::MAX, 1..6),
-    ) {
-        let slab = PointSlab::from_points(pts.iter().copied());
-        let alive = mask_for(shape, &seed_words, pts.len());
-        let lane = hits_of(|f| slab.for_each_in_disk_masked(q, r, &alive, f));
-        let scalar = hits_of(|f| slab.for_each_in_disk_masked_scalar(q, r, &alive, f));
-        prop_assert_eq!(&lane, &scalar);
-        // Cross-check against first principles: live entries in the closed
-        // disk, ascending index, kernel-expression distance bits.
-        let want: Vec<(usize, u64)> = pts
-            .iter()
-            .enumerate()
-            .filter(|&(i, p)| alive[i >> 6] >> (i & 63) & 1 == 1 && q.dist(*p) <= r)
-            .map(|(i, p)| (i, q.dist(*p).to_bits()))
-            .collect();
-        prop_assert_eq!(lane, want);
     }
 
     #[test]
@@ -150,21 +104,4 @@ proptest! {
             prop_assert_eq!(a.2.to_bits(), b.2.to_bits());
         }
     }
-}
-
-/// The all-dead mask must silence the kernel entirely (a fully-tombstoned
-/// bucket reports nothing) — pinned as a plain test so it can't be shrunk
-/// away.
-#[test]
-fn all_dead_mask_reports_nothing() {
-    let pts: Vec<Point> = (0..129)
-        .map(|i| Point::new(f64::from(i % 16), f64::from(i / 16)))
-        .collect();
-    let slab = PointSlab::from_points(pts.iter().copied());
-    let alive = vec![0u64; pts.len().div_ceil(64)];
-    let hits = hits_of(|f| slab.for_each_in_disk_masked(Point::new(0.0, 0.0), 1e9, &alive, f));
-    assert!(hits.is_empty());
-    let full = bitmap_filled(pts.len(), true);
-    let hits = hits_of(|f| slab.for_each_in_disk_masked(Point::new(0.0, 0.0), 1e9, &full, f));
-    assert_eq!(hits.len(), pts.len());
 }
