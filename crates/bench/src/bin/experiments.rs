@@ -145,7 +145,7 @@ const EXPERIMENTS: &[(&str, &str, fn())] = &[
     ),
     (
         "E29",
-        "dynamic quantification: k-way merged summaries vs fresh sweep under churn",
+        "dynamic quantification: radius-bounded collect vs fresh sweep under churn",
         e29_merged_quantification,
     ),
     (
@@ -1285,7 +1285,7 @@ fn e24_engine_serving() {
     );
 
     // (a) The plan across set sizes, fixed batch of 256 TopK queries: every
-    // probability request is answered by the exact k-way merge (E25 prices
+    // probability request is answered by the exact merged path (E25 prices
     // it against the approximate quantifiers).
     let batch: Vec<QueryRequest> = workload::random_queries(256, 60.0, 24)
         .into_iter()
@@ -1411,7 +1411,7 @@ fn unit_density_set(n: usize, diameter: f64, seed: u64) -> DiscreteSet {
 }
 
 /// E25: the paper's three quantifiers measured on the core library, one
-/// thread: the exact Eq. (2) k-way merge over bulk-loaded Bentley–Saxe
+/// thread: the exact Eq. (2) radius-bounded sweep over bulk-loaded Bentley–Saxe
 /// buckets (what the engine serves), spiral search (Theorem 4.7) and Monte
 /// Carlo (Theorem 4.3), each warm, in µs/query, with the approximate
 /// quantifiers' measured errors. The timings are printed, not asserted.
@@ -1844,9 +1844,10 @@ fn e28_amortized_updates() {
 /// quantification batch through the merged path and the static sweep.
 /// Fresh runs the static sweep over a location slab of the live set, built
 /// once per round outside the timed region, so it pays the full
-/// `O(N log N)` distance pass + sort per query; merged draws warm
-/// per-bucket distance-ordered streams through the k-way merge and stops
-/// at the sweep's early exit. Answers are cross-checked bitwise every round.
+/// `O(N log N)` distance pass + sort per query; merged range-reports the
+/// live entries inside the Lemma 2.1 radius from warm per-bucket kd
+/// summaries, sorts only those and stops at the sweep's early exit.
+/// Answers are cross-checked bitwise every round.
 fn e29_merged_quantification() {
     use rand::Rng;
     use uncertain_nn::dynamic::{DynamicConfig, DynamicSet, Update};
@@ -1856,7 +1857,7 @@ fn e29_merged_quantification() {
     header(
         "E29",
         "merged quantification vs fresh sweep under churn",
-        "per-bucket sorted summaries + k-way merge make quantification churn-native (sublinear once warm)",
+        "per-bucket kd summaries + the Lemma 2.1 radius make quantification churn-native (sublinear once warm)",
     );
     let n = scaled(4_096).max(64);
     let rounds = if uncertain_bench::smoke() { 2 } else { 5 };
@@ -1989,8 +1990,8 @@ fn e29_merged_quantification() {
 }
 
 /// E30: where the merged path starts winning as the structure's shape
-/// varies — the per-query cost of the k-way merge scales with the bucket
-/// fan-out and the entries it draws (its answer holds only the `π > 0`
+/// varies — the per-query cost of the radius collect scales with the bucket
+/// fan-out and the entries inside the radius (its answer holds only the `π > 0`
 /// sites), while the fresh sweep scales with `N log N`. Each n is measured in both extreme layouts: one
 /// compact bucket (a bulk load) and the maximally fragmented
 /// popcount-of-n layout an insert-only history produces.
@@ -2001,7 +2002,7 @@ fn e30_merge_crossover() {
     header(
         "E30",
         "merged-vs-fresh crossover vs bucket count",
-        "merge overhead grows with bucket fan-out; the fresh sweep with N log N — they cross at small n",
+        "collect overhead grows with bucket fan-out; the fresh sweep with N log N — they cross at small n",
     );
     let mut t = Table::new(&[
         "n",

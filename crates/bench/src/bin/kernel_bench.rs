@@ -6,11 +6,12 @@
 //! Two kernels the kd-tree leaves run are measured at several sizes:
 //!
 //! * `disk_filter_leaf` — the in-disk filter `KdTree::range_rec` runs on
-//!   every visited leaf (the Theorem 3.2 stage-2 range report), called over
-//!   consecutive [`LEAF_SIZE`]-point ranges covering the slab.
-//! * `dist_all` — the distance fill behind `nearest_iter` leaves (the
-//!   merged quantification streams) and the static Eq. (2) oracle's entry
-//!   assembly (chunked lanes vs one `Point::dist` per location).
+//!   every visited leaf (the Theorem 3.2 stage-2 range report and the
+//!   merged quantification's radius collect), called over consecutive
+//!   [`LEAF_SIZE`]-point ranges covering the slab.
+//! * `dist_all` — the distance fill behind `nearest_iter` leaves (spiral
+//!   search) and the static Eq. (2) oracle's entry assembly (chunked lanes
+//!   vs one `Point::dist` per location).
 //!
 //! Usage: `kernel_bench [--smoke] [--out PATH] [--check BASELINE]
 //! [--overhead-check]`

@@ -4,9 +4,13 @@
 //! and at constant site density its size does not grow with `n`, so heap
 //! bytes per query must stay flat from n = 4 096 to n = 65 536 (16× the
 //! sites). A sweep or answer that kept `n`-length state would scale ~16×.
+//! The same holds for the work: a query collects the live entries inside
+//! its Lemma 2.1 radius, and at constant density that count must stay flat
+//! too (read from the `dynamic.quant.entries_collected` obs counter — a
+//! deterministic count, not a timing).
 //!
 //! The binary installs [`CountingAlloc`] to read heap traffic, and holds a
-//! single test so no sibling test allocates while it measures.
+//! single test so no sibling test allocates or collects while it measures.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,10 +63,11 @@ fn topk_batch(n: usize, seed: u64) -> Vec<QueryRequest> {
         .collect()
 }
 
-/// Heap bytes per query of a warm, uncached, single-threaded merged TopK
-/// batch over `n` sites (the least of three batches, so a one-off
-/// allocation cannot decide the figure).
-fn heap_bytes_per_query(n: usize) -> f64 {
+/// Heap bytes and collected entries per query of a warm, uncached,
+/// single-threaded merged TopK batch over `n` sites (the least of three
+/// batches each, so a one-off allocation cannot decide the figure).
+fn per_query(n: usize) -> (f64, f64) {
+    let collected = uncertain_obs::registry().counter("dynamic.quant.entries_collected");
     let eng = Engine::new(
         sites(n, 7),
         EngineConfig {
@@ -76,25 +81,37 @@ fn heap_bytes_per_query(n: usize) -> f64 {
     (0..3)
         .map(|round| {
             let batch = topk_batch(n, 9 + round);
-            let b0 = heap_counters().0;
+            let (b0, c0) = (heap_counters().0, collected.get());
             let resp = eng.run_batch(&batch);
             let bytes = heap_counters().0 - b0;
+            let entries = collected.get() - c0;
             assert_eq!(resp.stats.plan.quant, Some(QuantPlan::Merged), "n = {n}");
             assert_eq!(resp.stats.quant_merged_evals, BATCH, "n = {n}");
-            bytes as f64 / BATCH as f64
+            (bytes as f64 / BATCH as f64, entries as f64 / BATCH as f64)
         })
-        .fold(f64::INFINITY, f64::min)
+        .fold((f64::INFINITY, f64::INFINITY), |(b, e), (rb, re)| {
+            (b.min(rb), e.min(re))
+        })
 }
 
 #[test]
 fn merged_topk_heap_per_query_is_independent_of_n() {
-    let small = heap_bytes_per_query(4_096);
-    let large = heap_bytes_per_query(65_536);
+    let (small, small_entries) = per_query(4_096);
+    let (large, large_entries) = per_query(65_536);
     println!("heap bytes/query: n = 4096: {small:.0}, n = 65536: {large:.0}");
+    println!(
+        "entries collected/query: n = 4096: {small_entries:.1}, n = 65536: {large_entries:.1}"
+    );
     assert!(small > 0.0, "CountingAlloc is not installed");
     assert!(
         large <= 2.0 * small,
         "heap per query grew {:.1}× for 16× the sites ({small:.0} → {large:.0} B)",
         large / small
+    );
+    assert!(small_entries > 0.0, "no entries collected");
+    assert!(
+        large_entries <= 2.0 * small_entries,
+        "entries collected per query grew {:.1}× for 16× the sites ({small_entries:.1} → {large_entries:.1})",
+        large_entries / small_entries
     );
 }

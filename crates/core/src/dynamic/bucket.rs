@@ -3,10 +3,12 @@
 //!
 //! A bucket is built once (at a merge) and never mutated; deletions are
 //! overlaid by the dynamic layer as tombstones, which every query receives
-//! as a `live(local)` predicate over the bucket's local site indices. Per
-//! the existing cost model (see [`crate::dynamic::DynamicConfig`]), large
-//! buckets carry the Theorem 3.2 `NN≠0` structure; small buckets answer by
-//! direct Lemma 2.1 evaluation, which is cheaper below the crossover. The
+//! as a `live(local)` predicate over the bucket's local site indices.
+//! Buckets holding at least [`crate::dynamic::DynamicConfig::index_min_locations`]
+//! locations carry the Theorem 3.2 `NN≠0` structure; smaller ones answer by
+//! direct Lemma 2.1 evaluation. The threshold's default of 160 is a fixed
+//! number, taken from the formula of a serving cost model that no longer
+//! exists (see the config field). The
 //! expected-distance index is built **lazily** on the first expected-NN
 //! query (churn-heavy serving workloads that never ask for expected NNs
 //! never pay for it). Site payloads are shared by `Arc` — a carry moves
@@ -15,8 +17,8 @@
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-use super::quant::{BucketQuantStream, QuantIndex};
-use super::SiteId;
+use super::quant::{QuantEntry, QuantIndex};
+use super::{SiteId, TwoMin};
 use crate::expected::ExpectedNnIndex;
 use crate::model::{DiscreteSet, DiscreteUncertainPoint};
 use crate::nonzero::DiscreteNonzeroIndex;
@@ -136,55 +138,56 @@ impl Bucket {
         self.nonzero.as_ref().map(|idx| idx.groups())
     }
 
-    /// The bucket's distance-ordered live entry stream for `q`, keyed by
-    /// public site id (`alive` is the slot's tombstone bitmap). Builds the
-    /// mergeable quantification summary on first use.
-    pub fn quant_stream<'a>(&'a self, q: Point, alive: &'a [u64]) -> BucketQuantStream<'a> {
+    /// Appends every live location at distance `≤ r` from `q` to `out` as
+    /// `(d, site id, location index, weight)`, unsorted (`alive` is the
+    /// slot's tombstone bitmap). Builds the quantification summary on
+    /// first use.
+    pub fn collect_quant(&self, q: Point, r: f64, alive: &[u64], out: &mut Vec<QuantEntry>) {
         self.quant
             .get_or_init(|| QuantIndex::build(&self.sites))
-            .stream(q, &self.ids, alive)
+            .collect(q, r, &self.ids, alive, out)
     }
 
     /// Whether the quantification summary is already built (a warm bucket
-    /// costs a query nothing but the stream draw).
+    /// costs a query nothing but the range report).
     pub fn quant_warm(&self) -> bool {
         self.quant.get().is_some()
     }
 
-    /// Stage 1 of the merged Lemma 2.1 query: the two smallest `Δ_i(q)`
-    /// over live local sites, as `(Δ, local index, second Δ)`. `second` is
-    /// `+∞` with exactly one live site; `None` with none. Liveness is the
-    /// slot's tombstone bitmap (bit per local site). For indexed buckets,
-    /// `group_live` (the slot's per-node live counters, maintained against
-    /// [`group_index`](Self::group_index)) lets the traversal skip
-    /// fully-dead subtrees instead of testing their groups one by one.
-    pub fn two_min_max_where(
+    /// Stage 1 of the Lemma 2.1 query: folds every live local site's
+    /// `Δ_i(q)` into the running pair `acc` (see [`TwoMin`]). Liveness is
+    /// the slot's tombstone bitmap (bit per local site). An indexed bucket
+    /// searches its group tree from `acc`'s second-min, so it only visits
+    /// groups that can still change the pair, and `group_live` (the slot's
+    /// per-node live counters, maintained against
+    /// [`group_index`](Self::group_index)) lets it skip fully-dead subtrees
+    /// instead of testing their groups one by one.
+    pub fn fold_two_min(
         &self,
         q: Point,
         alive: &[u64],
         group_live: Option<&[u32]>,
-    ) -> Option<(f64, usize, f64)> {
+        acc: &mut TwoMin,
+    ) {
         if let Some(idx) = &self.nonzero {
-            let groups = idx.groups();
-            let live = |g: u32| bitmap_get(alive, g as usize);
-            let found = match group_live {
-                Some(counts) => groups.two_min_max_dist_pruned(q, live, counts),
-                None => groups.two_min_max_dist_where(q, live),
-            };
-            return found.map(|(d, g, s)| (d, g as usize, s));
-        }
-        let (mut best, mut best_i, mut second) = (f64::INFINITY, usize::MAX, f64::INFINITY);
-        for_each_live(self.sites.len(), alive, |i| {
-            let d = self.sites[i].max_dist(q);
-            if d < best {
-                second = best;
-                best = d;
-                best_i = i;
-            } else if d < second {
-                second = d;
+            let counts = group_live.expect("indexed buckets carry live counters");
+            let mut best = (acc.d1, u32::MAX);
+            idx.groups().fold_two_min_pruned(
+                q,
+                |g| bitmap_get(alive, g as usize),
+                counts,
+                &mut best,
+                &mut acc.d2,
+            );
+            if best.1 != u32::MAX {
+                acc.d1 = best.0;
+                acc.id1 = self.ids[best.1 as usize];
             }
+            return;
+        }
+        for_each_live(self.sites.len(), alive, |i| {
+            acc.offer(self.sites[i].max_dist(q), self.ids[i]);
         });
-        (best_i != usize::MAX).then_some((best, best_i, second))
     }
 
     /// Stage 2: report every live local site with `δ_i(q) < bound(i)`.

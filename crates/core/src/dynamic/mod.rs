@@ -6,8 +6,8 @@
 //! [`DynamicSet`] maintains the sites in geometrically-sized immutable
 //! buckets, each carrying its own query structures ([Theorem 3.2
 //! index](crate::nonzero::DiscreteNonzeroIndex) + expected-distance index
-//! for large buckets, brute Lemma 2.1 evaluation for small ones, chosen by
-//! the serving cost model's crossover).
+//! for large buckets, brute Lemma 2.1 evaluation for small ones; the
+//! threshold is [`DynamicConfig::index_min_locations`], a fixed default).
 //!
 //! * **Insert** — the classic logarithmic-method carry: the new site plus
 //!   every bucket in the occupied prefix of slots merges into the first
@@ -26,21 +26,25 @@
 //!
 //! Queries answer over the union of buckets *exactly*:
 //!
-//! * `NN≠0(q)` merges the per-bucket two-smallest-`Δ` queries into the
-//!   global Lemma 2.1 threshold, then range-reports candidates per bucket —
-//!   the same two-stage shape as the static Theorem 3.2 query, summed over
+//! * `NN≠0(q)` folds every bucket's live `Δ_i(q)` into the global Lemma 2.1
+//!   pair `(d1, d2)` (stage 1, each bucket's search seeded with the running
+//!   second-min), then range-reports candidates per bucket (stage 2) — the
+//!   same two-stage shape as the static Theorem 3.2 query, summed over
 //!   `O(log n)` buckets.
-//! * Quantification recombines exactly because locations are independent
-//!   across sites: the Eq. (2) survival factors multiply across buckets, so
-//!   the sweep over the union of live locations *is* the per-bucket
-//!   recombination. The **merged** path
-//!   ([`DynamicSet::quantification_merged`]) k-way-merges per-bucket
-//!   distance-ordered streams drawn from lazily-built, `Arc`-shared bucket
-//!   summaries (tombstones filtered at draw time), letting the sweep's
-//!   early exit skip almost all entries. It is output-sensitive end to
-//!   end: streams emit stable site ids, the sweep keeps state only for
-//!   drawn sites, and the answer is the `(id, π)` pairs with `π > 0` — no
-//!   per-query or per-mutation `O(n)` setup. It produces the entry
+//! * Quantification ([`DynamicSet::quantification_merged`]) runs the same
+//!   stage 1, then collects every live location at distance `≤ d2` from
+//!   the buckets' lazily-built, `Arc`-shared kd summaries, sorts the
+//!   collect by `(distance, site id, location)` and sweeps it. By
+//!   Lemma 2.1 the Eq. (2) sweep exits by the batch at `d2`, so the collect
+//!   is the whole stream as far as the sweep reads; the sweep reports that
+//!   it exited, and a collect it read to the end is repeated at `r = ∞`
+//!   (see `quant.rs`). Quantification recombines exactly because locations
+//!   are independent across sites: the survival factors multiply across
+//!   buckets, so the sweep over the union of live locations *is* the
+//!   per-bucket recombination. The path is output-sensitive end to end:
+//!   the collect holds stable site ids, the sweep keeps state only for the
+//!   sites it reads, and the answer is the `(id, π)` pairs with `π > 0` —
+//!   no per-query or per-mutation `O(n)` setup. It reads the entry
 //!   sequence of the static sweep over the live union (up to the
 //!   id ↔ dense-rank relabeling) through identical arithmetic, so it is
 //!   **bit-identical** to a rebuild from scratch (enforced by
@@ -80,9 +84,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::model::{DiscreteSet, DiscreteUncertainPoint};
-use crate::quantification::sweep::{sweep_sparse, KWayMerge};
 use bucket::Bucket;
-use quant::BucketQuantStream;
+use quant::QuantEntry;
 use uncertain_geom::{Aabb, Point};
 
 /// Stable handle of a site across updates. Ids are assigned by
@@ -123,10 +126,11 @@ pub struct UpdateOutcome {
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicConfig {
     /// A bucket builds the Theorem 3.2 index (and the expected-distance
-    /// index) when it holds at least this many locations; below it, brute
-    /// Lemma 2.1 evaluation is cheaper. The default is the serving cost
-    /// model's crossover (`4N` per brute query vs `16(√N + k̄ + 24)` per
-    /// indexed query, N ≈ 160 at k̄ ≈ 4).
+    /// index) when it holds at least this many locations; below it, queries
+    /// evaluate Lemma 2.1 directly. The default of 160 is a fixed number:
+    /// it was taken from the formula of a serving cost model that has since
+    /// been deleted (`4N` per brute query vs `16(√N + k̄ + 24)` per indexed
+    /// query cross at N ≈ 160 for k̄ ≈ 4), and nothing recomputes it.
     pub index_min_locations: usize,
     /// A global compacting rebuild runs when tombstones exceed this
     /// fraction of all stored entries… The classic choice is `0.5` (rebuild
@@ -190,27 +194,64 @@ impl RebuildStats {
     }
 }
 
-/// Reuse metrics of one merged quantification query
-/// ([`DynamicSet::quantification_merged_with_stats`]).
+/// Reuse metrics of one quantification query
+/// ([`DynamicSet::quantification_merged_with_stats`]). Counts describe the
+/// collect that produced the answer (the full one, if the radius-bounded
+/// collect had to be repeated).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QuantMergeStats {
-    /// Buckets whose stream joined the k-way merge (fully-dead buckets are
-    /// skipped).
+    /// Buckets that range-reported into the collect: live, with a support
+    /// box within the collect radius.
     pub buckets: usize,
     /// Of those, buckets whose summary was already warm at query time —
     /// `buckets − warm_buckets` is the churn-since-last-touch the query
     /// paid lazy builds for.
     pub warm_buckets: usize,
-    /// Entries the merge actually drew before the sweep's early exit.
+    /// Entries the sweep read from the collect before its early exit (up
+    /// to one past the last batch it processed) — never more than
+    /// `live_locations`. The collect's own size is counted by the
+    /// `dynamic.quant.entries_collected` obs counter.
     pub entries_merged: usize,
     /// Live locations a static sweep would have assembled and sorted (an
     /// `O(1)` read of the counter every mutation maintains).
     pub live_locations: usize,
-    /// Shards whose streams joined the merge (sharded reader only; a
-    /// monolithic set leaves this 0). With spatial partitioning, shards
-    /// whose support box lies strictly beyond the exact-zero cutoff are
-    /// excluded before their buckets are even opened.
+    /// Shards the query read in either stage (a monolithic set counts as
+    /// one shard). With spatial partitioning, shards whose support box
+    /// lies beyond the radius are never read.
     pub shards_touched: usize,
+}
+
+/// Stage 1 of both query families: the two smallest `Δ_i(q)` folded so far
+/// and the site attaining the smallest. Folding a value `d` of site `id`
+/// is [`offer`](Self::offer); whatever the order, the floats end as the
+/// min and second-min of the folded multiset, and the witness can only
+/// depend on the order among exact ties at `d1`, where `d2 == d1`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TwoMin {
+    pub d1: f64,
+    /// `SiteId::MAX` until a site is folded.
+    pub id1: SiteId,
+    /// `+∞` until two sites are folded.
+    pub d2: f64,
+}
+
+impl TwoMin {
+    pub const EMPTY: TwoMin = TwoMin {
+        d1: f64::INFINITY,
+        id1: SiteId::MAX,
+        d2: f64::INFINITY,
+    };
+
+    #[inline]
+    pub fn offer(&mut self, d: f64, id: SiteId) {
+        if d < self.d1 {
+            self.d2 = self.d1;
+            self.d1 = d;
+            self.id1 = id;
+        } else if d < self.d2 {
+            self.d2 = d;
+        }
+    }
 }
 
 /// A point-in-time report of the structure's shape.
@@ -872,51 +913,31 @@ impl DynamicSet {
     /// [`live_set`](Self::live_set) (mapped through
     /// [`live_ids`](Self::live_ids)).
     ///
-    /// Stage 1 merges each bucket's two smallest live `Δ_i(q)` into the
-    /// global best/second pair (each bucket's top-2 suffices: the global
-    /// top-2 is contained in the union of per-bucket top-2s); stage 2
-    /// range-reports candidates per bucket against the Lemma 2.1 threshold
-    /// `min_{j≠i} Δ_j(q)`.
+    /// Stage 1 folds every bucket's live `Δ_i(q)` into the global
+    /// best/second pair; stage 2 range-reports candidates per bucket
+    /// against the Lemma 2.1 threshold `min_{j≠i} Δ_j(q)`. The driver is the
+    /// sharded reader's, over a scatter order of this one set.
     pub fn nonzero(&self, q: Point) -> Vec<SiteId> {
-        let Some((d1, id1, d2)) = self.nonzero_two_min(q) else {
-            return vec![];
-        };
-        let mut out: Vec<SiteId> = vec![];
-        self.nonzero_report_into(q, id1, d1, d2, &mut out);
-        out.sort_unstable();
-        out
+        shard::nonzero(q, &[(self, 0.0)]).0
     }
 
-    /// Stage 1 of `NN≠0(q)` over this set alone: the two smallest live
-    /// `Δ_i(q)` merged across buckets, as `(d1, best id, d2)` (`d2 = ∞`
-    /// with a single live site, `None` when empty). The min and second-min
-    /// over a union are independent of how the union is partitioned, so
-    /// folding these triples across disjoint sets (shards) reproduces the
-    /// monolithic pair bitwise — the sharded scatter phase.
-    pub fn nonzero_two_min(&self, q: Point) -> Option<(f64, SiteId, f64)> {
-        if self.live == 0 {
-            return None;
-        }
-        let mut best = (f64::INFINITY, SiteId::MAX); // (Δ, id)
-        let mut second = f64::INFINITY;
-        for slot in self.buckets.iter().flatten() {
-            let Some((d, local, s)) =
-                slot.bucket
-                    .two_min_max_where(q, &slot.alive, slot.group_live.as_deref())
-            else {
+    /// Stage 1 over this set: folds the `Δ_i(q)` of its live sites into
+    /// `acc`. Each bucket's search starts from the running second-min, and
+    /// a bucket whose support box lies at distance `≥ acc.d2` is skipped
+    /// (every site in it has `Δ_i(q) ≥` that distance, so it cannot change
+    /// the pair). Buckets are visited largest first: the largest most
+    /// likely holds the two nearest sites, so the smaller indexed buckets
+    /// after it search from a tight pair. Folding several sets into one
+    /// accumulator gives the pair over their union — the sharded scatter
+    /// phase.
+    fn fold_two_min(&self, q: Point, acc: &mut TwoMin) {
+        for slot in self.buckets.iter().rev().flatten() {
+            if slot.live == 0 || slot.bucket.support_aabb().dist_to_point(q) >= acc.d2 {
                 continue;
-            };
-            if d < best.0 {
-                second = best.0;
-                best = (d, slot.bucket.id(local));
-            } else if d < second {
-                second = d;
             }
-            if s < second {
-                second = s;
-            }
+            slot.bucket
+                .fold_two_min(q, &slot.alive, slot.group_live.as_deref(), acc);
         }
-        Some((best.0, best.1, second))
     }
 
     /// Stage 2 of `NN≠0(q)`: range-report this set's candidates against the
@@ -945,24 +966,23 @@ impl DynamicSet {
         }
     }
 
-    /// The nonzero quantification probabilities over the live sites by the
-    /// **merged** path, as `(id, π)` pairs with `π > 0` in ascending id
-    /// order (every live site absent from the answer has `π = 0` exactly —
-    /// by Lemma 2.1 the answer's ids lie in [`nonzero`](Self::nonzero)).
-    /// Each bucket lazily builds (then keeps warm, shared across epoch
-    /// snapshots) a query-free sorted summary over its locations, a query
-    /// draws per-bucket distance-ordered streams of stable ids with
-    /// tombstones filtered at draw time, and a k-way merge across the
-    /// `O(log n)` buckets feeds the shared Eq. (2) sweep core with its
-    /// early exit. Per-query work and memory are `O(drawn entries)` plus
-    /// the bucket fan-out — nothing is `O(n)`. Answers are
+    /// The nonzero quantification probabilities over the live sites, as
+    /// `(id, π)` pairs with `π > 0` in ascending id order (every live site
+    /// absent from the answer has `π = 0` exactly — by Lemma 2.1 the
+    /// answer's ids lie in [`nonzero`](Self::nonzero)). Stage 1 of the
+    /// `NN≠0` query gives the radius `d2`; every live bucket within it
+    /// range-reports its live locations at distance `≤ d2` from a lazily
+    /// built (then kept warm, shared across epoch snapshots) kd summary,
+    /// and the sorted collect feeds the shared Eq. (2) sweep core with its
+    /// early exit. Per-query work and memory follow the entries inside the
+    /// radius plus the bucket fan-out — nothing is `O(n)`. Answers are
     /// **bit-identical** to a fresh static build
     /// ([`quantification_discrete`](crate::quantification::exact) over
-    /// [`live_set`](Self::live_set)): the merge reproduces the static
-    /// sweep's exact entry order up to the id ↔ dense-rank relabeling, and
-    /// the recombination across buckets is exact because survival factors
-    /// multiply independently across sites. Enforced by
-    /// `tests/dynamic_differential.rs` under every op interleaving.
+    /// [`live_set`](Self::live_set)): the sorted collect is the static
+    /// sweep's exact entry order up to the id ↔ dense-rank relabeling, as
+    /// far as the sweep reads it, which the sweep's exit report checks at
+    /// run time. Enforced by `tests/dynamic_differential.rs` under every op
+    /// interleaving.
     pub fn quantification_merged(&self, q: Point) -> Vec<(SiteId, f64)> {
         self.quantification_merged_with_stats(q).0
     }
@@ -973,37 +993,30 @@ impl DynamicSet {
         &self,
         q: Point,
     ) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
-        let mut stats = QuantMergeStats {
-            live_locations: self.live_locations,
-            ..QuantMergeStats::default()
-        };
-        let mut streams = vec![];
-        self.open_quant_streams(q, &mut streams, &mut stats);
-        let mut merge = KWayMerge::new(streams);
-        let pi = sweep_sparse(&mut merge);
-        stats.entries_merged = merge.consumed();
-        (pi, stats)
+        shard::quantify(q, &[(self, 0.0)])
     }
 
-    /// Opens one id-keyed stream per bucket with a live site (fully-dead
-    /// buckets are skipped), counting them and their warm summaries into
-    /// `stats` — the per-set half of every merged query, monolithic or
-    /// sharded.
-    fn open_quant_streams<'a>(
-        &'a self,
+    /// Stage 2 of quantification over this set: appends every live location
+    /// at distance `≤ r` from `q` to `out`, from each live bucket whose
+    /// support box lies within `r`, counting those buckets and their warm
+    /// summaries into `stats`.
+    fn collect_quant(
+        &self,
         q: Point,
-        streams: &mut Vec<BucketQuantStream<'a>>,
+        r: f64,
+        out: &mut Vec<QuantEntry>,
         stats: &mut QuantMergeStats,
     ) {
         for slot in self.buckets.iter().flatten() {
-            if slot.live == 0 {
+            let b = &slot.bucket;
+            if slot.live == 0 || b.support_aabb().dist_to_point(q) > r {
                 continue;
             }
             stats.buckets += 1;
-            if slot.bucket.quant_warm() {
+            if b.quant_warm() {
                 stats.warm_buckets += 1;
             }
-            streams.push(slot.bucket.quant_stream(q, &slot.alive));
+            b.collect_quant(q, r, &slot.alive, out);
         }
     }
 
@@ -1104,7 +1117,7 @@ mod tests {
                 .map(|id| ids.binary_search(id).unwrap())
                 .collect();
             assert_eq!(via_index, want_dense);
-            // Quantification: the k-way merged path (cold, then warm) is
+            // Quantification: the radius-bounded path (cold, then warm) is
             // bit-identical to the static sweep over the live set.
             let pi_fresh = quantification_discrete(&fresh, q);
             assert_eq!(pi_fresh.len(), ids.len());

@@ -1,48 +1,61 @@
-//! Per-bucket mergeable quantification summaries.
+//! Radius-bounded exact quantification over the Bentley–Saxe buckets.
 //!
-//! A [`QuantIndex`] is a bucket's query-free sorted structure for the
-//! Eq. (2) sweep: a kd-tree over all of the bucket's locations plus the
-//! flat `location → (local site, location index, weight)` tables. Any query
-//! can then draw the bucket's locations as a **distance-ordered stream**
-//! ([`BucketQuantStream`]) via best-first traversal, without sorting
-//! anything at query time. The dynamic layer k-way-merges these streams
-//! across its `O(log n)` buckets and feeds the shared sweep core — with the
-//! early exit, a query typically draws a handful of entries per bucket
-//! instead of re-sorting the whole live union.
+//! A [`QuantIndex`] is a bucket's query-free summary for the Eq. (2)
+//! sweep: a kd-tree over all of the bucket's locations plus the flat
+//! `location → (local site, location index, weight)` tables. It is built
+//! **lazily** on the first quantification that reaches the bucket
+//! (workloads that never quantify never pay for it) and lives inside the
+//! immutable, `Arc`-shared [`Bucket`](super::bucket::Bucket) — so it is
+//! invalidated exactly when the bucket itself is replaced (a carry or a
+//! global compaction) and stays warm across engine epoch snapshots that
+//! share the bucket. Tombstones are *not* baked in: the collect filters
+//! dead sites against the slot's alive bitmap, the same overlay the `NN≠0`
+//! path uses.
 //!
-//! The index is built **lazily** on the first quantification that touches
-//! the bucket (workloads that never quantify never pay for it) and lives
-//! inside the immutable, `Arc`-shared [`Bucket`](super::bucket::Bucket) —
-//! so it is invalidated exactly when the bucket itself is replaced (a carry
-//! or a global compaction) and stays warm across engine epoch snapshots
-//! that share the bucket. Tombstones are *not* baked in: the stream filters
-//! dead sites at draw time against the slot's alive bitmap, the same
-//! overlay the `NN≠0` path uses.
+//! A query runs `NN≠0`'s two stages. Stage 1 (the shared fold in
+//! [`super::shard`]) gives Lemma 2.1's pair `(d1, d2)`: the two smallest
+//! `Δ_i(q)` over the live sites. Stage 2 ([`quantify_within`]) has every
+//! live bucket within `d2` range-report its live locations at distance
+//! `≤ d2` from its kd-tree, sorts them by `(distance, site id, location
+//! index)` and feeds them to [`sweep_sparse`].
 //!
-//! Streams emit **stable site ids** (the bucket's immutable, ascending
-//! local → id list), not positions in some per-snapshot dense order, so a
-//! query needs no `O(n)` id map and the sweep keeps state only for the
-//! sites it draws.
+//! Why the radius suffices: the sites attaining `d1` and `d2` have every
+//! location at distance `≤ d2`, so by the end of the equal-distance batch
+//! at `d2` both of their survival factors have clamped to 0 and the sweep
+//! exits (`zeros ≥ 2`). The collect holds every live entry with
+//! `d ≤ d2`, ties included, so up to that exit it *is* the full stream.
+//! That argument rests on floats (weights summing to 1 within
+//! `ZERO_THRESH`, `Δ_i` computed with the same distance bits as the
+//! locations), so it is checked at run time, not assumed: when the sweep
+//! reads the whole collect without exiting early, the collect is repeated
+//! at `r = ∞`, which is complete and therefore exact, and the retry is
+//! counted in the `dynamic.quant.full_collects` obs counter.
 //!
-//! Ordering contract (what makes merged answers bit-identical to the static
-//! sweep over the live set): the kd iterator yields exact `q.dist(loc)` values in
-//! non-decreasing order, and the stream buffers each run of equal distances
-//! and sorts it by `(site id, location index)`. The static sweep's dense
-//! index of a site is the rank of its id among the ascending live ids — a
-//! strictly increasing relabeling — so `(d, id, location)` order is exactly
-//! the `(d, dense, location)` tie order a stable distance sort of the
-//! canonical flat entry list produces.
+//! Ordering contract (what makes answers bit-identical to the static
+//! sweep over the live set): the kd leaf kernel yields exact `q.dist(loc)`
+//! values, and `(d, id, location)` order is exactly the `(d, dense,
+//! location)` order a stable distance sort of the canonical flat entry
+//! list produces — a site's dense index in the static set is the rank of
+//! its id among the ascending live ids, a strictly increasing relabeling.
+//! Sites of every bucket and every shard sort into one list, so no
+//! per-bucket stream or cross-bucket merge is needed, and the sweep keeps
+//! state only for the sites it reads.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
-use super::SiteId;
+use super::{DynamicSet, QuantMergeStats, SiteId};
 use crate::model::DiscreteUncertainPoint;
-use crate::quantification::sweep::{SweepEntry, SweepSource};
+use crate::quantification::sweep::{sweep_sparse, SweepEntry, SweepSource};
 use uncertain_geom::Point;
-use uncertain_spatial::kdtree::NearestIter;
+use uncertain_spatial::soa::bitmap_get;
 use uncertain_spatial::KdTree;
 
-/// A bucket's query-free sorted summary: kd-tree over locations + flat
+/// One collected live location: `(distance, site id, location index,
+/// weight)`.
+pub(crate) type QuantEntry = (f64, SiteId, u32, f64);
+
+/// A bucket's query-free summary: kd-tree over locations + flat
 /// per-location tables.
 pub(crate) struct QuantIndex {
     kd: KdTree,
@@ -79,103 +92,135 @@ impl QuantIndex {
         }
     }
 
-    /// Opens a distance-ordered live entry stream for `q`. `ids[local]` is
-    /// the public id of the bucket's local site (strictly ascending);
+    /// Appends every live location at distance `≤ r` from `q` to `out`,
+    /// unsorted. `ids[local]` is the public id of the bucket's local site;
     /// `alive`, the slot's tombstone bitmap, filters dead locals.
-    pub fn stream<'a>(
-        &'a self,
+    pub fn collect(
+        &self,
         q: Point,
-        ids: &'a [SiteId],
-        alive: &'a [u64],
-    ) -> BucketQuantStream<'a> {
-        BucketQuantStream {
-            index: self,
-            iter: self.kd.nearest_iter(q),
-            ids,
-            alive,
-            lookahead: None,
-            batch: vec![],
-            batch_pos: 0,
-            batch_d: 0.0,
-        }
+        r: f64,
+        ids: &[SiteId],
+        alive: &[u64],
+        out: &mut Vec<QuantEntry>,
+    ) {
+        self.kd.for_each_in_disk_with_dist(q, r, |_, flat, d| {
+            let flat = flat as usize;
+            let local = self.owner[flat] as usize;
+            if bitmap_get(alive, local) {
+                out.push((d, ids[local], self.loc_idx[flat], self.weight[flat]));
+            }
+        });
     }
 }
 
-/// One bucket's distance-ordered live entry stream (see module docs).
-pub(crate) struct BucketQuantStream<'a> {
-    index: &'a QuantIndex,
-    iter: NearestIter<'a>,
-    /// Local → public site id.
-    ids: &'a [SiteId],
-    /// The slot's tombstone bitmap (bit per local site).
-    alive: &'a [u64],
-    /// The first drawn kd item beyond the current equal-distance run.
-    lookahead: Option<(f64, u32)>,
-    /// The current equal-distance run: `(site id, location index, weight)`,
-    /// sorted ascending — the stable-sort tie order.
-    batch: Vec<(SiteId, u32, f64)>,
-    batch_pos: usize,
-    batch_d: f64,
+/// The sorted collect as a sweep source, counting the entries the sweep
+/// reads.
+struct Collected<'a> {
+    entries: &'a [QuantEntry],
+    read: usize,
 }
 
-impl BucketQuantStream<'_> {
+impl SweepSource for Collected<'_> {
     #[inline]
-    fn push_if_live(&mut self, flat: u32) {
-        let local = self.index.owner[flat as usize] as usize;
-        if self.alive[local >> 6] & (1u64 << (local & 63)) != 0 {
-            self.batch.push((
-                self.ids[local],
-                self.index.loc_idx[flat as usize],
-                self.index.weight[flat as usize],
-            ));
-        }
+    fn next_entry(&mut self) -> Option<SweepEntry> {
+        let &(d, id, _, w) = self.entries.get(self.read)?;
+        self.read += 1;
+        Some((d, id, w))
     }
 }
 
-impl SweepSource for BucketQuantStream<'_> {
-    fn next_entry(&mut self) -> Option<SweepEntry> {
-        loop {
-            if self.batch_pos < self.batch.len() {
-                let (id, _, w) = self.batch[self.batch_pos];
-                self.batch_pos += 1;
-                return Some((self.batch_d, id, w));
-            }
-            // Refill: draw the next equal-distance run from the kd stream
-            // (dead runs come out empty and the loop draws the next one).
-            let (d, flat) = match self.lookahead.take() {
-                Some(head) => head,
-                None => {
-                    let (_, flat, d) = self.iter.next()?;
-                    (d, flat)
+thread_local! {
+    /// Each thread's collect buffer, reused across queries so a query
+    /// allocates only the sweep's per-site state and its answer.
+    static COLLECT: RefCell<Vec<QuantEntry>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Entries a thread's collect buffer keeps room for between queries; a
+/// rare larger collect (a far query, a full retry) is not pinned to the
+/// thread afterwards.
+const KEEP_ENTRIES: usize = 1 << 14;
+
+/// Stage 2 of quantification over `scatter` (sets with lower bounds on
+/// their sites' distances, ascending — see [`super::shard`]) at radius
+/// `r`: collects every live entry at distance `≤ r`, sorts it and sweeps
+/// it, collecting again at `r = ∞` when the sweep did not exit early (see
+/// the module docs). Returns the `(id, π)` pairs with `π > 0` in ascending
+/// id order. Fills `stats` with the counts of the collect that produced
+/// the answer; `shards_touched` becomes the number of sets it read.
+pub(super) fn quantify_within(
+    q: Point,
+    scatter: &[(&DynamicSet, f64)],
+    r: f64,
+    stats: &mut QuantMergeStats,
+) -> Vec<(SiteId, f64)> {
+    COLLECT.with_borrow_mut(|buf| {
+        let mut r = r;
+        let pi = loop {
+            buf.clear();
+            stats.buckets = 0;
+            stats.warm_buckets = 0;
+            stats.shards_touched = 0;
+            for &(set, bound) in scatter {
+                if bound > r {
+                    break; // ascending bounds: every later set is beyond too
                 }
+                stats.shards_touched += 1;
+                set.collect_quant(q, r, buf, stats);
+            }
+            buf.sort_unstable_by(|a, b| {
+                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+            });
+            let mut source = Collected {
+                entries: buf,
+                read: 0,
             };
-            self.batch.clear();
-            self.batch_pos = 0;
-            self.batch_d = d;
-            self.push_if_live(flat);
-            loop {
-                match self.iter.next() {
-                    Some((_, f2, d2)) if d2 == d => self.push_if_live(f2),
-                    Some((_, f2, d2)) => {
-                        self.lookahead = Some((d2, f2));
-                        break;
-                    }
-                    None => break,
-                }
+            let (pi, stopped) = sweep_sparse(&mut source);
+            if stopped || r == f64::INFINITY {
+                stats.entries_merged = source.read;
+                break pi;
             }
-            self.batch.sort_unstable_by_key(|&(id, li, _)| (id, li));
+            uncertain_obs::counter!("dynamic.quant.full_collects").inc();
+            r = f64::INFINITY;
+        };
+        uncertain_obs::counter!("dynamic.quant.entries_collected").add(buf.len() as u64);
+        if buf.capacity() > KEEP_ENTRIES {
+            buf.clear();
+            buf.shrink_to(KEEP_ENTRIES);
         }
-    }
+        pi
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantification::sweep::sweep_sparse;
+    use crate::dynamic::DynamicConfig;
+    use crate::model::DiscreteSet;
+    use crate::quantification::exact::{quantification_discrete, sweep_entries};
+    use crate::quantification::sweep::SortedSlab;
     use crate::workload;
+
+    /// The static sweep's `π > 0` entries over `d`'s live set, keyed by id.
+    fn oracle(d: &DynamicSet, q: Point) -> Vec<(SiteId, f64)> {
+        d.live_ids()
+            .into_iter()
+            .zip(quantification_discrete(&d.live_set(), q))
+            .filter(|&(_, p)| p > 0.0)
+            .collect()
+    }
+
+    fn assert_bits(got: &[(SiteId, f64)], want: &[(SiteId, f64)], what: &str) {
+        assert_eq!(got.len(), want.len(), "answer size: {what}");
+        for ((gi, gp), (wi, wp)) in got.iter().zip(want) {
+            assert_eq!(gi, wi, "ids: {what}");
+            assert_eq!(gp.to_bits(), wp.to_bits(), "π of {gi}: {what}");
+        }
+    }
 
     #[test]
     fn stream_replays_the_stable_sorted_entry_order() {
+        // The whole-disk collect, sorted by (d, id, location), is the entry
+        // sequence the static sweep's stable distance sort produces.
         let set = workload::random_discrete_set(12, 3, 5.0, 91);
         let sites: Vec<Arc<DiscreteUncertainPoint>> =
             set.points.iter().map(|p| Arc::new(p.clone())).collect();
@@ -183,27 +228,26 @@ mod tests {
         let alive = vec![u64::MAX; 1];
         let ids: Vec<SiteId> = (0..sites.len()).collect();
         for q in workload::random_queries(10, 50.0, 92) {
-            let mut stream = qi.stream(q, &ids, &alive);
             let mut got = vec![];
-            while let Some(e) = stream.next_entry() {
-                got.push(e);
+            qi.collect(q, f64::INFINITY, &ids, &alive, &mut got);
+            got.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+            let mut slab = SortedSlab::new(sweep_entries(&set, q));
+            let mut want = vec![];
+            while let Some(e) = slab.next_entry() {
+                want.push(e);
             }
-            let want = {
-                let mut slab = crate::quantification::sweep::SortedSlab::new(
-                    crate::quantification::exact::sweep_entries(&set, q),
-                );
-                let mut v = vec![];
-                while let Some(e) = slab.next_entry() {
-                    v.push(e);
-                }
-                v
-            };
             assert_eq!(got.len(), want.len());
             for (a, b) in got.iter().zip(&want) {
                 assert_eq!(a.0.to_bits(), b.0.to_bits());
                 assert_eq!(a.1, b.1);
-                assert_eq!(a.2.to_bits(), b.2.to_bits());
+                assert_eq!(a.3.to_bits(), b.2.to_bits());
             }
+            // A finite radius keeps exactly the entries inside the closed
+            // disk.
+            let r = want[want.len() / 2].0;
+            let mut inside = vec![];
+            qi.collect(q, r, &ids, &alive, &mut inside);
+            assert_eq!(inside.len(), want.iter().filter(|e| e.0 <= r).count());
         }
     }
 
@@ -220,8 +264,10 @@ mod tests {
         }
         let ids: Vec<SiteId> = (0..8).map(|local| 1000 + 7 * local).collect();
         let q = Point::new(0.5, -0.5);
-        let mut stream = qi.stream(q, &ids, &alive);
-        let survivors = crate::model::DiscreteSet::new(
+        let mut entries = vec![];
+        qi.collect(q, f64::INFINITY, &ids, &alive, &mut entries);
+        entries.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+        let survivors = DiscreteSet::new(
             set.points
                 .iter()
                 .enumerate()
@@ -229,8 +275,11 @@ mod tests {
                 .map(|(_, p)| p.clone())
                 .collect(),
         );
-        let pi_stream = sweep_sparse(&mut stream);
-        let pi_fresh = crate::quantification::exact::quantification_discrete(&survivors, q);
+        let (pi, _) = sweep_sparse(&mut Collected {
+            entries: &entries,
+            read: 0,
+        });
+        let pi_fresh = quantification_discrete(&survivors, q);
         // Survivor `dense` is local `live_locals[dense]`, id `ids[local]`.
         let live_locals: Vec<usize> = (0..8).filter(|l| ![1, 4, 5].contains(l)).collect();
         let want: Vec<(SiteId, f64)> = pi_fresh
@@ -239,10 +288,47 @@ mod tests {
             .filter(|&(_, &p)| p > 0.0)
             .map(|(dense, &p)| (ids[live_locals[dense]], p))
             .collect();
-        assert_eq!(pi_stream.len(), want.len());
-        for ((gi, gp), (wi, wp)) in pi_stream.iter().zip(&want) {
-            assert_eq!(gi, wi);
-            assert_eq!(gp.to_bits(), wp.to_bits());
+        assert_bits(&pi, &want, "dead locals filtered");
+    }
+
+    /// Radii below `d2` make the collect incomplete before the sweep can
+    /// exit, so the run-time check must catch it and collect again in full;
+    /// the query path, which collects at `d2`, must never have to.
+    #[test]
+    fn radii_below_d2_force_an_exact_full_collect() {
+        let full_collects = uncertain_obs::registry().counter("dynamic.quant.full_collects");
+        let mut counter_moved_at_d2 = 0usize;
+        for seed in 0..6u64 {
+            let base = workload::random_discrete_set(40, 3, 5.0, 300 + seed);
+            let mut d = DynamicSet::from_set(&base, DynamicConfig::default());
+            for id in (0..40).step_by(7) {
+                d.remove(id);
+            }
+            for q in workload::random_queries(12, 50.0, 400 + seed) {
+                let want = oracle(&d, q);
+                let before = full_collects.get();
+                let (got, stats) = d.quantification_merged_with_stats(q);
+                counter_moved_at_d2 += usize::from(full_collects.get() != before);
+                assert_bits(&got, &want, &format!("r = d2, seed {seed} q {q}"));
+                assert!(stats.entries_merged <= stats.live_locations);
+                let mut acc = crate::dynamic::TwoMin::EMPTY;
+                d.fold_two_min(q, &mut acc);
+                for r in [0.0, acc.d1 / 2.0, f64::from_bits(acc.d2.to_bits() - 1)] {
+                    let before = full_collects.get();
+                    let got = quantify_within(q, &[(&d, 0.0)], r, &mut QuantMergeStats::default());
+                    assert!(
+                        full_collects.get() > before,
+                        "seed {seed} q {q} r {r}: no full collect"
+                    );
+                    assert_bits(&got, &want, &format!("r = {r}, seed {seed} q {q}"));
+                }
+            }
         }
+        // The counter is process-wide, but only this test forces retries,
+        // and it does so between the d2 reads above.
+        assert_eq!(
+            counter_moved_at_d2, 0,
+            "a collect at d2 needed the full collect"
+        );
     }
 }

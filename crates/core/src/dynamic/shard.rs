@@ -10,18 +10,19 @@
 //! that is independent of how the union is partitioned:
 //!
 //! * `NN≠0` — the global Lemma 2.1 threshold pair `(d1, d2)` is the
-//!   min/second-min of `Δ_i(q)` over the union; [`ShardedReader::nonzero`]
-//!   folds per-shard [`DynamicSet::nonzero_two_min`] triples with the same
-//!   fold the monolithic set applies per bucket, then gathers per-shard
+//!   min/second-min of `Δ_i(q)` over the union. Stage 1 is **one fold**
+//!   over every (shard, bucket): each bucket's search starts from the
+//!   running pair, whichever shard it lives in. Stage 2 gathers per-shard
 //!   range reports against the (globally identical) threshold floats.
-//! * Quantification — bucket streams emit stable site ids, the k-way merge
-//!   heap orders entries by `(distance, id)`, and each site is in exactly
-//!   one shard, so a merge over *all shards'* bucket streams draws the
-//!   exact entry sequence the monolithic merge draws, into the same Eq. (2)
-//!   sweep core. No cross-shard id map is needed: a site's dense index in
-//!   the union is the rank of its id among the union's ascending live ids,
-//!   a strictly increasing relabeling, so `(d, id)` ties order exactly as
-//!   `(d, dense)` ties do in the static sweep over the union.
+//! * Quantification — the same stage 1 gives the radius `d2`; every shard
+//!   within it collects its live entries at distance `≤ d2` into one list,
+//!   sorted by `(distance, id, location)` and swept once (see
+//!   `quant.rs`). Each site is in exactly one shard, so the list holds the
+//!   entries a monolithic set would collect. No cross-shard id map is
+//!   needed: a site's dense index in the union is the rank of its id among
+//!   the union's ascending live ids, a strictly increasing relabeling, so
+//!   `(d, id)` ties order exactly as `(d, dense)` ties do in the static
+//!   sweep over the union.
 //! * Expected-distance NN — the minimum of per-shard branch-and-bound
 //!   minima, folded with the monolithic cross-bucket tie rule (exact ties
 //!   break to the smaller id; the witness among bitwise-equal values is
@@ -44,10 +45,11 @@
 //! The `*_touched` variants report how many shards a query actually
 //! visited — the engine reports it as its per-batch fan-out.
 //!
-//! A single-shard reader runs the same code: its one shard is the whole
-//! scatter order, nothing is pruned, and the gather is the shard's own
-//! bucket merge — the same bits as the shard's own [`DynamicSet`] queries,
-//! so a serving engine with `S = 1` answers exactly like the single set.
+//! One driver serves every reader: [`nonzero`] and [`quantify`] take a
+//! scatter order of sets with their bounds, and a [`DynamicSet`] queries
+//! itself through them as the one-set order `[(set, 0.0)]`. A single-shard
+//! reader therefore runs exactly the single set's code, so a serving
+//! engine with `S = 1` answers exactly like the single set.
 //!
 //! `tests/sharded_differential.rs` checks engines built on this reader
 //! after every op of randomized interleavings against the core-library
@@ -55,9 +57,9 @@
 
 use std::sync::{Arc, OnceLock};
 
-use super::{DynamicSet, DynamicStats, QuantMergeStats, SiteId};
+use super::quant::quantify_within;
+use super::{DynamicSet, DynamicStats, QuantMergeStats, SiteId, TwoMin};
 use crate::model::DiscreteSet;
-use crate::quantification::sweep::{sweep_sparse, KWayMerge};
 use uncertain_geom::{Aabb, Point};
 
 /// Relative pruning slack for the expected-NN shard skip, mirroring the
@@ -140,22 +142,19 @@ impl ShardedReader {
             .get_or_init(|| self.shards.iter().map(|s| s.support_aabb()).collect())
     }
 
-    /// Per-shard lower bounds `dist(q, box_s)` (`∞` for shards with no live
-    /// sites) plus the scatter visit order: non-empty shards ascending by
-    /// `(bound, shard index)`.
-    fn scatter_order(&self, q: Point) -> (Vec<f64>, Vec<usize>) {
-        let boxes = self.support_aabbs();
-        let mut dist = vec![f64::INFINITY; self.shards.len()];
-        let mut order: Vec<usize> = Vec::with_capacity(self.shards.len());
-        for (s, shard) in self.shards.iter().enumerate() {
-            if shard.is_empty() {
-                continue;
-            }
-            dist[s] = boxes[s].dist_to_point(q);
-            order.push(s);
-        }
-        order.sort_unstable_by(|&a, &b| dist[a].total_cmp(&dist[b]).then(a.cmp(&b)));
-        (dist, order)
+    /// The scatter order for `q`: every non-empty shard with its lower
+    /// bound `dist(q, box_s)`, ascending by `(bound, shard index)`.
+    fn scatter_order(&self, q: Point) -> Vec<(&DynamicSet, f64)> {
+        let mut order: Vec<(&DynamicSet, f64)> = self
+            .shards
+            .iter()
+            .zip(self.support_aabbs())
+            .filter(|(shard, _)| !shard.is_empty())
+            .map(|(shard, aabb)| (&**shard, aabb.dist_to_point(q)))
+            .collect();
+        // Stable: equal bounds keep shard order.
+        order.sort_by(|a, b| a.1.total_cmp(&b.1));
+        order
     }
 
     /// Materializes the union as a static set in ascending id order —
@@ -210,159 +209,24 @@ impl ShardedReader {
     /// [`nonzero`](Self::nonzero) plus the number of shards the query
     /// actually visited (stage 1 ∪ stage 2) after box pruning.
     pub fn nonzero_touched(&self, q: Point) -> (Vec<SiteId>, usize) {
-        let (dist, order) = self.scatter_order(q);
-        let mut visited = vec![false; self.shards.len()];
-        let Some((d1, id1, d2)) = self.pruned_two_min(q, &dist, &order, &mut visited) else {
-            return (vec![], 0);
-        };
-        // Gather: every visited shard range-reports against the same global
-        // floats. Skip proof: a site is reported iff `δ_i(q) < bound(i)`
-        // with `bound(i) ≤ d2` when d2 is finite — so `radius = d2` there,
-        // and `dist[s] > radius` gives `δ_i ≥ dist[s] > radius ≥ bound(i)`
-        // for every live `i ∈ s`: nothing in `s` reports. With `d2 = ∞`
-        // (single live site) `radius = d1 ≥ δ` of that site, so its shard's
-        // bound is never exceeded and it is never skipped. Strictness
-        // matters: a shard at exactly `dist[s] == radius` may still hold a
-        // reportable site (`δ == dist[s] < bound` is possible only when
-        // `bound > radius`, i.e. the ∞ case — but skipping only the strict
-        // exterior is what the proof licenses, so that is what we do).
-        let radius = if d2.is_finite() { d2 } else { d1 };
-        let mut out: Vec<SiteId> = vec![];
-        for &s in &order {
-            if dist[s] > radius {
-                break; // ascending order: every later shard is outside too
-            }
-            visited[s] = true;
-            self.shards[s].nonzero_report_into(q, id1, d1, d2, &mut out);
-        }
-        out.sort_unstable();
-        (out, visited.iter().filter(|&&v| v).count())
+        nonzero(q, &self.scatter_order(q))
     }
 
-    /// Stage 1 with pruning: fold per-shard two-min triples in ascending
-    /// box-distance order into the global `(d1, best id, d2)`, skipping the
-    /// tail of shards whose bound proves they cannot contribute. Marks
-    /// every visited shard in `visited`.
-    ///
-    /// Skip proof: every live site `i ∈ s` has `Δ_i(q) ≥ dist[s]` (all its
-    /// locations lie in `box_s`). The fold updates `best` only on
-    /// `d < best.0` and `second` only on `d < second`, and
-    /// `best.0 ≤ second` throughout — so once `dist[s] ≥ second`, no site
-    /// of `s` can change either float or the witness, and (visiting in
-    /// ascending bound order, with `second` only shrinking) neither can any
-    /// later shard: `break`, not `continue`. The resulting `(d1, d2)` are
-    /// the min/second-min of a multiset and hence identical to any other
-    /// fold order; the witness can differ from the monolithic bucket-order
-    /// fold only on an exact `Δ` tie at `d1`, where `d2 == d1` makes the
-    /// stage-2 bound witness-independent (see
-    /// [`DynamicSet::nonzero_report_into`]).
-    fn pruned_two_min(
-        &self,
-        q: Point,
-        dist: &[f64],
-        order: &[usize],
-        visited: &mut [bool],
-    ) -> Option<(f64, SiteId, f64)> {
-        let mut best: (f64, SiteId) = (f64::INFINITY, SiteId::MAX);
-        let mut second = f64::INFINITY;
-        let mut any = false;
-        for &s in order {
-            if dist[s] >= second {
-                break;
-            }
-            visited[s] = true;
-            let Some((d, id, sec)) = self.shards[s].nonzero_two_min(q) else {
-                continue;
-            };
-            any = true;
-            if d < best.0 {
-                second = best.0;
-                best = (d, id);
-            } else if d < second {
-                second = d;
-            }
-            if sec < second {
-                second = sec;
-            }
-        }
-        any.then_some((best.0, best.1, second))
-    }
-
-    /// Merged quantification over the union: one k-way merge across the
-    /// surviving shards' id-keyed bucket streams into the shared sweep
-    /// core, answering `(id, π)` for `π > 0` in ascending id order.
-    /// Bit-identical to the monolithic merged (and fresh) paths.
+    /// Quantification over the union: `(id, π)` for `π > 0` in ascending
+    /// id order, bit-identical to the monolithic and fresh paths.
     pub fn quantification_merged(&self, q: Point) -> Vec<(SiteId, f64)> {
         self.quantification_merged_with_stats(q).0
     }
 
     /// [`quantification_merged`](Self::quantification_merged) plus the
     /// reuse metrics the serving engine aggregates (buckets and warm
-    /// buckets count across the shards that joined the merge;
-    /// `shards_touched` counts every shard the query read, including the
-    /// threshold probe).
-    ///
-    /// Shard-exclusion proof: let `d2` be the global second-smallest
-    /// `Δ_i(q)` over the live union (from the pruned stage-1 fold). Site
-    /// weights are normalized at construction
-    /// ([`crate::model::DiscreteUncertainPoint::new`]), so once all of a
-    /// site's locations have entered the sweep its accumulated weight is 1
-    /// up to a few ulps of summation error (`≪ ZERO_THRESH = 1e-12` for any
-    /// realistic per-site location count) and its survival factor clamps to
-    /// exactly 0 — the sweep's own early-exit contract. The sites attaining
-    /// `d1` and `d2` have fully entered by the end of the equal-distance
-    /// batch at `d2`, so the driver's `zeros >= 2` exit fires no later than
-    /// that batch. Every live site of a shard with `dist[s] > d2` has *all*
-    /// entries at distance `> d2`, i.e. strictly after the exit batch in
-    /// the `(d, id)` merge order — the sweep never processes them. (At
-    /// most one such entry is drawn as the driver's batch-boundary
-    /// lookahead and discarded; only [`KWayMerge::consumed`] — a statistic,
-    /// not an answer — can differ.) Dropping those shards' streams
-    /// therefore changes no output bit. When every shard's bound is equal
-    /// (hash partitioning: all ~0) no exclusion is possible — `d2 ≥ d1 ≥`
-    /// the best shard's bound `=` every bound — so the threshold probe is
-    /// skipped entirely and the driver degrades to the plain all-shards
-    /// merge.
+    /// buckets count across the shards that collected; `shards_touched`
+    /// counts every shard the query read in either stage).
     pub fn quantification_merged_with_stats(
         &self,
         q: Point,
     ) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
-        let mut stats = QuantMergeStats {
-            live_locations: self.live_locations(),
-            ..QuantMergeStats::default()
-        };
-        let (dist, order) = self.scatter_order(q);
-        let mut visited = vec![false; self.shards.len()];
-        let uniform_bounds = match (order.first(), order.last()) {
-            (Some(&first), Some(&last)) => dist[first] == dist[last],
-            _ => true,
-        };
-        let cutoff = if uniform_bounds {
-            f64::INFINITY
-        } else {
-            match self.pruned_two_min(q, &dist, &order, &mut visited) {
-                Some((_, _, d2)) => d2, // ∞ (single live site) excludes nothing
-                None => f64::INFINITY,
-            }
-        };
-        let mut streams = vec![];
-        for &s in &order {
-            if dist[s] > cutoff {
-                break; // ascending order: every later shard is beyond too
-            }
-            visited[s] = true;
-            self.shards[s].open_quant_streams(q, &mut streams, &mut stats);
-        }
-        // Stream *indices* differ from the monolithic merge (and between
-        // partitioners), but the heap's `(d, id, stream)` tie-break never
-        // reaches the stream field on distinct sites (ordered by id) and a
-        // single site's entries all share one stream — so the drawn entry
-        // sequence is independent of stream numbering.
-        let mut merge = KWayMerge::new(streams);
-        let pi = sweep_sparse(&mut merge);
-        stats.entries_merged = merge.consumed();
-        stats.shards_touched = visited.iter().filter(|&&v| v).count();
-        (pi, stats)
+        quantify(q, &self.scatter_order(q))
     }
 
     /// The live site minimizing expected distance to `q`, with that
@@ -378,10 +242,10 @@ impl ShardedReader {
     /// query visited after box pruning.
     ///
     /// Skip proof: for every live site `i ∈ s`, `E[d(q, P_i)] =
-    /// Σ_j w_j·d(q, p_ij)` with every `d(q, p_ij) ≥ dist[s]` and normalized
-    /// weights, so its true value is `≥ dist[s]`; the computed f64 value
+    /// Σ_j w_j·d(q, p_ij)` with every `d(q, p_ij) ≥ bound` and normalized
+    /// weights, so its true value is `≥ bound`; the computed f64 value
     /// can round below that by an error scaling with `ulp` of the distance
-    /// magnitude, which `PRUNE_MARGIN·(1 + be + dist[s])` dominates by ~7
+    /// magnitude, which `PRUNE_MARGIN·(1 + be + bound)` dominates by ~7
     /// orders (the same slack the in-bucket branch-and-bound uses, see
     /// [`crate::expected::ExpectedNnIndex::query_where`]). When the skip
     /// test holds, every site of `s` therefore computes `e > be` strictly —
@@ -390,17 +254,16 @@ impl ShardedReader {
     /// shrinks and bounds only grow along the visit order, so the condition
     /// is monotone: `break`, not `continue`.
     pub fn expected_nn_touched(&self, q: Point) -> (Option<(SiteId, f64)>, usize) {
-        let (dist, order) = self.scatter_order(q);
         let mut touched = 0usize;
         let mut best: Option<(SiteId, f64)> = None;
-        for &s in &order {
+        for (shard, bound) in self.scatter_order(q) {
             if let Some((_, be)) = best {
-                if dist[s] > be + PRUNE_MARGIN * (1.0 + be + dist[s]) {
+                if bound > be + PRUNE_MARGIN * (1.0 + be + bound) {
                     break;
                 }
             }
             touched += 1;
-            if let Some((id, e)) = self.shards[s].expected_nn(q) {
+            if let Some((id, e)) = shard.expected_nn(q) {
                 let better = match best {
                     None => true,
                     Some((bid, be)) => e < be || (e == be && id < bid),
@@ -412,6 +275,83 @@ impl ShardedReader {
         }
         (best, touched)
     }
+}
+
+/// Stage 1 over a scatter order: one fold of every live site's `Δ_i(q)`
+/// across the sets (and, inside each, across its buckets), plus the number
+/// of sets read.
+///
+/// Skip proof: every live site `i` of a set with bound `b` has
+/// `Δ_i(q) ≥ b` (all its locations lie in the set's box). A fold step
+/// changes nothing for a value `≥ d2` (and `d1 ≤ d2` throughout), so once
+/// `b ≥ d2` no site of the set can change either float or the witness —
+/// and, the order ascending by bound while `d2` only shrinks, neither can
+/// any later set: `break`, not `continue`. The resulting `(d1, d2)` are
+/// the min/second-min of a multiset and hence identical to any other fold
+/// order; the witness can differ from another order only on an exact `Δ`
+/// tie at `d1`, where `d2 == d1` makes the stage-2 bound
+/// witness-independent (see [`DynamicSet::nonzero_report_into`]).
+fn two_min(q: Point, scatter: &[(&DynamicSet, f64)]) -> (Option<TwoMin>, usize) {
+    let mut acc = TwoMin::EMPTY;
+    let mut read = 0;
+    for &(set, bound) in scatter {
+        if bound >= acc.d2 {
+            break;
+        }
+        read += 1;
+        set.fold_two_min(q, &mut acc);
+    }
+    ((acc.id1 != SiteId::MAX).then_some(acc), read)
+}
+
+/// `NN≠0(q)` over a scatter order — sets ascending by a lower bound on
+/// `δ_i(q)` and `Δ_i(q)` of their live sites — as ascending ids, plus the
+/// number of sets read in either stage.
+///
+/// Stage-2 skip proof: a site is reported iff `δ_i(q) < bound(i)` with
+/// `bound(i) ≤ d2` when `d2` is finite — so `radius = d2` there, and a set
+/// bound `b > radius` gives `δ_i ≥ b > radius ≥ bound(i)` for every live
+/// site of the set: nothing in it reports. With `d2 = ∞` (single live
+/// site) `radius = d1 ≥ δ` of that site, so its set is never skipped.
+pub(super) fn nonzero(q: Point, scatter: &[(&DynamicSet, f64)]) -> (Vec<SiteId>, usize) {
+    let (Some(t), read) = two_min(q, scatter) else {
+        return (vec![], 0);
+    };
+    let radius = if t.d2.is_finite() { t.d2 } else { t.d1 };
+    let mut out: Vec<SiteId> = vec![];
+    let mut reported = 0;
+    for &(set, bound) in scatter {
+        if bound > radius {
+            break; // ascending order: every later set is outside too
+        }
+        reported += 1;
+        set.nonzero_report_into(q, t.id1, t.d1, t.d2, &mut out);
+    }
+    out.sort_unstable();
+    (out, read.max(reported))
+}
+
+/// Quantification over a scatter order (as for [`nonzero`]): stage 1
+/// gives the radius `d2` (`∞` with a single live site, which collects
+/// everything), stage 2 collects and sweeps inside it.
+///
+/// Set-skip proof: every live entry of a set with bound `b > d2` lies at
+/// distance `> d2`, outside the collect; the collect is exact whenever the
+/// sweep exits early, and is repeated at `r = ∞` otherwise (`quant.rs`).
+pub(super) fn quantify(
+    q: Point,
+    scatter: &[(&DynamicSet, f64)],
+) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
+    let mut stats = QuantMergeStats {
+        live_locations: scatter.iter().map(|(set, _)| set.live_locations()).sum(),
+        ..QuantMergeStats::default()
+    };
+    let (Some(t), read) = two_min(q, scatter) else {
+        return (vec![], stats);
+    };
+    let pi = quantify_within(q, scatter, t.d2, &mut stats);
+    stats.shards_touched = stats.shards_touched.max(read);
+    (pi, stats)
 }
 
 #[cfg(test)]

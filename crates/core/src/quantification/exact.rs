@@ -46,8 +46,9 @@ pub fn quantification_discrete(set: &DiscreteSet, q: Point) -> Vec<f64> {
 /// discrete evaluation — the static path above, the `V_Pr` per-cell
 /// labels, the spiral search's truncated estimate, and the dynamic
 /// (Bentley–Saxe) layer's fresh path all go through it, and the dynamic
-/// layer's *merged* path feeds the same core through a k-way merge of
-/// per-bucket streams. Identical entry sequences go through identical
+/// layer's *merged* path feeds the same core its sorted collect of the
+/// live entries inside the Lemma 2.1 radius. Identical entry sequences
+/// go through identical
 /// arithmetic, which is what makes dynamic answers **bit-identical** to a
 /// fresh static build. The sort is stable, so ties between equal distances
 /// keep the caller's entry order.

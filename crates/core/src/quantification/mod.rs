@@ -25,5 +25,5 @@ pub mod vpr;
 pub use monte_carlo::{MonteCarloPnn, SampleBackend};
 pub use slab::LocationSlab;
 pub use spiral::SpiralSearch;
-pub use sweep::{KWayMerge, SortedSlab, SweepEntry, SweepSource};
+pub use sweep::{SortedSlab, SweepEntry, SweepSource};
 pub use vpr::ProbabilisticVoronoiDiagram;

@@ -3,7 +3,7 @@
 //! Every exact discrete quantification in the workspace — the static
 //! [`quantification_discrete`](crate::quantification::exact::quantification_discrete)
 //! evaluator, the `V_Pr` fallback, the spiral search's truncated estimate,
-//! and the dynamic layer's per-bucket merged path — is the *same* monotone
+//! and the dynamic layer's radius-bounded collect — is the *same* monotone
 //! sweep over `(distance, site, weight)` entries in ascending distance
 //! order, maintaining running survival products. What differs is only where
 //! the ordered entry stream comes from. This module makes that explicit:
@@ -11,13 +11,10 @@
 //! * [`SweepSource`] — an ordered entry stream (ascending `(distance, site)`
 //!   with per-site location ties in the site's own location order);
 //! * [`SortedSlab`] — the single-slab source: one flat entry vector, stably
-//!   sorted by distance (the classic `O(N log N)` fresh-sweep path);
-//! * [`KWayMerge`] — the mergeable source: a heap-based k-way merge over
-//!   per-partition streams that are each already ordered. Because survival
-//!   factors multiply independently across sites, a sweep over the merged
-//!   stream recombines a partition of the site set **exactly** — the
-//!   decomposition the dynamic (Bentley–Saxe) layer exploits to reuse
-//!   warm per-bucket summaries across updates;
+//!   sorted by distance (the classic `O(N log N)` fresh-sweep path). The
+//!   dynamic layer's source is its own: the live entries inside the
+//!   Lemma 2.1 radius, gathered from per-bucket kd-trees and sorted by
+//!   `(distance, site id, location)` (`crate::dynamic`);
 //! * [`sweep_sparse`] — the sweep itself. One piece of arithmetic for
 //!   every caller, so two sources that emit the same entry sequence produce
 //!   **bit-identical** probabilities. It keeps running state only for the
@@ -32,16 +29,16 @@
 //! The driver stops early once two sites have fully entered their cdfs
 //! (`zeros ≥ 2`): from that point every η-contribution of Eq. (2) is
 //! *exactly* `0.0` (the `zeros ≥ 2` branch returns the constant), so
-//! truncating the stream changes no output bit while letting lazily-ordered
-//! sources (the k-way merge over kd-tree streams) skip almost all of their
-//! entries.
+//! truncating the stream changes no output bit. [`sweep_sparse`] reports
+//! whether that exit fired: a source that holds only a distance-prefix of
+//! the entries (the dynamic layer's collect inside a radius) is exact when
+//! it did, and must be re-read in full when it did not.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// One sweep entry: `(distance to the query, site key, weight)`. The key
 /// identifies the site: a dense index for the flat slab, a stable site id
-/// for the dynamic layer's bucket streams.
+/// for the dynamic layer's collect.
 pub type SweepEntry = (f64, usize, f64);
 
 /// Factors below this are treated as exactly zero (weights are normalized,
@@ -94,106 +91,6 @@ impl SweepSource for SortedSlab {
     #[inline]
     fn next_entry(&mut self) -> Option<SweepEntry> {
         self.entries.next()
-    }
-}
-
-/// A stream head waiting in the merge heap. Ordered by `(distance, site
-/// key, stream)`; entries of one site always live in one stream, so the stream
-/// index only tie-breaks distinct sites at equal distance — and site order
-/// is exactly what the single-slab tie order prescribes.
-struct Head {
-    d: f64,
-    key: usize,
-    w: f64,
-    stream: u32,
-}
-
-impl Head {
-    fn order(&self, other: &Self) -> Ordering {
-        // total_cmp: a NaN distance (corrupt input) sorts last instead of
-        // panicking the merge heap.
-        self.d
-            .total_cmp(&other.d)
-            .then(self.key.cmp(&other.key))
-            .then(self.stream.cmp(&other.stream))
-    }
-}
-
-impl PartialEq for Head {
-    fn eq(&self, other: &Self) -> bool {
-        self.order(other) == Ordering::Equal
-    }
-}
-impl Eq for Head {}
-impl PartialOrd for Head {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Head {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, the merge wants the minimum.
-        other.order(self)
-    }
-}
-
-/// K-way merge over per-partition [`SweepSource`]s.
-///
-/// Each input stream must honor the [`SweepSource`] contract on its own
-/// slice of the site set (streams own disjoint sites). The merge then
-/// honors it globally: the heap orders heads by `(distance, site key)`, which
-/// reproduces the stable-sort tie order of the equivalent single slab.
-pub struct KWayMerge<S> {
-    streams: Vec<S>,
-    heap: BinaryHeap<Head>,
-    consumed: usize,
-}
-
-impl<S: SweepSource> KWayMerge<S> {
-    pub fn new(mut streams: Vec<S>) -> Self {
-        let mut heap = BinaryHeap::with_capacity(streams.len());
-        for (si, s) in streams.iter_mut().enumerate() {
-            if let Some((d, key, w)) = s.next_entry() {
-                heap.push(Head {
-                    d,
-                    key,
-                    w,
-                    stream: si as u32,
-                });
-            }
-        }
-        KWayMerge {
-            streams,
-            heap,
-            consumed: 0,
-        }
-    }
-
-    /// Entries drawn from the merge so far — the early-exit effectiveness
-    /// metric (compare against the live location total a full sort pays).
-    pub fn consumed(&self) -> usize {
-        self.consumed
-    }
-
-    /// Number of input streams.
-    pub fn num_streams(&self) -> usize {
-        self.streams.len()
-    }
-}
-
-impl<S: SweepSource> SweepSource for KWayMerge<S> {
-    fn next_entry(&mut self) -> Option<SweepEntry> {
-        let head = self.heap.pop()?;
-        if let Some((d, key, w)) = self.streams[head.stream as usize].next_entry() {
-            self.heap.push(Head {
-                d,
-                key,
-                w,
-                stream: head.stream,
-            });
-        }
-        self.consumed += 1;
-        Some((head.d, head.key, head.w))
     }
 }
 
@@ -268,24 +165,30 @@ impl Drawn {
 
 /// The Eq. (2) sweep over any ordered entry source, keeping state
 /// only for the sites it draws: returns `(key, π_key)` for every drawn key
-/// with `π > 0`, in ascending key order. Keys are whatever the source
-/// emits — dense indices for the flat slab, stable site ids for the
-/// dynamic layer's bucket streams — and may be arbitrarily large: the
-/// sweep's memory is `O(drawn sites)`, never `O(max key)`. Every key
-/// absent from the output — never drawn, or drawn and left at `π = 0` —
-/// has `π = 0` exactly; by Lemma 2.1 the output keys of a sweep over the
-/// whole site set lie in `NN≠0(q)`.
+/// with `π > 0`, in ascending key order, and whether the `zeros ≥ 2` early
+/// exit fired. Keys are whatever the source emits — dense indices for the
+/// flat slab, stable site ids for the dynamic layer's collect — and may be
+/// arbitrarily large: the sweep's memory is `O(drawn sites)`, never
+/// `O(max key)`. Every key absent from the output — never drawn, or drawn
+/// and left at `π = 0` — has `π = 0` exactly; by Lemma 2.1 the output keys
+/// of a sweep over the whole site set lie in `NN≠0(q)`.
+///
+/// When the exit fired, the answer depends only on the entries up to and
+/// including the last batch processed (plus one lookahead entry, read and
+/// discarded): any source agreeing with the full stream on that prefix
+/// gives the same bits. When it did not, the whole source was consumed.
 ///
 /// Distance ties are processed in batches — Eq. (2)'s cdf uses `≤ r`, so
 /// all locations at the same distance enter their cdfs (phase 1) before any
 /// of them contributes its η (phase 2). The driver takes `&mut` so callers
 /// keep the source and can read its statistics afterwards.
-pub fn sweep_sparse<S: SweepSource + ?Sized>(source: &mut S) -> Vec<(usize, f64)> {
+pub fn sweep_sparse<S: SweepSource + ?Sized>(source: &mut S) -> (Vec<(usize, f64)>, bool) {
     let mut drawn = Drawn::default();
     let mut product = 1.0f64; // Π over drawn i with factor > 0
     let mut zeros = 0usize; // #{i : factor == 0}
 
     let mut batch: Vec<(u32, f64)> = vec![];
+    let mut stopped = false;
     let mut pending = source.next_entry();
     while let Some((d, k0, w0)) = pending {
         batch.clear();
@@ -334,6 +237,7 @@ pub fn sweep_sparse<S: SweepSource + ?Sized>(source: &mut S) -> Vec<(usize, f64)
         // Two sites fully entered: every remaining η is exactly 0.0, so the
         // rest of the stream cannot change any output bit. Stop drawing.
         if zeros >= 2 {
+            stopped = true;
             break;
         }
     }
@@ -344,7 +248,7 @@ pub fn sweep_sparse<S: SweepSource + ?Sized>(source: &mut S) -> Vec<(usize, f64)
         .map(|st| (st.key, st.pi))
         .collect();
     out.sort_unstable_by_key(|&(key, _)| key);
-    out
+    (out, stopped)
 }
 
 /// The dense form of [`sweep_sparse`]: all `π_i` for dense site indices
@@ -354,7 +258,7 @@ pub fn sweep_sparse<S: SweepSource + ?Sized>(source: &mut S) -> Vec<(usize, f64)
 /// exactly `0.0` either way.
 pub fn sweep<S: SweepSource + ?Sized>(source: &mut S, n: usize) -> Vec<f64> {
     let mut pi = vec![0.0f64; n];
-    for (i, p) in sweep_sparse(source) {
+    for (i, p) in sweep_sparse(source).0 {
         pi[i] = p;
     }
     pi
@@ -457,7 +361,7 @@ mod tests {
         offset: usize,
         what: &str,
     ) {
-        let got = sweep_sparse(source);
+        let (got, _) = sweep_sparse(source);
         assert!(
             got.windows(2).all(|w| w[0].0 < w[1].0),
             "keys not strictly ascending: {what}"
@@ -526,28 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_sweep_over_kway_partitions_matches_the_full_sweep() {
-        for seed in 1u64..16 {
-            for parts in [1usize, 2, 5] {
-                for ties in [false, true] {
-                    let entries = random_entries(24, 3, seed, ties);
-                    let full = sweep_full(entries.clone(), 24);
-                    for offset in [0, FAR] {
-                        let mut shards: Vec<Vec<SweepEntry>> = vec![vec![]; parts];
-                        for e in offset_keys(&entries, offset) {
-                            shards[e.1 % parts].push(e);
-                        }
-                        let mut merge =
-                            KWayMerge::new(shards.into_iter().map(SortedSlab::new).collect());
-                        let what = format!("seed {seed} parts {parts} ties {ties} offset {offset}");
-                        assert_sparse_matches(&mut merge, &full, offset, &what);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn early_exit_is_bit_identical_to_the_full_sweep() {
         for seed in 1u64..20 {
             for ties in [false, true] {
@@ -562,66 +444,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kway_merge_over_a_partition_matches_the_single_slab() {
-        for seed in 1u64..16 {
-            for parts in [1usize, 2, 5] {
-                for ties in [false, true] {
-                    let entries = random_entries(24, 3, seed, ties);
-                    let mut slab = SortedSlab::new(entries.clone());
-                    let want = sweep(&mut slab, 24);
-                    // Partition entries by site, then shard sites round-robin
-                    // into `parts` streams, each a SortedSlab of its own.
-                    let mut shards: Vec<Vec<SweepEntry>> = vec![vec![]; parts];
-                    for e in entries {
-                        shards[e.1 % parts].push(e);
-                    }
-                    let streams: Vec<SortedSlab> =
-                        shards.into_iter().map(SortedSlab::new).collect();
-                    let mut merge = KWayMerge::new(streams);
-                    let got = sweep(&mut merge, 24);
-                    assert!(merge.consumed() > 0);
-                    for (a, b) in got.iter().zip(&want) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "seed {seed} parts {parts} ties {ties}"
-                        );
-                    }
-                }
-            }
+    /// A source over a sorted entry list that counts what the sweep reads.
+    struct Counted {
+        entries: Vec<SweepEntry>,
+        read: usize,
+    }
+
+    impl SweepSource for Counted {
+        fn next_entry(&mut self) -> Option<SweepEntry> {
+            let e = self.entries.get(self.read).copied();
+            self.read += usize::from(e.is_some());
+            e
         }
     }
 
     #[test]
     fn early_exit_truncates_the_merge_stream() {
         // Two certain sites right next to the query block everything else:
-        // the sweep must stop after a handful of entries, not the full 2002.
+        // the sweep must stop after a handful of entries, not the full 2002,
+        // and say so; a prefix that ends before the exit batch must not.
         let mut entries: Vec<SweepEntry> = vec![(0.5, 0, 1.0), (0.75, 1, 1.0)];
         for i in 0..2000 {
             entries.push((2.0 + i as f64, 2 + i, 1.0));
         }
-        let streams = vec![
-            SortedSlab::new(entries[..2].to_vec()),
-            SortedSlab::new(entries[2..].to_vec()),
-        ];
-        let mut merge = KWayMerge::new(streams);
-        let pi = sweep(&mut merge, 2002);
-        assert_eq!(pi[0], 1.0);
-        assert!(merge.consumed() <= 4, "consumed {}", merge.consumed());
-        // The single-slab path still produces the identical vector.
-        let mut slab = SortedSlab::new(entries);
-        let want = sweep(&mut slab, 2002);
-        assert_eq!(pi, want);
+        let mut counted = Counted {
+            entries: entries.clone(),
+            read: 0,
+        };
+        let (pi, stopped) = sweep_sparse(&mut counted);
+        assert_eq!(pi, vec![(0, 1.0)]);
+        assert!(stopped);
+        assert!(counted.read <= 3, "read {}", counted.read);
+        // The single-slab path still produces the identical answer.
+        let mut slab = SortedSlab::new(entries.clone());
+        assert_eq!(sweep_sparse(&mut slab), (pi, true));
+        // One site alone never lets two factors reach zero.
+        let (_, stopped) = sweep_sparse(&mut SortedSlab::new(entries[..1].to_vec()));
+        assert!(!stopped);
     }
 
     #[test]
     fn empty_and_single_sources() {
         let mut slab = SortedSlab::new(vec![]);
         assert!(sweep(&mut slab, 0).is_empty());
-        assert!(sweep_sparse(&mut SortedSlab::new(vec![])).is_empty());
-        let mut merge: KWayMerge<SortedSlab> = KWayMerge::new(vec![]);
-        assert_eq!(sweep(&mut merge, 3), vec![0.0; 3]);
+        assert_eq!(sweep_sparse(&mut SortedSlab::new(vec![])), (vec![], false));
+        assert_eq!(sweep(&mut SortedSlab::new(vec![]), 3), vec![0.0; 3]);
         let mut one = SortedSlab::new(vec![(1.0, 0, 1.0)]);
         assert_eq!(sweep(&mut one, 1), vec![1.0]);
     }

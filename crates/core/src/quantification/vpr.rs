@@ -119,8 +119,7 @@ impl ProbabilisticVoronoiDiagram {
         }
         // Exact-sweep fallback: `quantification_discrete` is the shared
         // single-slab `SweepSource` path (`SortedSlab` + the sweep core) —
-        // the same machinery the dynamic merged path feeds through a k-way
-        // merge.
+        // the same core the dynamic merged path feeds its radius collect.
         quantification_discrete(&self.set, q)
             .into_iter()
             .enumerate()

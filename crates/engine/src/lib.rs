@@ -18,8 +18,8 @@
 //!   deterministic CI runs;
 //! * one exact evaluator per query family: `NN≠0` requests scatter-gather
 //!   over the Bentley–Saxe buckets (`nonzero:dynamic`), and probability
-//!   requests take the `quant:merged` k-way merge over per-bucket
-//!   summaries, bit-identical to the Eq. (2) sweep. Exact answers satisfy
+//!   requests take `quant:merged`, the Eq. (2) sweep over the live
+//!   entries inside the Lemma 2.1 radius, bit-identical to the full sweep. Exact answers satisfy
 //!   every [`Guarantee`] a caller can ask for, so there is no plan to
 //!   choose: [`ExecStats`] records the plan taken, evaluation counters, the
 //!   per-bucket reuse rate and the scatter-gather fan-out;
@@ -217,9 +217,10 @@ pub enum NonzeroPlan {
 /// Execution strategy for the probability (Threshold/TopK) requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QuantPlan {
-    /// The exact k-way merge over the Bentley–Saxe buckets' sorted
-    /// summaries, with the sweep's early exit — bit-identical to the Eq. (2)
-    /// sweep over the live set.
+    /// The exact sweep over the live entries inside the Lemma 2.1 radius,
+    /// range-reported from the Bentley–Saxe buckets' kd summaries, with the
+    /// sweep's early exit — bit-identical to the Eq. (2) sweep over the
+    /// live set.
     Merged,
 }
 
@@ -298,13 +299,13 @@ pub struct ExecStats {
     /// and scalar fallback paths; see
     /// [`ExecStats::kernel_lane_dists`]).
     pub kernel_scalar_dists: u64,
-    /// Quantification evaluations served by the k-way merged path this
+    /// Quantification evaluations served by the merged path this
     /// batch (cache hits execute no evaluator and are not counted).
     pub quant_merged_evals: usize,
     /// Quantification evaluations served over a flat live set. Always 0:
     /// every evaluation is merged. Kept so existing readers compile.
     pub quant_fresh_evals: usize,
-    /// Bucket streams the merged evaluations drew…
+    /// Buckets the merged evaluations collected from…
     pub quant_bucket_touches: usize,
     /// …of which the per-bucket summary was already warm (no lazy build).
     pub quant_bucket_warm: usize,
@@ -366,8 +367,9 @@ impl ExecStats {
         }
     }
 
-    /// Fraction of bucket streams the merged quantification path drew from
-    /// already-warm summaries; `0.0` when the batch drew none (e.g. every
+    /// Fraction of the buckets the merged quantification path collected
+    /// from whose summaries were already warm; `0.0` when it collected from
+    /// none (e.g. every
     /// answer came from the cache). Low values mean churn replaced most
     /// buckets since quantification last ran — or that no merged
     /// evaluation executed at all.
@@ -626,7 +628,7 @@ struct BatchCounters {
     /// Quantification evaluations by the merged path (cache hits execute
     /// none).
     quant_merged: AtomicUsize,
-    /// Bucket streams drawn by merged evaluations, and how many of them
+    /// Buckets merged evaluations collected from, and how many of them
     /// were already warm — the per-bucket reuse rate.
     bucket_touches: AtomicUsize,
     bucket_warm: AtomicUsize,
@@ -1494,7 +1496,7 @@ mod tests {
         assert_eq!(warm.stats.cache_hits, batch.len());
         assert_eq!(warm.stats.quant_merged_evals, 0);
         assert_eq!(warm.results, resp.results);
-        // No bucket streams drawn → the reuse rate reports 0.0, not a
+        // No buckets collected from → the reuse rate reports 0.0, not a
         // vacuous perfect score.
         assert_eq!(warm.stats.quant_bucket_reuse_rate(), 0.0);
     }
@@ -1504,7 +1506,7 @@ mod tests {
         let set = workload::random_discrete_set(3000, 3, 4.0, 101);
         let eng = Engine::new(set, EngineConfig::default());
         // Nonzero batches (dynamic buckets) and quant batches (merged
-        // k-way path) both answer in stable ids, before and after an apply.
+        // path) both answer in stable ids, before and after an apply.
         let mut batch: Vec<QueryRequest> = vec![];
         for q in workload::random_queries(32, 60.0, 102) {
             batch.push(QueryRequest::Nonzero { q });

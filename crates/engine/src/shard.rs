@@ -8,9 +8,10 @@
 //!
 //! * **reads scatter-gather, bit-identically**: `NN≠0` folds per-shard
 //!   two-min-Δ triples into the global Lemma 2.1 threshold exactly as
-//!   per-bucket merging does within one set, and quantification
-//!   k-way-merges per-shard `SweepSource` streams into one Eq. (2) sweep
-//!   (see [`ShardedReader`] for the proofs). The differential suite in
+//!   per-bucket merging does within one set, and quantification collects
+//!   every shard's live entries inside the Lemma 2.1 radius into one
+//!   sorted list for one Eq. (2) sweep (see [`ShardedReader`] for the
+//!   proofs). The differential suite in
 //!   `tests/sharded_differential.rs` checks every answer against the
 //!   core-library oracle at S ∈ {1, 3, 8};
 //! * **applies copy only what they touch**: one writer lock serializes

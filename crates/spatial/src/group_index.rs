@@ -51,7 +51,7 @@ struct Group {
 /// dynamic layer) can additionally maintain a **live-count overlay** — one
 /// counter per tree node, seeded by [`live_counts`](Self::live_counts) and
 /// decremented along root-to-leaf paths by [`kill`](Self::kill) — so the
-/// [pruned traversal](Self::two_min_max_dist_pruned) skips fully-dead
+/// [pruned fold](Self::fold_two_min_pruned) skips fully-dead
 /// subtrees wholesale instead of filtering their groups one at a time.
 /// Near the 50% compaction threshold that is the difference between paying
 /// for the build-batch size and paying for the live population.
@@ -174,7 +174,7 @@ impl GroupIndex {
     /// A fresh live-count overlay: per-node subtree group counts with every
     /// group alive. Parallel to the internal node array; pass it (after
     /// [`kill`](Self::kill)s) to
-    /// [`two_min_max_dist_pruned`](Self::two_min_max_dist_pruned).
+    /// [`fold_two_min_pruned`](Self::fold_two_min_pruned).
     pub fn live_counts(&self) -> Vec<u32> {
         self.nodes.iter().map(|n| n.end - n.start).collect()
     }
@@ -205,27 +205,29 @@ impl GroupIndex {
         }
     }
 
-    /// Like [`two_min_max_dist_where`](Self::two_min_max_dist_where), with
-    /// a live-count overlay that prunes fully-dead subtrees at node
-    /// granularity. `counts` must be consistent with `live` (every killed
-    /// group reports dead, and vice versa); answers are identical to the
-    /// unpruned traversal — the overlay only skips work.
-    pub fn two_min_max_dist_pruned(
+    /// Folds the live groups' `Δ_i(q)` into a running two-min pair, pruning
+    /// fully-dead subtrees through a live-count overlay. `best = (Δ, id)`
+    /// and `second` hold the smallest and second-smallest value folded so
+    /// far — from this index, or from other indices the caller folded
+    /// first. The search starts from that `second`, so a seeded call skips
+    /// every subtree that cannot change the pair. A group folds like
+    /// `if Δ < best.0 { second = best.0; best = (Δ, id) } else if Δ <
+    /// second { second = Δ }`, so the final floats are the min and
+    /// second-min of the whole multiset whatever the fold order; `best.1`
+    /// names a group of this index only if one took the lead here (seed it
+    /// with an id this index does not use, e.g. `u32::MAX`, to tell).
+    /// `counts` must be consistent with `live` (every killed group reports
+    /// dead, and vice versa); it only skips work.
+    pub fn fold_two_min_pruned(
         &self,
         q: Point,
         mut live: impl FnMut(u32) -> bool,
         counts: &[u32],
-    ) -> Option<(f64, u32, f64)> {
-        if self.is_empty() || counts.first().is_none_or(|&c| c == 0) {
-            return None;
-        }
-        let mut best = (f64::INFINITY, u32::MAX);
-        let mut second = f64::INFINITY;
-        self.min_rec(0, q, &mut live, Some(counts), &mut best, &mut second);
-        if best.1 == u32::MAX {
-            None
-        } else {
-            Some((best.0, best.1, second))
+        best: &mut (f64, u32),
+        second: &mut f64,
+    ) {
+        if !self.is_empty() {
+            self.min_rec(0, q, &mut live, Some(counts), best, second);
         }
     }
 
@@ -454,6 +456,20 @@ mod tests {
         assert!(second.is_infinite());
     }
 
+    /// [`GroupIndex::fold_two_min_pruned`] from an empty pair, in the
+    /// shape of [`GroupIndex::two_min_max_dist_where`]'s answer.
+    fn pruned(
+        idx: &GroupIndex,
+        q: Point,
+        live: impl FnMut(u32) -> bool,
+        counts: &[u32],
+    ) -> Option<(f64, u32, f64)> {
+        let mut best = (f64::INFINITY, u32::MAX);
+        let mut second = f64::INFINITY;
+        idx.fold_two_min_pruned(q, live, counts, &mut best, &mut second);
+        (best.1 != u32::MAX).then_some((best.0, best.1, second))
+    }
+
     #[test]
     fn pruned_traversal_matches_unpruned_under_every_mask() {
         let groups = random_groups(90, 4, 21);
@@ -484,7 +500,7 @@ mod tests {
             assert_eq!(counts[0] as usize, live_total, "root count off");
             let q = Point::new(next() * 120.0 - 60.0, next() * 120.0 - 60.0);
             let unpruned = idx.two_min_max_dist_where(q, |id| !dead[id as usize]);
-            let pruned = idx.two_min_max_dist_pruned(q, |id| !dead[id as usize], &counts);
+            let pruned = pruned(&idx, q, |id| !dead[id as usize], &counts);
             match (unpruned, pruned) {
                 (None, None) => assert_eq!(live_total, 0),
                 (Some((d, id, s)), Some((pd, pid, ps))) => {
@@ -504,10 +520,45 @@ mod tests {
             }
         }
         assert_eq!(counts[0], 0);
-        assert!(idx
-            .two_min_max_dist_pruned(Point::new(0.0, 0.0), |_| false, &counts)
-            .is_none());
+        assert!(pruned(&idx, Point::new(0.0, 0.0), |_| false, &counts).is_none());
         assert!(counts.iter().all(|&c| c == 0), "leaf counters must drain");
+    }
+
+    #[test]
+    fn seeded_fold_across_indices_equals_the_union() {
+        // Fold two indices' groups into one running pair, seeding the
+        // second search with the first's result: the floats must be the
+        // union's two smallest Δ, and the witness must name the right side.
+        let groups = random_groups(70, 4, 5);
+        let (left, right) = groups.split_at(31);
+        let (a, b) = (GroupIndex::build(left), GroupIndex::build(right));
+        let union = GroupIndex::build(&groups);
+        let (ca, cb) = (a.live_counts(), b.live_counts());
+        let mut state = 19u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 120.0 - 60.0
+        };
+        for _ in 0..50 {
+            let q = Point::new(next(), next());
+            let mut best = (f64::INFINITY, u32::MAX);
+            let mut second = f64::INFINITY;
+            a.fold_two_min_pruned(q, |_| true, &ca, &mut best, &mut second);
+            let from_a = best.1;
+            best.1 = u32::MAX;
+            b.fold_two_min_pruned(q, |_| true, &cb, &mut best, &mut second);
+            let id = if best.1 == u32::MAX {
+                from_a
+            } else {
+                best.1 + left.len() as u32
+            };
+            let (wd, wid, ws) = union.two_min_max_dist(q).unwrap();
+            assert_eq!(best.0.to_bits(), wd.to_bits());
+            assert_eq!(second.to_bits(), ws.to_bits());
+            assert_eq!(id, wid);
+        }
     }
 
     #[test]
@@ -526,13 +577,11 @@ mod tests {
         idx.kill(99, &mut counts); // out of range: ignored
         assert_eq!(counts[0], 2);
         let q = Point::new(0.0, 0.0);
-        let (d, id, _) = idx.two_min_max_dist_pruned(q, |_| true, &counts).unwrap();
+        let (d, id, _) = pruned(&idx, q, |_| true, &counts).unwrap();
         assert_eq!(id, 0);
         assert!((d - 1.0).abs() < 1e-12);
         idx.kill(0, &mut counts);
-        let (_, id, second) = idx
-            .two_min_max_dist_pruned(q, |id| id == 2, &counts)
-            .unwrap();
+        let (_, id, second) = pruned(&idx, q, |id| id == 2, &counts).unwrap();
         assert_eq!(id, 2);
         assert!(second.is_infinite());
     }

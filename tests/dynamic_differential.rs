@@ -6,8 +6,9 @@
 //!
 //! * `NN≠0` — must equal the Lemma 2.1 evaluation of a fresh static build
 //!   (and a fresh Theorem 3.2 index) exactly;
-//! * quantification — the k-way merged path over per-bucket sorted
-//!   summaries (cold, then again warm) must be **bit-identical** to the
+//! * quantification — the merged path, a sorted collect of the live
+//!   entries inside the Lemma 2.1 radius from per-bucket kd summaries
+//!   (cold, then again warm), must be **bit-identical** to the
 //!   Eq. (2) sweep over the fresh build, as must that sweep over the
 //!   dynamic set's own `live_set()`. Both paths share one sweep core fed
 //!   the same entry order, so any divergence is a real bug, not float
@@ -133,8 +134,8 @@ fn check_all_families(d: &DynamicSet, mirror: &Mirror, q: Point) -> Result<(), T
         );
     }
 
-    // The merged path (k-way merge over per-bucket sorted summaries,
-    // tombstones filtered at draw time) must answer with the oracle's
+    // The merged path (the radius collect over per-bucket kd summaries,
+    // tombstones filtered as it collects) must answer with the oracle's
     // π > 0 sites, ascending by id, bit-identical — and, by Lemma 2.1, a
     // subset of NN≠0(q) — first touching cold summaries, then again with
     // every bucket warm.

@@ -10,9 +10,10 @@
 //!
 //! Why this must hold at every S (the scatter-gather proofs live with
 //! `uncertain_nn::dynamic::shard::ShardedReader`): the `NN≠0` two-min fold
-//! over per-shard triples is partition-independent, and the quantification
-//! k-way merge over per-shard streams reproduces the fresh sweep's entry
-//! sequence exactly — so any divergence is a real bug, not float noise.
+//! over every (shard, bucket) is partition-independent, and the sorted
+//! quantification collect over every shard inside the Lemma 2.1 radius
+//! reproduces the fresh sweep's entry sequence exactly as far as the sweep
+//! reads — so any divergence is a real bug, not float noise.
 //!
 //! CI's `shard-gauntlet` job runs this suite at default cases and again at
 //! `PROPTEST_CASES=2048` pinned to one worker.
@@ -450,4 +451,101 @@ fn spatial_rebalances_fire_and_stay_bit_identical() {
             assert_eq!(engine.rebalances(), 0);
         }
     }
+}
+
+/// Integer points at exactly distance `r` from the origin.
+fn lattice_ring(r: i32) -> Vec<Point> {
+    let mut ring = vec![];
+    for x in -r..=r {
+        for y in -r..=r {
+            if x * x + y * y == r * r {
+                ring.push(Point::new(x as f64, y as f64));
+            }
+        }
+    }
+    ring
+}
+
+/// Ties at the Lemma 2.1 radius. Every site sits on the 3-4-5 lattice
+/// rings of radius 5, 10 and 13 around the origin, and every query is an
+/// integer point, so distances are square roots of integers: many entries
+/// share one distance bit pattern, including the batch at `d2` itself.
+/// Sites arrive over several applies (so tied entries come from different
+/// buckets), moves relabel a bucket's ids into newer buckets (so ids
+/// interleave across buckets at equal distance), and removes tombstone
+/// tied sites. Every answer must equal the oracle bit for bit at S ∈ {1, 3}
+/// under both partitioners, and no query may need the full collect: the
+/// radius collect holds every entry at distance `≤ d2`, ties included.
+#[test]
+fn ties_at_the_radius_stay_bit_identical() {
+    let rings = [lattice_ring(5), lattice_ring(10), lattice_ring(13)];
+    let mut state = 0x7135_u64;
+    let mut next = move |m: usize| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize % m
+    };
+    // A site whose farthest location lies on ring `outer`, so its Δ from
+    // the origin is exactly that ring's radius.
+    let mut site = |outer: usize| {
+        let k = 1 + next(3);
+        let locs: Vec<Point> = (0..k)
+            .map(|j| {
+                let ring = if j == 0 { outer } else { next(outer + 1) };
+                rings[ring][next(rings[ring].len())]
+            })
+            .collect();
+        let weights = (0..k).map(|_| 1.0 + next(3) as f64).collect();
+        DiscreteUncertainPoint::new(locs, weights)
+    };
+    // One Δ = 5 site, the rest at 10 and 13: d1 = 5 < d2 = 10.
+    let base = DiscreteSet::new(
+        (0..12)
+            .map(|i| site(if i == 0 { 0 } else { 1 + i % 2 }))
+            .collect(),
+    );
+    let mut script: Vec<Vec<Update>> = vec![];
+    for round in 0..10usize {
+        // Inserts land in fresh small buckets.
+        script.push(vec![
+            Update::Insert(site(1)),
+            Update::Insert(site(round % 3)),
+        ]);
+        // Move an old site: its id now lives in the newest bucket.
+        script.push(vec![Update::Move {
+            id: (3 * round + 1) % 12,
+            to: site(1),
+        }]);
+        // Tombstone a tied site, and the Δ = 5 site once, making d1 = d2.
+        let mut removes = vec![Update::Remove(12 + 2 * round)];
+        if round == 6 {
+            removes.push(Update::Remove(0));
+        }
+        script.push(removes);
+    }
+    let queries = [
+        Point::new(0.0, 0.0),
+        Point::new(3.0, 4.0),
+        Point::new(-5.0, 0.0),
+        Point::new(1.0, -2.0),
+    ];
+    let batch = mixed_batch(&queries);
+    let full_collects = uncertain_obs::registry().counter("dynamic.quant.full_collects");
+    let before = full_collects.get();
+    for partitioner in [PartitionerKind::Hash, PartitionerKind::Spatial] {
+        let engines: Vec<Engine> = [1, 3]
+            .iter()
+            .map(|&s| Engine::new(base.clone(), sharded_config(s, partitioner, 0.0)))
+            .collect();
+        let mut model = Model::new(&base);
+        for updates in &script {
+            step(&mut model, &engines, updates, &batch).unwrap();
+        }
+    }
+    assert_eq!(
+        full_collects.get(),
+        before,
+        "a query at a tied radius needed the full collect"
+    );
 }
