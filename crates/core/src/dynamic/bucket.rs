@@ -5,14 +5,14 @@
 //! overlaid by the dynamic layer as tombstones, which every query receives
 //! as a `live(local)` predicate over the bucket's local site indices.
 //! Buckets holding at least [`crate::dynamic::DynamicConfig::index_min_locations`]
-//! locations carry the Theorem 3.2 `NN≠0` structure; smaller ones answer by
-//! direct Lemma 2.1 evaluation. The threshold's default of 160 is a fixed
-//! number, taken from the formula of a serving cost model that no longer
-//! exists (see the config field). The
-//! expected-distance index is built **lazily** on the first expected-NN
-//! query (churn-heavy serving workloads that never ask for expected NNs
-//! never pay for it). Site payloads are shared by `Arc` — a carry moves
-//! pointers, not geometry.
+//! locations carry the stage-1 group tree; smaller ones fold `Δ_i(q)` site
+//! by site. The threshold's default of 160 is a fixed number, taken from
+//! the formula of a serving cost model that no longer exists (see the
+//! config field). Stage 2 of both query families reads one kd-tree over
+//! the bucket's locations, and the expected-distance index serves
+//! expected-NN queries; both are built **lazily** on the first query that
+//! needs them. Site payloads are shared by `Arc` — a carry moves pointers,
+//! not geometry.
 
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -21,7 +21,6 @@ use super::quant::{QuantEntry, QuantIndex};
 use super::{SiteId, TwoMin};
 use crate::expected::ExpectedNnIndex;
 use crate::model::{DiscreteSet, DiscreteUncertainPoint};
-use crate::nonzero::DiscreteNonzeroIndex;
 use uncertain_geom::{Aabb, Point};
 use uncertain_spatial::soa::bitmap_get;
 use uncertain_spatial::GroupIndex;
@@ -62,13 +61,13 @@ pub(crate) struct Bucket {
     sites: Vec<Arc<DiscreteUncertainPoint>>,
     /// Σ locations over `sites`.
     total_locations: usize,
-    /// Theorem 3.2 structure; `None` = brute evaluation.
-    nonzero: Option<DiscreteNonzeroIndex>,
+    /// Stage-1 group tree (group id = local index); `None` = brute.
+    groups: Option<GroupIndex>,
     /// Expected-distance branch-and-bound index, built on first use (only
     /// for buckets over the index threshold; small buckets scan).
     expected: OnceLock<ExpectedNnIndex>,
-    /// Mergeable quantification summary (kd over locations + flat weight
-    /// tables), built on the first quantification touching this bucket.
+    /// Stage-2 summary of both query families (kd over locations + flat
+    /// weight tables), built on the first query touching this bucket.
     /// Lives inside the `Arc`-shared bucket, so it stays warm across epoch
     /// snapshots and is invalidated exactly when a carry or compaction
     /// replaces the bucket.
@@ -82,8 +81,8 @@ pub(crate) struct Bucket {
 
 impl Bucket {
     /// Builds a bucket over `sites` (parallel to `entry_idxs` and to their
-    /// strictly ascending public `ids`), choosing indexed vs brute
-    /// evaluation by total location count.
+    /// strictly ascending public `ids`), choosing indexed vs brute stage 1
+    /// by total location count.
     pub fn build(
         entry_idxs: Vec<u32>,
         ids: Vec<SiteId>,
@@ -95,7 +94,10 @@ impl Bucket {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "bucket ids ascend");
         let total: usize = sites.iter().map(|s| s.k()).sum();
         let indexed = sites.len() >= 2 && total >= index_min_locations;
-        let nonzero = indexed.then(|| DiscreteNonzeroIndex::build(&materialize(&sites)));
+        let groups = indexed.then(|| {
+            let locations: Vec<Vec<Point>> = sites.iter().map(|s| s.locations().to_vec()).collect();
+            GroupIndex::build(&locations)
+        });
         let support_aabb =
             Aabb::from_points(sites.iter().flat_map(|s| s.locations().iter().copied()));
         Bucket {
@@ -103,7 +105,7 @@ impl Bucket {
             ids,
             sites,
             total_locations: total,
-            nonzero,
+            groups,
             expected: OnceLock::new(),
             quant: OnceLock::new(),
             support_aabb,
@@ -111,7 +113,7 @@ impl Bucket {
     }
 
     pub fn is_indexed(&self) -> bool {
-        self.nonzero.is_some()
+        self.groups.is_some()
     }
 
     /// Σ locations stored in this bucket (live and tombstoned).
@@ -135,21 +137,21 @@ impl Bucket {
     /// — the dynamic layer overlays per-node live counters on it so stage 1
     /// can skip fully-dead subtrees.
     pub fn group_index(&self) -> Option<&GroupIndex> {
-        self.nonzero.as_ref().map(|idx| idx.groups())
+        self.groups.as_ref()
     }
 
-    /// Appends every live location at distance `≤ r` from `q` to `out` as
-    /// `(d, site id, location index, weight)`, unsorted (`alive` is the
-    /// slot's tombstone bitmap). Builds the quantification summary on
-    /// first use.
+    /// Stage 2 of both query families: appends every live location at
+    /// distance `≤ r` from `q` to `out` as `(d, site id, location index,
+    /// weight)`, unsorted (`alive` is the slot's tombstone bitmap). Builds
+    /// the summary on first use.
     pub fn collect_quant(&self, q: Point, r: f64, alive: &[u64], out: &mut Vec<QuantEntry>) {
         self.quant
             .get_or_init(|| QuantIndex::build(&self.sites))
             .collect(q, r, &self.ids, alive, out)
     }
 
-    /// Whether the quantification summary is already built (a warm bucket
-    /// costs a query nothing but the range report).
+    /// Whether the stage-2 summary is already built (a warm bucket costs a
+    /// query nothing but the range report).
     pub fn quant_warm(&self) -> bool {
         self.quant.get().is_some()
     }
@@ -169,10 +171,10 @@ impl Bucket {
         group_live: Option<&[u32]>,
         acc: &mut TwoMin,
     ) {
-        if let Some(idx) = &self.nonzero {
+        if let Some(groups) = &self.groups {
             let counts = group_live.expect("indexed buckets carry live counters");
             let mut best = (acc.d1, u32::MAX);
-            idx.groups().fold_two_min_pruned(
+            groups.fold_two_min_pruned(
                 q,
                 |g| bitmap_get(alive, g as usize),
                 counts,
@@ -188,47 +190,6 @@ impl Bucket {
         for_each_live(self.sites.len(), alive, |i| {
             acc.offer(self.sites[i].max_dist(q), self.ids[i]);
         });
-    }
-
-    /// Stage 2: report every live local site with `δ_i(q) < bound(i)`.
-    /// `radius` must upper-bound every `bound(i)` this call can take (the
-    /// range query only enumerates locations within the closed disk); a
-    /// site is reported at most once.
-    pub fn report_where(
-        &self,
-        q: Point,
-        radius: f64,
-        alive: &[u64],
-        bound: &mut dyn FnMut(usize) -> f64,
-        out: &mut dyn FnMut(usize),
-    ) {
-        if let Some(idx) = &self.nonzero {
-            // δ_i < bound(i) ≤ radius implies the minimizing location is in
-            // the closed disk, so enumerating the disk loses no site. Hits
-            // are few (the NN≠0 answer is small), so dedup by sorting the
-            // hit list instead of allocating an O(bucket) seen-array. The
-            // kd leaf kernel hands each hit's distance through — no
-            // recomputation.
-            let mut hits: Vec<usize> = vec![];
-            idx.locations()
-                .for_each_in_disk_with_dist(q, radius, |_, local, d| {
-                    let i = local as usize;
-                    if bitmap_get(alive, i) && d < bound(i) {
-                        hits.push(i);
-                    }
-                });
-            hits.sort_unstable();
-            hits.dedup();
-            for i in hits {
-                out(i);
-            }
-        } else {
-            for_each_live(self.sites.len(), alive, |i| {
-                if self.sites[i].min_dist(q) < bound(i) {
-                    out(i);
-                }
-            });
-        }
     }
 
     /// Live-filtered expected-distance nearest neighbor: `(local, E)`.
@@ -252,9 +213,8 @@ impl Bucket {
     }
 }
 
-/// Flattens shared payloads into the owned `DiscreteSet` the static index
-/// builders consume (transient for the nonzero index; retained inside the
-/// expected index's payload).
+/// Flattens shared payloads into the owned `DiscreteSet` the expected-NN
+/// index builder consumes (retained inside the index's payload).
 fn materialize(sites: &[Arc<DiscreteUncertainPoint>]) -> DiscreteSet {
     DiscreteSet::new(sites.iter().map(|s| (**s).clone()).collect())
 }

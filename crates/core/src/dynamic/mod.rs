@@ -4,10 +4,10 @@
 //! module lifts them to a workload where uncertain sites arrive, expire,
 //! and move (the setting of probabilistic *moving* NN queries): a
 //! [`DynamicSet`] maintains the sites in geometrically-sized immutable
-//! buckets, each carrying its own query structures ([Theorem 3.2
-//! index](crate::nonzero::DiscreteNonzeroIndex) + expected-distance index
-//! for large buckets, brute Lemma 2.1 evaluation for small ones; the
-//! threshold is [`DynamicConfig::index_min_locations`], a fixed default).
+//! buckets, each carrying its own query structures (a lazy kd-tree over
+//! its locations for stage 2 of both `NN≠0` and quantification; stage-1
+//! group tree + expected-distance index above
+//! [`DynamicConfig::index_min_locations`], a fixed default).
 //!
 //! * **Insert** — the classic logarithmic-method carry: the new site plus
 //!   every bucket in the occupied prefix of slots merges into the first
@@ -28,27 +28,26 @@
 //!
 //! * `NN≠0(q)` folds every bucket's live `Δ_i(q)` into the global Lemma 2.1
 //!   pair `(d1, d2)` (stage 1, each bucket's search seeded with the running
-//!   second-min), then range-reports candidates per bucket (stage 2) — the
+//!   second-min), then collects every live location within `d2` from the
+//!   buckets' lazily-built, `Arc`-shared kd summaries (stage 2) — the
 //!   same two-stage shape as the static Theorem 3.2 query, summed over
 //!   `O(log n)` buckets.
 //! * Quantification ([`DynamicSet::quantification_merged`]) runs the same
-//!   stage 1, then collects every live location at distance `≤ d2` from
-//!   the buckets' lazily-built, `Arc`-shared kd summaries, sorts the
-//!   collect by `(distance, site id, location)` and sweeps it. By
-//!   Lemma 2.1 the Eq. (2) sweep exits by the batch at `d2`, so the collect
-//!   is the whole stream as far as the sweep reads; the sweep reports that
-//!   it exited, and a collect it read to the end is repeated at `r = ∞`
-//!   (see `quant.rs`). Quantification recombines exactly because locations
-//!   are independent across sites: the survival factors multiply across
-//!   buckets, so the sweep over the union of live locations *is* the
-//!   per-bucket recombination. The path is output-sensitive end to end:
-//!   the collect holds stable site ids, the sweep keeps state only for the
-//!   sites it reads, and the answer is the `(id, π)` pairs with `π > 0` —
-//!   no per-query or per-mutation `O(n)` setup. It reads the entry
-//!   sequence of the static sweep over the live union (up to the
-//!   id ↔ dense-rank relabeling) through identical arithmetic, so it is
-//!   **bit-identical** to a rebuild from scratch (enforced by
-//!   `tests/dynamic_differential.rs`).
+//!   two stages, sorts the collect by `(distance, site id, location)` and
+//!   sweeps it. By Lemma 2.1 the Eq. (2) sweep exits by the batch at `d2`,
+//!   so the collect is the whole stream as far as the sweep reads; the
+//!   sweep reports that it exited, and a collect it read to the end is
+//!   repeated at `r = ∞` (see `quant.rs`). Quantification recombines
+//!   exactly because locations are independent across sites: the survival
+//!   factors multiply across buckets, so the sweep over the union of live
+//!   locations *is* the per-bucket recombination. The path is
+//!   output-sensitive end to end: the collect holds stable site ids, the
+//!   sweep keeps state only for the sites it reads, and the answer is the
+//!   `(id, π)` pairs with `π > 0` — no per-query or per-mutation `O(n)`
+//!   setup. It reads the entry sequence of the static sweep over the live
+//!   union (up to the id ↔ dense-rank relabeling) through identical
+//!   arithmetic, so it is **bit-identical** to a rebuild from scratch
+//!   (enforced by `tests/dynamic_differential.rs`).
 //! * Expected-distance NN takes the minimum of per-bucket branch-and-bound
 //!   queries.
 //!
@@ -125,9 +124,10 @@ pub struct UpdateOutcome {
 /// Tuning knobs of the dynamic layer.
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicConfig {
-    /// A bucket builds the Theorem 3.2 index (and the expected-distance
-    /// index) when it holds at least this many locations; below it, queries
-    /// evaluate Lemma 2.1 directly. The default of 160 is a fixed number:
+    /// A bucket builds the stage-1 group tree (and the expected-distance
+    /// index) when it holds at least this many locations; below it, those
+    /// queries scan the live sites. It gates nothing else: stage 2 reads
+    /// every bucket's kd-tree. The default of 160 is a fixed number:
     /// it was taken from the formula of a serving cost model that has since
     /// been deleted (`4N` per brute query vs `16(√N + k̄ + 24)` per indexed
     /// query cross at N ≈ 160 for k̄ ≈ 4), and nothing recomputes it.
@@ -264,7 +264,7 @@ pub struct DynamicStats {
     /// `live` by the slab-growth rebuild trigger.
     pub slab_entries: usize,
     pub buckets: usize,
-    /// Buckets large enough to carry the Theorem 3.2 index.
+    /// Buckets large enough to carry the stage-1 group tree.
     pub indexed_buckets: usize,
     pub rebuild: RebuildStats,
 }
@@ -286,7 +286,7 @@ struct Entry {
 /// snapshot's tombstone overlay as a bitmap (bit per local site). Queries
 /// test liveness with one masked load instead of chasing the entry slab.
 /// Indexed buckets additionally carry per-node live counters over the
-/// bucket's stage-1 group tree, so `NN≠0` queries skip fully-dead subtrees
+/// bucket's stage-1 group tree, so stage 1 skips fully-dead subtrees
 /// instead of paying for the build-batch size as tombstones accumulate
 /// toward the compaction threshold.
 #[derive(Clone)]
@@ -914,8 +914,8 @@ impl DynamicSet {
     /// [`live_ids`](Self::live_ids)).
     ///
     /// Stage 1 folds every bucket's live `Δ_i(q)` into the global
-    /// best/second pair; stage 2 range-reports candidates per bucket
-    /// against the Lemma 2.1 threshold `min_{j≠i} Δ_j(q)`. The driver is the
+    /// best/second pair; stage 2 filters quantification's collect against
+    /// the Lemma 2.1 threshold `min_{j≠i} Δ_j(q)`. The driver is the
     /// sharded reader's, over a scatter order of this one set.
     pub fn nonzero(&self, q: Point) -> Vec<SiteId> {
         shard::nonzero(q, &[(self, 0.0)]).0
@@ -937,32 +937,6 @@ impl DynamicSet {
             }
             slot.bucket
                 .fold_two_min(q, &slot.alive, slot.group_live.as_deref(), acc);
-        }
-    }
-
-    /// Stage 2 of `NN≠0(q)`: range-report this set's candidates against the
-    /// *global* Lemma 2.1 threshold pair `(d1, d2)` with best witness
-    /// `best_id` (which may live in another shard), appending public ids to
-    /// `out` unsorted. A tie (`d2 == d1`) makes the bound
-    /// witness-independent, so the per-site test only depends on globally
-    /// identical floats — the sharded gather phase is bit-identical to the
-    /// monolithic report.
-    pub fn nonzero_report_into(
-        &self,
-        q: Point,
-        best_id: SiteId,
-        d1: f64,
-        d2: f64,
-        out: &mut Vec<SiteId>,
-    ) {
-        // d2 = ∞ only with a single live site, whose δ ≤ Δ = d1 keeps it
-        // inside the closed range query; its bound stays +∞ (min over ∅).
-        let radius = if d2.is_finite() { d2 } else { d1 };
-        for slot in self.buckets.iter().flatten() {
-            let b = &slot.bucket;
-            let mut bound = |local: usize| if b.id(local) == best_id { d2 } else { d1 };
-            let mut push = |local: usize| out.push(b.id(local));
-            b.report_where(q, radius, &slot.alive, &mut bound, &mut push);
         }
     }
 
@@ -996,10 +970,10 @@ impl DynamicSet {
         shard::quantify(q, &[(self, 0.0)])
     }
 
-    /// Stage 2 of quantification over this set: appends every live location
-    /// at distance `≤ r` from `q` to `out`, from each live bucket whose
-    /// support box lies within `r`, counting those buckets and their warm
-    /// summaries into `stats`.
+    /// Stage 2 of both query families over this set: appends every live
+    /// location at distance `≤ r` from `q` to `out`, from each live bucket
+    /// whose support box lies within `r`, counting those buckets and their
+    /// warm summaries into `stats`.
     fn collect_quant(
         &self,
         q: Point,
@@ -1020,10 +994,10 @@ impl DynamicSet {
         }
     }
 
-    /// Warm/cold split of the per-bucket quantification summaries, in
-    /// locations: `(warm, cold)`. Cold locations are exactly the buckets
-    /// churn has replaced since quantification last touched them — the
-    /// engine reports the split as each shard's warm rate.
+    /// Warm/cold split of the per-bucket stage-2 summaries, in locations:
+    /// `(warm, cold)`. Cold locations are exactly the buckets churn has
+    /// replaced since a query (`NN≠0` or quantification) last reached them
+    /// — the engine reports the split as each shard's warm rate.
     pub fn quant_summary_state(&self) -> (usize, usize) {
         let mut warm = 0;
         let mut cold = 0;
@@ -1412,6 +1386,45 @@ mod tests {
         d.remove(id);
         assert!(d.nonzero(q).is_empty());
         assert!(d.is_empty());
+    }
+
+    /// On a set whose stage-2 summaries are all cold, `NN≠0` queries alone
+    /// warm exactly the buckets their collects reach, and answer as the
+    /// Lemma 2.1 oracle does.
+    #[test]
+    fn nonzero_queries_warm_the_shared_summary() {
+        // One indexed bulk bucket and small brute ones, with tombstones.
+        let base = workload::random_discrete_set(300, 3, 2.0, 21);
+        let mut d = DynamicSet::from_set(&base, DynamicConfig::default());
+        let extra = workload::random_discrete_set(13, 2, 2.0, 22);
+        for (i, p) in extra.points.into_iter().enumerate() {
+            let id = d.insert(p);
+            if i % 4 == 0 {
+                d.remove(id - 1);
+                d.remove(7 * i);
+            }
+        }
+        let (warm, total) = d.quant_summary_state();
+        assert_eq!(warm, 0, "summaries start cold");
+        let (fresh, ids) = (d.live_set(), d.live_ids());
+        let mut reached = vec![false; d.buckets.len()];
+        for q in workload::random_queries(12, 50.0, 23) {
+            let want = nonzero_nn_discrete(&fresh, q).into_iter().map(|i| ids[i]);
+            assert_eq!(d.nonzero(q), want.collect::<Vec<_>>(), "NN≠0 at {q}");
+            let mut acc = TwoMin::EMPTY;
+            d.fold_two_min(q, &mut acc);
+            let r = if acc.d2.is_finite() { acc.d2 } else { acc.d1 };
+            for (hit, slot) in reached.iter_mut().zip(&d.buckets) {
+                let b = slot.as_ref().filter(|s| s.live > 0).map(|s| &s.bucket);
+                *hit |= b.is_some_and(|b| b.support_aabb().dist_to_point(q) <= r);
+            }
+        }
+        let warm: usize = (d.buckets.iter().zip(&reached))
+            .filter_map(|(slot, &hit)| slot.as_ref().filter(|_| hit))
+            .map(|s| s.bucket.total_locations())
+            .sum();
+        assert!(0 < warm && warm < total, "reach some buckets, not all");
+        assert_eq!(d.quant_summary_state(), (warm, total - warm));
     }
 
     #[test]

@@ -1,23 +1,22 @@
-//! Radius-bounded exact quantification over the Bentley–Saxe buckets.
+//! Stage 2 of both query families, and the radius-bounded exact
+//! quantification built on it.
 //!
-//! A [`QuantIndex`] is a bucket's query-free summary for the Eq. (2)
-//! sweep: a kd-tree over all of the bucket's locations plus the flat
+//! A [`QuantIndex`] is a bucket's query-free summary and its only location
+//! tree: a kd-tree over all of the bucket's locations plus the flat
 //! `location → (local site, location index, weight)` tables. It is built
-//! **lazily** on the first quantification that reaches the bucket
-//! (workloads that never quantify never pay for it) and lives inside the
-//! immutable, `Arc`-shared [`Bucket`](super::bucket::Bucket) — so it is
+//! **lazily** on the first query that reaches the bucket and lives inside
+//! the immutable, `Arc`-shared [`Bucket`](super::bucket::Bucket) — so it is
 //! invalidated exactly when the bucket itself is replaced (a carry or a
 //! global compaction) and stays warm across engine epoch snapshots that
-//! share the bucket. Tombstones are *not* baked in: the collect filters
-//! dead sites against the slot's alive bitmap, the same overlay the `NN≠0`
-//! path uses.
+//! share the bucket. The collect filters tombstones against the slot's
+//! alive bitmap.
 //!
-//! A query runs `NN≠0`'s two stages. Stage 1 (the shared fold in
+//! Both families run `NN≠0`'s two stages. Stage 1 (the shared fold in
 //! [`super::shard`]) gives Lemma 2.1's pair `(d1, d2)`: the two smallest
-//! `Δ_i(q)` over the live sites. Stage 2 ([`quantify_within`]) has every
-//! live bucket within `d2` range-report its live locations at distance
-//! `≤ d2` from its kd-tree, sorts them by `(distance, site id, location
-//! index)` and feeds them to [`sweep_sparse`].
+//! `Δ_i(q)` over the live sites. Stage 2 ([`with_collect`]) has every live
+//! bucket within `d2` range-report its live locations at distance `≤ d2`
+//! from its kd-tree; `NN≠0` filters them, quantification sorts them by
+//! `(distance, site id, location index)` and feeds them to [`sweep_sparse`].
 //!
 //! Why the radius suffices: the sites attaining `d1` and `d2` have every
 //! location at distance `≤ d2`, so by the end of the equal-distance batch
@@ -56,15 +55,12 @@ use uncertain_spatial::KdTree;
 pub(crate) type QuantEntry = (f64, SiteId, u32, f64);
 
 /// A bucket's query-free summary: kd-tree over locations + flat
-/// per-location tables.
+/// per-location table.
 pub(crate) struct QuantIndex {
     kd: KdTree,
-    /// Flat location index → local site index.
-    owner: Vec<u32>,
-    /// Flat location index → location index within its site.
-    loc_idx: Vec<u32>,
-    /// Flat location index → location weight.
-    weight: Vec<f64>,
+    /// Flat location index → (local site index, location index within its
+    /// site, weight): one load per hit.
+    table: Vec<(u32, u32, f64)>,
 }
 
 impl QuantIndex {
@@ -73,22 +69,16 @@ impl QuantIndex {
     pub fn build(sites: &[Arc<DiscreteUncertainPoint>]) -> Self {
         let total: usize = sites.iter().map(|s| s.k()).sum();
         let mut items = Vec::with_capacity(total);
-        let mut owner = Vec::with_capacity(total);
-        let mut loc_idx = Vec::with_capacity(total);
-        let mut weight = Vec::with_capacity(total);
+        let mut table = Vec::with_capacity(total);
         for (local, site) in sites.iter().enumerate() {
             for (li, (&loc, &w)) in site.locations().iter().zip(site.weights()).enumerate() {
                 items.push((loc, items.len() as u32));
-                owner.push(local as u32);
-                loc_idx.push(li as u32);
-                weight.push(w);
+                table.push((local as u32, li as u32, w));
             }
         }
         QuantIndex {
             kd: KdTree::build(items),
-            owner,
-            loc_idx,
-            weight,
+            table,
         }
     }
 
@@ -104,10 +94,9 @@ impl QuantIndex {
         out: &mut Vec<QuantEntry>,
     ) {
         self.kd.for_each_in_disk_with_dist(q, r, |_, flat, d| {
-            let flat = flat as usize;
-            let local = self.owner[flat] as usize;
-            if bitmap_get(alive, local) {
-                out.push((d, ids[local], self.loc_idx[flat], self.weight[flat]));
+            let (local, li, w) = self.table[flat as usize];
+            if bitmap_get(alive, local as usize) {
+                out.push((d, ids[local as usize], li, w));
             }
         });
     }
@@ -131,7 +120,7 @@ impl SweepSource for Collected<'_> {
 
 thread_local! {
     /// Each thread's collect buffer, reused across queries so a query
-    /// allocates only the sweep's per-site state and its answer.
+    /// allocates only its answer and the sweep's per-site state.
     static COLLECT: RefCell<Vec<QuantEntry>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -140,55 +129,66 @@ thread_local! {
 /// thread afterwards.
 const KEEP_ENTRIES: usize = 1 << 14;
 
-/// Stage 2 of quantification over `scatter` (sets with lower bounds on
-/// their sites' distances, ascending — see [`super::shard`]) at radius
-/// `r`: collects every live entry at distance `≤ r`, sorts it and sweeps
-/// it, collecting again at `r = ∞` when the sweep did not exit early (see
-/// the module docs). Returns the `(id, π)` pairs with `π > 0` in ascending
-/// id order. Fills `stats` with the counts of the collect that produced
-/// the answer; `shards_touched` becomes the number of sets it read.
+/// Stage 2 of both query families over `scatter` (sets with lower bounds on
+/// their sites' distances, ascending — see [`super::shard`]): fills the
+/// calling thread's collect buffer with every live entry at distance `≤ r`
+/// from `q`, unsorted, and returns `f` of it. Sets the bucket, warm-bucket
+/// and shard (sets read) counts of `stats`.
+pub(super) fn with_collect<T>(
+    q: Point,
+    scatter: &[(&DynamicSet, f64)],
+    r: f64,
+    stats: &mut QuantMergeStats,
+    f: impl FnOnce(&mut [QuantEntry]) -> T,
+) -> T {
+    COLLECT.with_borrow_mut(|buf| {
+        buf.clear();
+        stats.buckets = 0;
+        stats.warm_buckets = 0;
+        stats.shards_touched = 0;
+        for &(set, bound) in scatter {
+            if bound > r {
+                break; // ascending bounds: every later set is beyond too
+            }
+            stats.shards_touched += 1;
+            set.collect_quant(q, r, buf, stats);
+        }
+        let out = f(buf);
+        if buf.capacity() > KEEP_ENTRIES {
+            buf.clear();
+            buf.shrink_to(KEEP_ENTRIES);
+        }
+        out
+    })
+}
+
+/// Sorts a collect by `(distance, site id, location)` and sweeps it:
+/// `(answer, stopped early, entries read)`.
+fn sort_and_sweep(entries: &mut [QuantEntry]) -> (Vec<(SiteId, f64)>, bool, usize) {
+    uncertain_obs::counter!("dynamic.quant.entries_collected").add(entries.len() as u64);
+    entries.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    let mut source = Collected { entries, read: 0 };
+    let (pi, stopped) = sweep_sparse(&mut source);
+    (pi, stopped, source.read)
+}
+
+/// Quantification over `scatter` at radius `r`: sweeps the collect at `r`,
+/// and again at `r = ∞` when the sweep did not exit early (see the module
+/// docs). Returns the `(id, π)` pairs with `π > 0` in ascending id order.
+/// Fills `stats` with the counts of the collect that produced the answer.
 pub(super) fn quantify_within(
     q: Point,
     scatter: &[(&DynamicSet, f64)],
     r: f64,
     stats: &mut QuantMergeStats,
 ) -> Vec<(SiteId, f64)> {
-    COLLECT.with_borrow_mut(|buf| {
-        let mut r = r;
-        let pi = loop {
-            buf.clear();
-            stats.buckets = 0;
-            stats.warm_buckets = 0;
-            stats.shards_touched = 0;
-            for &(set, bound) in scatter {
-                if bound > r {
-                    break; // ascending bounds: every later set is beyond too
-                }
-                stats.shards_touched += 1;
-                set.collect_quant(q, r, buf, stats);
-            }
-            buf.sort_unstable_by(|a, b| {
-                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
-            });
-            let mut source = Collected {
-                entries: buf,
-                read: 0,
-            };
-            let (pi, stopped) = sweep_sparse(&mut source);
-            if stopped || r == f64::INFINITY {
-                stats.entries_merged = source.read;
-                break pi;
-            }
-            uncertain_obs::counter!("dynamic.quant.full_collects").inc();
-            r = f64::INFINITY;
-        };
-        uncertain_obs::counter!("dynamic.quant.entries_collected").add(buf.len() as u64);
-        if buf.capacity() > KEEP_ENTRIES {
-            buf.clear();
-            buf.shrink_to(KEEP_ENTRIES);
-        }
-        pi
-    })
+    let (mut pi, stopped, mut read) = with_collect(q, scatter, r, stats, sort_and_sweep);
+    if !stopped && r < f64::INFINITY {
+        uncertain_obs::counter!("dynamic.quant.full_collects").inc();
+        (pi, _, read) = with_collect(q, scatter, f64::INFINITY, stats, sort_and_sweep);
+    }
+    stats.entries_merged = read;
+    pi
 }
 
 #[cfg(test)]

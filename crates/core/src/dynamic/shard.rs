@@ -9,18 +9,17 @@
 //! union, because each already recombines across *buckets* by an operation
 //! that is independent of how the union is partitioned:
 //!
-//! * `NN≠0` — the global Lemma 2.1 threshold pair `(d1, d2)` is the
-//!   min/second-min of `Δ_i(q)` over the union. Stage 1 is **one fold**
+//! * `NN≠0` and quantification — the global Lemma 2.1 pair `(d1, d2)` is
+//!   the min/second-min of `Δ_i(q)` over the union. Stage 1 is **one fold**
 //!   over every (shard, bucket): each bucket's search starts from the
-//!   running pair, whichever shard it lives in. Stage 2 gathers per-shard
-//!   range reports against the (globally identical) threshold floats.
-//! * Quantification — the same stage 1 gives the radius `d2`; every shard
-//!   within it collects its live entries at distance `≤ d2` into one list,
-//!   sorted by `(distance, id, location)` and swept once (see
-//!   `quant.rs`). Each site is in exactly one shard, so the list holds the
-//!   entries a monolithic set would collect. No cross-shard id map is
-//!   needed: a site's dense index in the union is the rank of its id among
-//!   the union's ascending live ids, a strictly increasing relabeling, so
+//!   running pair, whichever shard it lives in. Stage 2 collects every
+//!   shard's live entries within the radius into one list (see `quant.rs`);
+//!   each site is in exactly one shard, so the list holds the entries a
+//!   monolithic set would collect. `NN≠0` filters it against the (globally
+//!   identical) threshold floats; quantification sorts it by `(distance,
+//!   id, location)` and sweeps it once. No cross-shard id map is needed: a
+//!   site's dense index in the union is the rank of its id among the
+//!   union's ascending live ids, a strictly increasing relabeling, so
 //!   `(d, id)` ties order exactly as `(d, dense)` ties do in the static
 //!   sweep over the union.
 //! * Expected-distance NN — the minimum of per-shard branch-and-bound
@@ -45,7 +44,7 @@
 //! The `*_touched` variants report how many shards a query actually
 //! visited — the engine reports it as its per-batch fan-out.
 //!
-//! One driver serves every reader: [`nonzero`] and [`quantify`] take a
+//! One driver serves every reader: `nonzero` and `quantify` take a
 //! scatter order of sets with their bounds, and a [`DynamicSet`] queries
 //! itself through them as the one-set order `[(set, 0.0)]`. A single-shard
 //! reader therefore runs exactly the single set's code, so a serving
@@ -57,7 +56,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use super::quant::quantify_within;
+use super::quant::{quantify_within, with_collect};
 use super::{DynamicSet, DynamicStats, QuantMergeStats, SiteId, TwoMin};
 use crate::model::DiscreteSet;
 use uncertain_geom::{Aabb, Point};
@@ -290,7 +289,7 @@ impl ShardedReader {
 /// the min/second-min of a multiset and hence identical to any other fold
 /// order; the witness can differ from another order only on an exact `Δ`
 /// tie at `d1`, where `d2 == d1` makes the stage-2 bound
-/// witness-independent (see [`DynamicSet::nonzero_report_into`]).
+/// witness-independent (see `nonzero`).
 fn two_min(q: Point, scatter: &[(&DynamicSet, f64)]) -> (Option<TwoMin>, usize) {
     let mut acc = TwoMin::EMPTY;
     let mut read = 0;
@@ -308,27 +307,26 @@ fn two_min(q: Point, scatter: &[(&DynamicSet, f64)]) -> (Option<TwoMin>, usize) 
 /// `δ_i(q)` and `Δ_i(q)` of their live sites — as ascending ids, plus the
 /// number of sets read in either stage.
 ///
-/// Stage-2 skip proof: a site is reported iff `δ_i(q) < bound(i)` with
-/// `bound(i) ≤ d2` when `d2` is finite — so `radius = d2` there, and a set
-/// bound `b > radius` gives `δ_i ≥ b > radius ≥ bound(i)` for every live
-/// site of the set: nothing in it reports. With `d2 = ∞` (single live
-/// site) `radius = d1 ≥ δ` of that site, so its set is never skipped.
+/// Stage 2 is the shared collect (`quant.rs`) at `r = d2`, keeping the
+/// sites with an entry at `d < min_{j≠i} Δ_j(q)` (`d2` for the witness,
+/// `d1` for the rest: Lemma 2.1's `δ_i(q) < min_{j≠i} Δ_j(q)`). Each bound
+/// is `≤ d2`, so the closed disk holds every such entry. With `d2 = ∞` (a
+/// single live site) `r = d1 ≥ δ` of that site, whose bound stays `+∞`.
 pub(super) fn nonzero(q: Point, scatter: &[(&DynamicSet, f64)]) -> (Vec<SiteId>, usize) {
     let (Some(t), read) = two_min(q, scatter) else {
         return (vec![], 0);
     };
-    let radius = if t.d2.is_finite() { t.d2 } else { t.d1 };
-    let mut out: Vec<SiteId> = vec![];
-    let mut reported = 0;
-    for &(set, bound) in scatter {
-        if bound > radius {
-            break; // ascending order: every later set is outside too
-        }
-        reported += 1;
-        set.nonzero_report_into(q, t.id1, t.d1, t.d2, &mut out);
-    }
+    let r = if t.d2.is_finite() { t.d2 } else { t.d1 };
+    let mut stats = QuantMergeStats::default();
+    let mut out: Vec<SiteId> = with_collect(q, scatter, r, &mut stats, |buf| {
+        buf.iter()
+            .filter(|&&(d, id, _, _)| d < if id == t.id1 { t.d2 } else { t.d1 })
+            .map(|&(_, id, _, _)| id)
+            .collect()
+    });
     out.sort_unstable();
-    (out, read.max(reported))
+    out.dedup();
+    (out, read.max(stats.shards_touched))
 }
 
 /// Quantification over a scatter order (as for [`nonzero`]): stage 1

@@ -1,5 +1,5 @@
 //! Expected-distance nearest neighbors — the baseline definition of
-//! [AESZ12] (*Nearest-Neighbor Searching Under Uncertainty I*), which the
+//! \[AESZ12\] (*Nearest-Neighbor Searching Under Uncertainty I*), which the
 //! paper contrasts with quantification probabilities in Section 1.2:
 //!
 //! > "This NN definition is easier since the expected distance to each

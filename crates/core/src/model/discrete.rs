@@ -18,7 +18,8 @@ impl DiscreteUncertainPoint {
     /// and must all be positive.
     ///
     /// # Panics
-    /// If `locations` is empty, lengths mismatch, or any weight is ≤ 0.
+    /// If `locations` is empty, lengths mismatch, any weight is ≤ 0, or the
+    /// weights do not [normalize](Self::normalized_weights).
     pub fn new(locations: Vec<Point>, weights: Vec<f64>) -> Self {
         assert!(!locations.is_empty(), "empty discrete uncertain point");
         assert_eq!(locations.len(), weights.len(), "length mismatch");
@@ -26,8 +27,8 @@ impl DiscreteUncertainPoint {
             weights.iter().all(|&w| w > 0.0),
             "weights must be positive (drop zero-probability locations)"
         );
-        let total: f64 = weights.iter().sum();
-        let weights: Vec<f64> = weights.iter().map(|w| w / total).collect();
+        let weights = Self::normalized_weights(&weights)
+            .expect("weights must normalize to positive probabilities");
         let mut cumulative = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
         for &w in &weights {
@@ -40,6 +41,15 @@ impl DiscreteUncertainPoint {
             weights,
             cumulative,
         }
+    }
+
+    /// `weights` divided by their sum; `None` unless the sum is finite and
+    /// every quotient is `> 0` (a huge sum can overflow, a tiny weight can
+    /// underflow against it).
+    pub fn normalized_weights(weights: &[f64]) -> Option<Vec<f64>> {
+        let total: f64 = weights.iter().sum();
+        let normalized: Vec<f64> = weights.iter().map(|w| w / total).collect();
+        (total.is_finite() && normalized.iter().all(|&w| w > 0.0)).then_some(normalized)
     }
 
     /// Uniform location probabilities.

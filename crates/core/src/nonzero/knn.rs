@@ -1,6 +1,6 @@
 //! `kNN≠0` queries: uncertain points with nonzero probability of being among
 //! the `k` nearest neighbors — the kNN variant the paper's Section 1.2
-//! raises (ranking semantics are deferred to [JCLY11]; membership in the
+//! raises (ranking semantics are deferred to \[JCLY11\]; membership in the
 //! possible-top-k set has a clean characterization generalizing Lemma 2.1):
 //!
 //! ```text

@@ -17,8 +17,8 @@ use uncertain_geom::Point;
 
 /// The canonical flat entry list of a set at a query: one
 /// `(distance, site, weight)` entry per location, pushed in ascending
-/// `(site, location)` order — the tie order every [`SweepSource`]
-/// (crate::quantification::sweep::SweepSource) reproduces.
+/// `(site, location)` order — the tie order every
+/// [`SweepSource`](crate::quantification::sweep::SweepSource) reproduces.
 pub fn sweep_entries(set: &DiscreteSet, q: Point) -> Vec<SweepEntry> {
     set.all_locations()
         .map(|(i, _, loc, w)| (q.dist(loc), i, w))

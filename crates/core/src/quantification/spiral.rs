@@ -11,7 +11,7 @@
 //! Retrieval uses a best-first incremental k-nearest-neighbor iterator over
 //! a kd-tree (the paper's own Remark (ii) recommends exactly this kind of
 //! practical substitute for the optimal but unimplementable structure of
-//! [AC09]).
+//! \[AC09\]).
 //!
 //! The module also reproduces the Remark (i) counterexample showing that the
 //! tempting alternative — simply ignoring locations with weight `< ε/k` —

@@ -5,7 +5,7 @@
 //!
 //! * **threshold queries** ([DYM+05]): report every `P_i` with
 //!   `π_i(q) ≥ τ`;
-//! * **top-k probable NNs** ([BSI08]): the `k` points of largest `π_i(q)`;
+//! * **top-k probable NNs** (\[BSI08\]): the `k` points of largest `π_i(q)`;
 //! * **most-probable NN**: the `k = 1` special case.
 //!
 //! [`Quantifier`] abstracts over the four engines of Section 4 (exact sweep,
@@ -137,7 +137,7 @@ pub fn threshold_nn<Q: Quantifier + ?Sized>(engine: &Q, q: Point, tau: f64) -> V
     out
 }
 
-/// Top-k probable NNs ([BSI08]): the `k` largest estimates (ties broken by
+/// Top-k probable NNs (\[BSI08\]): the `k` largest estimates (ties broken by
 /// index), sorted by decreasing probability.
 pub fn top_k_probable<Q: Quantifier + ?Sized>(engine: &Q, q: Point, k: usize) -> Vec<(usize, f64)> {
     let mut all: Vec<(usize, f64)> = engine

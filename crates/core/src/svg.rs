@@ -144,7 +144,7 @@ pub fn render_vnz(diagram: &NonzeroVoronoiDiagram, samples_per_arc: usize) -> St
     canvas.render()
 }
 
-/// Renders the guaranteed Voronoi diagram ([SE08]) on top of the disks:
+/// Renders the guaranteed Voronoi diagram (\[SE08\]) on top of the disks:
 /// each nonempty region's boundary is drawn as a sampled closed/open curve.
 pub fn render_guaranteed(
     disks: &[Circle],

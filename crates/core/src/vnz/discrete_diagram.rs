@@ -45,7 +45,7 @@ pub struct DiscreteNonzeroDiagram {
     pub subdivision: Subdivision,
     pub faces: Vec<LabeledFace>,
     /// Delta-encoded label storage over the face-adjacency graph — the
-    /// practical stand-in for the persistent sets of [DSST89] the paper
+    /// practical stand-in for the persistent sets of \[DSST89\] the paper
     /// cites: crossing an edge of curve `γ_i` toggles `P_i`'s membership,
     /// so storing one root label per adjacency component plus one toggle
     /// per tree edge reconstructs every face label.
@@ -67,7 +67,7 @@ pub struct DiscreteNonzeroDiagram {
     guard: f64,
 }
 
-/// Delta-encoded per-face label storage (the [DSST89] idea the paper cites:
+/// Delta-encoded per-face label storage (the \[DSST89\] idea the paper cites:
 /// storing `P_φ` for all cells costs only `O(µ)` because adjacent cells
 /// differ in one element).
 #[derive(Clone, Debug, Default)]

@@ -1,4 +1,4 @@
-//! The guaranteed Voronoi diagram ([SE08], discussed in Sections 1.2 and 2
+//! The guaranteed Voronoi diagram (\[SE08\], discussed in Sections 1.2 and 2
 //! of the paper).
 //!
 //! The *guaranteed region* of `P_i` is the set of queries whose nearest
@@ -12,7 +12,7 @@
 //! and its boundary is the polar lower envelope of closed-form hyperbola
 //! branches (`σ_ij = {x : Δ_i(x) = δ_j(x)}`,
 //! [`uncertain_geom::hyperbola::SureBranch`]) — the same machinery as
-//! Lemma 2.2 with the roles of `δ` and `Δ` swapped. [SE08] show the
+//! Lemma 2.2 with the roles of `δ` and `Δ` swapped. \[SE08\] show the
 //! guaranteed cells have `O(n)` *total* complexity (in contrast to the
 //! `Θ(n³)` of the full nonzero diagram) — measured in experiment E15.
 
@@ -50,7 +50,7 @@ impl EnvelopeOracle for SureOracle<'_> {
 
 impl GuaranteedRegion {
     /// Computes `G_i` for disk `i`. Returns a region with empty arcs when
-    /// no constraint ever binds (`n = 1`); [`is_empty`](Self::is_empty)
+    /// no constraint ever binds (`n = 1`); [`is_void`](Self::is_void)
     /// detects the opposite extreme where the region is void.
     pub fn compute(disks: &[Circle], i: usize) -> Self {
         let mut branches: Vec<(usize, SureBranch)> = vec![];
@@ -168,7 +168,7 @@ impl GuaranteedVoronoi {
         self.regions.iter().find(|r| r.contains(q)).map(|r| r.i)
     }
 
-    /// Total boundary complexity across all regions — [SE08] prove this is
+    /// Total boundary complexity across all regions — \[SE08\] prove this is
     /// `O(n)` (experiment E15).
     pub fn total_complexity(&self) -> usize {
         self.regions.iter().map(|r| r.boundary_complexity()).sum()

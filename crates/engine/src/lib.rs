@@ -114,12 +114,12 @@ pub use uncertain_nn::dynamic::{DynamicConfig, DynamicStats, SiteId, Update};
 pub enum QueryRequest {
     /// `NN≠0(q)`: which points have nonzero probability of being nearest.
     Nonzero { q: Point },
-    /// Every point that may satisfy `π_i(q) ≥ tau` given the engine's
-    /// guarantee ([DYM+05] threshold semantics: no false negatives). `tau`
-    /// must be positive: `tau ≤ 0` would admit every live site, `π = 0`
-    /// included, so it fails like a non-finite input.
+    /// Exactly the points with `π_i(q) ≥ tau` (the threshold query of
+    /// [DYM+05], answered from the exact probabilities). `tau` must be
+    /// positive: `tau ≤ 0` would admit every live site, `π = 0` included,
+    /// so it fails like a non-finite input.
     Threshold { q: Point, tau: f64 },
-    /// The `k` most probable nearest neighbors ([BSI08]).
+    /// The `k` most probable nearest neighbors (\[BSI08\]).
     TopK { q: Point, k: usize },
 }
 
@@ -199,10 +199,10 @@ pub struct ShardStat {
     pub live: usize,
     /// Tombstones still buried in this shard's buckets.
     pub tombstones: usize,
-    /// Fraction of this shard's stored locations whose bucket quant
-    /// summaries are warm (already built — a merged quantification touching
-    /// them pays only the stream draw), in `[0, 1]`; `0.0` when the shard
-    /// stores nothing.
+    /// Fraction of this shard's stored locations whose bucket stage-2
+    /// summaries (the location kd-trees both `NN≠0` and quantification
+    /// read) are warm: already built, so a query reaching them pays only
+    /// the range report. In `[0, 1]`; `0.0` when the shard stores nothing.
     pub quant_warm_rate: f64,
 }
 
@@ -210,7 +210,8 @@ pub struct ShardStat {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NonzeroPlan {
     /// Scatter-gather over the Bentley–Saxe buckets every engine holds from
-    /// construction: the Theorem 3.2 query shape once per bucket, no build.
+    /// construction: the Theorem 3.2 query shape, with stage 2 read from
+    /// the same collect quantification sweeps.
     Dynamic,
 }
 

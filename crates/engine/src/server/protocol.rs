@@ -409,6 +409,11 @@ fn read_uncertain_point(c: &mut Cur) -> Result<DiscreteUncertainPoint, WireError
         }
         weights.push(w);
     }
+    // Finite positive weights can still fail to normalize: their sum can
+    // overflow, or a tiny weight can underflow to 0 against it.
+    if DiscreteUncertainPoint::normalized_weights(&weights).is_none() {
+        return Err(WireError::Malformed("weights do not normalize"));
+    }
     Ok(DiscreteUncertainPoint::new(locations, weights))
 }
 
@@ -837,6 +842,26 @@ mod tests {
             decode_request(op::REQ_APPLY, &body),
             Err(WireError::Malformed(_))
         ));
+        // Finite positive weights that do not normalize: the sum overflows
+        // to ∞, or the small weight underflows to 0 against the sum.
+        for weights in [[1e308, 1e308], [5e-324, 1e10]] {
+            let mut body = Vec::new();
+            put_u32(&mut body, 1); // one update
+            body.push(0); // insert
+            put_u32(&mut body, 2); // two locations
+            for (i, w) in weights.into_iter().enumerate() {
+                put_f64(&mut body, i as f64);
+                put_f64(&mut body, 0.0);
+                put_f64(&mut body, w);
+            }
+            assert!(
+                matches!(
+                    decode_request(op::REQ_APPLY, &body),
+                    Err(WireError::Malformed(_))
+                ),
+                "weights {weights:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! says otherwise — is the plain single-set engine; larger `S` only
 //! changes *where* sites live, never an answer bit:
 //!
-//! * **reads scatter-gather, bit-identically**: `NN≠0` folds per-shard
-//!   two-min-Δ triples into the global Lemma 2.1 threshold exactly as
-//!   per-bucket merging does within one set, and quantification collects
-//!   every shard's live entries inside the Lemma 2.1 radius into one
-//!   sorted list for one Eq. (2) sweep (see [`ShardedReader`] for the
-//!   proofs). The differential suite in
+//! * **reads scatter-gather, bit-identically**: both query families fold
+//!   every (shard, bucket) into the global Lemma 2.1 pair `(d1, d2)` and
+//!   collect every shard's live entries inside the Lemma 2.1 radius into
+//!   one list; `NN≠0` filters it against the Lemma 2.1 bounds and
+//!   quantification sorts it for one Eq. (2) sweep (see [`ShardedReader`]
+//!   for the proofs). The differential suite in
 //!   `tests/sharded_differential.rs` checks every answer against the
 //!   core-library oracle at S ∈ {1, 3, 8};
 //! * **applies copy only what they touch**: one writer lock serializes

@@ -129,7 +129,7 @@ impl PolarBranch {
 
 /// The *other* branch: `σ_ij = { x : Δ_i(x) = δ_j(x) }` in polar form around
 /// `c_i` — the boundary of the region where `P_i` is **surely** closer than
-/// `P_j` (the guaranteed Voronoi diagram of [SE08], which the paper's
+/// `P_j` (the guaranteed Voronoi diagram of \[SE08\], which the paper's
 /// Section 1.2 builds on). With `v = c_j − c_i`, `a = r_i + r_j`:
 ///
 /// ```text

@@ -3,7 +3,7 @@
 //! A [`Span`] times the region from construction to drop and records the
 //! wall nanoseconds into a registry histogram (plus elapsed `rdtsc`
 //! reference cycles into a `<name>.cycles` twin on x86_64). The
-//! [`span!`](crate::span) macro caches both histogram handles per
+//! [`span!`](crate::span!) macro caches both histogram handles per
 //! callsite, so a span costs two `Instant::now()` calls and two relaxed
 //! histogram records.
 //!
@@ -44,7 +44,7 @@ pub fn has_cycle_counter() -> bool {
 }
 
 /// An in-flight timed region; records on drop. Construct via the
-/// [`span!`](crate::span) macro (static name, cached handles) or
+/// [`span!`](crate::span!) macro (static name, cached handles) or
 /// [`span_dyn`] (any name, registry lookup per call).
 pub struct Span {
     name: &'static str,
@@ -95,7 +95,7 @@ impl Drop for Span {
 
 /// Starts a span under a name resolved through the registry on every call
 /// (one mutex round-trip). Fine at batch/experiment granularity; use the
-/// [`span!`](crate::span) macro on per-query paths.
+/// [`span!`](crate::span!) macro on per-query paths.
 pub fn span_dyn(name: &str) -> Span {
     let (interned, ns) = registry().histogram_named(name);
     let cycles = has_cycle_counter().then(|| registry().histogram(&format!("{name}.cycles")));

@@ -3,7 +3,7 @@
 //! The paper's Remark (ii) after Theorem 4.7 suggests exactly this as the
 //! practical retrieval structure for spiral search: *"Alternatively, one may
 //! use quad-trees and a branch-and-bound algorithm to retrieve m points of S
-//! closest to q [Har11]."* Ablation A6 compares it against the kd-tree.
+//! closest to q \[Har11\]."* Ablation A6 compares it against the kd-tree.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
