@@ -1994,7 +1994,9 @@ fn e29_merged_quantification() {
 /// fan-out and the entries inside the radius (its answer holds only the `π > 0`
 /// sites), while the fresh sweep scales with `N log N`. Each n is measured in both extreme layouts: one
 /// compact bucket (a bulk load) and the maximally fragmented
-/// popcount-of-n layout an insert-only history produces.
+/// popcount-of-n layout an insert-only history produces. `insert µs` prices
+/// that history: one carry per insert, each building a bucket's group tree,
+/// down to one-site buckets.
 fn e30_merge_crossover() {
     use uncertain_nn::dynamic::{DynamicConfig, DynamicSet};
     use uncertain_nn::quantification::exact::quantification_sweep;
@@ -2009,6 +2011,7 @@ fn e30_merge_crossover() {
         "buckets=1 µs/q",
         "buckets",
         "fragmented µs/q",
+        "insert µs",
         "fresh µs/q",
         "best speedup",
     ]);
@@ -2021,10 +2024,13 @@ fn e30_merge_crossover() {
         // Layout A: one compact bucket (bulk load).
         let compact = DynamicSet::from_set(&base, DynamicConfig::default());
         // Layout B: insert-built — popcount(n) buckets.
-        let mut fragmented = DynamicSet::new(DynamicConfig::default());
-        for p in &base.points {
-            fragmented.insert(p.clone());
-        }
+        let (fragmented, insert_secs) = time(|| {
+            let mut d = DynamicSet::new(DynamicConfig::default());
+            for p in &base.points {
+                d.insert(p.clone());
+            }
+            d
+        });
         // The fresh sweep's setup: the live set's location slab, built once
         // outside the timed region.
         let slab = LocationSlab::from_set(&compact.live_set());
@@ -2069,6 +2075,7 @@ fn e30_merge_crossover() {
             format!("{:.1}", merged_compact * 1e6),
             buckets.to_string(),
             format!("{:.1}", merged_frag * 1e6),
+            format!("{:.2}", insert_secs * 1e6 / n as f64),
             format!("{:.1}", fresh * 1e6),
             format!("{:.1}x", fresh / merged_compact.min(merged_frag)),
         ]);

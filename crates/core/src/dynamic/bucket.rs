@@ -4,49 +4,21 @@
 //! A bucket is built once (at a merge) and never mutated; deletions are
 //! overlaid by the dynamic layer as tombstones, which every query receives
 //! as a `live(local)` predicate over the bucket's local site indices.
-//! Buckets holding at least [`crate::dynamic::DynamicConfig::index_min_locations`]
-//! locations carry the stage-1 group tree; smaller ones fold `Δ_i(q)` site
-//! by site. The threshold's default of 160 is a fixed number, taken from
-//! the formula of a serving cost model that no longer exists (see the
-//! config field). Stage 2 of both query families reads one kd-tree over
-//! the bucket's locations, and the expected-distance index serves
-//! expected-NN queries; both are built **lazily** on the first query that
-//! needs them. Site payloads are shared by `Arc` — a carry moves pointers,
-//! not geometry.
+//! Every bucket holds the same two structures: the stage-1 group tree,
+//! built with the bucket, and one kd-tree over its locations for stage 2
+//! of both query families, built **lazily** on the first query that needs
+//! it. Site payloads are shared by `Arc` — a carry moves pointers, not
+//! geometry.
 
 use std::sync::Arc;
 use std::sync::OnceLock;
 
 use super::quant::{QuantEntry, QuantIndex};
 use super::{SiteId, TwoMin};
-use crate::expected::ExpectedNnIndex;
-use crate::model::{DiscreteSet, DiscreteUncertainPoint};
+use crate::model::DiscreteUncertainPoint;
 use uncertain_geom::{Aabb, Point};
 use uncertain_spatial::soa::bitmap_get;
 use uncertain_spatial::GroupIndex;
-
-/// Calls `f(i)` for every set bit `i < n` of the tombstone bitmap — word-at-
-/// a-time `trailing_zeros` extraction instead of a per-entry branch, so the
-/// brute query paths pay per *live* site, not per stored site. Bits at or
-/// beyond `n` are masked off defensively.
-fn for_each_live(n: usize, alive: &[u64], mut f: impl FnMut(usize)) {
-    for (wi, &word) in alive.iter().enumerate() {
-        let base = wi << 6;
-        if base >= n {
-            break;
-        }
-        let mut w = if n - base >= 64 {
-            word
-        } else {
-            word & ((1u64 << (n - base)) - 1)
-        };
-        while w != 0 {
-            let b = w.trailing_zeros() as usize;
-            w &= w - 1;
-            f(base + b);
-        }
-    }
-}
 
 pub(crate) struct Bucket {
     /// Entry indices into the dynamic set's entry slab, parallel to
@@ -61,11 +33,8 @@ pub(crate) struct Bucket {
     sites: Vec<Arc<DiscreteUncertainPoint>>,
     /// Σ locations over `sites`.
     total_locations: usize,
-    /// Stage-1 group tree (group id = local index); `None` = brute.
-    groups: Option<GroupIndex>,
-    /// Expected-distance branch-and-bound index, built on first use (only
-    /// for buckets over the index threshold; small buckets scan).
-    expected: OnceLock<ExpectedNnIndex>,
+    /// Stage-1 group tree (group id = local index).
+    groups: GroupIndex,
     /// Stage-2 summary of both query families (kd over locations + flat
     /// weight tables), built on the first query touching this bucket.
     /// Lives inside the `Arc`-shared bucket, so it stays warm across epoch
@@ -81,23 +50,18 @@ pub(crate) struct Bucket {
 
 impl Bucket {
     /// Builds a bucket over `sites` (parallel to `entry_idxs` and to their
-    /// strictly ascending public `ids`), choosing indexed vs brute stage 1
-    /// by total location count.
+    /// strictly ascending public `ids`), with its stage-1 group tree.
     pub fn build(
         entry_idxs: Vec<u32>,
         ids: Vec<SiteId>,
         sites: Vec<Arc<DiscreteUncertainPoint>>,
-        index_min_locations: usize,
     ) -> Self {
         debug_assert_eq!(entry_idxs.len(), sites.len());
         debug_assert_eq!(ids.len(), sites.len());
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "bucket ids ascend");
         let total: usize = sites.iter().map(|s| s.k()).sum();
-        let indexed = sites.len() >= 2 && total >= index_min_locations;
-        let groups = indexed.then(|| {
-            let locations: Vec<Vec<Point>> = sites.iter().map(|s| s.locations().to_vec()).collect();
-            GroupIndex::build(&locations)
-        });
+        let locations: Vec<Vec<Point>> = sites.iter().map(|s| s.locations().to_vec()).collect();
+        let groups = GroupIndex::build(&locations);
         let support_aabb =
             Aabb::from_points(sites.iter().flat_map(|s| s.locations().iter().copied()));
         Bucket {
@@ -106,14 +70,9 @@ impl Bucket {
             sites,
             total_locations: total,
             groups,
-            expected: OnceLock::new(),
             quant: OnceLock::new(),
             support_aabb,
         }
-    }
-
-    pub fn is_indexed(&self) -> bool {
-        self.groups.is_some()
     }
 
     /// Σ locations stored in this bucket (live and tombstoned).
@@ -127,17 +86,11 @@ impl Bucket {
         &self.support_aabb
     }
 
-    /// Public id of local site `local`.
-    #[inline]
-    pub fn id(&self, local: usize) -> SiteId {
-        self.ids[local]
-    }
-
-    /// The stage-1 group index of an indexed bucket (site id = local index)
-    /// — the dynamic layer overlays per-node live counters on it so stage 1
-    /// can skip fully-dead subtrees.
-    pub fn group_index(&self) -> Option<&GroupIndex> {
-        self.groups.as_ref()
+    /// The stage-1 group index (site id = local index) — the dynamic layer
+    /// overlays per-node live counters on it so stage 1 can skip fully-dead
+    /// subtrees.
+    pub fn group_index(&self) -> &GroupIndex {
+        &self.groups
     }
 
     /// Stage 2 of both query families: appends every live location at
@@ -158,63 +111,24 @@ impl Bucket {
 
     /// Stage 1 of the Lemma 2.1 query: folds every live local site's
     /// `Δ_i(q)` into the running pair `acc` (see [`TwoMin`]). Liveness is
-    /// the slot's tombstone bitmap (bit per local site). An indexed bucket
-    /// searches its group tree from `acc`'s second-min, so it only visits
-    /// groups that can still change the pair, and `group_live` (the slot's
-    /// per-node live counters, maintained against
-    /// [`group_index`](Self::group_index)) lets it skip fully-dead subtrees
-    /// instead of testing their groups one by one.
-    pub fn fold_two_min(
-        &self,
-        q: Point,
-        alive: &[u64],
-        group_live: Option<&[u32]>,
-        acc: &mut TwoMin,
-    ) {
-        if let Some(groups) = &self.groups {
-            let counts = group_live.expect("indexed buckets carry live counters");
-            let mut best = (acc.d1, u32::MAX);
-            groups.fold_two_min_pruned(
-                q,
-                |g| bitmap_get(alive, g as usize),
-                counts,
-                &mut best,
-                &mut acc.d2,
-            );
-            if best.1 != u32::MAX {
-                acc.d1 = best.0;
-                acc.id1 = self.ids[best.1 as usize];
-            }
-            return;
+    /// the slot's tombstone bitmap (bit per local site). The group tree is
+    /// searched from `acc`'s second-min, so it only visits groups that can
+    /// still change the pair, and `group_live` (the slot's per-node live
+    /// counters, maintained against [`group_index`](Self::group_index))
+    /// lets it skip fully-dead subtrees instead of testing their groups one
+    /// by one.
+    pub fn fold_two_min(&self, q: Point, alive: &[u64], group_live: &[u32], acc: &mut TwoMin) {
+        let mut best = (acc.d1, u32::MAX);
+        self.groups.fold_two_min_pruned(
+            q,
+            |g| bitmap_get(alive, g as usize),
+            group_live,
+            &mut best,
+            &mut acc.d2,
+        );
+        if best.1 != u32::MAX {
+            acc.d1 = best.0;
+            acc.id1 = self.ids[best.1 as usize];
         }
-        for_each_live(self.sites.len(), alive, |i| {
-            acc.offer(self.sites[i].max_dist(q), self.ids[i]);
-        });
     }
-
-    /// Live-filtered expected-distance nearest neighbor: `(local, E)`.
-    /// Indexed buckets build their branch-and-bound index on first call.
-    pub fn expected_nn_where(&self, q: Point, alive: &[u64]) -> Option<(usize, f64)> {
-        if self.is_indexed() {
-            let idx = self
-                .expected
-                .get_or_init(|| ExpectedNnIndex::build_discrete(&materialize(&self.sites)));
-            let mut live = |i: usize| bitmap_get(alive, i);
-            return idx.query_where(q, &mut live);
-        }
-        let mut best: Option<(usize, f64)> = None;
-        for_each_live(self.sites.len(), alive, |i| {
-            let e = crate::expected::expected_dist_discrete(&self.sites[i], q);
-            if best.is_none_or(|(_, be)| e < be) {
-                best = Some((i, e));
-            }
-        });
-        best
-    }
-}
-
-/// Flattens shared payloads into the owned `DiscreteSet` the expected-NN
-/// index builder consumes (retained inside the index's payload).
-fn materialize(sites: &[Arc<DiscreteUncertainPoint>]) -> DiscreteSet {
-    DiscreteSet::new(sites.iter().map(|s| (**s).clone()).collect())
 }

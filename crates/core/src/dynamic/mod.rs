@@ -4,10 +4,9 @@
 //! module lifts them to a workload where uncertain sites arrive, expire,
 //! and move (the setting of probabilistic *moving* NN queries): a
 //! [`DynamicSet`] maintains the sites in geometrically-sized immutable
-//! buckets, each carrying its own query structures (a lazy kd-tree over
-//! its locations for stage 2 of both `NN≠0` and quantification; stage-1
-//! group tree + expected-distance index above
-//! [`DynamicConfig::index_min_locations`], a fixed default).
+//! buckets, each carrying the same two query structures: the stage-1
+//! group tree, built with the bucket, and a lazy kd-tree over its
+//! locations for stage 2 of both `NN≠0` and quantification.
 //!
 //! * **Insert** — the classic logarithmic-method carry: the new site plus
 //!   every bucket in the occupied prefix of slots merges into the first
@@ -48,8 +47,6 @@
 //!   union (up to the id ↔ dense-rank relabeling) through identical
 //!   arithmetic, so it is **bit-identical** to a rebuild from scratch
 //!   (enforced by `tests/dynamic_differential.rs`).
-//! * Expected-distance NN takes the minimum of per-bucket branch-and-bound
-//!   queries.
 //!
 //! ```
 //! use uncertain_nn::dynamic::{DynamicConfig, DynamicSet};
@@ -121,17 +118,9 @@ pub struct UpdateOutcome {
     pub missed: usize,
 }
 
-/// Tuning knobs of the dynamic layer.
+/// Compaction thresholds of the dynamic layer.
 #[derive(Clone, Copy, Debug)]
 pub struct DynamicConfig {
-    /// A bucket builds the stage-1 group tree (and the expected-distance
-    /// index) when it holds at least this many locations; below it, those
-    /// queries scan the live sites. It gates nothing else: stage 2 reads
-    /// every bucket's kd-tree. The default of 160 is a fixed number:
-    /// it was taken from the formula of a serving cost model that has since
-    /// been deleted (`4N` per brute query vs `16(√N + k̄ + 24)` per indexed
-    /// query cross at N ≈ 160 for k̄ ≈ 4), and nothing recomputes it.
-    pub index_min_locations: usize,
     /// A global compacting rebuild runs when tombstones exceed this
     /// fraction of all stored entries… The classic choice is `0.5` (rebuild
     /// once half the entries are dead): each remove then amortizes to ~1
@@ -146,7 +135,6 @@ pub struct DynamicConfig {
 impl Default for DynamicConfig {
     fn default() -> Self {
         DynamicConfig {
-            index_min_locations: 160,
             max_dead_fraction: 0.5,
             min_dead_for_rebuild: 16,
         }
@@ -222,10 +210,11 @@ pub struct QuantMergeStats {
 }
 
 /// Stage 1 of both query families: the two smallest `Δ_i(q)` folded so far
-/// and the site attaining the smallest. Folding a value `d` of site `id`
-/// is [`offer`](Self::offer); whatever the order, the floats end as the
-/// min and second-min of the folded multiset, and the witness can only
-/// depend on the order among exact ties at `d1`, where `d2 == d1`.
+/// and the site attaining the smallest, folded by each bucket's
+/// [`GroupIndex::fold_two_min_pruned`](uncertain_spatial::GroupIndex::fold_two_min_pruned).
+/// Whatever the order, the floats end as the min and second-min of the
+/// folded multiset, and the witness can only depend on the order among
+/// exact ties at `d1`, where `d2 == d1`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TwoMin {
     pub d1: f64,
@@ -242,7 +231,8 @@ impl TwoMin {
         d2: f64::INFINITY,
     };
 
-    #[inline]
+    /// The same fold, one site at a time: the tests' brute reference.
+    #[cfg(test)]
     pub fn offer(&mut self, d: f64, id: SiteId) {
         if d < self.d1 {
             self.d2 = self.d1;
@@ -264,8 +254,6 @@ pub struct DynamicStats {
     /// `live` by the slab-growth rebuild trigger.
     pub slab_entries: usize,
     pub buckets: usize,
-    /// Buckets large enough to carry the stage-1 group tree.
-    pub indexed_buckets: usize,
     pub rebuild: RebuildStats,
 }
 
@@ -285,10 +273,9 @@ struct Entry {
 /// An occupied Bentley–Saxe slot: the immutable shared bucket plus this
 /// snapshot's tombstone overlay as a bitmap (bit per local site). Queries
 /// test liveness with one masked load instead of chasing the entry slab.
-/// Indexed buckets additionally carry per-node live counters over the
-/// bucket's stage-1 group tree, so stage 1 skips fully-dead subtrees
-/// instead of paying for the build-batch size as tombstones accumulate
-/// toward the compaction threshold.
+/// Per-node live counters over the bucket's stage-1 group tree let stage 1
+/// skip fully-dead subtrees instead of paying for the build-batch size as
+/// tombstones accumulate toward the compaction threshold.
 #[derive(Clone)]
 struct Slot {
     bucket: Arc<Bucket>,
@@ -296,18 +283,16 @@ struct Slot {
     /// Set bits of `alive`: a fully-dead bucket (0) joins no query.
     live: usize,
     /// Live-count overlay for the bucket's [`GroupIndex`]
-    /// (uncertain_spatial::GroupIndex); `None` for brute buckets.
-    group_live: Option<Vec<u32>>,
+    /// (uncertain_spatial::GroupIndex).
+    group_live: Vec<u32>,
 }
 
 impl Slot {
     fn new(bucket: Arc<Bucket>) -> Self {
         Slot {
-            // Trailing bits of the last word stay clear, so the bucket's
-            // word-at-a-time live iteration needs no end-of-slab masking.
             alive: uncertain_spatial::soa::bitmap_filled(bucket.entry_idxs.len(), true),
             live: bucket.entry_idxs.len(),
-            group_live: bucket.group_index().map(|g| g.live_counts()),
+            group_live: bucket.group_index().live_counts(),
             bucket,
         }
     }
@@ -316,12 +301,9 @@ impl Slot {
     fn kill(&mut self, local: usize) {
         self.alive[local >> 6] &= !(1u64 << (local & 63));
         self.live -= 1;
-        if let Some(counts) = &mut self.group_live {
-            self.bucket
-                .group_index()
-                .expect("group_live exists only for indexed buckets")
-                .kill(local as u32, counts);
-        }
+        self.bucket
+            .group_index()
+            .kill(local as u32, &mut self.group_live);
     }
 }
 
@@ -502,12 +484,6 @@ impl DynamicSet {
             tombstones: self.dead,
             slab_entries: self.entries.len(),
             buckets: self.buckets.iter().flatten().count(),
-            indexed_buckets: self
-                .buckets
-                .iter()
-                .flatten()
-                .filter(|s| s.bucket.is_indexed())
-                .count(),
             rebuild: self.stats,
         }
     }
@@ -881,12 +857,7 @@ impl DynamicSet {
             .iter()
             .map(|&e| Arc::clone(&self.entries[e as usize].site))
             .collect();
-        let bucket = Arc::new(Bucket::build(
-            pool,
-            ids,
-            sites,
-            self.config.index_min_locations,
-        ));
+        let bucket = Arc::new(Bucket::build(pool, ids, sites));
         self.buckets[slot] = Some(Slot::new(bucket));
     }
 
@@ -926,8 +897,8 @@ impl DynamicSet {
     /// a bucket whose support box lies at distance `≥ acc.d2` is skipped
     /// (every site in it has `Δ_i(q) ≥` that distance, so it cannot change
     /// the pair). Buckets are visited largest first: the largest most
-    /// likely holds the two nearest sites, so the smaller indexed buckets
-    /// after it search from a tight pair. Folding several sets into one
+    /// likely holds the two nearest sites, so the smaller buckets after it
+    /// search from a tight pair. Folding several sets into one
     /// accumulator gives the pair over their union — the sharded scatter
     /// phase.
     fn fold_two_min(&self, q: Point, acc: &mut TwoMin) {
@@ -936,7 +907,7 @@ impl DynamicSet {
                 continue;
             }
             slot.bucket
-                .fold_two_min(q, &slot.alive, slot.group_live.as_deref(), acc);
+                .fold_two_min(q, &slot.alive, &slot.group_live, acc);
         }
     }
 
@@ -1025,35 +996,11 @@ impl DynamicSet {
                 acc.union(slot.bucket.support_aabb())
             })
     }
-
-    /// The live site minimizing the expected distance to `q`, with that
-    /// distance (minimum of the per-bucket branch-and-bound queries).
-    /// Exact ties *across* buckets break to the smaller id; within an
-    /// indexed bucket the branch-and-bound traversal order decides among
-    /// bitwise-equal values — the returned *value* is always the exact
-    /// minimum, the witness id among exact ties is unspecified.
-    pub fn expected_nn(&self, q: Point) -> Option<(SiteId, f64)> {
-        let mut best: Option<(SiteId, f64)> = None;
-        for slot in self.buckets.iter().flatten() {
-            if let Some((local, e)) = slot.bucket.expected_nn_where(q, &slot.alive) {
-                let id = slot.bucket.id(local);
-                let better = match best {
-                    None => true,
-                    Some((bid, be)) => e < be || (e == be && id < bid),
-                };
-                if better {
-                    best = Some((id, e));
-                }
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expected::ExpectedNnIndex;
     use crate::nonzero::{nonzero_nn_discrete, DiscreteNonzeroIndex};
     use crate::quantification::exact::quantification_discrete;
     use crate::workload;
@@ -1124,16 +1071,6 @@ mod tests {
                 wstats.warm_buckets, wstats.buckets,
                 "every touched bucket must be warm on the second query"
             );
-            // Expected NN: same minimal value (bitwise).
-            let want_e = ExpectedNnIndex::build_discrete(&fresh).query(q);
-            let got_e = d.expected_nn(q);
-            match (got_e, want_e) {
-                (None, None) => {}
-                (Some((_, ge)), Some((_, we))) => {
-                    assert_eq!(ge.to_bits(), we.to_bits(), "expected NN at {q}")
-                }
-                other => panic!("expected-NN existence mismatch: {other:?}"),
-            }
         }
     }
 
@@ -1141,21 +1078,14 @@ mod tests {
     fn random_op_stream_matches_fresh_builds() {
         for (seed, config) in [
             (1u64, DynamicConfig::default()),
-            // Tiny index threshold: every bucket exercises the indexed path.
-            (
-                2,
-                DynamicConfig {
-                    index_min_locations: 2,
-                    ..DynamicConfig::default()
-                },
-            ),
+            // A second op stream on the default configuration.
+            (2, DynamicConfig::default()),
             // Aggressive compaction.
             (
                 3,
                 DynamicConfig {
                     max_dead_fraction: 0.05,
                     min_dead_for_rebuild: 2,
-                    ..DynamicConfig::default()
                 },
             ),
         ] {
@@ -1352,7 +1282,6 @@ mod tests {
             DynamicConfig {
                 max_dead_fraction: 0.2,
                 min_dead_for_rebuild: 4,
-                ..DynamicConfig::default()
             },
         );
         for id in 0..40 {
@@ -1375,14 +1304,10 @@ mod tests {
         assert!(d.nonzero(q).is_empty());
         assert!(oracle_quant(&d, q).is_empty());
         assert!(d.quantification_merged(q).is_empty());
-        assert!(d.expected_nn(q).is_none());
         let id = d.insert(DiscreteUncertainPoint::certain(Point::new(3.0, 4.0)));
         assert_eq!(d.nonzero(q), vec![id]);
         assert_eq!(oracle_quant(&d, q), vec![(id, 1.0)]);
         assert_eq!(d.quantification_merged(q), vec![(id, 1.0)]);
-        let (eid, e) = d.expected_nn(q).unwrap();
-        assert_eq!(eid, id);
-        assert_eq!(e, 5.0);
         d.remove(id);
         assert!(d.nonzero(q).is_empty());
         assert!(d.is_empty());
@@ -1393,7 +1318,7 @@ mod tests {
     /// Lemma 2.1 oracle does.
     #[test]
     fn nonzero_queries_warm_the_shared_summary() {
-        // One indexed bulk bucket and small brute ones, with tombstones.
+        // One bulk bucket and small carried ones, with tombstones.
         let base = workload::random_discrete_set(300, 3, 2.0, 21);
         let mut d = DynamicSet::from_set(&base, DynamicConfig::default());
         let extra = workload::random_discrete_set(13, 2, 2.0, 22);
@@ -1425,6 +1350,111 @@ mod tests {
             .sum();
         assert!(0 < warm && warm < total, "reach some buckets, not all");
         assert_eq!(d.quant_summary_state(), (warm, total - warm));
+    }
+
+    /// Stage 1 is the brute two-smallest fold of `max_dist` over the live
+    /// sites, bit for bit, at every bucket size: a unit-insert history
+    /// leaves popcount(n) buckets down to a one-site one, each searched
+    /// through its group tree. The sites include collinear and cocircular
+    /// 3-4-5 lattice locations (at unit and 1e9 scale), which put integer
+    /// queries at exact `Δ` ties and on hull edges.
+    #[test]
+    fn stage_one_matches_the_brute_fold_at_every_bucket_size() {
+        const RING: [(f64, f64); 12] = [
+            (3.0, 4.0),
+            (4.0, 3.0),
+            (5.0, 0.0),
+            (4.0, -3.0),
+            (3.0, -4.0),
+            (0.0, -5.0),
+            (-3.0, -4.0),
+            (-4.0, -3.0),
+            (-5.0, 0.0),
+            (-4.0, 3.0),
+            (-3.0, 4.0),
+            (0.0, 5.0),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x345);
+        let mut d = DynamicSet::new(DynamicConfig::default());
+        let n = 127;
+        for i in 0..n {
+            let c = Point::new(
+                rng.gen_range(-6..=6i32) as f64,
+                rng.gen_range(-6..=6i32) as f64,
+            );
+            let k = rng.gen_range(1..5usize);
+            let scale = if i % 5 == 4 { 1e9 } else { 1.0 };
+            let offsets: Vec<(f64, f64)> = match i % 3 {
+                // Cocircular: k points of the radius-5 lattice ring.
+                0 => {
+                    let start = rng.gen_range(0..12usize);
+                    (0..k).map(|j| RING[(start + 5 * j) % 12]).collect()
+                }
+                // Collinear: k lattice steps along a 3-4-5 direction.
+                1 => {
+                    let (dx, dy) = RING[rng.gen_range(0..12usize)];
+                    (0..=k).map(|t| (t as f64 * dx, t as f64 * dy)).collect()
+                }
+                _ => (0..k)
+                    .map(|_| (rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)))
+                    .collect(),
+            };
+            let locs = offsets
+                .into_iter()
+                .map(|(dx, dy)| Point::new((c.x + dx) * scale, (c.y + dy) * scale))
+                .collect();
+            d.insert(DiscreteUncertainPoint::uniform(locs));
+        }
+        // Tombstones in every bucket but the one-site one (the last insert).
+        for id in (0..n - 1).step_by(7) {
+            assert!(d.remove(id));
+        }
+        assert_eq!(d.stats().buckets, n.count_ones() as usize);
+        assert!(d.stats().tombstones > 0);
+        assert!(
+            d.buckets
+                .iter()
+                .flatten()
+                .any(|s| s.bucket.entry_idxs.len() == 1),
+            "a one-site bucket"
+        );
+        let (fresh, ids) = (d.live_set(), d.live_ids());
+        let mut queries: Vec<Point> = (-10..=10)
+            .flat_map(|x| (-10..=10).map(move |y| Point::new(x as f64, y as f64)))
+            .collect();
+        queries.extend(
+            (0..300).map(|_| Point::new(rng.gen_range(-12.0..12.0), rng.gen_range(-12.0..12.0))),
+        );
+        let big: Vec<Point> = queries
+            .iter()
+            .map(|q| Point::new(q.x * 1e9, q.y * 1e9))
+            .collect();
+        queries.extend(big);
+        let mut ties = 0;
+        for q in queries {
+            let mut got = TwoMin::EMPTY;
+            d.fold_two_min(q, &mut got);
+            let mut want = TwoMin::EMPTY;
+            for (site, &id) in fresh.points.iter().zip(&ids) {
+                want.offer(site.max_dist(q), id);
+            }
+            assert_eq!(got.d1.to_bits(), want.d1.to_bits(), "d1 at {q}");
+            assert_eq!(got.d2.to_bits(), want.d2.to_bits(), "d2 at {q}");
+            if want.d1 < want.d2 {
+                assert_eq!(got.id1, want.id1, "witness at {q}");
+            } else {
+                // An exact tie at d1: the witness depends on the fold order
+                // (see `TwoMin`), so any live site attaining d1 is correct.
+                ties += 1;
+                let site = d.get(got.id1).expect("witness is live");
+                assert_eq!(
+                    site.max_dist(q).to_bits(),
+                    got.d1.to_bits(),
+                    "witness at {q}"
+                );
+            }
+        }
+        assert!(ties > 0, "the lattice puts some queries at exact ties");
     }
 
     #[test]

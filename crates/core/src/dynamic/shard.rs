@@ -22,10 +22,6 @@
 //!   union's ascending live ids, a strictly increasing relabeling, so
 //!   `(d, id)` ties order exactly as `(d, dense)` ties do in the static
 //!   sweep over the union.
-//! * Expected-distance NN — the minimum of per-shard branch-and-bound
-//!   minima, folded with the monolithic cross-bucket tie rule (exact ties
-//!   break to the smaller id; the witness among bitwise-equal values is
-//!   unspecified either way, the *value* is always the exact minimum).
 //!
 //! # Spatial pruning
 //!
@@ -60,13 +56,6 @@ use super::quant::{quantify_within, with_collect};
 use super::{DynamicSet, DynamicStats, QuantMergeStats, SiteId, TwoMin};
 use crate::model::DiscreteSet;
 use uncertain_geom::{Aabb, Point};
-
-/// Relative pruning slack for the expected-NN shard skip, mirroring the
-/// in-bucket branch-and-bound's `PRUNE_MARGIN` (`crate::expected`): the
-/// computed `Σ_j w_j·d(q, p_ij)` can round a few ulps below its true value,
-/// whose magnitude scales with the distances — so the skip test needs
-/// headroom relative to both the incumbent and the shard bound.
-const PRUNE_MARGIN: f64 = 1e-9;
 
 /// The shard owning `id` under hash partitioning into `shards` shards.
 /// Fibonacci multiplicative hashing: cheap, deterministic, and spreads the
@@ -187,7 +176,6 @@ impl ShardedReader {
             total.tombstones += d.tombstones;
             total.slab_entries += d.slab_entries;
             total.buckets += d.buckets;
-            total.indexed_buckets += d.indexed_buckets;
             let (r, t) = (&mut total.rebuild, d.rebuild);
             r.inserts += t.inserts;
             r.removes += t.removes;
@@ -226,53 +214,6 @@ impl ShardedReader {
         q: Point,
     ) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
         quantify(q, &self.scatter_order(q))
-    }
-
-    /// The live site minimizing expected distance to `q`, with that
-    /// distance: the fold of per-shard branch-and-bound minima under the
-    /// monolithic cross-bucket tie rule (exact ties to the smaller id).
-    /// The value is bit-identical to the monolithic query; the witness
-    /// among exact ties is unspecified there too.
-    pub fn expected_nn(&self, q: Point) -> Option<(SiteId, f64)> {
-        self.expected_nn_touched(q).0
-    }
-
-    /// [`expected_nn`](Self::expected_nn) plus the number of shards the
-    /// query visited after box pruning.
-    ///
-    /// Skip proof: for every live site `i ∈ s`, `E[d(q, P_i)] =
-    /// Σ_j w_j·d(q, p_ij)` with every `d(q, p_ij) ≥ bound` and normalized
-    /// weights, so its true value is `≥ bound`; the computed f64 value
-    /// can round below that by an error scaling with `ulp` of the distance
-    /// magnitude, which `PRUNE_MARGIN·(1 + be + bound)` dominates by ~7
-    /// orders (the same slack the in-bucket branch-and-bound uses, see
-    /// [`crate::expected::ExpectedNnIndex::query_where`]). When the skip
-    /// test holds, every site of `s` therefore computes `e > be` strictly —
-    /// it can neither win (`e < be`) nor tie (`e == be`) under the fold
-    /// rule, so the fold's value *and witness* are unchanged. `be` only
-    /// shrinks and bounds only grow along the visit order, so the condition
-    /// is monotone: `break`, not `continue`.
-    pub fn expected_nn_touched(&self, q: Point) -> (Option<(SiteId, f64)>, usize) {
-        let mut touched = 0usize;
-        let mut best: Option<(SiteId, f64)> = None;
-        for (shard, bound) in self.scatter_order(q) {
-            if let Some((_, be)) = best {
-                if bound > be + PRUNE_MARGIN * (1.0 + be + bound) {
-                    break;
-                }
-            }
-            touched += 1;
-            if let Some((id, e)) = shard.expected_nn(q) {
-                let better = match best {
-                    None => true,
-                    Some((bid, be)) => e < be || (e == be && id < bid),
-                };
-                if better {
-                    best = Some((id, e));
-                }
-            }
-        }
-        (best, touched)
     }
 }
 
@@ -396,13 +337,6 @@ mod tests {
                 assert_eq!(id, wid);
                 assert_eq!(got.to_bits(), w.to_bits(), "π at {q}");
             }
-            match (r.expected_nn(q), mono.expected_nn(q)) {
-                (None, None) => {}
-                (Some((_, ge)), Some((_, we))) => {
-                    assert_eq!(ge.to_bits(), we.to_bits(), "E[d] at {q}")
-                }
-                (got, want) => panic!("expected-NN mismatch: {got:?} vs {want:?}"),
-            }
         }
     }
 
@@ -513,8 +447,6 @@ mod tests {
         assert!(r.nonzero(q).is_empty());
         assert_eq!(r.nonzero_touched(q).1, 0);
         assert!(r.quantification_merged(q).is_empty());
-        assert!(r.expected_nn(q).is_none());
-        assert_eq!(r.expected_nn_touched(q).1, 0);
         assert!(r.live_set().is_empty());
     }
 
@@ -571,8 +503,6 @@ mod tests {
                 "quant touched {} at {q}",
                 stats.shards_touched
             );
-            let (_, e_touched) = r.expected_nn_touched(q);
-            assert!(e_touched < shards, "E[d] touched {e_touched} at {q}");
         }
     }
 
@@ -590,7 +520,6 @@ mod tests {
             r.quantification_merged_with_stats(q).1.shards_touched,
             shards
         );
-        assert_eq!(r.expected_nn_touched(q).1, shards);
     }
 
     /// A spatial rebalance migrates an id out of a shard and (possibly)

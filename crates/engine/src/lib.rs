@@ -107,7 +107,7 @@ use uncertain_spatial::soa::kernel_stats;
 use cache::{CacheKey, CachedValue, ResultCache};
 pub use pool::{resolve_threads, ThreadPool, THREADS_ENV};
 use shard::{Part, PartitionerKind, Router};
-pub use uncertain_nn::dynamic::{DynamicConfig, DynamicStats, SiteId, Update};
+pub use uncertain_nn::dynamic::{DynamicStats, SiteId, Update};
 
 /// One query in a batch.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -468,7 +468,9 @@ pub struct BatchResponse {
 }
 
 /// Engine configuration. `Default` is a sensible serving setup: one shard,
-/// a 4096-entry cache, auto-detected parallelism.
+/// a 4096-entry cache, auto-detected parallelism. Every shard is a
+/// Bentley–Saxe structure with the default compaction thresholds
+/// ([`DynamicConfig`](uncertain_nn::dynamic::DynamicConfig)).
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Worker count. Resolution: `UNC_ENGINE_THREADS` env > this field >
@@ -477,9 +479,6 @@ pub struct EngineConfig {
     /// Result-cache capacity in entries; `0` disables the cache entirely
     /// (no lookups or lock traffic — for measuring raw execution).
     pub cache_capacity: usize,
-    /// Tuning of each shard's Bentley–Saxe structure (bucket-index
-    /// crossover, compaction thresholds).
-    pub dynamic: DynamicConfig,
     /// Shard count `S`. Resolution: `UNC_ENGINE_SHARDS` env > this field >
     /// 1.
     pub shards: Option<usize>,
@@ -500,7 +499,6 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: None,
             cache_capacity: 4096,
-            dynamic: DynamicConfig::default(),
             shards: None,
             partitioner: PartitionerKind::Hash,
             rebalance_ratio: 4.0,

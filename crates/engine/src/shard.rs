@@ -58,7 +58,7 @@ use std::sync::Arc;
 
 use uncertain_geom::Point;
 pub use uncertain_nn::dynamic::shard::shard_of;
-use uncertain_nn::dynamic::{DynamicSet, SiteId, Update};
+use uncertain_nn::dynamic::{DynamicConfig, DynamicSet, SiteId, Update};
 use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
 
 use crate::{Engine, EngineConfig};
@@ -452,7 +452,7 @@ impl Router {
             rebalances: 0,
         };
         if shards == 1 {
-            let only = DynamicSet::from_set(&set, config.dynamic);
+            let only = DynamicSet::from_set(&set, DynamicConfig::default());
             return (router, vec![Arc::new(only)]);
         }
         let mut parts: Vec<(Vec<Update>, Vec<SiteId>)> = vec![Default::default(); shards];
@@ -463,7 +463,7 @@ impl Router {
         let sets = parts
             .into_iter()
             .map(|(ups, ids)| {
-                let mut d = DynamicSet::new(config.dynamic);
+                let mut d = DynamicSet::new(DynamicConfig::default());
                 d.apply_with_insert_ids(&ups, &ids);
                 Arc::new(d)
             })
