@@ -165,7 +165,7 @@ const EXPERIMENTS: &[(&str, &str, fn())] = &[
     ),
     (
         "E33",
-        "spatial vs hash partitioning: shards touched & q/s under skew",
+        "spatial partitioning: shards touched & q/s under skew",
         e33_partitioner_locality,
     ),
     (
@@ -2015,9 +2015,9 @@ fn e30_merge_crossover() {
         "fresh µs/q",
         "best speedup",
     ]);
-    // Non-powers of two: an insert-only history leaves one bucket per set
-    // bit of n, so these sizes produce genuinely fragmented layouts.
-    for &n in sweep(&[250usize, 1_000, 4_000, 16_000]) {
+    // 2^m − 1: an insert-only history leaves one bucket per set bit of n,
+    // so these sizes fragment into 8, 10, 12 and 14 buckets.
+    for &n in sweep(&[255usize, 1_023, 4_095, 16_383]) {
         let n = scaled(n).max(22);
         let base = workload::random_discrete_set(n, 3, 5.0, 3000 + n as u64);
         let queries = workload::random_queries(scaled(48).max(8), 60.0, 30);
@@ -2089,10 +2089,11 @@ fn e30_merge_crossover() {
 /// apply copies only the shards a batch touches, so a batch
 /// confined to one shard pays `O(n/S)` — the speedup is algorithmic
 /// (clone-volume reduction), not thread-count, and shows up even on one
-/// core. The workload is the ISSUE's "disjoint-shard batches": Move
-/// batches each confined to a single shard, round-robin over shards.
+/// core. The workload is "disjoint-shard batches": Move batches each
+/// confined to a single shard, round-robin over shards. A move keeps the
+/// site's first location, which is what the partitioner files it under, so
+/// it never leaves its shard.
 fn e31_shard_scaling() {
-    use uncertain_engine::shard::shard_of;
     use uncertain_engine::{Engine, EngineConfig, Update};
     use uncertain_nn::model::DiscreteUncertainPoint;
     header(
@@ -2131,21 +2132,21 @@ fn e31_shard_scaling() {
         );
         // Per-shard victim pools, built outside the timed loop so the
         // apply loop times the engine, not the partitioner.
-        let mut by_shard: Vec<Vec<usize>> = vec![vec![]; s];
-        for id in 0..n {
-            by_shard[shard_of(id, s)].push(id);
-        }
+        let by_shard = engine.shard_census();
         let batches: Vec<Vec<Update>> = (0..applies)
             .map(|i| {
                 use rand::Rng;
                 let pool = &by_shard[i % s];
                 (0..batch)
-                    .map(|j| Update::Move {
-                        id: pool[(i * 7919 + j * 104_729) % pool.len()],
-                        to: DiscreteUncertainPoint::uniform(vec![
-                            Point::new(rng.gen_range(-25.0..25.0), rng.gen_range(-25.0..25.0)),
-                            Point::new(rng.gen_range(-25.0..25.0), rng.gen_range(-25.0..25.0)),
-                        ]),
+                    .map(|j| {
+                        let id = pool[(i * 7919 + j * 104_729) % pool.len()];
+                        Update::Move {
+                            id,
+                            to: DiscreteUncertainPoint::uniform(vec![
+                                base.points[id].locations()[0],
+                                Point::new(rng.gen_range(-25.0..25.0), rng.gen_range(-25.0..25.0)),
+                            ]),
+                        }
                     })
                     .collect()
             })
@@ -2448,23 +2449,21 @@ fn e32_server_overload() {
 
 // ---------------------------------------------------------------------------
 
-/// E33: the partitioning experiment. Hash partitioning scatters every read
-/// to all `S` shards (every shard's support box covers the whole cloud);
-/// region-disjoint spatial partitioning lets the reader's box pruning skip
-/// shards strictly outside the query's certified disk, so clustered
-/// queries touch `≪ S` shards. A hot-cluster arrival wave (then drain) runs
-/// before measurement so the spatial legs also cross the rebalance path —
-/// the steady state being measured is post-migration, not the pristine
-/// initial split.
+/// E33: the partitioning experiment. Region-disjoint spatial partitioning
+/// lets the reader's box pruning skip shards strictly outside the query's
+/// certified disk, so clustered queries touch `≪ S` shards; a read that
+/// visits every shard is the baseline (`S` per query). A hot-cluster
+/// arrival wave (then drain) runs before measurement so the clustered legs
+/// also cross the rebalance path — the steady state being measured is
+/// post-migration, not the pristine initial split.
 fn e33_partitioner_locality() {
     use uncertain_bench::cluster::{ClusterConfig, ClusterWorkload};
-    use uncertain_engine::shard::PartitionerKind;
     use uncertain_engine::{Engine, EngineConfig, QueryRequest, Update};
 
     header(
         "E33",
-        "spatial vs hash partitioning: scatter-gather fan-out under skew",
-        "region-disjoint shards + box pruning: clustered queries touch ≪ S shards (hash always touches S), cutting per-query gather work",
+        "spatial partitioning: scatter-gather fan-out under skew",
+        "region-disjoint shards + box pruning: clustered queries touch ≪ S shards (a read of every shard touches S), cutting per-query gather work",
     );
 
     let n = scaled(20_000).max(600);
@@ -2472,15 +2471,12 @@ fn e33_partitioner_locality() {
     let mut t = Table::new(&[
         "workload",
         "S",
-        "partitioner",
         "rebalances",
         "shards touched (mean)",
         "q/s",
     ]);
-    let mut spatial_clustered_s8 = f64::NAN;
-    let mut hash_clustered_s8 = f64::NAN;
-    let mut hash_clustered_s8_qps = f64::NAN;
-    let mut spatial_clustered_s8_qps = f64::NAN;
+    let mut clustered_s8 = f64::NAN;
+    let mut clustered_s8_qps = f64::NAN;
 
     for &clustered in &[false, true] {
         let cfg = ClusterConfig::default();
@@ -2501,109 +2497,74 @@ fn e33_partitioner_locality() {
             .collect();
 
         for &s in &[4usize, 8, 16] {
-            for &part in &[PartitionerKind::Hash, PartitionerKind::Spatial] {
-                let engine = Engine::new(
-                    set.clone(),
-                    EngineConfig {
-                        shards: Some(s),
-                        partitioner: part,
-                        rebalance_ratio: 2.0,
-                        // Cache off: every read executes and is counted.
-                        cache_capacity: 0,
-                        ..EngineConfig::default()
-                    },
-                );
-                // Pre-measurement skew: pile a wave into the hottest
-                // cluster, then drain it — identical live set afterwards,
-                // but the spatial legs have crossed a rebalance (the same
-                // wave is applied to hash for fairness; it never triggers
-                // there).
-                if clustered {
-                    let mut w = ClusterWorkload::new(0xE33 ^ 7, cfg);
-                    let report = engine.apply(&w.arrivals(n / 4, 0));
-                    let drain: Vec<Update> = report
-                        .inserted
-                        .iter()
-                        .map(|&id| Update::Remove(id))
-                        .collect();
-                    engine.apply(&drain);
-                }
-                // One warm-up batch builds the lazy quant summaries, so the
-                // timed batch is steady state.
-                engine.run_batch(&batch);
-                let (stats, secs) = time(|| engine.run_batch(&batch).stats);
-                let mean = stats.avg_shards_touched();
-                let qps = batch.len() as f64 / secs;
-                let workload_name = if clustered { "clustered" } else { "uniform" };
-                let part_name = match part {
-                    PartitionerKind::Hash => "hash",
-                    PartitionerKind::Spatial => "spatial",
-                };
-                t.row(&[
-                    workload_name.into(),
-                    s.to_string(),
-                    part_name.into(),
-                    engine.rebalances().to_string(),
-                    format!("{mean:.2}"),
-                    format!("{qps:.0}"),
-                ]);
+            let engine = Engine::new(
+                set.clone(),
+                EngineConfig {
+                    shards: Some(s),
+                    rebalance_ratio: 2.0,
+                    // Cache off: every read executes and is counted.
+                    cache_capacity: 0,
+                    ..EngineConfig::default()
+                },
+            );
+            // Pre-measurement skew: pile a wave into the hottest cluster,
+            // then drain it — identical live set afterwards, but the
+            // partition has crossed a rebalance.
+            if clustered {
+                let mut w = ClusterWorkload::new(0xE33 ^ 7, cfg);
+                let report = engine.apply(&w.arrivals(n / 4, 0));
+                let drain: Vec<Update> = report
+                    .inserted
+                    .iter()
+                    .map(|&id| Update::Remove(id))
+                    .collect();
+                engine.apply(&drain);
+            }
+            // One warm-up batch builds the lazy quant summaries, so the
+            // timed batch is steady state.
+            engine.run_batch(&batch);
+            let (stats, secs) = time(|| engine.run_batch(&batch).stats);
+            let mean = stats.avg_shards_touched();
+            let qps = batch.len() as f64 / secs;
+            let workload_name = if clustered { "clustered" } else { "uniform" };
+            t.row(&[
+                workload_name.into(),
+                s.to_string(),
+                engine.rebalances().to_string(),
+                format!("{mean:.2}"),
+                format!("{qps:.0}"),
+            ]);
 
-                assert_eq!(
-                    stats.shard_reads,
-                    batch.len(),
-                    "cache-off quant reads must all be counted"
+            assert_eq!(
+                stats.shard_reads,
+                batch.len(),
+                "cache-off quant reads must all be counted"
+            );
+            if clustered && !uncertain_bench::smoke() {
+                assert!(
+                    engine.rebalances() >= 1,
+                    "the hot-cluster wave must trigger a rebalance at S={s}"
                 );
-                if !uncertain_bench::smoke() {
-                    if part == PartitionerKind::Hash {
-                        // Hash shards all (nearly) cover the whole cloud, so
-                        // box pruning has essentially nothing to cut — the
-                        // fan-out stays ≈ S. (Not exactly S: each shard's box
-                        // is the hull of its own random site subset, so a
-                        // peripheral query with a tiny certified disk can
-                        // occasionally skip a shard whose hull falls just
-                        // short of it.)
-                        assert!(
-                            mean > 0.9 * s as f64,
-                            "hash fan-out must stay ≈ S={s}, got {mean}"
-                        );
-                    } else if clustered {
-                        assert!(
-                            engine.rebalances() >= 1,
-                            "the hot-cluster wave must trigger a rebalance at S={s}"
-                        );
-                    }
-                }
-                if clustered && s == 8 {
-                    match part {
-                        PartitionerKind::Spatial => {
-                            spatial_clustered_s8 = mean;
-                            spatial_clustered_s8_qps = qps;
-                        }
-                        PartitionerKind::Hash => {
-                            hash_clustered_s8 = mean;
-                            hash_clustered_s8_qps = qps;
-                        }
-                    }
-                }
+            }
+            if clustered && s == 8 {
+                clustered_s8 = mean;
+                clustered_s8_qps = qps;
             }
         }
     }
     t.print();
     println!("   n={n} sites, {nq} TopK queries/batch, cache off, rebalance ratio 2.0;");
+    println!("   clustered legs run a hot-cluster wave+drain before measurement (rebalances ≥1)");
     println!(
-        "   clustered legs run a hot-cluster wave+drain before measurement (spatial rebalances ≥1)"
+        "   clustered S=8: touches {clustered_s8:.2} shards/query (every-shard baseline: 8.00), \
+         q/s {clustered_s8_qps:.0}"
     );
-    println!(
-        "   clustered S=8: spatial touches {spatial_clustered_s8:.2} shards/query \
-         (hash: {hash_clustered_s8:.2}), q/s {spatial_clustered_s8_qps:.0} vs {hash_clustered_s8_qps:.0}"
-    );
-    // The ISSUE's acceptance bar: under clustered load at S=8 the spatial
-    // fan-out must stay below S/2. (Smoke boxes run the same path without
-    // the assertion.)
+    // The acceptance bar: under clustered load at S=8 the fan-out must stay
+    // below S/2. (Smoke boxes run the same path without the assertion.)
     if !uncertain_bench::smoke() {
         assert!(
-            spatial_clustered_s8 < 4.0,
-            "spatial clustered S=8 fan-out must be < S/2 = 4, got {spatial_clustered_s8:.2}"
+            clustered_s8 < 4.0,
+            "clustered S=8 fan-out must be < S/2 = 4, got {clustered_s8:.2}"
         );
     }
 }

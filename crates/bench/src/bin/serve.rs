@@ -15,10 +15,9 @@
 //! `load_gen --obs` / `obs_check` to consume.
 //!
 //! The engine is built from `EngineConfig::default()` plus the engine's
-//! env overrides: `UNC_ENGINE_SHARDS=N` serves `N` shards (default 1),
-//! `UNC_ENGINE_PARTITIONER=hash|spatial` picks how sites map to them, and
-//! `UNC_ENGINE_REBALANCE`/`UNC_ENGINE_THREADS` tune the rest — so a
-//! spatially sharded engine, with its query pruning and rebalancing, is
+//! env overrides: `UNC_ENGINE_SHARDS=N` serves `N` shards (default 1, split
+//! by region), and `UNC_ENGINE_REBALANCE`/`UNC_ENGINE_THREADS` tune the
+//! rest — so a sharded engine, with its query pruning and rebalancing, is
 //! one env var away from the wire.
 
 use std::sync::Arc;

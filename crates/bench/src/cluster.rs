@@ -7,8 +7,7 @@
 //! and then emits sites, queries, and hot-cluster arrival waves all biased
 //! toward the popular clusters — the workload shape under which spatial
 //! partitioning's box pruning pays off (queries touch the one or two
-//! shards owning their hot spot) and under which hash partitioning cannot
-//! (every shard holds a slice of every cluster). Composes with
+//! shards owning their hot spot). Composes with
 //! [`crate::churn::ChurnStream`]: run background churn for liveness, and
 //! layer [`ClusterWorkload::arrivals`] waves on top to skew the spatial
 //! balance and force rebalances.
@@ -151,9 +150,8 @@ impl ClusterWorkload {
     }
 
     /// An arrival wave: `count` inserts all inside cluster `rank` — the
-    /// skew hammer. Piling a wave into one cluster balloons the spatial
-    /// shard(s) owning that region past any rebalance ratio; hash
-    /// partitioning spreads the same wave evenly and never notices.
+    /// skew hammer. Piling a wave into one cluster balloons the shard(s)
+    /// owning that region past any rebalance ratio.
     pub fn arrivals(&mut self, count: usize, rank: usize) -> Vec<Update> {
         (0..count)
             .map(|_| Update::Insert(self.site_in(rank)))

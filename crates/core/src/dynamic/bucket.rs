@@ -60,7 +60,7 @@ impl Bucket {
         debug_assert_eq!(ids.len(), sites.len());
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "bucket ids ascend");
         let total: usize = sites.iter().map(|s| s.k()).sum();
-        let locations: Vec<Vec<Point>> = sites.iter().map(|s| s.locations().to_vec()).collect();
+        let locations: Vec<&[Point]> = sites.iter().map(|s| s.locations()).collect();
         let groups = GroupIndex::build(&locations);
         let support_aabb =
             Aabb::from_points(sites.iter().flat_map(|s| s.locations().iter().copied()));

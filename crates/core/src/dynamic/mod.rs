@@ -270,6 +270,13 @@ struct Entry {
     place: Option<(u32, u32)>,
 }
 
+/// The Bentley–Saxe slot a bucket of `n` entries lands at: the smallest `k`
+/// with `n ≤ 2^k`. Carries and bulk loads both place by it, so slot `k`
+/// never holds more than `2^k` entries.
+fn slot_for(n: usize) -> usize {
+    n.next_power_of_two().trailing_zeros() as usize
+}
+
 /// An occupied Bentley–Saxe slot: the immutable shared bucket plus this
 /// snapshot's tombstone overlay as a bitmap (bit per local site). Queries
 /// test liveness with one masked load instead of chasing the entry slab.
@@ -365,34 +372,42 @@ impl DynamicSet {
     }
 
     /// Bulk-loads a static set into a single bucket; site `i` of `set`
-    /// receives id `i`. (The bulk build is not counted in the update
-    /// amortization stats.)
+    /// receives id `i`. A cloning wrapper over
+    /// [`from_sites`](Self::from_sites).
     pub fn from_set(set: &DiscreteSet, config: DynamicConfig) -> Self {
-        let n = set.len();
-        let mut s = DynamicSet {
-            entries: set
-                .points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| Entry {
-                    site: Arc::new(p.clone()),
-                    id: i,
-                    alive: true,
-                    place: None,
-                })
-                .collect(),
-            handles: (0..n).map(|i| (i, i as u32)).collect(),
-            next_id: n,
-            live_ids: (0..n).collect(),
-            stale_ids: 0,
-            buckets: vec![],
-            live: n,
-            live_locations: set.points.iter().map(|p| p.k()).sum(),
-            dead: 0,
-            config,
-            stats: RebuildStats::default(),
-        };
-        s.bootstrap_buckets();
+        Self::from_sites((0..set.len()).collect(), set.points.clone(), config)
+    }
+
+    /// Bulk-loads `sites` under `ids` (parallel to `sites`, strictly
+    /// ascending) as one bucket at the smallest slot that fits it. Each
+    /// site moves into its shared payload without a copy. (The bulk build
+    /// is not counted in the update amortization stats.)
+    ///
+    /// # Panics
+    ///
+    /// If `ids` and `sites` differ in length or `ids` does not ascend.
+    pub fn from_sites(
+        ids: Vec<SiteId>,
+        sites: Vec<DiscreteUncertainPoint>,
+        config: DynamicConfig,
+    ) -> Self {
+        assert_eq!(ids.len(), sites.len(), "one id per site");
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "bulk ids ascend");
+        let mut s = DynamicSet::new(config);
+        s.next_id = ids.last().map_or(0, |&id| id + 1);
+        s.live = ids.len();
+        s.live_locations = sites.iter().map(|p| p.k()).sum();
+        let entries = ids
+            .into_iter()
+            .zip(sites)
+            .map(|(id, site)| Entry {
+                site: Arc::new(site),
+                id,
+                alive: true,
+                place: None,
+            })
+            .collect();
+        s.lay_out_one_bucket(entries);
         s
     }
 
@@ -486,6 +501,18 @@ impl DynamicSet {
             buckets: self.buckets.iter().flatten().count(),
             rebuild: self.stats,
         }
+    }
+
+    /// `(slot k, entries stored there)` per occupied Bentley–Saxe slot,
+    /// ascending `k`, counting live and tombstoned entries alike. Carries,
+    /// bulk loads and compactions all place a bucket at the smallest slot
+    /// that fits it, so every pair has `entries ≤ 2^k`.
+    pub fn slot_sizes(&self) -> Vec<(usize, usize)> {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(k, slot)| Some((k, slot.as_ref()?.bucket.entry_idxs.len())))
+            .collect()
     }
 
     /// Inserts a site, returning its fresh stable id.
@@ -740,40 +767,37 @@ impl DynamicSet {
         self.stats.sites_rebuilt += self.live as u64;
         uncertain_obs::counter!("dynamic.global_rebuilds").inc();
         uncertain_obs::counter!("dynamic.sites_rebuilt").add(self.live as u64);
-        let mut survivors: Vec<(SiteId, Arc<DiscreteUncertainPoint>)> = self
+        let mut survivors: Vec<Entry> = self
             .entries
             .iter()
             .filter(|e| e.alive)
-            .map(|e| (e.id, Arc::clone(&e.site)))
-            .collect();
-        survivors.sort_unstable_by_key(|&(id, _)| id);
-        self.entries = survivors
-            .into_iter()
-            .map(|(id, site)| Entry {
-                site,
-                id,
-                alive: true,
+            .map(|e| Entry {
                 place: None,
+                ..e.clone()
             })
             .collect();
-        self.handles.clear();
-        for (i, e) in self.entries.iter().enumerate() {
-            self.handles.insert(e.id, i as u32);
-        }
-        self.dead = 0;
-        self.live_ids = self.entries.iter().map(|e| e.id).collect();
-        self.stale_ids = 0;
-        self.bootstrap_buckets();
+        survivors.sort_unstable_by_key(|e| e.id);
+        self.lay_out_one_bucket(survivors);
     }
 
-    /// Lays the whole (all-live) entry slab out as a single bucket at the
-    /// slot matching its size — the shared bootstrap of `from_set` and
-    /// `rebuild_all`.
-    fn bootstrap_buckets(&mut self) {
+    /// Makes `entries` (all live, ascending id) the whole entry slab and
+    /// lays them out as a single bucket at [`slot_for`] their count — the
+    /// shared layout of [`from_sites`](Self::from_sites) and
+    /// [`rebuild_all`](Self::rebuild_all).
+    fn lay_out_one_bucket(&mut self, entries: Vec<Entry>) {
+        self.handles.clear();
+        self.handles.reserve(entries.len());
+        for (i, e) in entries.iter().enumerate() {
+            self.handles.insert(e.id, i as u32);
+        }
+        self.live_ids = entries.iter().map(|e| e.id).collect();
+        self.stale_ids = 0;
+        self.dead = 0;
+        self.entries = entries;
         self.buckets.clear();
         let n = self.entries.len();
         if n > 0 {
-            let slot = (usize::BITS - 1 - n.leading_zeros()) as usize;
+            let slot = slot_for(n);
             self.buckets = vec![None; slot + 1];
             self.place_bucket(slot, (0..n as u32).collect());
         }
@@ -811,12 +835,12 @@ impl DynamicSet {
                 continue;
             }
             // The merged bucket must land at a level that fits its size
-            // (slot k holds ≤ 2^k entries). Stopping at the first empty
-            // slot regardless of size would drop a bulk batch at slot 0,
-            // and every later carry would re-gather and rebuild it —
-            // turning the amortized O(log n) per update into O(n) per
-            // batch. Unit inserts are unaffected (their pools always fit).
-            if pool.len() <= (1usize << slot.min(usize::BITS as usize - 1)) {
+            // (`slot_for`). Stopping at the first empty slot regardless
+            // of size would drop a bulk batch at slot 0, and every later
+            // carry would re-gather and rebuild it — turning the amortized
+            // O(log n) per update into O(n) per batch. Unit inserts are
+            // unaffected (their pools always fit).
+            if slot >= slot_for(pool.len()) {
                 break;
             }
             slot += 1;
@@ -1295,6 +1319,48 @@ mod tests {
             "{s:?}"
         );
         assert_matches_fresh(&d, &workload::random_queries(3, 60.0, 12));
+    }
+
+    fn assert_slots_fit(d: &DynamicSet, when: &str) {
+        for (k, n) in d.slot_sizes() {
+            assert!(n <= 1 << k, "{when}: slot {k} holds {n} entries");
+        }
+    }
+
+    /// Every path that places a bucket puts `n` entries at a slot `k` with
+    /// `n ≤ 2^k`: the bulk load, the carries of a churn history (moves,
+    /// removes and inserts in one batch) and a compaction.
+    #[test]
+    fn every_slot_fits_its_bucket() {
+        let base = workload::random_discrete_set(5_000, 2, 5.0, 25);
+        let mut d = DynamicSet::from_set(&base, DynamicConfig::default());
+        assert_eq!(d.slot_sizes(), vec![(13, 5_000)]);
+        let mut rng = StdRng::seed_from_u64(25);
+        let site = |rng: &mut StdRng| {
+            DiscreteUncertainPoint::certain(Point::new(
+                rng.gen_range(-50.0..50.0),
+                rng.gen_range(-50.0..50.0),
+            ))
+        };
+        for round in 0..30 {
+            let live = d.live_ids();
+            let mut ups: Vec<Update> = (0..150)
+                .map(|j| Update::Remove(live[(round * 131 + j * 37) % live.len()]))
+                .collect();
+            for j in 0..20 {
+                let id = live[(round * 17 + j * 241 + 5) % live.len()];
+                ups.push(Update::Move {
+                    id,
+                    to: site(&mut rng),
+                });
+            }
+            ups.extend((0..100).map(|_| Update::Insert(site(&mut rng))));
+            d.apply(&ups);
+            assert_slots_fit(&d, &format!("churn round {round}"));
+        }
+        d.rebuild_all();
+        assert_slots_fit(&d, "rebuild_all");
+        assert_eq!(d.slot_sizes().len(), 1);
     }
 
     #[test]

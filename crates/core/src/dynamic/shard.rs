@@ -2,7 +2,8 @@
 //! independent [`DynamicSet`] shards.
 //!
 //! The reader is **partition-agnostic**: each site lives in exactly one
-//! shard (by id hash, by spatial region — the reader never asks which),
+//! shard (the serving engine splits by spatial region; the reader never
+//! asks how),
 //! each shard is a full Bentley–Saxe structure (buckets, tombstone bitmaps,
 //! warm quant summaries) that mutates independently. Every query family
 //! recombines **bit-identically** to a single monolithic set holding the
@@ -32,11 +33,12 @@
 //! location of `i` lies in `box_s`). Shards are visited in ascending
 //! box-distance order so thresholds tighten before far shards are tested;
 //! a shard is skipped exactly when the bound proves no site in it can
-//! change any output bit (each skip rule carries its proof inline). Under
-//! hash partitioning every shard's box covers essentially the whole cloud,
-//! so the bounds are all ~0 and nothing is pruned — the pruned driver
-//! degrades to the plain scatter-gather. Under a spatial partitioner the
-//! boxes are near-disjoint and clustered queries touch `O(1)` shards.
+//! change any output bit (each skip rule carries its proof inline). When
+//! the shards overlap (this module's tests also split by an id hash) every
+//! shard's box covers essentially the whole cloud, so the bounds are all
+//! ~0 and nothing is pruned — the pruned driver degrades to the plain
+//! scatter-gather. Under the engine's spatial split the boxes are
+//! near-disjoint and clustered queries touch `O(1)` shards.
 //! The `*_touched` variants report how many shards a query actually
 //! visited — the engine reports it as its per-batch fan-out.
 //!
@@ -48,7 +50,7 @@
 //!
 //! `tests/sharded_differential.rs` checks engines built on this reader
 //! after every op of randomized interleavings against the core-library
-//! oracle at S ∈ {1, 3, 8} under both hash and spatial partitioners.
+//! oracle at S ∈ {1, 3, 8}, with and without rebalancing.
 
 use std::sync::{Arc, OnceLock};
 
@@ -56,15 +58,6 @@ use super::quant::{quantify_within, with_collect};
 use super::{DynamicSet, DynamicStats, QuantMergeStats, SiteId, TwoMin};
 use crate::model::DiscreteSet;
 use uncertain_geom::{Aabb, Point};
-
-/// The shard owning `id` under hash partitioning into `shards` shards.
-/// Fibonacci multiplicative hashing: cheap, deterministic, and spreads the
-/// strictly-increasing id stream evenly instead of striping it.
-#[inline]
-pub fn shard_of(id: SiteId, shards: usize) -> usize {
-    debug_assert!(shards > 0);
-    (((id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % shards as u64) as usize
-}
 
 /// A read-only scatter-gather view over one snapshot of every shard.
 ///
@@ -302,6 +295,14 @@ mod tests {
     use crate::workload;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The shard owning `id` under an id-hash split into `shards` shards —
+    /// overlapping shard boxes, the case box pruning cannot help.
+    /// Fibonacci multiplicative hashing spreads the strictly-increasing id
+    /// stream evenly instead of striping it.
+    fn shard_of(id: SiteId, shards: usize) -> usize {
+        (((id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % shards as u64) as usize
+    }
 
     fn partitioned(n: usize, shards: usize, seed: u64) -> (DynamicSet, Vec<DynamicSet>) {
         let base = workload::random_discrete_set(n, 3, 8.0, seed);

@@ -113,17 +113,9 @@ impl ExpectedNnIndex {
         }
     }
 
-    /// The point minimizing the expected distance, with that distance.
-    /// Branch-and-bound: only candidates whose lower bound beats the best
-    /// exact value so far are evaluated exactly.
-    pub fn query(&self, q: Point) -> Option<(usize, f64)> {
-        self.query_where(q, |_| true)
-    }
-
-    /// Like [`query`](Self::query), restricted to points for which
-    /// `live(i)` holds — the primitive the dynamic (Bentley–Saxe) layer
-    /// uses to overlay tombstones on a per-bucket index. `None` when no
-    /// point is live.
+    /// The point minimizing the expected distance, with that distance;
+    /// `None` for an empty set. Branch-and-bound: only candidates whose
+    /// lower bound beats the best exact value so far are evaluated exactly.
     ///
     /// Pruning uses a small safety margin: a candidate is skipped only when
     /// its f64 lower bound exceeds the incumbent by more than
@@ -132,13 +124,9 @@ impl ExpectedNnIndex {
     /// computed bound scales with `ulp(d)`, not with the (possibly tiny)
     /// result. Rounding can therefore never prune the true minimizer, and
     /// the returned value is exactly (bit-for-bit) the minimum of
-    /// `expected_dist_*` over the live points, the same value a brute-force
-    /// scan computes.
-    pub fn query_where(
-        &self,
-        q: Point,
-        mut live: impl FnMut(usize) -> bool,
-    ) -> Option<(usize, f64)> {
+    /// `expected_dist_*` over the points, the same value a brute-force scan
+    /// computes.
+    pub fn query(&self, q: Point) -> Option<(usize, f64)> {
         /// Relative pruning slack covering f64 rounding in the lower bound
         /// (a few hundred ulps of headroom at every magnitude).
         const PRUNE_MARGIN: f64 = 1e-9;
@@ -158,9 +146,6 @@ impl ExpectedNnIndex {
                 }
             }
             let i = id as usize;
-            if !live(i) {
-                continue;
-            }
             if let Some((_, be)) = best {
                 if d - self.slack[i] > be + PRUNE_MARGIN * (1.0 + be + d) {
                     continue; // per-item lower bound prunes the evaluation
@@ -261,28 +246,22 @@ mod tests {
     }
 
     #[test]
-    fn filtered_query_matches_filtered_brute_bitwise() {
+    fn query_matches_brute_bitwise() {
         let set = workload::random_discrete_set(50, 3, 5.0, 21);
         let idx = ExpectedNnIndex::build_discrete(&set);
-        for (round, q) in workload::random_queries(40, 60.0, 22)
-            .into_iter()
-            .enumerate()
-        {
-            let mask: Vec<bool> = (0..set.len()).map(|i| (i + round) % 3 != 0).collect();
-            let (i, e) = idx.query_where(q, |i| mask[i]).unwrap();
-            assert!(mask[i], "reported a filtered-out point");
-            let brute = set
+        for q in workload::random_queries(40, 60.0, 22) {
+            let (i, e) = idx.query(q).unwrap();
+            let brute: Vec<f64> = set
                 .points
                 .iter()
-                .enumerate()
-                .filter(|&(j, _)| mask[j])
-                .map(|(_, p)| expected_dist_discrete(p, q))
-                .fold(f64::INFINITY, f64::min);
+                .map(|p| expected_dist_discrete(p, q))
+                .collect();
+            let best = brute.iter().copied().fold(f64::INFINITY, f64::min);
             // The safe pruning margin makes the b&b minimum bit-identical
             // to the brute scan minimum.
-            assert_eq!(e.to_bits(), brute.to_bits(), "at {q}");
+            assert_eq!(e.to_bits(), best.to_bits(), "at {q}");
+            assert_eq!(brute[i].to_bits(), best.to_bits(), "witness at {q}");
         }
-        assert!(idx.query_where(Point::new(0.0, 0.0), |_| false).is_none());
     }
 
     #[test]

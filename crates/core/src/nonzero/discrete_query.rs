@@ -50,8 +50,7 @@ impl Clone for DiscreteNonzeroIndex {
 impl DiscreteNonzeroIndex {
     /// Builds from a discrete set. `O(N log N)`.
     pub fn build(set: &DiscreteSet) -> Self {
-        let group_pts: Vec<Vec<Point>> =
-            set.points.iter().map(|p| p.locations().to_vec()).collect();
+        let group_pts: Vec<&[Point]> = set.points.iter().map(|p| p.locations()).collect();
         let items: Vec<(Point, u32)> = set
             .all_locations()
             .map(|(i, _, loc, _)| (loc, i as u32))

@@ -11,7 +11,7 @@
 //!   one scatter-gather reader whose answers are bit-identical at every
 //!   `S`. `S = 1` is the default (`EngineConfig::shards = None` with
 //!   `UNC_ENGINE_SHARDS` unset); [`shard`] covers partitioning, the
-//!   spatial partitioner's query pruning and rebalancing, and the env
+//!   partitioner's query pruning and rebalancing, and the env
 //!   overrides. [`Engine::shard_stats`] always holds `S` rows;
 //! * a std-only [thread pool](pool) (`std::thread` + channels) splits each
 //!   batch across workers — `UNC_ENGINE_THREADS` pins the worker count for
@@ -383,9 +383,8 @@ impl ExecStats {
     }
 
     /// Mean shards visited per scatter-gather read; `0.0` when the batch
-    /// did none (every answer from the cache). Equal to
-    /// the shard count under hash partitioning; `< shards` measures how
-    /// much the spatial partitioner's box pruning cut the fan-out.
+    /// did none (every answer from the cache). `< shards` measures how
+    /// much the partitioner's box pruning cut the fan-out.
     pub fn avg_shards_touched(&self) -> f64 {
         if self.shard_reads == 0 {
             0.0
@@ -482,15 +481,14 @@ pub struct EngineConfig {
     /// Shard count `S`. Resolution: `UNC_ENGINE_SHARDS` env > this field >
     /// 1.
     pub shards: Option<usize>,
-    /// How sites are assigned to shards: `Hash` (default — stable-id hash,
-    /// every query fans out to all shards) or `Spatial` (kd-split of the
-    /// site cloud — clustered queries touch few shards). Overridable via
-    /// the `UNC_ENGINE_PARTITIONER` env var (`hash` / `spatial`).
+    /// How sites are assigned to shards. [`PartitionerKind::Spatial`] is
+    /// the only value (a kd-split of the site cloud, see [`shard`]); the
+    /// field stays because the repository benchmark (`ladderbench/`) sets
+    /// it.
     pub partitioner: PartitionerKind,
-    /// Live-count imbalance ratio (max/min across shards) past which a
-    /// spatial apply schedules an incremental rebalance; `0.0` disables
-    /// rebalancing. Overridable via `UNC_ENGINE_REBALANCE`. Ignored under
-    /// `Hash` partitioning.
+    /// Live-count imbalance ratio (max/min across shards) past which an
+    /// apply schedules a rebalance; `0.0` disables rebalancing. Overridable
+    /// via `UNC_ENGINE_REBALANCE`. Moot at one shard.
     pub rebalance_ratio: f64,
 }
 
@@ -500,7 +498,7 @@ impl Default for EngineConfig {
             threads: None,
             cache_capacity: 4096,
             shards: None,
-            partitioner: PartitionerKind::Hash,
+            partitioner: PartitionerKind::Spatial,
             rebalance_ratio: 4.0,
         }
     }
@@ -517,8 +515,8 @@ struct EngineCore {
     shard_epochs: Vec<u64>,
     /// Scatter-gather view over one `Arc` snapshot per shard.
     reader: ShardedReader,
-    /// Resolved: `shards`, `partitioner` and `rebalance_ratio` hold what
-    /// the engine runs with, env overrides applied.
+    /// Resolved: `shards` and `rebalance_ratio` hold what the engine runs
+    /// with, env overrides applied.
     config: EngineConfig,
     /// Shared across epochs; epoch-stamped keys keep entries from ever
     /// crossing snapshots.
@@ -672,12 +670,11 @@ impl Engine {
     /// shards so the first batch is already served by the dynamic plans.
     /// Spawns the worker pool immediately. Sites receive the stable ids
     /// `0..set.len()` in input order. The shard count resolves via
-    /// [`shard::resolve_shards`] from `config.shards`, the partitioner and
-    /// rebalance ratio via their `resolve_*` twins.
+    /// [`shard::resolve_shards`] from `config.shards`, the rebalance ratio
+    /// via [`shard::resolve_rebalance`].
     pub fn new(set: DiscreteSet, config: EngineConfig) -> Self {
         let config = EngineConfig {
             shards: Some(shard::resolve_shards(config.shards)),
-            partitioner: shard::resolve_partitioner(config.partitioner),
             rebalance_ratio: shard::resolve_rebalance(config.rebalance_ratio),
             ..config
         };
@@ -714,11 +711,6 @@ impl Engine {
     /// Resolved shard count `S`.
     pub fn num_shards(&self) -> usize {
         self.snapshot().reader.num_shards()
-    }
-
-    /// Resolved partitioner kind.
-    pub fn partitioner_kind(&self) -> PartitionerKind {
-        self.snapshot().config.partitioner
     }
 
     /// Rebalance rounds executed since construction.
@@ -772,8 +764,8 @@ impl Engine {
     /// claim their ids first, in update order); each shard whose sub-batch
     /// changes something is copied and advanced by the Bentley–Saxe carry
     /// rule — **not** rebuilt — several shards in parallel on the worker
-    /// pool, and untouched shards are shared with the old snapshot. A
-    /// spatial apply that pushes the live-count imbalance past the
+    /// pool, and untouched shards are shared with the old snapshot. An
+    /// apply that pushes the live-count imbalance past the
     /// rebalance ratio also runs the migration round before publishing, so
     /// the user's updates and the migrations land in **one** generation.
     ///
@@ -1256,7 +1248,7 @@ mod tests {
     }
 
     /// Non-finite inputs and non-positive thresholds fail typed, uncached,
-    /// at every shard count and under both partitioners — they never reach
+    /// at every shard count — they never reach
     /// a plan's total-order assumptions or a cache key, and `τ ≤ 0` never
     /// returns the sites with `π = 0`.
     #[test]
@@ -1276,24 +1268,21 @@ mod tests {
             QueryRequest::Threshold { q: ok, tau: -0.5 },
         ];
         for shards in [1, 3] {
-            for partitioner in [PartitionerKind::Hash, PartitionerKind::Spatial] {
-                let eng = Engine::new(
-                    set.clone(),
-                    EngineConfig {
-                        shards: Some(shards),
-                        partitioner,
-                        ..EngineConfig::default()
-                    },
+            let eng = Engine::new(
+                set.clone(),
+                EngineConfig {
+                    shards: Some(shards),
+                    ..EngineConfig::default()
+                },
+            );
+            let cached = eng.cache_len();
+            for res in eng.run_batch(&batch).results {
+                assert!(
+                    matches!(res, QueryResult::Failed { .. }),
+                    "S={shards}: got {res:?}"
                 );
-                let cached = eng.cache_len();
-                for res in eng.run_batch(&batch).results {
-                    assert!(
-                        matches!(res, QueryResult::Failed { .. }),
-                        "S={shards} {partitioner:?}: got {res:?}"
-                    );
-                }
-                assert_eq!(eng.cache_len(), cached, "S={shards} {partitioner:?}");
             }
+            assert_eq!(eng.cache_len(), cached, "S={shards}");
         }
     }
 

@@ -27,28 +27,30 @@
 //!
 //! [`Engine::shard_stats`] always reports `S` rows, one per shard.
 //!
-//! # Partitioners
+//! # Partitioning
 //!
-//! * [`PartitionerKind::Hash`] (the default) assigns by a multiplicative
-//!   hash of the stable [`SiteId`] ([`shard_of`]). Routing is stateless,
-//!   but sites land without regard to geometry: every shard's support box
-//!   covers the whole cloud and every query fans out to all `S` shards.
-//! * [`PartitionerKind::Spatial`] kd-splits the live site cloud into `S`
-//!   region-disjoint shards (median cuts on the wider axis, leaf counts
-//!   proportional to `S`). Each shard's [`DynamicSet::support_aabb`] then
-//!   covers only its own region, and the [`ShardedReader`]'s box pruning
-//!   skips shards whose box lies outside the query's certified disk —
-//!   clustered queries touch `≪ S` shards (experiment E33 measures the
-//!   fan-out). Routing keeps a directory of live ids. When churn skews the
-//!   per-shard live counts past [`EngineConfig::rebalance_ratio`], the
-//!   apply that crossed the threshold re-splits the cloud and migrates the
-//!   straddling sites as a remove+insert round — published **in the same
-//!   generation** as the user's batch, so no reader ever observes a site
-//!   in zero or two shards.
+//! One partitioner places every site: a kd-split of the live site cloud
+//! into `S` region-disjoint shards (median cuts on the wider axis, leaf
+//! counts proportional to `S`), filed by each site's first location. Each
+//! shard's [`DynamicSet::support_aabb`] then covers only its own region,
+//! and the [`ShardedReader`]'s box pruning skips shards whose box lies
+//! outside the query's certified disk — clustered queries touch `≪ S`
+//! shards (experiment E33 measures the fan-out). Routing keeps a directory
+//! of live ids. When churn skews the per-shard live counts past
+//! [`EngineConfig::rebalance_ratio`], the apply that crossed the threshold
+//! re-splits the cloud and migrates the straddling sites as a
+//! remove+insert round — published **in the same generation** as the
+//! user's batch, so no reader ever observes a site in zero or two shards.
+//! At `S = 1` the split is a single leaf and nothing ever rebalances, so
+//! every site routes to shard 0 with no special case.
 //!
-//! `UNC_ENGINE_SHARDS`, `UNC_ENGINE_PARTITIONER` and `UNC_ENGINE_REBALANCE`
-//! override the config at construction, so they reach every engine —
-//! including the one the network server fronts.
+//! Every shard is bulk-loaded the same way, at every `S`: its slice of the
+//! initial sites moves into one Bentley–Saxe bucket
+//! ([`DynamicSet::from_sites`]), with no copy of a site.
+//!
+//! `UNC_ENGINE_SHARDS` and `UNC_ENGINE_REBALANCE` override the config at
+//! construction, so they reach every engine — including the one the
+//! network server fronts.
 //!
 //! [`ShardedReader`]: uncertain_nn::dynamic::shard::ShardedReader
 
@@ -57,7 +59,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use uncertain_geom::Point;
-pub use uncertain_nn::dynamic::shard::shard_of;
 use uncertain_nn::dynamic::{DynamicConfig, DynamicSet, SiteId, Update};
 use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
 
@@ -70,11 +71,6 @@ pub type ShardedEngine = Engine;
 /// Environment override for the shard count (mirrors
 /// [`THREADS_ENV`](crate::THREADS_ENV) for workers).
 pub const SHARDS_ENV: &str = "UNC_ENGINE_SHARDS";
-
-/// Environment override for [`EngineConfig::partitioner`]: `hash` or
-/// `spatial` (case-insensitive). Invalid values warn on stderr and fall
-/// back to the config value.
-pub const PARTITIONER_ENV: &str = "UNC_ENGINE_PARTITIONER";
 
 /// Environment override for [`EngineConfig::rebalance_ratio`] (`0` turns
 /// rebalancing off).
@@ -91,41 +87,21 @@ pub fn resolve_shards(requested: Option<usize>) -> usize {
         .max(1)
 }
 
-/// Resolved partitioner: `UNC_ENGINE_PARTITIONER` env > `requested`.
-pub fn resolve_partitioner(requested: PartitionerKind) -> PartitionerKind {
-    match std::env::var(PARTITIONER_ENV) {
-        Ok(v) => match v.to_ascii_lowercase().as_str() {
-            "hash" => PartitionerKind::Hash,
-            "spatial" => PartitionerKind::Spatial,
-            _ => {
-                eprintln!(
-                    "warning: invalid {PARTITIONER_ENV}={v:?} (expected \"hash\" or \
-                     \"spatial\"); using the configured partitioner"
-                );
-                requested
-            }
-        },
-        Err(_) => requested,
-    }
-}
-
 /// Resolved rebalance ratio: `UNC_ENGINE_REBALANCE` env > `requested`.
 pub fn resolve_rebalance(requested: f64) -> f64 {
     uncertain_obs::env_parse::<f64>(REBALANCE_ENV, "the config rebalance ratio")
         .unwrap_or(requested)
 }
 
-/// How an [`Engine`] assigns sites to shards.
+/// How an [`Engine`] assigns sites to shards. There is one way, so the
+/// type and [`EngineConfig::partitioner`] carry no choice; they stay
+/// because the repository benchmark (`ladderbench/`) names them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PartitionerKind {
-    /// Stable-id multiplicative hash ([`shard_of`]). Stateless routing, no
-    /// read-side pruning (every shard's support box covers the whole
-    /// cloud).
-    #[default]
-    Hash,
     /// kd-split of the live site cloud into region-disjoint shards.
     /// Clustered queries touch few shards; applies may trigger rebalancing
     /// migrations under skew.
+    #[default]
     Spatial,
 }
 
@@ -134,58 +110,6 @@ struct Migration {
     id: SiteId,
     from: usize,
     to: usize,
-}
-
-/// The shard-assignment policy. `route_*` is consulted once per update
-/// *before* dispatch, under the engine's writer lock, so a stateful
-/// implementation (spatial) can mirror site liveness in its own directory.
-trait Partitioner: Send {
-    /// Shard for a new site `id` whose representative location is `rep`.
-    fn route_insert(&mut self, id: SiteId, rep: Point) -> usize;
-    /// Shard holding `id`, or `None` when the router already knows the id
-    /// is dead (counted as a miss without touching any shard). A stateless
-    /// router returns `Some` unconditionally and lets the shard decide.
-    fn route_remove(&mut self, id: SiteId) -> Option<usize>;
-    /// `(old shard, new shard)` for a move of `id` to `rep`; `None` = miss.
-    /// When the two differ the caller rewrites the move as a remove on the
-    /// old shard plus an insert (with the same id) on the new one.
-    fn route_move(&mut self, id: SiteId, rep: Point) -> Option<(usize, usize)>;
-    /// Whether the live-count imbalance warrants a rebalance now.
-    fn needs_rebalance(&self) -> bool;
-    /// Recomputes the partition over the full live cloud and returns the
-    /// sites whose shard changed. The router's directory is updated to the
-    /// *new* assignment before returning — the caller must then execute
-    /// every returned migration (remove at `from`, insert at `to`).
-    fn plan_rebalance(&mut self, live: &[(SiteId, Point)]) -> Vec<Migration>;
-    /// Re-derives any per-site state from where the sites actually live
-    /// (`shards`), after an apply that routed updates panicked before
-    /// publishing them.
-    fn resync(&mut self, shards: &[Arc<DynamicSet>]);
-}
-
-/// The stateless id-hash policy.
-struct HashPartitioner {
-    shards: usize,
-}
-
-impl Partitioner for HashPartitioner {
-    fn route_insert(&mut self, id: SiteId, _rep: Point) -> usize {
-        shard_of(id, self.shards)
-    }
-    fn route_remove(&mut self, id: SiteId) -> Option<usize> {
-        Some(shard_of(id, self.shards))
-    }
-    fn route_move(&mut self, id: SiteId, _rep: Point) -> Option<(usize, usize)> {
-        let s = shard_of(id, self.shards);
-        Some((s, s))
-    }
-    fn needs_rebalance(&self) -> bool {
-        false
-    }
-    fn plan_rebalance(&mut self, _live: &[(SiteId, Point)]) -> Vec<Migration> {
-        vec![]
-    }
-    fn resync(&mut self, _shards: &[Arc<DynamicSet>]) {}
 }
 
 /// One node of the spatial partitioner's kd-split. Interior nodes cut the
@@ -274,7 +198,8 @@ impl SplitNode {
 /// The region-disjoint kd-split policy. Keeps an authoritative directory
 /// of every live site's shard (exact because applies serialize on the
 /// engine's writer lock) plus per-shard live counts for the imbalance
-/// trigger.
+/// trigger. `route_*` is consulted once per update *before* dispatch,
+/// under that lock.
 struct SpatialPartitioner {
     shards: usize,
     /// Max/min live-count ratio past which [`needs_rebalance`] fires;
@@ -289,36 +214,39 @@ struct SpatialPartitioner {
 }
 
 impl SpatialPartitioner {
-    /// Builds the split over the initial cloud. The caller routes each
-    /// initial site through [`route_insert`](Partitioner::route_insert) to
-    /// fill the directory (the same code path live inserts take).
-    fn new(shards: usize, ratio: f64, cloud: &[(SiteId, Point)]) -> Self {
-        let mut sites = cloud.to_vec();
+    /// Builds the split over the initial cloud (reordering it). The caller
+    /// routes each initial site through [`route_insert`](Self::route_insert)
+    /// to fill the directory (the same code path live inserts take).
+    fn new(shards: usize, ratio: f64, cloud: &mut [(SiteId, Point)]) -> Self {
         let mut next_leaf = 0;
-        let tree = SplitNode::build(&mut sites, shards, &mut next_leaf);
+        let tree = SplitNode::build(cloud, shards, &mut next_leaf);
         SpatialPartitioner {
             shards,
             ratio,
             min_live: 16.max(4 * shards),
             tree,
-            dir: HashMap::new(),
+            dir: HashMap::with_capacity(cloud.len()),
             counts: vec![0; shards],
         }
     }
-}
 
-impl Partitioner for SpatialPartitioner {
+    /// Shard for a new site `id` whose representative location is `rep`.
     fn route_insert(&mut self, id: SiteId, rep: Point) -> usize {
         let s = self.tree.route(id, rep);
         self.dir.insert(id, s);
         self.counts[s] += 1;
         s
     }
+    /// Shard holding `id`, or `None` when the id is not live (counted as a
+    /// miss without touching any shard).
     fn route_remove(&mut self, id: SiteId) -> Option<usize> {
         let s = self.dir.remove(&id)?;
         self.counts[s] -= 1;
         Some(s)
     }
+    /// `(old shard, new shard)` for a move of `id` to `rep`; `None` = miss.
+    /// When the two differ the caller rewrites the move as a remove on the
+    /// old shard plus an insert (with the same id) on the new one.
     fn route_move(&mut self, id: SiteId, rep: Point) -> Option<(usize, usize)> {
         let from = *self.dir.get(&id)?;
         let to = self.tree.route(id, rep);
@@ -329,6 +257,8 @@ impl Partitioner for SpatialPartitioner {
         }
         Some((from, to))
     }
+    /// Whether the live-count imbalance warrants a rebalance now (never
+    /// at one shard).
     fn needs_rebalance(&self) -> bool {
         if self.shards <= 1 || self.ratio <= 0.0 {
             return false;
@@ -341,6 +271,10 @@ impl Partitioner for SpatialPartitioner {
         let min = *self.counts.iter().min().expect("counts nonempty");
         max as f64 >= self.ratio * min.max(1) as f64
     }
+    /// Recomputes the partition over the full live cloud and returns the
+    /// sites whose shard changed. The directory is updated to the *new*
+    /// assignment before returning — the caller must then execute every
+    /// returned migration (remove at `from`, insert at `to`).
     fn plan_rebalance(&mut self, live: &[(SiteId, Point)]) -> Vec<Migration> {
         // Full re-split rather than an incremental boundary nudge: the
         // proportional cuts rebuild every leaf to ±1 of its fair share, so
@@ -368,6 +302,9 @@ impl Partitioner for SpatialPartitioner {
         self.counts = counts;
         migs
     }
+    /// Re-derives the directory from where the sites actually live
+    /// (`shards`), after an apply that routed updates panicked before
+    /// publishing them.
     fn resync(&mut self, shards: &[Arc<DynamicSet>]) {
         self.dir.clear();
         for (s, d) in shards.iter().enumerate() {
@@ -407,7 +344,9 @@ pub(crate) struct Routed<'a> {
 /// the global id allocator (inserts claim ids here *before* partitioning,
 /// so every id maps to exactly one shard between rebalances).
 pub(crate) struct Router {
-    partitioner: Box<dyn Partitioner>,
+    /// Boxed so that an [`Engine`], which callers hold by value, stays a
+    /// few words wide.
+    partitioner: Box<SpatialPartitioner>,
     next_id: SiteId,
     /// Rebalance rounds executed since construction.
     pub rebalances: u64,
@@ -416,58 +355,45 @@ pub(crate) struct Router {
 impl Router {
     /// Partitions the initial sites (stable ids `0..n` in input order)
     /// through the same routing path live inserts take and bulk-loads each
-    /// shard. `config` must already be resolved
-    /// ([`resolve_shards`] & co. ran). A single shard holds every site
-    /// under ids `0..n` in input order, which is exactly what
-    /// [`DynamicSet::from_set`] builds — one bucket, no second copy of the
-    /// set. Several shards each hold a slice under its global ids, so each
-    /// takes its slice as pre-assigned inserts in one batched carry.
+    /// shard's slice, moved and under its global ids, as one bucket
+    /// ([`DynamicSet::from_sites`]). `config` must already be resolved
+    /// ([`resolve_shards`] & co. ran).
     pub(crate) fn load(set: DiscreteSet, config: &EngineConfig) -> (Router, Vec<Arc<DynamicSet>>) {
         let shards = config.shards.expect("resolved shard count");
-        let mut partitioner: Box<dyn Partitioner> = match config.partitioner {
-            PartitionerKind::Hash => Box::new(HashPartitioner { shards }),
-            PartitionerKind::Spatial => {
-                let cloud: Vec<(SiteId, Point)> = set
-                    .points
-                    .iter()
-                    .enumerate()
-                    .map(|(id, p)| (id, rep_point(p)))
-                    .collect();
-                Box::new(SpatialPartitioner::new(
-                    shards,
-                    config.rebalance_ratio,
-                    &cloud,
-                ))
-            }
-        };
+        let mut cloud: Vec<(SiteId, Point)> = set
+            .points
+            .iter()
+            .enumerate()
+            .map(|(id, p)| (id, rep_point(p)))
+            .collect();
+        let mut partitioner = SpatialPartitioner::new(shards, config.rebalance_ratio, &mut cloud);
         let homes: Vec<usize> = set
             .points
             .iter()
             .enumerate()
             .map(|(id, p)| partitioner.route_insert(id, rep_point(p)))
             .collect();
-        let router = Router {
-            partitioner,
-            next_id: set.len(),
-            rebalances: 0,
-        };
-        if shards == 1 {
-            let only = DynamicSet::from_set(&set, DynamicConfig::default());
-            return (router, vec![Arc::new(only)]);
-        }
-        let mut parts: Vec<(Vec<Update>, Vec<SiteId>)> = vec![Default::default(); shards];
+        let mut parts: Vec<(Vec<SiteId>, Vec<DiscreteUncertainPoint>)> = partitioner
+            .counts
+            .iter()
+            .map(|&c| (Vec::with_capacity(c), Vec::with_capacity(c)))
+            .collect();
+        let next_id = set.len();
         for ((id, p), s) in set.points.into_iter().enumerate().zip(homes) {
-            parts[s].0.push(Update::Insert(p));
-            parts[s].1.push(id);
+            parts[s].0.push(id);
+            parts[s].1.push(p);
         }
         let sets = parts
             .into_iter()
-            .map(|(ups, ids)| {
-                let mut d = DynamicSet::new(DynamicConfig::default());
-                d.apply_with_insert_ids(&ups, &ids);
-                Arc::new(d)
+            .map(|(ids, sites)| {
+                Arc::new(DynamicSet::from_sites(ids, sites, DynamicConfig::default()))
             })
             .collect();
+        let router = Router {
+            partitioner: Box::new(partitioner),
+            next_id,
+            rebalances: 0,
+        };
         (router, sets)
     }
 
@@ -512,7 +438,7 @@ impl Router {
     }
 
     /// Re-derives the partitioner's directory from the published `shards`
-    /// (see [`Partitioner::resync`]). Ids the failed apply claimed stay
+    /// (see [`SpatialPartitioner::resync`]). Ids the failed apply claimed stay
     /// claimed: they were never published, so skipping them is harmless.
     pub(crate) fn resync(&mut self, shards: &[Arc<DynamicSet>]) {
         self.partitioner.resync(shards);
@@ -589,7 +515,6 @@ mod tests {
     fn spatial_config(shards: usize, ratio: f64) -> EngineConfig {
         EngineConfig {
             shards: Some(shards),
-            partitioner: PartitionerKind::Spatial,
             rebalance_ratio: ratio,
             ..EngineConfig::default()
         }
@@ -661,15 +586,28 @@ mod tests {
         assert_shard_counts_match_oracle(&set, &straddling_updates(), config);
     }
 
-    /// The same bit-identity under the spatial partitioner.
+    /// The same bit-identity with rebalancing off (a static split).
     #[test]
     fn spatial_answers_are_bit_identical_to_monolithic() {
         let set = workload::random_discrete_set(80, 3, 6.0, 11);
         assert_shard_counts_match_oracle(&set, &straddling_updates(), |s| spatial_config(s, 0.0));
-        assert_eq!(
-            Engine::new(set, spatial_config(4, 0.0)).partitioner_kind(),
-            PartitionerKind::Spatial
-        );
+    }
+
+    /// The bulk load places each shard's slice where a carry would: slot
+    /// `k` holds at most `2^k` entries, at one shard and at several.
+    #[test]
+    fn bulk_load_keeps_every_slot_within_its_size() {
+        let set = workload::random_discrete_set(5_000, 2, 6.0, 25);
+        for shards in [1, 4] {
+            let eng = Engine::new(set.clone(), config(shards));
+            for (s, d) in eng.snapshot().reader.shards().iter().enumerate() {
+                let slots = d.slot_sizes();
+                assert_eq!(slots.len(), 1, "S={shards} shard {s}: one bucket");
+                for (k, n) in slots {
+                    assert!(n <= 1 << k, "S={shards} shard {s}: slot {k} holds {n}");
+                }
+            }
+        }
     }
 
     /// Skewed churn under spatial partitioning triggers a rebalance whose
@@ -756,7 +694,7 @@ mod tests {
         // cache off so every read executes (and is counted).
         let mut cfg = spatial_config(4, 0.0);
         cfg.cache_capacity = 0;
-        let eng = Engine::new(set.clone(), cfg);
+        let eng = Engine::new(set, cfg);
 
         // All-quantification batch: NN≠0 reads scatter and prune the same
         // way, but two merged-quant reads per query point keep the counted
@@ -778,13 +716,6 @@ mod tests {
             (1.0..4.0).contains(&avg),
             "cluster-center queries must touch fewer than all 4 shards, got {avg}"
         );
-
-        // Hash partitioning of the same workload touches every shard.
-        let mut cfg = config(4);
-        cfg.cache_capacity = 0;
-        let eng = Engine::new(set, cfg);
-        let stats = eng.run_batch(&batch).stats;
-        assert_eq!(stats.avg_shards_touched(), 4.0);
     }
 
     /// An apply that panics after routing publishes nothing, and the next
@@ -837,10 +768,12 @@ mod tests {
         let (g0, e0) = eng.shard_epochs();
         assert_eq!((g0, e0.as_slice()), (0, &[0u64; 4][..]));
 
-        // Remove two sites in (generally) different shards.
+        // Remove two sites, wherever they live.
+        let census = eng.shard_census();
+        let home = |id: SiteId| census.iter().position(|ids| ids.contains(&id)).unwrap();
+        let touched = [home(0), home(1)];
         let report = eng.apply(&[Update::Remove(0), Update::Remove(1)]);
         assert_eq!(report.epoch, 1);
-        let touched = [shard_of(0, 4), shard_of(1, 4)];
         let (g1, e1) = eng.shard_epochs();
         assert_eq!(g1, 1);
         for (s, &epoch) in e1.iter().enumerate() {
@@ -930,17 +863,7 @@ mod tests {
     }
 
     #[test]
-    fn resolve_partitioner_and_rebalance_prefer_config() {
-        if std::env::var(PARTITIONER_ENV).is_err() {
-            assert_eq!(
-                resolve_partitioner(PartitionerKind::Spatial),
-                PartitionerKind::Spatial
-            );
-            assert_eq!(
-                resolve_partitioner(PartitionerKind::Hash),
-                PartitionerKind::Hash
-            );
-        }
+    fn resolve_rebalance_prefers_config() {
         if std::env::var(REBALANCE_ENV).is_err() {
             assert_eq!(resolve_rebalance(3.5), 3.5);
         }

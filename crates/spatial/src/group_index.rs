@@ -65,11 +65,13 @@ pub struct GroupIndex {
 }
 
 impl GroupIndex {
-    /// Builds the index; `groups[i]` is the point set of group with id `i`.
-    /// Empty groups are skipped.
-    pub fn build(groups: &[Vec<Point>]) -> Self {
+    /// Builds the index; `groups[i]` is the point set of group with id `i`
+    /// (owned or borrowed: a caller holding its groups elsewhere passes
+    /// slices and copies no point). Empty groups are skipped.
+    pub fn build<G: AsRef<[Point]>>(groups: &[G]) -> Self {
         let mut gs: Vec<Group> = groups
             .iter()
+            .map(AsRef::as_ref)
             .enumerate()
             .filter(|(_, pts)| !pts.is_empty())
             .map(|(i, pts)| Group {
@@ -374,7 +376,7 @@ mod tests {
 
     #[test]
     fn empty() {
-        let idx = GroupIndex::build(&[]);
+        let idx = GroupIndex::build::<Vec<Point>>(&[]);
         assert!(idx.min_max_dist(Point::new(0.0, 0.0)).is_none());
         let idx2 = GroupIndex::build(&[vec![]]);
         assert!(idx2.is_empty());

@@ -11,7 +11,6 @@
 
 use std::sync::Mutex;
 
-use uncertain_engine::shard::shard_of;
 use uncertain_engine::{Engine, EngineConfig, QueryRequest, QueryResult, Update};
 use uncertain_geom::Point;
 use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
@@ -317,12 +316,9 @@ fn concurrent_disjoint_shard_appliers_both_commit() {
             ..EngineConfig::default()
         },
     );
-    // Partition the initial ids by their shard; the two appliers remove
-    // sites from different shards only.
-    let mut by_shard: Vec<Vec<usize>> = vec![vec![]; shards];
-    for id in 0..n {
-        by_shard[shard_of(id, shards)].push(id);
-    }
+    // The initial ids by shard; the two appliers remove sites from
+    // different shards only.
+    let by_shard = engine.shard_census();
     let (sa, sb) = (0usize, 1usize);
     let victims: Vec<usize> = by_shard[sa]
         .iter()
@@ -376,7 +372,6 @@ fn concurrent_disjoint_shard_appliers_both_commit() {
 #[test]
 fn rebalance_races_never_show_a_site_in_zero_or_two_shards() {
     use std::collections::HashSet;
-    use uncertain_engine::shard::PartitionerKind;
 
     let n = 40usize;
     let set = workload::random_discrete_set(n, 3, 6.0, 701);
@@ -385,7 +380,6 @@ fn rebalance_races_never_show_a_site_in_zero_or_two_shards() {
         EngineConfig {
             shards: Some(4),
             threads: Some(4),
-            partitioner: PartitionerKind::Spatial,
             rebalance_ratio: 1.5,
             ..EngineConfig::default()
         },

@@ -27,7 +27,6 @@ use std::time::{Duration, Instant};
 
 use uncertain_engine::server::protocol::{self, op, Client, ErrorCode, Reply, Request, WireError};
 use uncertain_engine::server::{Server, ServerConfig, ServerHandle};
-use uncertain_engine::shard::PartitionerKind;
 use uncertain_engine::{Engine, EngineConfig, QueryRequest, QueryResult, Update};
 use uncertain_geom::Point;
 use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
@@ -380,7 +379,6 @@ fn sharded_engine_over_the_wire_matches_the_oracle_at_every_epoch() {
         set.clone(),
         EngineConfig {
             shards: Some(3),
-            partitioner: PartitionerKind::Spatial,
             ..EngineConfig::default()
         },
     ));

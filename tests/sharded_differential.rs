@@ -21,7 +21,6 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use uncertain_engine::shard::PartitionerKind;
 use uncertain_engine::{Engine, EngineConfig, QueryRequest, QueryResult, SiteId, Update};
 use uncertain_geom::Point;
 use uncertain_nn::model::{DiscreteSet, DiscreteUncertainPoint};
@@ -217,21 +216,20 @@ fn assert_oracle(
 
 const SHARD_COUNTS: [usize; 3] = [1, 3, 8];
 
-/// `ratio ≤ 0` keeps rebalancing off (and `Hash` ignores it entirely).
-fn sharded_config(shards: usize, partitioner: PartitionerKind, ratio: f64) -> EngineConfig {
+/// `ratio ≤ 0` keeps rebalancing off: a static split.
+fn sharded_config(shards: usize, ratio: f64) -> EngineConfig {
     EngineConfig {
         shards: Some(shards),
-        partitioner,
         rebalance_ratio: ratio,
         ..EngineConfig::default()
     }
 }
 
 /// The engines under test, one per shard count.
-fn engines(base: &DiscreteSet, partitioner: PartitionerKind, ratio: f64) -> Vec<Engine> {
+fn engines(base: &DiscreteSet, ratio: f64) -> Vec<Engine> {
     SHARD_COUNTS
         .iter()
-        .map(|&s| Engine::new(base.clone(), sharded_config(s, partitioner, ratio)))
+        .map(|&s| Engine::new(base.clone(), sharded_config(s, ratio)))
         .collect()
 }
 
@@ -286,15 +284,9 @@ fn step(
     Ok(())
 }
 
-fn run_differential(
-    ops: &[RawOp],
-    n0: usize,
-    seed: u64,
-    partitioner: PartitionerKind,
-    ratio: f64,
-) -> Result<(), TestCaseError> {
+fn run_differential(ops: &[RawOp], n0: usize, seed: u64, ratio: f64) -> Result<(), TestCaseError> {
     let base = workload::random_discrete_set(n0, 3, 5.0, seed);
-    let engines = engines(&base, partitioner, ratio);
+    let engines = engines(&base, ratio);
     let mut model = Model::new(&base);
     let fixed_queries = workload::random_queries(2, 60.0, seed ^ 1);
 
@@ -319,12 +311,12 @@ proptest! {
 
     /// The headline property: at S ∈ {1, 3, 8}, every answer of every
     /// family equals the monolithic core-library oracle bit for bit after
-    /// every op.
+    /// every op (a static split: rebalancing off).
     #[test]
     fn sharded_engines_match_monolithic_after_every_op(
         ops in prop::collection::vec(raw_op(), 1..14),
     ) {
-        run_differential(&ops, 10, 0x5AAD, PartitionerKind::Hash, 0.0)?;
+        run_differential(&ops, 10, 0x5AAD, 0.0)?;
     }
 
     /// Same property starting from an empty universe: the first inserts
@@ -334,11 +326,11 @@ proptest! {
     fn sharded_engines_match_monolithic_from_empty(
         ops in prop::collection::vec(raw_op(), 1..10),
     ) {
-        run_differential(&ops, 0, 0x5AAD ^ 0xFF, PartitionerKind::Hash, 0.0)?;
+        run_differential(&ops, 0, 0x5AAD ^ 0xFF, 0.0)?;
     }
 
-    /// The same interleavings under the **spatial** partitioner, with an
-    /// aggressive rebalance ratio so migrations fire mid-stream: routing,
+    /// The same interleavings with an aggressive rebalance ratio, so
+    /// migrations fire mid-stream: routing,
     /// the cross-shard move rewrite, and rebalance rounds must all leave
     /// every answer equal to the oracle after every op. (The larger seed
     /// set keeps the live count above the rebalancer's minimum, so the
@@ -347,17 +339,17 @@ proptest! {
     fn spatial_engines_match_monolithic_after_every_op(
         ops in prop::collection::vec(raw_op(), 1..14),
     ) {
-        run_differential(&ops, 40, 0x5AAD ^ 0xA0, PartitionerKind::Spatial, 1.2)?;
+        run_differential(&ops, 40, 0x5AAD ^ 0xA0, 1.2)?;
     }
 
-    /// Spatial from an empty universe: the first inserts all route through
+    /// Rebalancing from an empty universe: the first inserts all route through
     /// the degenerate (empty-cloud) split tree until the first rebalance
     /// re-cuts it.
     #[test]
     fn spatial_engines_match_monolithic_from_empty(
         ops in prop::collection::vec(raw_op(), 1..10),
     ) {
-        run_differential(&ops, 0, 0x5AAD ^ 0xAF, PartitionerKind::Spatial, 1.2)?;
+        run_differential(&ops, 0, 0x5AAD ^ 0xAF, 1.2)?;
     }
 }
 
@@ -368,7 +360,7 @@ proptest! {
 #[test]
 fn long_straddling_churn_stays_bit_identical() {
     let base = workload::random_discrete_set(48, 3, 5.0, 0x51AB);
-    let engines = engines(&base, PartitionerKind::Hash, 0.0);
+    let engines = engines(&base, 0.0);
     let mut model = Model::new(&base);
     let batch = mixed_batch(&workload::random_queries(3, 60.0, 0x51AB ^ 2));
 
@@ -413,7 +405,7 @@ fn long_straddling_churn_stays_bit_identical() {
 #[test]
 fn spatial_rebalances_fire_and_stay_bit_identical() {
     let base = workload::random_discrete_set(48, 3, 5.0, 0xB1A5);
-    let engines = engines(&base, PartitionerKind::Spatial, 1.5);
+    let engines = engines(&base, 1.5);
     let mut model = Model::new(&base);
     let batch = mixed_batch(&workload::random_queries(3, 90.0, 0xB1A5 ^ 2));
     const CORNERS: [(f64, f64); 4] = [(80.0, 80.0), (-80.0, 80.0), (-80.0, -80.0), (80.0, -80.0)];
@@ -473,8 +465,8 @@ fn lattice_ring(r: i32) -> Vec<Point> {
 /// Sites arrive over several applies (so tied entries come from different
 /// buckets), moves relabel a bucket's ids into newer buckets (so ids
 /// interleave across buckets at equal distance), and removes tombstone
-/// tied sites. Every answer must equal the oracle bit for bit at S ∈ {1, 3}
-/// under both partitioners, and no query may need the full collect: the
+/// tied sites. Every answer must equal the oracle bit for bit at S ∈ {1, 3},
+/// and no query may need the full collect: the
 /// radius collect holds every entry at distance `≤ d2`, ties included.
 #[test]
 fn ties_at_the_radius_stay_bit_identical() {
@@ -533,15 +525,13 @@ fn ties_at_the_radius_stay_bit_identical() {
     let batch = mixed_batch(&queries);
     let full_collects = uncertain_obs::registry().counter("dynamic.quant.full_collects");
     let before = full_collects.get();
-    for partitioner in [PartitionerKind::Hash, PartitionerKind::Spatial] {
-        let engines: Vec<Engine> = [1, 3]
-            .iter()
-            .map(|&s| Engine::new(base.clone(), sharded_config(s, partitioner, 0.0)))
-            .collect();
-        let mut model = Model::new(&base);
-        for updates in &script {
-            step(&mut model, &engines, updates, &batch).unwrap();
-        }
+    let engines: Vec<Engine> = [1, 3]
+        .iter()
+        .map(|&s| Engine::new(base.clone(), sharded_config(s, 0.0)))
+        .collect();
+    let mut model = Model::new(&base);
+    for updates in &script {
+        step(&mut model, &engines, updates, &batch).unwrap();
     }
     assert_eq!(
         full_collects.get(),

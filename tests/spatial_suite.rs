@@ -210,7 +210,7 @@ fn empty_structures_answer_empty() {
     let di = DiskIndex::build(vec![]);
     assert!(di.two_min_max_dist(Point::new(0.0, 0.0)).is_none());
     assert!(di.nonzero_nn(Point::new(0.0, 0.0)).is_empty());
-    let gi = GroupIndex::build(&[]);
+    let gi = GroupIndex::build::<Vec<Point>>(&[]);
     assert!(gi.two_min_max_dist(Point::new(0.0, 0.0)).is_none());
     assert!(gi
         .two_min_max_dist_where(Point::new(0.0, 0.0), |_| true)
