@@ -913,7 +913,7 @@ impl DynamicSet {
     /// the Lemma 2.1 threshold `min_{j≠i} Δ_j(q)`. The driver is the
     /// sharded reader's, over a scatter order of this one set.
     pub fn nonzero(&self, q: Point) -> Vec<SiteId> {
-        shard::nonzero(q, &[(self, 0.0)]).0
+        shard::nonzero(q, std::iter::once((self, 0.0))).0
     }
 
     /// Stage 1 over this set: folds the `Δ_i(q)` of its live sites into
@@ -962,7 +962,7 @@ impl DynamicSet {
         &self,
         q: Point,
     ) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
-        shard::quantify(q, &[(self, 0.0)])
+        shard::quantify(q, std::iter::once((self, 0.0)))
     }
 
     /// Stage 2 of both query families over this set: appends every live

@@ -43,9 +43,10 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use super::{DynamicSet, QuantMergeStats, SiteId};
+use super::shard::Scatter;
+use super::{QuantMergeStats, SiteId};
 use crate::model::DiscreteUncertainPoint;
-use crate::quantification::sweep::{sweep_sparse, SweepEntry, SweepSource};
+use crate::quantification::sweep::{sweep_sparse, SweepEntry, SweepSource, KEEP_ENTRIES};
 use uncertain_geom::Point;
 use uncertain_spatial::soa::bitmap_get;
 use uncertain_spatial::KdTree;
@@ -119,24 +120,20 @@ impl SweepSource for Collected<'_> {
 }
 
 thread_local! {
-    /// Each thread's collect buffer, reused across queries so a query
-    /// allocates only its answer and the sweep's per-site state.
+    /// Each thread's collect buffer, reused across queries. With the
+    /// sweep's own per-thread scratch, a warm query allocates only its
+    /// answer.
     static COLLECT: RefCell<Vec<QuantEntry>> = const { RefCell::new(Vec::new()) };
 }
-
-/// Entries a thread's collect buffer keeps room for between queries; a
-/// rare larger collect (a far query, a full retry) is not pinned to the
-/// thread afterwards.
-const KEEP_ENTRIES: usize = 1 << 14;
 
 /// Stage 2 of both query families over `scatter` (sets with lower bounds on
 /// their sites' distances, ascending — see [`super::shard`]): fills the
 /// calling thread's collect buffer with every live entry at distance `≤ r`
 /// from `q`, unsorted, and returns `f` of it. Sets the bucket, warm-bucket
 /// and shard (sets read) counts of `stats`.
-pub(super) fn with_collect<T>(
+pub(super) fn with_collect<'a, T>(
     q: Point,
-    scatter: &[(&DynamicSet, f64)],
+    scatter: impl Scatter<'a>,
     r: f64,
     stats: &mut QuantMergeStats,
     f: impl FnOnce(&mut [QuantEntry]) -> T,
@@ -146,7 +143,7 @@ pub(super) fn with_collect<T>(
         stats.buckets = 0;
         stats.warm_buckets = 0;
         stats.shards_touched = 0;
-        for &(set, bound) in scatter {
+        for (set, bound) in scatter {
             if bound > r {
                 break; // ascending bounds: every later set is beyond too
             }
@@ -176,13 +173,13 @@ fn sort_and_sweep(entries: &mut [QuantEntry]) -> (Vec<(SiteId, f64)>, bool, usiz
 /// and again at `r = ∞` when the sweep did not exit early (see the module
 /// docs). Returns the `(id, π)` pairs with `π > 0` in ascending id order.
 /// Fills `stats` with the counts of the collect that produced the answer.
-pub(super) fn quantify_within(
+pub(super) fn quantify_within<'a>(
     q: Point,
-    scatter: &[(&DynamicSet, f64)],
+    scatter: impl Scatter<'a>,
     r: f64,
     stats: &mut QuantMergeStats,
 ) -> Vec<(SiteId, f64)> {
-    let (mut pi, stopped, mut read) = with_collect(q, scatter, r, stats, sort_and_sweep);
+    let (mut pi, stopped, mut read) = with_collect(q, scatter.clone(), r, stats, sort_and_sweep);
     if !stopped && r < f64::INFINITY {
         uncertain_obs::counter!("dynamic.quant.full_collects").inc();
         (pi, _, read) = with_collect(q, scatter, f64::INFINITY, stats, sort_and_sweep);
@@ -194,7 +191,7 @@ pub(super) fn quantify_within(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::DynamicConfig;
+    use crate::dynamic::{DynamicConfig, DynamicSet};
     use crate::model::DiscreteSet;
     use crate::quantification::exact::{quantification_discrete, sweep_entries};
     use crate::quantification::sweep::SortedSlab;
@@ -315,7 +312,12 @@ mod tests {
                 d.fold_two_min(q, &mut acc);
                 for r in [0.0, acc.d1 / 2.0, f64::from_bits(acc.d2.to_bits() - 1)] {
                     let before = full_collects.get();
-                    let got = quantify_within(q, &[(&d, 0.0)], r, &mut QuantMergeStats::default());
+                    let got = quantify_within(
+                        q,
+                        std::iter::once((&d, 0.0)),
+                        r,
+                        &mut QuantMergeStats::default(),
+                    );
                     assert!(
                         full_collects.get() > before,
                         "seed {seed} q {q} r {r}: no full collect"

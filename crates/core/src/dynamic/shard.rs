@@ -52,12 +52,19 @@
 //! after every op of randomized interleavings against the core-library
 //! oracle at S ∈ {1, 3, 8}, with and without rebalancing.
 
+use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
 
 use super::quant::{quantify_within, with_collect};
 use super::{DynamicSet, DynamicStats, QuantMergeStats, SiteId, TwoMin};
 use crate::model::DiscreteSet;
 use uncertain_geom::{Aabb, Point};
+
+thread_local! {
+    /// Each thread's scatter order, `(shard index, bound)`, reused across
+    /// queries. It holds at most one pair per shard.
+    static SCATTER: RefCell<Vec<(usize, f64)>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A read-only scatter-gather view over one snapshot of every shard.
 ///
@@ -123,19 +130,30 @@ impl ShardedReader {
             .get_or_init(|| self.shards.iter().map(|s| s.support_aabb()).collect())
     }
 
-    /// The scatter order for `q`: every non-empty shard with its lower
-    /// bound `dist(q, box_s)`, ascending by `(bound, shard index)`.
-    fn scatter_order(&self, q: Point) -> Vec<(&DynamicSet, f64)> {
-        let mut order: Vec<(&DynamicSet, f64)> = self
-            .shards
-            .iter()
-            .zip(self.support_aabbs())
-            .filter(|(shard, _)| !shard.is_empty())
-            .map(|(shard, aabb)| (&**shard, aabb.dist_to_point(q)))
-            .collect();
-        // Stable: equal bounds keep shard order.
-        order.sort_by(|a, b| a.1.total_cmp(&b.1));
-        order
+    /// Runs `f` over the scatter order for `q`: every non-empty shard with
+    /// its lower bound `dist(q, box_s)`, ascending by `(bound, shard
+    /// index)`. The `(shard index, bound)` pairs live in the calling
+    /// thread's scratch, so a query allocates nothing for them.
+    fn with_scatter<T>(&self, q: Point, f: impl FnOnce(&[(usize, f64)]) -> T) -> T {
+        SCATTER.with_borrow_mut(|order| {
+            order.clear();
+            order.extend(
+                self.shards
+                    .iter()
+                    .zip(self.support_aabbs())
+                    .enumerate()
+                    .filter(|(_, (shard, _))| !shard.is_empty())
+                    .map(|(i, (_, aabb))| (i, aabb.dist_to_point(q))),
+            );
+            // Equal bounds keep shard order.
+            order.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            f(order)
+        })
+    }
+
+    /// The shards of a scatter `order` with their bounds.
+    fn scatter<'a>(&'a self, order: &'a [(usize, f64)]) -> impl Scatter<'a> {
+        order.iter().map(|&(i, bound)| (&*self.shards[i], bound))
     }
 
     /// Materializes the union as a static set in ascending id order —
@@ -189,7 +207,7 @@ impl ShardedReader {
     /// [`nonzero`](Self::nonzero) plus the number of shards the query
     /// actually visited (stage 1 ∪ stage 2) after box pruning.
     pub fn nonzero_touched(&self, q: Point) -> (Vec<SiteId>, usize) {
-        nonzero(q, &self.scatter_order(q))
+        self.with_scatter(q, |order| nonzero(q, self.scatter(order)))
     }
 
     /// Quantification over the union: `(id, π)` for `π > 0` in ascending
@@ -206,9 +224,15 @@ impl ShardedReader {
         &self,
         q: Point,
     ) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
-        quantify(q, &self.scatter_order(q))
+        self.with_scatter(q, |order| quantify(q, self.scatter(order)))
     }
 }
+
+/// A scatter order: sets with a lower bound on the distances of their
+/// sites, ascending. Drivers read it more than once, so it is `Clone`.
+pub(super) trait Scatter<'a>: Iterator<Item = (&'a DynamicSet, f64)> + Clone {}
+
+impl<'a, I: Iterator<Item = (&'a DynamicSet, f64)> + Clone> Scatter<'a> for I {}
 
 /// Stage 1 over a scatter order: one fold of every live site's `Δ_i(q)`
 /// across the sets (and, inside each, across its buckets), plus the number
@@ -224,10 +248,10 @@ impl ShardedReader {
 /// order; the witness can differ from another order only on an exact `Δ`
 /// tie at `d1`, where `d2 == d1` makes the stage-2 bound
 /// witness-independent (see `nonzero`).
-fn two_min(q: Point, scatter: &[(&DynamicSet, f64)]) -> (Option<TwoMin>, usize) {
+fn two_min<'a>(q: Point, scatter: impl Scatter<'a>) -> (Option<TwoMin>, usize) {
     let mut acc = TwoMin::EMPTY;
     let mut read = 0;
-    for &(set, bound) in scatter {
+    for (set, bound) in scatter {
         if bound >= acc.d2 {
             break;
         }
@@ -246,20 +270,30 @@ fn two_min(q: Point, scatter: &[(&DynamicSet, f64)]) -> (Option<TwoMin>, usize) 
 /// `d1` for the rest: Lemma 2.1's `δ_i(q) < min_{j≠i} Δ_j(q)`). Each bound
 /// is `≤ d2`, so the closed disk holds every such entry. With `d2 = ∞` (a
 /// single live site) `r = d1 ≥ δ` of that site, whose bound stays `+∞`.
-pub(super) fn nonzero(q: Point, scatter: &[(&DynamicSet, f64)]) -> (Vec<SiteId>, usize) {
-    let (Some(t), read) = two_min(q, scatter) else {
+pub(super) fn nonzero<'a>(q: Point, scatter: impl Scatter<'a>) -> (Vec<SiteId>, usize) {
+    let (Some(t), read) = two_min(q, scatter.clone()) else {
         return (vec![], 0);
     };
     let r = if t.d2.is_finite() { t.d2 } else { t.d1 };
     let mut stats = QuantMergeStats::default();
-    let mut out: Vec<SiteId> = with_collect(q, scatter, r, &mut stats, |buf| {
-        buf.iter()
-            .filter(|&&(d, id, _, _)| d < if id == t.id1 { t.d2 } else { t.d1 })
-            .map(|&(_, id, _, _)| id)
-            .collect()
+    // Filter, sort and dedup inside the collect buffer, then copy the ids
+    // out once, at the answer's exact length.
+    let out = with_collect(q, scatter, r, &mut stats, |buf| {
+        let mut kept = 0;
+        for i in 0..buf.len() {
+            let (d, id, _, _) = buf[i];
+            if d < if id == t.id1 { t.d2 } else { t.d1 } {
+                buf[kept] = buf[i];
+                kept += 1;
+            }
+        }
+        let hits = &mut buf[..kept];
+        hits.sort_unstable_by_key(|e| e.1);
+        let sites = || hits.chunk_by(|a, b| a.1 == b.1).map(|run| run[0].1);
+        let mut ids = Vec::with_capacity(sites().count());
+        ids.extend(sites());
+        ids
     });
-    out.sort_unstable();
-    out.dedup();
     (out, read.max(stats.shards_touched))
 }
 
@@ -270,15 +304,15 @@ pub(super) fn nonzero(q: Point, scatter: &[(&DynamicSet, f64)]) -> (Vec<SiteId>,
 /// Set-skip proof: every live entry of a set with bound `b > d2` lies at
 /// distance `> d2`, outside the collect; the collect is exact whenever the
 /// sweep exits early, and is repeated at `r = ∞` otherwise (`quant.rs`).
-pub(super) fn quantify(
+pub(super) fn quantify<'a>(
     q: Point,
-    scatter: &[(&DynamicSet, f64)],
+    scatter: impl Scatter<'a>,
 ) -> (Vec<(SiteId, f64)>, QuantMergeStats) {
     let mut stats = QuantMergeStats {
-        live_locations: scatter.iter().map(|(set, _)| set.live_locations()).sum(),
+        live_locations: scatter.clone().map(|(set, _)| set.live_locations()).sum(),
         ..QuantMergeStats::default()
     };
-    let (Some(t), read) = two_min(q, scatter) else {
+    let (Some(t), read) = two_min(q, scatter.clone()) else {
         return (vec![], stats);
     };
     let pi = quantify_within(q, scatter, t.d2, &mut stats);

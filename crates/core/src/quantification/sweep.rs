@@ -18,13 +18,16 @@
 //! * [`sweep_sparse`] — the sweep itself. One piece of arithmetic for
 //!   every caller, so two sources that emit the same entry sequence produce
 //!   **bit-identical** probabilities. It keeps running state only for the
-//!   sites it actually draws, keyed by the entry's site key in a per-query
-//!   map, and returns the `(key, π)` pairs with `π > 0` in ascending key
-//!   order — `O(drawn sites)` memory and output, however large the site
-//!   set or the key space. By Lemma 2.1 only sites of `NN≠0(q)` can end
-//!   with `π > 0`, so the answer's natural size is `|NN≠0(q)|`, not `n`;
+//!   sites it actually draws, keyed by the entry's site key in a per-thread
+//!   scratch map reused across sweeps, and returns the `(key, π)` pairs
+//!   with `π > 0` in ascending key order, allocated once at their exact
+//!   count — `O(drawn sites)` memory and output, however large the site
+//!   set or the key space, and on a warm thread no allocation but the
+//!   answer. By Lemma 2.1 only sites of `NN≠0(q)` can end with `π > 0`,
+//!   so the answer's natural size is `|NN≠0(q)|`, not `n`;
 //! * [`sweep`] — the dense form for callers that want all `n` values (the
-//!   fresh oracle, spiral search): the sparse result scattered into zeros.
+//!   fresh oracle, spiral search): the drawn sites' values scattered into
+//!   zeros.
 //!
 //! The driver stops early once two sites have fully entered their cdfs
 //! (`zeros ≥ 2`): from that point every η-contribution of Eq. (2) is
@@ -34,6 +37,7 @@
 //! the entries (the dynamic layer's collect inside a radius) is exact when
 //! it did, and must be re-read in full when it did not.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// One sweep entry: `(distance to the query, site key, weight)`. The key
@@ -103,7 +107,7 @@ struct SiteState {
     factor: f64,
 }
 
-/// Multiplicative (Fibonacci) hashing for the sweep's per-query
+/// Multiplicative (Fibonacci) hashing for the sweep's scratch
 /// key → state map. Keys are dense indices or stable site ids — integers
 /// with no adversary — so SipHash's DoS resistance buys nothing here.
 #[derive(Clone, Copy, Default)]
@@ -139,7 +143,6 @@ type FibBuild = std::hash::BuildHasherDefault<FibHasher>;
 
 /// The sites a sweep has drawn: key → slot map plus per-slot running
 /// state, both `O(drawn sites)`.
-#[derive(Default)]
 struct Drawn {
     slot_of: HashMap<usize, u32, FibBuild>,
     state: Vec<SiteState>,
@@ -163,6 +166,124 @@ impl Drawn {
     }
 }
 
+/// A thread's sweep state, reused across sweeps: the drawn sites and the
+/// current tie batch of `(slot, weight)` pairs.
+struct Scratch {
+    drawn: Drawn,
+    batch: Vec<(u32, f64)>,
+}
+
+impl Scratch {
+    /// Empties the scratch, and gives back the room of a sweep that drew
+    /// more than [`KEEP_ENTRIES`] sites, so a rare huge query is not pinned
+    /// to the thread afterwards.
+    fn reset(&mut self) {
+        self.drawn.slot_of.clear();
+        self.drawn.state.clear();
+        self.batch.clear();
+        if self.drawn.state.capacity() > KEEP_ENTRIES {
+            self.drawn.slot_of.shrink_to(KEEP_ENTRIES);
+            self.drawn.state.shrink_to(KEEP_ENTRIES);
+        }
+        if self.batch.capacity() > KEEP_ENTRIES {
+            self.batch.shrink_to(KEEP_ENTRIES);
+        }
+    }
+}
+
+thread_local! {
+    /// Each thread's sweep scratch, so a warm sweep allocates only its
+    /// answer.
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            drawn: Drawn {
+                slot_of: HashMap::with_hasher(FibBuild::new()),
+                state: Vec::new(),
+            },
+            batch: Vec::new(),
+        })
+    };
+}
+
+/// Entries (or drawn sites) a thread's per-query buffers keep room for
+/// between queries; a rare larger query (a far query, a full retry, a
+/// degenerate tie) gives the rest back when it ends.
+pub(crate) const KEEP_ENTRIES: usize = 1 << 14;
+
+/// Runs the Eq. (2) sweep over `source` on the calling thread's scratch,
+/// then hands the drawn sites' final states to `emit`: `(emit's value,
+/// whether the `zeros ≥ 2` early exit fired)`.
+fn run_sweep<S: SweepSource + ?Sized, T>(
+    source: &mut S,
+    emit: impl FnOnce(&[SiteState]) -> T,
+) -> (T, bool) {
+    SCRATCH.with_borrow_mut(|scratch| {
+        // Reset first: a sweep that panicked mid-query (the engine catches
+        // panics per request) leaves its state behind.
+        scratch.reset();
+        let Scratch { drawn, batch } = scratch;
+        let mut product = 1.0f64; // Π over drawn i with factor > 0
+        let mut zeros = 0usize; // #{i : factor == 0}
+        let mut stopped = false;
+        let mut pending = source.next_entry();
+        while let Some((d, k0, w0)) = pending {
+            batch.clear();
+            batch.push((drawn.slot(k0), w0));
+            loop {
+                pending = source.next_entry();
+                match pending {
+                    Some((d2, k2, w2)) if d2 == d => batch.push((drawn.slot(k2), w2)),
+                    _ => break,
+                }
+            }
+            // Phase 1: all locations at distance exactly d enter their cdfs
+            // (ties count against each other — `≤` in Eq. (2)).
+            for &(s, w) in batch.iter() {
+                let st = &mut drawn.state[s as usize];
+                let old = st.factor;
+                st.w_acc += w;
+                let mut newf = 1.0 - st.w_acc;
+                if newf < ZERO_THRESH {
+                    newf = 0.0;
+                }
+                st.factor = newf;
+                if old > 0.0 {
+                    if newf > 0.0 {
+                        product *= newf / old;
+                    } else {
+                        zeros += 1;
+                        product /= old;
+                    }
+                }
+            }
+            // Phase 2: each batch member contributes
+            // η(p; q) = w · Π_{j≠i} (1 − G_{q,j}(d)).
+            for &(s, w) in batch.iter() {
+                let st = &mut drawn.state[s as usize];
+                let fi = st.factor;
+                let eta = if zeros == 0 {
+                    w * product / fi
+                } else if zeros == 1 && fi == 0.0 {
+                    w * product
+                } else {
+                    0.0
+                };
+                st.pi += eta;
+            }
+            // Two sites fully entered: every remaining η is exactly 0.0, so
+            // the rest of the stream cannot change any output bit. Stop
+            // drawing.
+            if zeros >= 2 {
+                stopped = true;
+                break;
+            }
+        }
+        let out = emit(&drawn.state);
+        scratch.reset();
+        (out, stopped)
+    })
+}
+
 /// The Eq. (2) sweep over any ordered entry source, keeping state
 /// only for the sites it draws: returns `(key, π_key)` for every drawn key
 /// with `π > 0`, in ascending key order, and whether the `zeros ≥ 2` early
@@ -172,6 +293,10 @@ impl Drawn {
 /// `O(max key)`. Every key absent from the output — never drawn, or drawn
 /// and left at `π = 0` — has `π = 0` exactly; by Lemma 2.1 the output keys
 /// of a sweep over the whole site set lie in `NN≠0(q)`.
+///
+/// The running state lives in a per-thread scratch that is reused across
+/// sweeps, and the answer is allocated once at its exact length, so a
+/// sweep on a warm thread allocates only the vector it returns.
 ///
 /// When the exit fired, the answer depends only on the entries up to and
 /// including the last batch processed (plus one lookahead entry, read and
@@ -183,85 +308,29 @@ impl Drawn {
 /// of them contributes its η (phase 2). The driver takes `&mut` so callers
 /// keep the source and can read its statistics afterwards.
 pub fn sweep_sparse<S: SweepSource + ?Sized>(source: &mut S) -> (Vec<(usize, f64)>, bool) {
-    let mut drawn = Drawn::default();
-    let mut product = 1.0f64; // Π over drawn i with factor > 0
-    let mut zeros = 0usize; // #{i : factor == 0}
-
-    let mut batch: Vec<(u32, f64)> = vec![];
-    let mut stopped = false;
-    let mut pending = source.next_entry();
-    while let Some((d, k0, w0)) = pending {
-        batch.clear();
-        batch.push((drawn.slot(k0), w0));
-        loop {
-            pending = source.next_entry();
-            match pending {
-                Some((d2, k2, w2)) if d2 == d => batch.push((drawn.slot(k2), w2)),
-                _ => break,
-            }
-        }
-        // Phase 1: all locations at distance exactly d enter their cdfs
-        // (ties count against each other — `≤` in Eq. (2)).
-        for &(s, w) in &batch {
-            let st = &mut drawn.state[s as usize];
-            let old = st.factor;
-            st.w_acc += w;
-            let mut newf = 1.0 - st.w_acc;
-            if newf < ZERO_THRESH {
-                newf = 0.0;
-            }
-            st.factor = newf;
-            if old > 0.0 {
-                if newf > 0.0 {
-                    product *= newf / old;
-                } else {
-                    zeros += 1;
-                    product /= old;
-                }
-            }
-        }
-        // Phase 2: each batch member contributes
-        // η(p; q) = w · Π_{j≠i} (1 − G_{q,j}(d)).
-        for &(s, w) in &batch {
-            let st = &mut drawn.state[s as usize];
-            let fi = st.factor;
-            let eta = if zeros == 0 {
-                w * product / fi
-            } else if zeros == 1 && fi == 0.0 {
-                w * product
-            } else {
-                0.0
-            };
-            st.pi += eta;
-        }
-        // Two sites fully entered: every remaining η is exactly 0.0, so the
-        // rest of the stream cannot change any output bit. Stop drawing.
-        if zeros >= 2 {
-            stopped = true;
-            break;
-        }
-    }
-    let mut out: Vec<(usize, f64)> = drawn
-        .state
-        .into_iter()
-        .filter(|st| st.pi > 0.0)
-        .map(|st| (st.key, st.pi))
-        .collect();
-    out.sort_unstable_by_key(|&(key, _)| key);
-    (out, stopped)
+    run_sweep(source, |state| {
+        let positive = || state.iter().filter(|st| st.pi > 0.0);
+        let mut out = Vec::with_capacity(positive().count());
+        out.extend(positive().map(|st| (st.key, st.pi)));
+        out.sort_unstable_by_key(|&(key, _)| key);
+        out
+    })
 }
 
 /// The dense form of [`sweep_sparse`]: all `π_i` for dense site indices
-/// `0..n` (every key the source emits must be `< n`), the sparse result
-/// scattered into zeros. Bit-identical to a sweep keeping `n`-length state:
-/// the per-site arithmetic is the same, and an undrawn or `π = 0` site is
-/// exactly `0.0` either way.
+/// `0..n` (every key the source emits must be `< n`), the drawn sites'
+/// values scattered into zeros. Bit-identical to a sweep keeping
+/// `n`-length state: the per-site arithmetic is the same, and an undrawn
+/// or `π = 0` site is exactly `0.0` either way.
 pub fn sweep<S: SweepSource + ?Sized>(source: &mut S, n: usize) -> Vec<f64> {
-    let mut pi = vec![0.0f64; n];
-    for (i, p) in sweep_sparse(source).0 {
-        pi[i] = p;
-    }
-    pi
+    run_sweep(source, |state| {
+        let mut pi = vec![0.0f64; n];
+        for st in state.iter().filter(|st| st.pi > 0.0) {
+            pi[st.key] = st.pi;
+        }
+        pi
+    })
+    .0
 }
 
 #[cfg(test)]
@@ -481,6 +550,42 @@ mod tests {
         // One site alone never lets two factors reach zero.
         let (_, stopped) = sweep_sparse(&mut SortedSlab::new(entries[..1].to_vec()));
         assert!(!stopped);
+    }
+
+    /// A source that fails after `after` entries, as a query can inside
+    /// the engine's per-request panic guard.
+    struct FailsMidway {
+        entries: Vec<SweepEntry>,
+        read: usize,
+        after: usize,
+    }
+
+    impl SweepSource for FailsMidway {
+        fn next_entry(&mut self) -> Option<SweepEntry> {
+            assert!(self.read < self.after, "source failed mid-sweep");
+            self.read += 1;
+            self.entries.get(self.read - 1).copied()
+        }
+    }
+
+    /// A sweep that panics leaves its half-drawn state in the thread's
+    /// scratch; the next sweep on the thread must not see it.
+    #[test]
+    fn a_sweep_after_a_failed_one_is_bit_identical() {
+        let entries = random_entries(30, 3, 7, false);
+        let full = sweep_full(entries.clone(), 30);
+        let mut sorted = entries.clone();
+        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let failed = std::panic::catch_unwind(|| {
+            sweep_sparse(&mut FailsMidway {
+                entries: sorted.clone(),
+                read: 0,
+                after: 10,
+            })
+        });
+        assert!(failed.is_err());
+        let mut slab = SortedSlab::new(entries);
+        assert_sparse_matches(&mut slab, &full, 0, "after a failed sweep");
     }
 
     #[test]

@@ -51,8 +51,8 @@ impl CacheKey {
 /// A cached answer. `Arc`s keep hits allocation-free across worker threads.
 #[derive(Clone, Debug)]
 pub enum CachedValue {
-    /// `NN≠0(q)` as ascending site ids.
-    Nonzero(Arc<Vec<usize>>),
+    /// `NN≠0(q)` as ascending site ids, copied once from the answer.
+    Nonzero(Arc<[usize]>),
     /// Every positive estimate as `(site id, π)`, in answer order:
     /// decreasing estimate, ties by increasing id.
     Quant(Arc<Vec<(usize, f64)>>),
@@ -277,7 +277,7 @@ mod tests {
     fn poisoned_cache_clears_and_keeps_serving() {
         let cache = ResultCache::new(8);
         let key = CacheKey::nonzero(0, Point::new(1.0, 2.0));
-        cache.insert(key, CachedValue::Nonzero(Arc::new(vec![3])));
+        cache.insert(key, CachedValue::Nonzero(Arc::from([3])));
         assert_eq!(cache.len(), 1);
         // Poison the inner mutex: panic while holding the guard, exactly
         // what a panicking query inside the locked region would do.
@@ -291,9 +291,9 @@ mod tests {
         // panic), and the cache serves reads and writes again.
         assert!(cache.get(&key).is_none(), "poisoned cache must clear");
         assert_eq!(cache.len(), 0);
-        cache.insert(key, CachedValue::Nonzero(Arc::new(vec![4])));
+        cache.insert(key, CachedValue::Nonzero(Arc::from([4])));
         match cache.get(&key) {
-            Some(CachedValue::Nonzero(ids)) => assert_eq!(*ids, vec![4]),
+            Some(CachedValue::Nonzero(ids)) => assert_eq!(*ids, [4]),
             other => panic!("expected a hit after recovery, got {other:?}"),
         }
         assert!(!cache.inner.as_ref().unwrap().is_poisoned());

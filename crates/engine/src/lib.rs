@@ -1118,7 +1118,7 @@ fn exec_one_inner(core: &EngineCore, req: QueryRequest, counters: &BatchCounters
             if core.cache.enabled() {
                 if let Some(CachedValue::Nonzero(ids)) = core.cache.get(&key) {
                     counters.hits.fetch_add(1, Ordering::Relaxed);
-                    return QueryResult::Nonzero(ids.as_ref().clone());
+                    return QueryResult::Nonzero(ids.to_vec());
                 }
                 counters.misses.fetch_add(1, Ordering::Relaxed);
             }
@@ -1130,7 +1130,7 @@ fn exec_one_inner(core: &EngineCore, req: QueryRequest, counters: &BatchCounters
             let (ids, touched) = core.reader.nonzero_touched(q);
             counters.touched(touched);
             core.cache
-                .insert(key, CachedValue::Nonzero(Arc::new(ids.clone())));
+                .insert(key, CachedValue::Nonzero(Arc::from(ids.as_slice())));
             QueryResult::Nonzero(ids)
         }
         QueryRequest::Threshold { q, tau } => {
@@ -1156,9 +1156,11 @@ fn exec_one_inner(core: &EngineCore, req: QueryRequest, counters: &BatchCounters
 }
 
 /// Decreasing estimate, ties by increasing id — the same order the
-/// single-threaded `uncertain_nn::queries` helpers produce.
+/// single-threaded `uncertain_nn::queries` helpers produce. Ids are unique,
+/// so the unstable sort (which needs no merge buffer) gives that one order,
+/// and `total_cmp` cannot panic on a corrupt estimate.
 fn sort_ranked(items: &mut [(usize, f64)]) {
-    items.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    items.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 }
 
 /// The cached quantification path: returns the query's **ranked answer**
@@ -1284,6 +1286,42 @@ mod tests {
             }
             assert_eq!(eng.cache_len(), cached, "S={shards}");
         }
+    }
+
+    /// Tied estimates order by increasing id, whatever order they arrive
+    /// in — also past the length where a sort stops using insertion sort.
+    #[test]
+    fn sort_ranked_orders_ties_by_increasing_id() {
+        let mut items = vec![
+            (9, 0.25),
+            (4, 0.5),
+            (7, 0.25),
+            (1, 0.25),
+            (3, 0.5),
+            (2, 0.125),
+        ];
+        sort_ranked(&mut items);
+        assert_eq!(
+            items,
+            [
+                (3, 0.5),
+                (4, 0.5),
+                (1, 0.25),
+                (7, 0.25),
+                (9, 0.25),
+                (2, 0.125)
+            ]
+        );
+        let mut long: Vec<(usize, f64)> = (0..200)
+            .rev()
+            .map(|id| (id, [0.5, 0.25, 0.125][id % 3]))
+            .collect();
+        sort_ranked(&mut long);
+        assert!(long
+            .windows(2)
+            .all(|w| w[0].1 > w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0)));
+        assert_eq!(long[0], (0, 0.5));
+        assert_eq!(long[199], (197, 0.125));
     }
 
     #[test]
