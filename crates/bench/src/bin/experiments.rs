@@ -1475,7 +1475,7 @@ fn e25_quantifier_costs() {
                 MonteCarloPnn::build_discrete(&set, MC_SAMPLES, SampleBackend::KdTree, &mut rng)
             });
             for &q in &queries {
-                // Warm: the merge builds its per-bucket summaries lazily.
+                // Warm-up: sizes the per-thread collect and sweep buffers.
                 std::hint::black_box(reader.quantification_merged_with_stats(q));
             }
             let merged_us = per_query(&mut || {
@@ -1845,7 +1845,7 @@ fn e28_amortized_updates() {
 /// Fresh runs the static sweep over a location slab of the live set, built
 /// once per round outside the timed region, so it pays the full
 /// `O(N log N)` distance pass + sort per query; merged range-reports the
-/// live entries inside the Lemma 2.1 radius from warm per-bucket kd
+/// live entries inside the Lemma 2.1 radius from the per-bucket kd
 /// summaries, sorts only those and stops at the sweep's early exit.
 /// Answers are cross-checked bitwise every round.
 fn e29_merged_quantification() {
@@ -1857,7 +1857,7 @@ fn e29_merged_quantification() {
     header(
         "E29",
         "merged quantification vs fresh sweep under churn",
-        "per-bucket kd summaries + the Lemma 2.1 radius make quantification churn-native (sublinear once warm)",
+        "per-bucket kd summaries + the Lemma 2.1 radius make quantification churn-native (sublinear per query)",
     );
     let n = scaled(4_096).max(64);
     let rounds = if uncertain_bench::smoke() { 2 } else { 5 };
@@ -1867,7 +1867,6 @@ fn e29_merged_quantification() {
         "merged µs/q",
         "fresh µs/q",
         "speedup",
-        "bucket reuse",
         "entries/N",
     ]);
     let mut low_churn_speedups = vec![];
@@ -1876,13 +1875,13 @@ fn e29_merged_quantification() {
         let mut d = DynamicSet::from_set(&base, DynamicConfig::default());
         let mut rng = StdRng::seed_from_u64(291);
         let mut pool: Vec<usize> = (0..n).collect();
-        // Warm-up: the first quantification pass builds every bucket's
-        // summary once (the lazy one-time cost, like any index build).
+        // Warm-up: one untimed pass sizes the per-thread collect and
+        // sweep buffers.
         for &q in &queries {
             let _ = d.quantification_merged(q);
         }
         let (mut merged_secs, mut fresh_secs) = (0.0, 0.0);
-        let (mut touches, mut warm, mut entries, mut live_locs) = (0u64, 0u64, 0u64, 0u64);
+        let (mut entries, mut live_locs) = (0u64, 0u64);
         let mut checksum = 0.0f64;
         for round in 0..rounds {
             let count = ((n as f64 * rate).ceil() as usize).max(1);
@@ -1918,12 +1917,10 @@ fn e29_merged_quantification() {
             }
             let outcome = d.apply(&updates);
             pool.extend(outcome.inserted);
-            // Merged pass (collecting the reuse metrics as the engine does).
+            // Merged pass (collecting the entry counts as the engine does).
             let (_, secs) = time(|| {
                 for &q in &queries {
                     let (pi, st) = d.quantification_merged_with_stats(q);
-                    touches += st.buckets as u64;
-                    warm += st.warm_buckets as u64;
                     entries += st.entries_merged as u64;
                     live_locs += st.live_locations as u64;
                     checksum += pi.iter().map(|&(_, p)| p).sum::<f64>();
@@ -1972,7 +1969,6 @@ fn e29_merged_quantification() {
             format!("{:.1}", merged_secs / per_q * 1e6),
             format!("{:.1}", fresh_secs / per_q * 1e6),
             format!("{speedup:.1}x"),
-            format!("{:.0}%", 100.0 * warm as f64 / touches.max(1) as f64),
             format!("{:.3}", entries as f64 / live_locs.max(1) as f64),
         ]);
     }
@@ -2520,8 +2516,8 @@ fn e33_partitioner_locality() {
                     .collect();
                 engine.apply(&drain);
             }
-            // One warm-up batch builds the lazy quant summaries, so the
-            // timed batch is steady state.
+            // One warm-up batch sizes the per-thread query buffers, so
+            // the timed batch is steady state.
             engine.run_batch(&batch);
             let (stats, secs) = time(|| engine.run_batch(&batch).stats);
             let mean = stats.avg_shards_touched();

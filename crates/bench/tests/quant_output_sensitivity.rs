@@ -95,7 +95,7 @@ fn per_query(n: usize) -> (f64, f64, f64) {
             ..EngineConfig::default()
         },
     );
-    // The first batch builds the lazy per-bucket summaries.
+    // The first batch sizes the per-thread collect and sweep buffers.
     eng.run_batch(&topk_batch(n, 8));
     (0..3)
         .map(|round| {

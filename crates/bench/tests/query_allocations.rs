@@ -9,7 +9,9 @@
 //!
 //! * a single [`DynamicSet`] and a 4-shard [`ShardedReader`] make at most
 //!   one allocation per `nonzero` and per `quantification_merged_with_stats`
-//!   query — the returned vector;
+//!   query — the returned vector. That holds from the first query after an
+//!   apply that carries and after a compaction: the new buckets were built
+//!   whole by the write, so no query builds a tree;
 //! * the engine (`run_batch`, one worker, cache on, every query a miss)
 //!   makes at most three per query beyond a per-batch constant: the answer,
 //!   its cache entry, and the TopK/Threshold prefix it serves;
@@ -103,9 +105,9 @@ fn shard_of(p: &DiscreteUncertainPoint, shards: usize) -> usize {
 }
 
 /// `shards` sets over [`sites`], split by [`shard_of`], after [`ROUNDS`]
-/// rounds of churn. Ids are global: inserts take fresh ones, and a remove
-/// or a move goes to the shard that holds its id.
-fn churned(shards: usize) -> Vec<DynamicSet> {
+/// rounds of churn, and the next fresh id. Ids are global: inserts take
+/// fresh ones, and a remove or a move goes to the shard that holds its id.
+fn churned(shards: usize) -> (Vec<DynamicSet>, SiteId) {
     let set = sites(7);
     let mut owner: Vec<usize> = set.points.iter().map(|p| shard_of(p, shards)).collect();
     let mut sets: Vec<DynamicSet> = (0..shards)
@@ -137,15 +139,42 @@ fn churned(shards: usize) -> Vec<DynamicSet> {
             set.apply_with_insert_ids(ups.iter().copied(), ids);
         }
     }
-    sets
+    (sets, owner.len())
+}
+
+/// Inserts [`RATE`] · [`N`] new sites into `sets`, each into its
+/// [`shard_of`] under a fresh id from `next` up, in one apply per set.
+/// Every set that receives a site carries; asserts at least one did.
+fn insert_wave(sets: &mut [DynamicSet], next: &mut SiteId, seed: u64) {
+    let merges =
+        |sets: &[DynamicSet]| -> u64 { sets.iter().map(|s| s.stats().rebuild.merges).sum() };
+    let before = merges(sets);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut per_shard: Vec<(Vec<Update>, Vec<SiteId>)> = vec![(vec![], vec![]); sets.len()];
+    for _ in 0..(RATE * N as f64) as usize {
+        let p = site(&mut rng);
+        let s = shard_of(&p, sets.len());
+        per_shard[s].0.push(Update::Insert(p));
+        per_shard[s].1.push(*next);
+        *next += 1;
+    }
+    for (set, (ups, ids)) in sets.iter_mut().zip(&per_shard) {
+        set.apply_with_insert_ids(ups, ids);
+    }
+    assert!(merges(sets) > before, "the wave carried nothing");
 }
 
 /// Allocations per call of `f` over `queries`, on a second pass after a
-/// first that warms every lazy tree and per-thread buffer they need.
+/// first that sizes every per-thread buffer they need.
 fn allocs_per_query<R>(queries: &[Point], mut f: impl FnMut(Point) -> R) -> f64 {
     for &q in queries {
         std::hint::black_box(f(q));
     }
+    first_allocs_per_query(queries, f)
+}
+
+/// Allocations per call of `f` over `queries`, counted from the first call.
+fn first_allocs_per_query<R>(queries: &[Point], mut f: impl FnMut(Point) -> R) -> f64 {
     let a0 = heap_counters().1;
     for &q in queries {
         std::hint::black_box(f(q));
@@ -167,7 +196,7 @@ fn assert_one_alloc_per_query(layer: &str, nonzero: f64, quant: f64) {
 }
 
 fn check_dynamic_set() {
-    let set = churned(1).pop().expect("one set");
+    let set = churned(1).0.pop().expect("one set");
     assert!(set.stats().buckets > 1, "churn left one bucket");
     let queries = points(QUERIES, 9);
     let nonzero = allocs_per_query(&queries, |q| set.nonzero(q));
@@ -176,12 +205,69 @@ fn check_dynamic_set() {
 }
 
 fn check_sharded_reader() {
-    let reader = ShardedReader::new(churned(4).into_iter().map(Arc::new).collect());
+    let reader = ShardedReader::new(churned(4).0.into_iter().map(Arc::new).collect());
     assert!(reader.shards().iter().all(|s| !s.is_empty()));
     let queries = points(QUERIES, 10);
     let nonzero = allocs_per_query(&queries, |q| reader.nonzero(q));
     let quant = allocs_per_query(&queries, |q| reader.quantification_merged_with_stats(q));
     assert_one_alloc_per_query("ShardedReader (4 shards)", nonzero, quant);
+}
+
+/// `NN≠0` or quantification over `sets`, through a [`ShardedReader`] over
+/// fresh snapshots of them; a single set is queried directly.
+fn query_family(sets: &[DynamicSet], quant: bool) -> impl FnMut(Point) -> usize {
+    let single = (sets.len() == 1).then(|| sets[0].clone());
+    let reader = ShardedReader::new(sets.iter().cloned().map(Arc::new).collect());
+    move |q| match (&single, quant) {
+        (Some(set), false) => set.nonzero(q).len(),
+        (Some(set), true) => set.quantification_merged_with_stats(q).0.len(),
+        (None, false) => reader.nonzero(q).len(),
+        (None, true) => reader.quantification_merged_with_stats(q).0.len(),
+    }
+}
+
+/// The first [`QUERIES`] queries of each family after an apply that
+/// carries, and again after a compaction, allocate only their answers:
+/// every bucket is built whole when it is placed. Each family is measured
+/// right after its own write, so neither family's queries run on buckets
+/// the other has already read.
+fn check_first_queries_after_writes(shards: usize) {
+    let layer = if shards == 1 {
+        "DynamicSet".to_string()
+    } else {
+        format!("ShardedReader ({shards} shards)")
+    };
+    let (mut sets, mut next) = churned(shards);
+    let queries = points(QUERIES, 13);
+    // Size the per-thread buffers on the pre-write sets.
+    let mut warm = points(4 * QUERIES, 14);
+    warm.extend_from_slice(&queries);
+    for quant in [false, true] {
+        let mut f = query_family(&sets, quant);
+        for &q in &warm {
+            std::hint::black_box(f(q));
+        }
+    }
+    let mut after_carry = [0.0; 2];
+    for (quant, per_query) in after_carry.iter_mut().enumerate() {
+        insert_wave(&mut sets, &mut next, 15 + quant as u64);
+        *per_query = first_allocs_per_query(&queries, query_family(&sets, quant == 1));
+    }
+    assert_one_alloc_per_query(
+        &format!("{layer}, first queries after a carry"),
+        after_carry[0],
+        after_carry[1],
+    );
+    let mut after_rebuild = [0.0; 2];
+    for (quant, per_query) in after_rebuild.iter_mut().enumerate() {
+        sets.iter_mut().for_each(DynamicSet::rebuild_all);
+        *per_query = first_allocs_per_query(&queries, query_family(&sets, quant == 1));
+    }
+    assert_one_alloc_per_query(
+        &format!("{layer}, first queries after rebuild_all"),
+        after_rebuild[0],
+        after_rebuild[1],
+    );
 }
 
 /// A mixed batch over `points`: `NN≠0`, TopK and Threshold in turn.
@@ -255,7 +341,7 @@ fn check_huge_sweep_gives_back_its_room() {
     );
     let d = DynamicSet::from_set(&set, DynamicConfig::default());
     let q = Point::new(0.0, 0.0);
-    // `NN≠0` builds the bucket's lazy tree, without sweeping.
+    // `NN≠0` runs the same collect, without sweeping.
     assert!(d.nonzero(q).is_empty());
     let before = live_heap_bytes();
     let (pi, stats) = d.quantification_merged_with_stats(q);
@@ -278,6 +364,8 @@ fn check_huge_sweep_gives_back_its_room() {
 fn warm_queries_allocate_only_their_answers() {
     check_dynamic_set();
     check_sharded_reader();
+    check_first_queries_after_writes(1);
+    check_first_queries_after_writes(4);
     check_engine();
     check_huge_sweep_gives_back_its_room();
 }

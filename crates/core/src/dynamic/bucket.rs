@@ -4,21 +4,19 @@
 //! A bucket is built once (at a merge) and never mutated; deletions are
 //! overlaid by the dynamic layer as tombstones, which every query receives
 //! as a `live(local)` predicate over the bucket's local site indices.
-//! Every bucket holds the same two structures: the stage-1 group tree,
-//! built with the bucket, and one kd-tree over its locations for stage 2
-//! of both query families, built **lazily** on the first query that needs
-//! it. Site payloads are shared by `Arc` — a carry moves pointers, not
-//! geometry.
+//! Every bucket holds the same two structures, both built with the bucket
+//! so that no query builds anything: the stage-1 group tree over its
+//! sites' circles, and one kd-tree over its locations for stage 2 of both
+//! query families. Site payloads, with the circle and hull computed once
+//! per site, are shared by `Arc` — a carry moves pointers, not geometry.
 
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use super::quant::{QuantEntry, QuantIndex};
-use super::{SiteId, TwoMin};
-use crate::model::DiscreteUncertainPoint;
+use super::{SiteId, StoredSite, TwoMin};
 use uncertain_geom::{Aabb, Point};
 use uncertain_spatial::soa::bitmap_get;
-use uncertain_spatial::GroupIndex;
+use uncertain_spatial::GroupTree;
 
 pub(crate) struct Bucket {
     /// Entry indices into the dynamic set's entry slab, parallel to
@@ -29,18 +27,13 @@ pub(crate) struct Bucket {
     /// tombstoned here, never relabeled), so query paths read a local's id
     /// without chasing the entry slab.
     ids: Vec<SiteId>,
-    /// Shared site payloads.
-    sites: Vec<Arc<DiscreteUncertainPoint>>,
-    /// Σ locations over `sites`.
-    total_locations: usize,
-    /// Stage-1 group tree (group id = local index).
-    groups: GroupIndex,
-    /// Stage-2 summary of both query families (kd over locations + flat
-    /// weight tables), built on the first query touching this bucket.
-    /// Lives inside the `Arc`-shared bucket, so it stays warm across epoch
-    /// snapshots and is invalidated exactly when a carry or compaction
-    /// replaces the bucket.
-    quant: OnceLock<QuantIndex>,
+    /// Shared site payloads; stage 1 reads each site's hull here.
+    sites: Vec<Arc<StoredSite>>,
+    /// Stage-1 group tree over the sites' circles (group id = local index).
+    groups: GroupTree,
+    /// Stage-2 summary of both query families (kd over locations, each
+    /// carrying its local site and weight).
+    quant: QuantIndex,
     /// Tight box over every location of every stored site (live and
     /// tombstoned alike — a conservative cover of the live supports that
     /// only tightens at the next carry/compaction). The sharded reader
@@ -50,34 +43,28 @@ pub(crate) struct Bucket {
 
 impl Bucket {
     /// Builds a bucket over `sites` (parallel to `entry_idxs` and to their
-    /// strictly ascending public `ids`), with its stage-1 group tree.
-    pub fn build(
-        entry_idxs: Vec<u32>,
-        ids: Vec<SiteId>,
-        sites: Vec<Arc<DiscreteUncertainPoint>>,
-    ) -> Self {
+    /// strictly ascending public `ids`) with both of its query structures.
+    /// The allocations do not depend on the site count: the sites bring
+    /// their own circles and hulls.
+    pub fn build(entry_idxs: Vec<u32>, ids: Vec<SiteId>, sites: Vec<Arc<StoredSite>>) -> Self {
         debug_assert_eq!(entry_idxs.len(), sites.len());
         debug_assert_eq!(ids.len(), sites.len());
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "bucket ids ascend");
-        let total: usize = sites.iter().map(|s| s.k()).sum();
-        let locations: Vec<&[Point]> = sites.iter().map(|s| s.locations()).collect();
-        let groups = GroupIndex::build(&locations);
-        let support_aabb =
-            Aabb::from_points(sites.iter().flat_map(|s| s.locations().iter().copied()));
+        let groups = GroupTree::build(sites.iter().map(|s| Some(s.sec)));
+        let quant = QuantIndex::build(&sites);
+        let support_aabb = Aabb::from_points(
+            sites
+                .iter()
+                .flat_map(|s| s.point.locations().iter().copied()),
+        );
         Bucket {
             entry_idxs,
             ids,
             sites,
-            total_locations: total,
             groups,
-            quant: OnceLock::new(),
+            quant,
             support_aabb,
         }
-    }
-
-    /// Σ locations stored in this bucket (live and tombstoned).
-    pub fn total_locations(&self) -> usize {
-        self.total_locations
     }
 
     /// Tight box over every stored site's locations (a conservative cover
@@ -86,27 +73,18 @@ impl Bucket {
         &self.support_aabb
     }
 
-    /// The stage-1 group index (site id = local index) — the dynamic layer
+    /// The stage-1 group tree (site id = local index) — the dynamic layer
     /// overlays per-node live counters on it so stage 1 can skip fully-dead
     /// subtrees.
-    pub fn group_index(&self) -> &GroupIndex {
+    pub fn group_tree(&self) -> &GroupTree {
         &self.groups
     }
 
     /// Stage 2 of both query families: appends every live location at
     /// distance `≤ r` from `q` to `out` as `(d, site id, location index,
-    /// weight)`, unsorted (`alive` is the slot's tombstone bitmap). Builds
-    /// the summary on first use.
+    /// weight)`, unsorted (`alive` is the slot's tombstone bitmap).
     pub fn collect_quant(&self, q: Point, r: f64, alive: &[u64], out: &mut Vec<QuantEntry>) {
-        self.quant
-            .get_or_init(|| QuantIndex::build(&self.sites))
-            .collect(q, r, &self.ids, alive, out)
-    }
-
-    /// Whether the stage-2 summary is already built (a warm bucket costs a
-    /// query nothing but the range report).
-    pub fn quant_warm(&self) -> bool {
-        self.quant.get().is_some()
+        self.quant.collect(q, r, &self.ids, alive, out)
     }
 
     /// Stage 1 of the Lemma 2.1 query: folds every live local site's
@@ -114,14 +92,15 @@ impl Bucket {
     /// the slot's tombstone bitmap (bit per local site). The group tree is
     /// searched from `acc`'s second-min, so it only visits groups that can
     /// still change the pair, and `group_live` (the slot's per-node live
-    /// counters, maintained against [`group_index`](Self::group_index))
+    /// counters, maintained against [`group_tree`](Self::group_tree))
     /// lets it skip fully-dead subtrees instead of testing their groups one
-    /// by one.
+    /// by one. Each exact `Δ_i(q)` is read from the site's own hull.
     pub fn fold_two_min(&self, q: Point, alive: &[u64], group_live: &[u32], acc: &mut TwoMin) {
         let mut best = (acc.d1, u32::MAX);
         self.groups.fold_two_min_pruned(
             q,
             |g| bitmap_get(alive, g as usize),
+            |g| self.sites[g as usize].hull.max_dist(q),
             group_live,
             &mut best,
             &mut acc.d2,

@@ -4,9 +4,11 @@
 //! module lifts them to a workload where uncertain sites arrive, expire,
 //! and move (the setting of probabilistic *moving* NN queries): a
 //! [`DynamicSet`] maintains the sites in geometrically-sized immutable
-//! buckets, each carrying the same two query structures: the stage-1
-//! group tree, built with the bucket, and a lazy kd-tree over its
-//! locations for stage 2 of both `NN≠0` and quantification.
+//! buckets, each carrying the same two query structures, both built with
+//! the bucket: the stage-1 group tree over its sites' smallest enclosing
+//! circles, and a kd-tree over its locations for stage 2 of both `NN≠0`
+//! and quantification. A site's circle and hull are computed once, when it
+//! arrives, and travel with it from bucket to bucket.
 //!
 //! * **Insert** — the classic logarithmic-method carry: the new site plus
 //!   every bucket in the occupied prefix of slots merges into the first
@@ -28,7 +30,7 @@
 //! * `NN≠0(q)` folds every bucket's live `Δ_i(q)` into the global Lemma 2.1
 //!   pair `(d1, d2)` (stage 1, each bucket's search seeded with the running
 //!   second-min), then collects every live location within `d2` from the
-//!   buckets' lazily-built, `Arc`-shared kd summaries (stage 2) — the
+//!   buckets' `Arc`-shared kd summaries (stage 2) — the
 //!   same two-stage shape as the static Theorem 3.2 query, summed over
 //!   `O(log n)` buckets.
 //! * Quantification ([`DynamicSet::quantification_merged`]) runs the same
@@ -82,7 +84,9 @@ use std::sync::Arc;
 use crate::model::{DiscreteSet, DiscreteUncertainPoint};
 use bucket::Bucket;
 use quant::QuantEntry;
-use uncertain_geom::{Aabb, Point};
+use uncertain_geom::hull::FarthestPointHull;
+use uncertain_geom::sec::smallest_enclosing_circle;
+use uncertain_geom::{Aabb, Circle, Point};
 
 /// Stable handle of a site across updates. Ids are assigned by
 /// [`DynamicSet::insert`] (or `0..n` by [`DynamicSet::from_set`]) and are
@@ -191,10 +195,6 @@ pub struct QuantMergeStats {
     /// Buckets that range-reported into the collect: live, with a support
     /// box within the collect radius.
     pub buckets: usize,
-    /// Of those, buckets whose summary was already warm at query time —
-    /// `buckets − warm_buckets` is the churn-since-last-touch the query
-    /// paid lazy builds for.
-    pub warm_buckets: usize,
     /// Entries the sweep read from the collect before its early exit (up
     /// to one past the last batch it processed) — never more than
     /// `live_locations`. The collect's own size is counted by the
@@ -257,9 +257,33 @@ pub struct DynamicStats {
     pub rebuild: RebuildStats,
 }
 
+/// A stored site: its distribution plus the stage-1 summary of its
+/// locations, computed once when the site arrives. One `Arc` of it is
+/// shared by the entry slab and whichever bucket holds the site, so a carry
+/// or a compaction moves the site without recomputing or copying any of
+/// its geometry.
+pub(crate) struct StoredSite {
+    pub point: DiscreteUncertainPoint,
+    /// Smallest enclosing circle of the locations: the group tree's bound.
+    pub sec: Circle,
+    /// Farthest-point hull of the locations: the site's exact `Δ_i(q)`.
+    pub hull: FarthestPointHull,
+}
+
+impl StoredSite {
+    pub fn new(point: DiscreteUncertainPoint) -> Self {
+        let locations = point.locations();
+        StoredSite {
+            sec: smallest_enclosing_circle(locations).expect("a site has a location"),
+            hull: FarthestPointHull::build(locations),
+            point,
+        }
+    }
+}
+
 #[derive(Clone)]
 struct Entry {
-    site: Arc<DiscreteUncertainPoint>,
+    site: Arc<StoredSite>,
     /// Public id of the site this entry is the current (or a tombstoned
     /// former) copy of.
     id: SiteId,
@@ -289,8 +313,8 @@ struct Slot {
     alive: Vec<u64>,
     /// Set bits of `alive`: a fully-dead bucket (0) joins no query.
     live: usize,
-    /// Live-count overlay for the bucket's [`GroupIndex`]
-    /// (uncertain_spatial::GroupIndex).
+    /// Live-count overlay for the bucket's
+    /// [`GroupTree`](uncertain_spatial::GroupTree).
     group_live: Vec<u32>,
 }
 
@@ -299,7 +323,7 @@ impl Slot {
         Slot {
             alive: uncertain_spatial::soa::bitmap_filled(bucket.entry_idxs.len(), true),
             live: bucket.entry_idxs.len(),
-            group_live: bucket.group_index().live_counts(),
+            group_live: bucket.group_tree().live_counts(),
             bucket,
         }
     }
@@ -309,7 +333,7 @@ impl Slot {
         self.alive[local >> 6] &= !(1u64 << (local & 63));
         self.live -= 1;
         self.bucket
-            .group_index()
+            .group_tree()
             .kill(local as u32, &mut self.group_live);
     }
 }
@@ -401,7 +425,7 @@ impl DynamicSet {
             .into_iter()
             .zip(sites)
             .map(|(id, site)| Entry {
-                site: Arc::new(site),
+                site: Arc::new(StoredSite::new(site)),
                 id,
                 alive: true,
                 place: None,
@@ -437,7 +461,7 @@ impl DynamicSet {
     /// The current site under `id`, if live.
     pub fn get(&self, id: SiteId) -> Option<&DiscreteUncertainPoint> {
         let e = *self.handles.get(&id)?;
-        Some(&self.entries[e as usize].site)
+        Some(&self.entries[e as usize].site.point)
     }
 
     /// Live ids, ascending. `O(live)` (a filtered copy of the maintained
@@ -463,7 +487,7 @@ impl DynamicSet {
             self.live_ids
                 .iter()
                 .filter_map(|id| self.handles.get(id))
-                .map(|&e| (*self.entries[e as usize].site).clone())
+                .map(|&e| self.entries[e as usize].site.point.clone())
                 .collect(),
         )
     }
@@ -477,10 +501,15 @@ impl DynamicSet {
         let mut max_k = 0usize;
         let mut w_min = f64::INFINITY;
         let mut w_max = 0.0f64;
-        for e in self.entries.iter().filter(|e| e.alive) {
-            total += e.site.k();
-            max_k = max_k.max(e.site.k());
-            for &w in e.site.weights() {
+        for site in self
+            .entries
+            .iter()
+            .filter(|e| e.alive)
+            .map(|e| &e.site.point)
+        {
+            total += site.k();
+            max_k = max_k.max(site.k());
+            for &w in site.weights() {
                 w_min = w_min.min(w);
                 w_max = w_max.max(w);
             }
@@ -706,9 +735,6 @@ impl DynamicSet {
         };
         uncertain_obs::gauge!("dynamic.tombstone_ratio").set(ratio);
         uncertain_obs::gauge!("dynamic.live_sites").set(self.live as f64);
-        let (warm, cold) = self.quant_summary_state();
-        uncertain_obs::gauge!("dynamic.quant.warm_locations").set(warm as f64);
-        uncertain_obs::gauge!("dynamic.quant.cold_locations").set(cold as f64);
     }
 
     /// Tombstones `id`. Returns `false` when the id is unknown or already
@@ -746,7 +772,7 @@ impl DynamicSet {
         };
         let entry = &mut self.entries[e as usize];
         entry.alive = false;
-        self.live_locations -= entry.site.k();
+        self.live_locations -= entry.site.point.k();
         if let Some((slot, local)) = entry.place {
             self.buckets[slot as usize]
                 .as_mut()
@@ -767,15 +793,11 @@ impl DynamicSet {
         self.stats.sites_rebuilt += self.live as u64;
         uncertain_obs::counter!("dynamic.global_rebuilds").inc();
         uncertain_obs::counter!("dynamic.sites_rebuilt").add(self.live as u64);
-        let mut survivors: Vec<Entry> = self
-            .entries
-            .iter()
-            .filter(|e| e.alive)
-            .map(|e| Entry {
-                place: None,
-                ..e.clone()
-            })
-            .collect();
+        let mut survivors = Vec::with_capacity(self.live);
+        survivors.extend(self.entries.iter().filter(|e| e.alive).map(|e| Entry {
+            place: None,
+            ..e.clone()
+        }));
         survivors.sort_unstable_by_key(|e| e.id);
         self.lay_out_one_bucket(survivors);
     }
@@ -804,12 +826,13 @@ impl DynamicSet {
     }
 
     /// Appends a live entry for `id` (without placing it in a bucket yet)
-    /// and points the handle at it.
+    /// and points the handle at it. The site's circle and hull are computed
+    /// here, once for its lifetime.
     fn push_entry(&mut self, id: SiteId, site: DiscreteUncertainPoint) -> u32 {
         let e = self.entries.len() as u32;
         self.live_locations += site.k();
         self.entries.push(Entry {
-            site: Arc::new(site),
+            site: Arc::new(StoredSite::new(site)),
             id,
             alive: true,
             place: None,
@@ -823,14 +846,18 @@ impl DynamicSet {
     /// plus `pool` into the first empty slot, dropping tombstones on the
     /// way (they are counted out of `dead` here). `pool` entries may
     /// themselves have died since being pushed (a `Move` later in the same
-    /// batch); they are filtered identically.
+    /// batch); they are filtered identically. The pool grows once, and
+    /// nothing else the carry allocates depends on how many sites it
+    /// gathers.
     fn carry(&mut self, mut pool: Vec<u32>) {
         let _span = uncertain_obs::span!("dynamic.carry");
+        // Find the landing slot first: every occupied slot below it is
+        // gathered.
+        let mut gathered = pool.len();
         let mut slot = 0;
         loop {
-            if slot < self.buckets.len() && self.buckets[slot].is_some() {
-                let b = self.buckets[slot].take().unwrap();
-                pool.extend_from_slice(&b.bucket.entry_idxs);
+            if let Some(Some(s)) = self.buckets.get(slot) {
+                gathered += s.bucket.entry_idxs.len();
                 slot += 1;
                 continue;
             }
@@ -840,20 +867,19 @@ impl DynamicSet {
             // carry would re-gather and rebuild it — turning the amortized
             // O(log n) per update into O(n) per batch. Unit inserts are
             // unaffected (their pools always fit).
-            if slot >= slot_for(pool.len()) {
+            if slot >= slot_for(gathered) {
                 break;
             }
             slot += 1;
         }
-        let mut live_pool = Vec::with_capacity(pool.len());
-        for e in pool {
-            if self.entries[e as usize].alive {
-                live_pool.push(e);
-            } else {
-                self.dead -= 1;
-            }
+        pool.reserve_exact(gathered - pool.len());
+        for s in self.buckets.iter_mut().take(slot).filter_map(Option::take) {
+            pool.extend_from_slice(&s.bucket.entry_idxs);
         }
-        if live_pool.is_empty() {
+        let entries = &self.entries;
+        pool.retain(|&e| entries[e as usize].alive);
+        self.dead -= gathered - pool.len();
+        if pool.is_empty() {
             // Everything gathered was dead: the merged slots stay empty.
             return;
         }
@@ -861,10 +887,10 @@ impl DynamicSet {
             self.buckets.push(None);
         }
         self.stats.merges += 1;
-        self.stats.sites_rebuilt += live_pool.len() as u64;
+        self.stats.sites_rebuilt += pool.len() as u64;
         uncertain_obs::counter!("dynamic.merges").inc();
-        uncertain_obs::counter!("dynamic.sites_rebuilt").add(live_pool.len() as u64);
-        self.place_bucket(slot, live_pool);
+        uncertain_obs::counter!("dynamic.sites_rebuilt").add(pool.len() as u64);
+        self.place_bucket(slot, pool);
     }
 
     /// Builds a bucket over `pool` (live entry indices), installs it at
@@ -940,8 +966,8 @@ impl DynamicSet {
     /// absent from the answer has `π = 0` exactly — by Lemma 2.1 the
     /// answer's ids lie in [`nonzero`](Self::nonzero)). Stage 1 of the
     /// `NN≠0` query gives the radius `d2`; every live bucket within it
-    /// range-reports its live locations at distance `≤ d2` from a lazily
-    /// built (then kept warm, shared across epoch snapshots) kd summary,
+    /// range-reports its live locations at distance `≤ d2` from its kd
+    /// summary (built with the bucket, shared across epoch snapshots),
     /// and the sorted collect feeds the shared Eq. (2) sweep core with its
     /// early exit. Per-query work and memory follow the entries inside the
     /// radius plus the bucket fan-out — nothing is `O(n)`. Answers are
@@ -967,8 +993,8 @@ impl DynamicSet {
 
     /// Stage 2 of both query families over this set: appends every live
     /// location at distance `≤ r` from `q` to `out`, from each live bucket
-    /// whose support box lies within `r`, counting those buckets and their
-    /// warm summaries into `stats`.
+    /// whose support box lies within `r`, counting those buckets into
+    /// `stats`.
     fn collect_quant(
         &self,
         q: Point,
@@ -982,28 +1008,8 @@ impl DynamicSet {
                 continue;
             }
             stats.buckets += 1;
-            if b.quant_warm() {
-                stats.warm_buckets += 1;
-            }
             b.collect_quant(q, r, &slot.alive, out);
         }
-    }
-
-    /// Warm/cold split of the per-bucket stage-2 summaries, in locations:
-    /// `(warm, cold)`. Cold locations are exactly the buckets churn has
-    /// replaced since a query (`NN≠0` or quantification) last reached them
-    /// — the engine reports the split as each shard's warm rate.
-    pub fn quant_summary_state(&self) -> (usize, usize) {
-        let mut warm = 0;
-        let mut cold = 0;
-        for slot in self.buckets.iter().flatten() {
-            if slot.bucket.quant_warm() {
-                warm += slot.bucket.total_locations();
-            } else {
-                cold += slot.bucket.total_locations();
-            }
-        }
-        (warm, cold)
     }
 
     /// A conservative box over the supports of every live site: the union
@@ -1062,7 +1068,7 @@ mod tests {
                 .map(|id| ids.binary_search(id).unwrap())
                 .collect();
             assert_eq!(via_index, want_dense);
-            // Quantification: the radius-bounded path (cold, then warm) is
+            // Quantification: the radius-bounded path (twice) is
             // bit-identical to the static sweep over the live set.
             let pi_fresh = quantification_discrete(&fresh, q);
             assert_eq!(pi_fresh.len(), ids.len());
@@ -1089,12 +1095,9 @@ mod tests {
             );
             assert_eq!(d.quantification_merged(q), pi_merged);
             assert!(mstats.entries_merged <= mstats.live_locations);
-            let (pi_warm, wstats) = d.quantification_merged_with_stats(q);
-            assert_eq!(pi_merged, pi_warm, "warm merged answer drifted at {q}");
-            assert_eq!(
-                wstats.warm_buckets, wstats.buckets,
-                "every touched bucket must be warm on the second query"
-            );
+            let (pi_again, again) = d.quantification_merged_with_stats(q);
+            assert_eq!(pi_merged, pi_again, "repeated merged answer drifted at {q}");
+            assert_eq!(mstats, again, "repeated merged stats drifted at {q}");
         }
     }
 
@@ -1377,45 +1380,6 @@ mod tests {
         d.remove(id);
         assert!(d.nonzero(q).is_empty());
         assert!(d.is_empty());
-    }
-
-    /// On a set whose stage-2 summaries are all cold, `NN≠0` queries alone
-    /// warm exactly the buckets their collects reach, and answer as the
-    /// Lemma 2.1 oracle does.
-    #[test]
-    fn nonzero_queries_warm_the_shared_summary() {
-        // One bulk bucket and small carried ones, with tombstones.
-        let base = workload::random_discrete_set(300, 3, 2.0, 21);
-        let mut d = DynamicSet::from_set(&base, DynamicConfig::default());
-        let extra = workload::random_discrete_set(13, 2, 2.0, 22);
-        for (i, p) in extra.points.into_iter().enumerate() {
-            let id = d.insert(p);
-            if i % 4 == 0 {
-                d.remove(id - 1);
-                d.remove(7 * i);
-            }
-        }
-        let (warm, total) = d.quant_summary_state();
-        assert_eq!(warm, 0, "summaries start cold");
-        let (fresh, ids) = (d.live_set(), d.live_ids());
-        let mut reached = vec![false; d.buckets.len()];
-        for q in workload::random_queries(12, 50.0, 23) {
-            let want = nonzero_nn_discrete(&fresh, q).into_iter().map(|i| ids[i]);
-            assert_eq!(d.nonzero(q), want.collect::<Vec<_>>(), "NN≠0 at {q}");
-            let mut acc = TwoMin::EMPTY;
-            d.fold_two_min(q, &mut acc);
-            let r = if acc.d2.is_finite() { acc.d2 } else { acc.d1 };
-            for (hit, slot) in reached.iter_mut().zip(&d.buckets) {
-                let b = slot.as_ref().filter(|s| s.live > 0).map(|s| &s.bucket);
-                *hit |= b.is_some_and(|b| b.support_aabb().dist_to_point(q) <= r);
-            }
-        }
-        let warm: usize = (d.buckets.iter().zip(&reached))
-            .filter_map(|(slot, &hit)| slot.as_ref().filter(|_| hit))
-            .map(|s| s.bucket.total_locations())
-            .sum();
-        assert!(0 < warm && warm < total, "reach some buckets, not all");
-        assert_eq!(d.quant_summary_state(), (warm, total - warm));
     }
 
     /// Stage 1 is the brute two-smallest fold of `max_dist` over the live

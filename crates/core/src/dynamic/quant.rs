@@ -2,14 +2,13 @@
 //! quantification built on it.
 //!
 //! A [`QuantIndex`] is a bucket's query-free summary and its only location
-//! tree: a kd-tree over all of the bucket's locations plus the flat
-//! `location → (local site, location index, weight)` tables. It is built
-//! **lazily** on the first query that reaches the bucket and lives inside
-//! the immutable, `Arc`-shared [`Bucket`](super::bucket::Bucket) — so it is
-//! invalidated exactly when the bucket itself is replaced (a carry or a
-//! global compaction) and stays warm across engine epoch snapshots that
-//! share the bucket. The collect filters tombstones against the slot's
-//! alive bitmap.
+//! tree: a kd-tree over all of the bucket's locations whose payload is each
+//! location's `(local site, location index, weight)`. It is built
+//! with the immutable, `Arc`-shared [`Bucket`](super::bucket::Bucket) that
+//! holds it — so no query builds one, it is replaced exactly when the
+//! bucket itself is (a carry or a global compaction), and engine epoch
+//! snapshots that share the bucket share it. The collect filters
+//! tombstones against the slot's alive bitmap.
 //!
 //! Both families run `NN≠0`'s two stages. Stage 1 (the shared fold in
 //! [`super::shard`]) gives Lemma 2.1's pair `(d1, d2)`: the two smallest
@@ -44,8 +43,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use super::shard::Scatter;
-use super::{QuantMergeStats, SiteId};
-use crate::model::DiscreteUncertainPoint;
+use super::{QuantMergeStats, SiteId, StoredSite};
 use crate::quantification::sweep::{sweep_sparse, SweepEntry, SweepSource, KEEP_ENTRIES};
 use uncertain_geom::Point;
 use uncertain_spatial::soa::bitmap_get;
@@ -55,31 +53,26 @@ use uncertain_spatial::KdTree;
 /// weight)`.
 pub(crate) type QuantEntry = (f64, SiteId, u32, f64);
 
-/// A bucket's query-free summary: kd-tree over locations + flat
-/// per-location table.
+/// A bucket's query-free summary: a kd-tree over its locations, each
+/// carrying `(local site index, location index within its site, weight)`
+/// in the tree's own order — one load next to the hit's coordinates.
 pub(crate) struct QuantIndex {
-    kd: KdTree,
-    /// Flat location index → (local site index, location index within its
-    /// site, weight): one load per hit.
-    table: Vec<(u32, u32, f64)>,
+    kd: KdTree<(u32, u32, f64)>,
 }
 
 impl QuantIndex {
     /// Builds the summary over a bucket's sites (local order). `O(m log m)`
     /// in the bucket's location count `m`.
-    pub fn build(sites: &[Arc<DiscreteUncertainPoint>]) -> Self {
-        let total: usize = sites.iter().map(|s| s.k()).sum();
+    pub fn build(sites: &[Arc<StoredSite>]) -> Self {
+        let total = sites.iter().map(|s| s.point.k()).sum();
         let mut items = Vec::with_capacity(total);
-        let mut table = Vec::with_capacity(total);
-        for (local, site) in sites.iter().enumerate() {
+        for (local, site) in sites.iter().map(|s| &s.point).enumerate() {
             for (li, (&loc, &w)) in site.locations().iter().zip(site.weights()).enumerate() {
-                items.push((loc, items.len() as u32));
-                table.push((local as u32, li as u32, w));
+                items.push((loc, (local as u32, li as u32, w)));
             }
         }
         QuantIndex {
-            kd: KdTree::build(items),
-            table,
+            kd: KdTree::with_payloads(items),
         }
     }
 
@@ -94,12 +87,12 @@ impl QuantIndex {
         alive: &[u64],
         out: &mut Vec<QuantEntry>,
     ) {
-        self.kd.for_each_in_disk_with_dist(q, r, |_, flat, d| {
-            let (local, li, w) = self.table[flat as usize];
-            if bitmap_get(alive, local as usize) {
-                out.push((d, ids[local as usize], li, w));
-            }
-        });
+        self.kd
+            .for_each_in_disk_with_dist(q, r, |_, (local, li, w), d| {
+                if bitmap_get(alive, local as usize) {
+                    out.push((d, ids[local as usize], li, w));
+                }
+            });
     }
 }
 
@@ -129,8 +122,8 @@ thread_local! {
 /// Stage 2 of both query families over `scatter` (sets with lower bounds on
 /// their sites' distances, ascending — see [`super::shard`]): fills the
 /// calling thread's collect buffer with every live entry at distance `≤ r`
-/// from `q`, unsorted, and returns `f` of it. Sets the bucket, warm-bucket
-/// and shard (sets read) counts of `stats`.
+/// from `q`, unsorted, and returns `f` of it. Sets the bucket and shard
+/// (sets read) counts of `stats`.
 pub(super) fn with_collect<'a, T>(
     q: Point,
     scatter: impl Scatter<'a>,
@@ -141,7 +134,6 @@ pub(super) fn with_collect<'a, T>(
     COLLECT.with_borrow_mut(|buf| {
         buf.clear();
         stats.buckets = 0;
-        stats.warm_buckets = 0;
         stats.shards_touched = 0;
         for (set, bound) in scatter {
             if bound > r {
@@ -197,6 +189,14 @@ mod tests {
     use crate::quantification::sweep::SortedSlab;
     use crate::workload;
 
+    /// The summary of one bucket over `set`'s sites, in order.
+    fn summary(set: &DiscreteSet) -> QuantIndex {
+        let sites: Vec<Arc<StoredSite>> = (set.points.iter())
+            .map(|p| Arc::new(StoredSite::new(p.clone())))
+            .collect();
+        QuantIndex::build(&sites)
+    }
+
     /// The static sweep's `π > 0` entries over `d`'s live set, keyed by id.
     fn oracle(d: &DynamicSet, q: Point) -> Vec<(SiteId, f64)> {
         d.live_ids()
@@ -219,11 +219,9 @@ mod tests {
         // The whole-disk collect, sorted by (d, id, location), is the entry
         // sequence the static sweep's stable distance sort produces.
         let set = workload::random_discrete_set(12, 3, 5.0, 91);
-        let sites: Vec<Arc<DiscreteUncertainPoint>> =
-            set.points.iter().map(|p| Arc::new(p.clone())).collect();
-        let qi = QuantIndex::build(&sites);
+        let qi = summary(&set);
         let alive = vec![u64::MAX; 1];
-        let ids: Vec<SiteId> = (0..sites.len()).collect();
+        let ids: Vec<SiteId> = (0..set.len()).collect();
         for q in workload::random_queries(10, 50.0, 92) {
             let mut got = vec![];
             qi.collect(q, f64::INFINITY, &ids, &alive, &mut got);
@@ -251,9 +249,7 @@ mod tests {
     #[test]
     fn dead_sites_are_filtered_at_draw_time() {
         let set = workload::random_discrete_set(8, 2, 4.0, 93);
-        let sites: Vec<Arc<DiscreteUncertainPoint>> =
-            set.points.iter().map(|p| Arc::new(p.clone())).collect();
-        let qi = QuantIndex::build(&sites);
+        let qi = summary(&set);
         // Kill locals 1, 4, 5; label locals with sparse ascending ids.
         let mut alive = vec![u64::MAX; 1];
         for local in [1usize, 4, 5] {

@@ -5,7 +5,7 @@
 //! shard (the serving engine splits by spatial region; the reader never
 //! asks how),
 //! each shard is a full Bentley–Saxe structure (buckets, tombstone bitmaps,
-//! warm quant summaries) that mutates independently. Every query family
+//! per-bucket kd summaries) that mutates independently. Every query family
 //! recombines **bit-identically** to a single monolithic set holding the
 //! union, because each already recombines across *buckets* by an operation
 //! that is independent of how the union is partitioned:
@@ -53,7 +53,7 @@
 //! oracle at S ∈ {1, 3, 8}, with and without rebalancing.
 
 use std::cell::RefCell;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use super::quant::{quantify_within, with_collect};
 use super::{DynamicSet, DynamicStats, QuantMergeStats, SiteId, TwoMin};
@@ -69,22 +69,20 @@ thread_local! {
 /// A read-only scatter-gather view over one snapshot of every shard.
 ///
 /// Holds `Arc` snapshots, so an in-flight reader is never disturbed by
-/// appliers publishing new shard epochs. Construction is O(S); the
-/// per-shard support boxes are built lazily and cached.
+/// appliers publishing new shard epochs. Construction reads every shard's
+/// bucket boxes once (`O(S log n)`), so a query builds nothing.
 pub struct ShardedReader {
     shards: Vec<Arc<DynamicSet>>,
     /// Per-shard support boxes (see [`DynamicSet::support_aabb`]).
-    aabbs: OnceLock<Vec<Aabb>>,
+    aabbs: Vec<Aabb>,
 }
 
 impl ShardedReader {
     /// A reader over one consistent snapshot (one `Arc` per shard).
     pub fn new(shards: Vec<Arc<DynamicSet>>) -> Self {
         assert!(!shards.is_empty(), "at least one shard");
-        ShardedReader {
-            shards,
-            aabbs: OnceLock::new(),
-        }
+        let aabbs = shards.iter().map(|s| s.support_aabb()).collect();
+        ShardedReader { shards, aabbs }
     }
 
     /// Number of shards.
@@ -126,8 +124,7 @@ impl ShardedReader {
 
     /// Per-shard support boxes, built once per snapshot.
     pub fn support_aabbs(&self) -> &[Aabb] {
-        self.aabbs
-            .get_or_init(|| self.shards.iter().map(|s| s.support_aabb()).collect())
+        &self.aabbs
     }
 
     /// Runs `f` over the scatter order for `q`: every non-empty shard with
@@ -162,8 +159,7 @@ impl ShardedReader {
     /// is bit-identical too. Gathers from whichever shard holds each site (no
     /// assumption about the partitioning scheme).
     pub fn live_set(&self) -> DiscreteSet {
-        let mut sites: Vec<(SiteId, Arc<crate::model::DiscreteUncertainPoint>)> =
-            Vec::with_capacity(self.len());
+        let mut sites: Vec<(SiteId, Arc<super::StoredSite>)> = Vec::with_capacity(self.len());
         for shard in &self.shards {
             sites.extend(
                 shard
@@ -174,7 +170,7 @@ impl ShardedReader {
             );
         }
         sites.sort_unstable_by_key(|&(id, _)| id);
-        DiscreteSet::new(sites.into_iter().map(|(_, s)| (*s).clone()).collect())
+        DiscreteSet::new(sites.into_iter().map(|(_, s)| s.point.clone()).collect())
     }
 
     /// [`DynamicSet::stats`] summed over the shards (the merged path's
@@ -217,9 +213,9 @@ impl ShardedReader {
     }
 
     /// [`quantification_merged`](Self::quantification_merged) plus the
-    /// reuse metrics the serving engine aggregates (buckets and warm
-    /// buckets count across the shards that collected; `shards_touched`
-    /// counts every shard the query read in either stage).
+    /// per-query metrics the serving engine aggregates (buckets count
+    /// across the shards that collected; `shards_touched` counts every
+    /// shard the query read in either stage).
     pub fn quantification_merged_with_stats(
         &self,
         q: Point,

@@ -22,7 +22,7 @@
 //!   entries inside the Lemma 2.1 radius, bit-identical to the full sweep. Exact answers satisfy
 //!   every [`Guarantee`] a caller can ask for, so there is no plan to
 //!   choose: [`ExecStats`] records the plan taken, evaluation counters, the
-//!   per-bucket reuse rate and the scatter-gather fan-out;
+//!   buckets collected from and the scatter-gather fan-out;
 //! * an [LRU result cache](cache) keyed on the exact query bits and the
 //!   epoch, so a hit returns the very answer a miss would compute;
 //! * a typed request/response API: [`Engine`], [`QueryRequest`],
@@ -199,11 +199,6 @@ pub struct ShardStat {
     pub live: usize,
     /// Tombstones still buried in this shard's buckets.
     pub tombstones: usize,
-    /// Fraction of this shard's stored locations whose bucket stage-2
-    /// summaries (the location kd-trees both `NN≠0` and quantification
-    /// read) are warm: already built, so a query reaching them pays only
-    /// the range report. In `[0, 1]`; `0.0` when the shard stores nothing.
-    pub quant_warm_rate: f64,
 }
 
 /// Execution strategy for the `NN≠0` requests of a batch.
@@ -266,8 +261,8 @@ pub struct ExecStats {
     /// The evaluators the batch ran.
     pub plan: BatchPlan,
     /// Structures built during this batch. Always empty: every structure a
-    /// plan reads is built by [`Engine::new`], [`Engine::apply`] or lazily
-    /// inside the evaluation itself. Kept so existing readers compile.
+    /// plan reads is built by [`Engine::new`] or [`Engine::apply`]. Kept so
+    /// existing readers compile.
     pub built: Vec<&'static str>,
     /// End-to-end wall time for the batch.
     pub wall: Duration,
@@ -285,7 +280,7 @@ pub struct ExecStats {
     /// Tombstoned sites still buried in the snapshot's buckets (0 until
     /// updates have been applied), summed across shards.
     pub tombstones: usize,
-    /// One `(epoch, live, tombstones, warm rate)` row per shard — always
+    /// One `(epoch, live, tombstones)` row per shard — always
     /// `S` rows, holding the per-shard epochs of the published vector.
     pub shard_stats: Vec<ShardStat>,
     /// Busy (execution) time of each chunk of this batch, measured inside
@@ -306,10 +301,8 @@ pub struct ExecStats {
     /// Quantification evaluations served over a flat live set. Always 0:
     /// every evaluation is merged. Kept so existing readers compile.
     pub quant_fresh_evals: usize,
-    /// Buckets the merged evaluations collected from…
+    /// Buckets the merged evaluations collected from.
     pub quant_bucket_touches: usize,
-    /// …of which the per-bucket summary was already warm (no lazy build).
-    pub quant_bucket_warm: usize,
     /// Σ shards visited by this batch's scatter-gather reads (each
     /// cache-missed `NN≠0:dynamic` or `quant:merged` evaluation counts the
     /// shards its box pruning actually touched).
@@ -368,20 +361,6 @@ impl ExecStats {
         }
     }
 
-    /// Fraction of the buckets the merged quantification path collected
-    /// from whose summaries were already warm; `0.0` when it collected from
-    /// none (e.g. every
-    /// answer came from the cache). Low values mean churn replaced most
-    /// buckets since quantification last ran — or that no merged
-    /// evaluation executed at all.
-    pub fn quant_bucket_reuse_rate(&self) -> f64 {
-        if self.quant_bucket_touches == 0 {
-            0.0
-        } else {
-            self.quant_bucket_warm as f64 / self.quant_bucket_touches as f64
-        }
-    }
-
     /// Mean shards visited per scatter-gather read; `0.0` when the batch
     /// did none (every answer from the cache). `< shards` measures how
     /// much the partitioner's box pruning cut the fan-out.
@@ -400,10 +379,10 @@ const DISPLAY_SHARD_TOKENS_MAX: usize = 8;
 
 impl std::fmt::Display for ExecStats {
     /// Compact one-line batch summary for logs and examples:
-    /// `plan=[nonzero:dynamic] reqs=64 wall=1.2ms qps=53388 cache=75% util=88% epoch=3 live=4096 tomb=0 stouch=1.0 shard0=3/4096/0/100%`.
+    /// `plan=[nonzero:dynamic] reqs=64 wall=1.2ms qps=53388 cache=75% util=88% epoch=3 live=4096 tomb=0 stouch=1.0 shard0=3/4096/0`.
     ///
     /// Every field is printed unconditionally (even when zero), followed by
-    /// one fixed-shape `shardK=epoch/live/tomb/warm%` token per shard up to
+    /// one fixed-shape `shardK=epoch/live/tomb` token per shard up to
     /// S = 8; past that the line would be unreadable, so the tokens
     /// aggregate to one `shards=S lo=… med=… hi=…` summary (min/median/max
     /// of each column) — log scrapers see the same columns at every epoch
@@ -427,18 +406,14 @@ impl std::fmt::Display for ExecStats {
             for s in &self.shard_stats {
                 write!(
                     f,
-                    " shard{}={}/{}/{}/{:.0}%",
-                    s.shard,
-                    s.epoch,
-                    s.live,
-                    s.tombstones,
-                    100.0 * s.quant_warm_rate
+                    " shard{}={}/{}/{}",
+                    s.shard, s.epoch, s.live, s.tombstones
                 )?;
             }
             return Ok(());
         }
         // min/median/max per column, each rendered in the same
-        // epoch/live/tomb/warm% shape as the per-shard tokens.
+        // epoch/live/tomb shape as the per-shard tokens.
         fn col<T: Copy + Ord>(mut v: Vec<T>) -> (T, T, T) {
             v.sort_unstable();
             (v[0], v[v.len() / 2], v[v.len() - 1])
@@ -446,14 +421,9 @@ impl std::fmt::Display for ExecStats {
         let (e_lo, e_med, e_hi) = col(self.shard_stats.iter().map(|s| s.epoch).collect());
         let (l_lo, l_med, l_hi) = col(self.shard_stats.iter().map(|s| s.live).collect());
         let (t_lo, t_med, t_hi) = col(self.shard_stats.iter().map(|s| s.tombstones).collect());
-        let (w_lo, w_med, w_hi) = col(self
-            .shard_stats
-            .iter()
-            .map(|s| (100.0 * s.quant_warm_rate).round() as u64)
-            .collect());
         write!(
             f,
-            " shards={} lo={e_lo}/{l_lo}/{t_lo}/{w_lo}% med={e_med}/{l_med}/{t_med}/{w_med}% hi={e_hi}/{l_hi}/{t_hi}/{w_hi}%",
+            " shards={} lo={e_lo}/{l_lo}/{t_lo} med={e_med}/{l_med}/{t_med} hi={e_hi}/{l_hi}/{t_hi}",
             self.shard_stats.len()
         )
     }
@@ -541,25 +511,17 @@ impl EngineCore {
         }
     }
 
-    /// One `(epoch, live, tombstones, warm rate)` row per shard.
+    /// One `(epoch, live, tombstones)` row per shard.
     fn shard_stats(&self) -> Vec<ShardStat> {
         self.reader
             .shards()
             .iter()
             .enumerate()
-            .map(|(s, d)| {
-                let (warm, cold) = d.quant_summary_state();
-                ShardStat {
-                    shard: s,
-                    epoch: self.shard_epochs[s],
-                    live: d.len(),
-                    tombstones: d.tombstones(),
-                    quant_warm_rate: if warm + cold == 0 {
-                        0.0
-                    } else {
-                        warm as f64 / (warm + cold) as f64
-                    },
-                }
+            .map(|(s, d)| ShardStat {
+                shard: s,
+                epoch: self.shard_epochs[s],
+                live: d.len(),
+                tombstones: d.tombstones(),
             })
             .collect()
     }
@@ -625,10 +587,8 @@ struct BatchCounters {
     /// Quantification evaluations by the merged path (cache hits execute
     /// none).
     quant_merged: AtomicUsize,
-    /// Buckets merged evaluations collected from, and how many of them
-    /// were already warm — the per-bucket reuse rate.
+    /// Buckets merged evaluations collected from.
     bucket_touches: AtomicUsize,
-    bucket_warm: AtomicUsize,
     /// Σ shards visited by scatter-gather reads, and the number of such
     /// reads.
     shards_touched: AtomicUsize,
@@ -718,7 +678,7 @@ impl Engine {
         lock_ok(&self.writer).rebalances
     }
 
-    /// One `(epoch, live, tombstones, warm rate)` row per shard of the
+    /// One `(epoch, live, tombstones)` row per shard of the
     /// current snapshot — `S` rows.
     pub fn shard_stats(&self) -> Vec<ShardStat> {
         self.snapshot().shard_stats()
@@ -991,16 +951,8 @@ impl Engine {
         let wall = t0.elapsed();
         uncertain_obs::histogram!("engine.batch.wall").record(wall.as_nanos() as u64);
         uncertain_obs::counter!("engine.batch.requests").add(requests.len() as u64);
-        // Refresh the per-shard warm-rate gauges (the batch's merged
-        // evaluations are what warms the summaries).
-        let shard_stats = core.shard_stats();
-        let registry = uncertain_obs::registry();
-        for s in &shard_stats {
-            registry
-                .gauge(&format!("shard.quant.warm_rate.shard{}", s.shard))
-                .set(s.quant_warm_rate);
-        }
-        let spans = uncertain_obs::span_delta(&spans_before, &registry.span_totals());
+        let spans =
+            uncertain_obs::span_delta(&spans_before, &uncertain_obs::registry().span_totals());
         let kernels = kernel_stats().since(&kernels_before);
         BatchResponse {
             results,
@@ -1015,14 +967,13 @@ impl Engine {
                 epoch: core.epoch,
                 live_sites: core.reader.len(),
                 tombstones: core.reader.tombstones(),
-                shard_stats,
+                shard_stats: core.shard_stats(),
                 worker_busy,
                 kernel_lane_dists: kernels.lane_dists,
                 kernel_scalar_dists: kernels.scalar_dists,
                 quant_merged_evals: counters.quant_merged.load(Ordering::Relaxed),
                 quant_fresh_evals: 0,
                 quant_bucket_touches: counters.bucket_touches.load(Ordering::Relaxed),
-                quant_bucket_warm: counters.bucket_warm.load(Ordering::Relaxed),
                 shards_touched: counters.shards_touched.load(Ordering::Relaxed),
                 shard_reads: counters.shard_reads.load(Ordering::Relaxed),
                 spans,
@@ -1186,9 +1137,6 @@ fn quant_ranked(core: &EngineCore, q: Point, counters: &BatchCounters) -> Arc<Ve
     counters
         .bucket_touches
         .fetch_add(st.buckets, Ordering::Relaxed);
-    counters
-        .bucket_warm
-        .fetch_add(st.warm_buckets, Ordering::Relaxed);
     sort_ranked(&mut pi);
     let ranked = Arc::new(pi);
     core.cache
@@ -1510,8 +1458,6 @@ mod tests {
         assert_eq!(resp.stats.quant_merged_evals, batch.len());
         assert_eq!(resp.stats.quant_fresh_evals, 0);
         assert!(resp.stats.quant_bucket_touches >= batch.len());
-        // First batch: summaries start cold, later queries reuse them.
-        assert!(resp.stats.quant_bucket_warm > 0);
 
         // Bit-identical to the exact sweep over the surviving sites.
         assert_oracle(&eng, &batch, &resp.results);
@@ -1522,9 +1468,7 @@ mod tests {
         assert_eq!(warm.stats.cache_hits, batch.len());
         assert_eq!(warm.stats.quant_merged_evals, 0);
         assert_eq!(warm.results, resp.results);
-        // No buckets collected from → the reuse rate reports 0.0, not a
-        // vacuous perfect score.
-        assert_eq!(warm.stats.quant_bucket_reuse_rate(), 0.0);
+        assert_eq!(warm.stats.quant_bucket_touches, 0);
     }
 
     #[test]

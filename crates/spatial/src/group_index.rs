@@ -14,6 +14,13 @@
 //! `Δ(q) = min_i Δ_i(q)` while evaluating the exact `Δ_i` (via convex hulls)
 //! for only a few candidate groups — the first stage of the Theorem 3.2
 //! query.
+//!
+//! The search itself is a [`GroupTree`]: a tree over the circles alone,
+//! which asks its caller for a group's exact `Δ_i(q)`. [`GroupIndex`] is
+//! the tree plus the hulls it owns; a caller that already keeps each
+//! group's circle and hull (the dynamic layer computes them once per site)
+//! builds a [`GroupTree`] over its circles and answers `Δ_i(q)` from its
+//! own hulls, so no hull is copied or recomputed.
 
 use uncertain_geom::hull::FarthestPointHull;
 use uncertain_geom::sec::smallest_enclosing_circle;
@@ -37,15 +44,25 @@ impl Node {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Group {
     sec: Circle,
-    hull: FarthestPointHull,
     id: u32,
 }
 
-/// A static index over groups of points supporting fast
-/// `min_i max_j ‖q − p_ij‖` queries.
+/// Nodes [`GroupTree::build_rec`] makes over `n ≥ 1` groups.
+fn node_count(n: usize) -> usize {
+    if n > LEAF_SIZE {
+        1 + node_count(n / 2) + node_count(n - n / 2)
+    } else {
+        1
+    }
+}
+
+/// A static branch-and-bound tree over groups' smallest enclosing circles,
+/// supporting `min_i max_j ‖q − p_ij‖` queries. Every query takes
+/// `max_dist(id)`, the exact `Δ_id(q)` of group `id` at the query point,
+/// and calls it only for groups the circle bounds cannot rule out.
 ///
 /// Callers that overlay tombstones on the static tree (the Bentley–Saxe
 /// dynamic layer) can additionally maintain a **live-count overlay** — one
@@ -56,7 +73,7 @@ struct Group {
 /// Near the 50% compaction threshold that is the difference between paying
 /// for the build-batch size and paying for the live population.
 #[derive(Clone, Debug)]
-pub struct GroupIndex {
+pub struct GroupTree {
     groups: Vec<Group>,
     nodes: Vec<Node>,
     /// Group id → position in `groups` (`u32::MAX` for skipped empty ids);
@@ -64,33 +81,35 @@ pub struct GroupIndex {
     pos_of_id: Vec<u32>,
 }
 
-impl GroupIndex {
-    /// Builds the index; `groups[i]` is the point set of group with id `i`
-    /// (owned or borrowed: a caller holding its groups elsewhere passes
-    /// slices and copies no point). Empty groups are skipped.
-    pub fn build<G: AsRef<[Point]>>(groups: &[G]) -> Self {
-        let mut gs: Vec<Group> = groups
-            .iter()
-            .map(AsRef::as_ref)
-            .enumerate()
-            .filter(|(_, pts)| !pts.is_empty())
-            .map(|(i, pts)| Group {
-                sec: smallest_enclosing_circle(pts).expect("non-empty"),
-                hull: FarthestPointHull::build(pts),
+impl GroupTree {
+    /// Builds the tree; item `i` of `circles` is the smallest enclosing
+    /// circle of the group with id `i`, `None` for an empty group (which
+    /// is skipped). Allocates three vectors, whatever the group count.
+    pub fn build<I>(circles: I) -> Self
+    where
+        I: IntoIterator<Item = Option<Circle>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let circles = circles.into_iter();
+        let ids = circles.len();
+        let mut groups = Vec::with_capacity(ids);
+        groups.extend(circles.enumerate().filter_map(|(i, sec)| {
+            Some(Group {
+                sec: sec?,
                 id: i as u32,
             })
-            .collect();
-        let mut nodes = Vec::new();
-        if !gs.is_empty() {
-            let n = gs.len();
-            Self::build_rec(&mut gs, 0, n, &mut nodes);
+        }));
+        let n = groups.len();
+        let mut nodes = Vec::with_capacity(if n == 0 { 0 } else { node_count(n) });
+        if n > 0 {
+            Self::build_rec(&mut groups, 0, n, &mut nodes);
         }
-        let mut pos_of_id = vec![u32::MAX; groups.len()];
-        for (pos, g) in gs.iter().enumerate() {
+        let mut pos_of_id = vec![u32::MAX; ids];
+        for (pos, g) in groups.iter().enumerate() {
             pos_of_id[g.id as usize] = pos as u32;
         }
-        GroupIndex {
-            groups: gs,
+        GroupTree {
+            groups,
             nodes,
             pos_of_id,
         }
@@ -131,6 +150,7 @@ impl GroupIndex {
         id
     }
 
+    /// Number of (non-empty) groups in the tree.
     pub fn len(&self) -> usize {
         self.groups.len()
     }
@@ -139,33 +159,22 @@ impl GroupIndex {
         self.groups.is_empty()
     }
 
-    /// `Δ(q) = min_i Δ_i(q)` and the attaining group id.
-    pub fn min_max_dist(&self, q: Point) -> Option<(f64, u32)> {
-        self.two_min_max_dist(q).map(|(d, id, _)| (d, id))
-    }
-
-    /// The two smallest `Δ_i(q)` values: `(best, best group id, second)`;
-    /// `second` is `+∞` with a single group (see Lemma 2.1's `j ≠ i`).
-    pub fn two_min_max_dist(&self, q: Point) -> Option<(f64, u32, f64)> {
-        self.two_min_max_dist_where(q, |_| true)
-    }
-
-    /// Like [`two_min_max_dist`](Self::two_min_max_dist), restricted to
-    /// groups for which `live(id)` holds — the query primitive for callers
-    /// that overlay tombstones on a static index (e.g. the Bentley–Saxe
-    /// dynamic layer). Returns `None` when no live group exists; `second`
-    /// is `+∞` with exactly one live group.
-    pub fn two_min_max_dist_where(
+    /// The two smallest `Δ_i(q)` over the groups for which `live(id)`
+    /// holds: `(best, best group id, second)`. `None` when no live group
+    /// exists; `second` is `+∞` with exactly one live group (see Lemma
+    /// 2.1's `j ≠ i`).
+    pub fn two_min_where(
         &self,
         q: Point,
         mut live: impl FnMut(u32) -> bool,
+        mut max_dist: impl FnMut(u32) -> f64,
     ) -> Option<(f64, u32, f64)> {
         if self.is_empty() {
             return None;
         }
         let mut best = (f64::INFINITY, u32::MAX);
         let mut second = f64::INFINITY;
-        self.min_rec(0, q, &mut live, None, &mut best, &mut second);
+        self.min_rec(0, q, &mut live, &mut max_dist, None, &mut best, &mut second);
         if best.1 == u32::MAX {
             None
         } else {
@@ -210,41 +219,54 @@ impl GroupIndex {
     /// Folds the live groups' `Δ_i(q)` into a running two-min pair, pruning
     /// fully-dead subtrees through a live-count overlay. `best = (Δ, id)`
     /// and `second` hold the smallest and second-smallest value folded so
-    /// far — from this index, or from other indices the caller folded
+    /// far — from this tree, or from other trees the caller folded
     /// first. The search starts from that `second`, so a seeded call skips
     /// every subtree that cannot change the pair. A group folds like
     /// `if Δ < best.0 { second = best.0; best = (Δ, id) } else if Δ <
     /// second { second = Δ }`, so the final floats are the min and
     /// second-min of the whole multiset whatever the fold order; `best.1`
-    /// names a group of this index only if one took the lead here (seed it
-    /// with an id this index does not use, e.g. `u32::MAX`, to tell).
+    /// names a group of this tree only if one took the lead here (seed it
+    /// with an id this tree does not use, e.g. `u32::MAX`, to tell).
     /// `counts` must be consistent with `live` (every killed group reports
     /// dead, and vice versa); it only skips work.
     pub fn fold_two_min_pruned(
         &self,
         q: Point,
         mut live: impl FnMut(u32) -> bool,
+        mut max_dist: impl FnMut(u32) -> f64,
         counts: &[u32],
         best: &mut (f64, u32),
         second: &mut f64,
     ) {
         if !self.is_empty() {
-            self.min_rec(0, q, &mut live, Some(counts), best, second);
+            self.min_rec(0, q, &mut live, &mut max_dist, Some(counts), best, second);
         }
     }
 
     /// The `m` smallest `Δ_i(q)` values with group ids, sorted ascending.
-    pub fn k_min_max_dist(&self, q: Point, m: usize) -> Vec<(f64, u32)> {
+    pub fn k_min(
+        &self,
+        q: Point,
+        m: usize,
+        mut max_dist: impl FnMut(u32) -> f64,
+    ) -> Vec<(f64, u32)> {
         if self.is_empty() || m == 0 {
             return vec![];
         }
         let mut heap: Vec<(f64, u32)> = Vec::with_capacity(m + 1);
-        self.k_min_rec(0, q, m, &mut heap);
+        self.k_min_rec(0, q, m, &mut max_dist, &mut heap);
         heap.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
         heap
     }
 
-    fn k_min_rec(&self, node: u32, q: Point, m: usize, heap: &mut Vec<(f64, u32)>) {
+    fn k_min_rec(
+        &self,
+        node: u32,
+        q: Point,
+        m: usize,
+        max_dist: &mut impl FnMut(u32) -> f64,
+        heap: &mut Vec<(f64, u32)>,
+    ) {
         let n = &self.nodes[node as usize];
         let worst = if heap.len() < m {
             f64::INFINITY
@@ -269,7 +291,7 @@ impl GroupIndex {
                 if lb >= worst {
                     continue;
                 }
-                let d = g.hull.max_dist(q);
+                let d = max_dist(g.id);
                 if heap.len() < m {
                     heap.push((d, g.id));
                 } else {
@@ -289,19 +311,21 @@ impl GroupIndex {
         let bl = self.nodes[l as usize].bbox.dist_to_point(q);
         let br = self.nodes[r as usize].bbox.dist_to_point(q);
         if bl <= br {
-            self.k_min_rec(l, q, m, heap);
-            self.k_min_rec(r, q, m, heap);
+            self.k_min_rec(l, q, m, max_dist, heap);
+            self.k_min_rec(r, q, m, max_dist, heap);
         } else {
-            self.k_min_rec(r, q, m, heap);
-            self.k_min_rec(l, q, m, heap);
+            self.k_min_rec(r, q, m, max_dist, heap);
+            self.k_min_rec(l, q, m, max_dist, heap);
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn min_rec(
         &self,
         node: u32,
         q: Point,
         live: &mut impl FnMut(u32) -> bool,
+        max_dist: &mut impl FnMut(u32) -> f64,
         counts: Option<&[u32]>,
         best: &mut (f64, u32),
         second: &mut f64,
@@ -328,7 +352,7 @@ impl GroupIndex {
                 if lb >= *second {
                     continue;
                 }
-                let d = g.hull.max_dist(q);
+                let d = max_dist(g.id);
                 if d < best.0 {
                     *second = best.0;
                     *best = (d, g.id);
@@ -342,12 +366,85 @@ impl GroupIndex {
         let bl = self.nodes[l as usize].bbox.dist_to_point(q);
         let br = self.nodes[r as usize].bbox.dist_to_point(q);
         if bl <= br {
-            self.min_rec(l, q, live, counts, best, second);
-            self.min_rec(r, q, live, counts, best, second);
+            self.min_rec(l, q, live, max_dist, counts, best, second);
+            self.min_rec(r, q, live, max_dist, counts, best, second);
         } else {
-            self.min_rec(r, q, live, counts, best, second);
-            self.min_rec(l, q, live, counts, best, second);
+            self.min_rec(r, q, live, max_dist, counts, best, second);
+            self.min_rec(l, q, live, max_dist, counts, best, second);
         }
+    }
+}
+
+/// A static index over groups of points supporting fast
+/// `min_i max_j ‖q − p_ij‖` queries: a [`GroupTree`] over the groups'
+/// smallest enclosing circles, answering each exact `Δ_i(q)` from the
+/// group's farthest-point hull, which it owns.
+#[derive(Clone, Debug)]
+pub struct GroupIndex {
+    tree: GroupTree,
+    /// Group id → hull (no vertices for a skipped empty group).
+    hulls: Vec<FarthestPointHull>,
+}
+
+impl GroupIndex {
+    /// Builds the index; `groups[i]` is the point set of group with id `i`
+    /// (owned or borrowed: a caller holding its groups elsewhere passes
+    /// slices and copies no point). Empty groups are skipped.
+    pub fn build<G: AsRef<[Point]>>(groups: &[G]) -> Self {
+        let points = || groups.iter().map(AsRef::as_ref);
+        GroupIndex {
+            tree: GroupTree::build(points().map(smallest_enclosing_circle)),
+            hulls: points()
+                .map(|pts| {
+                    if pts.is_empty() {
+                        FarthestPointHull { vertices: vec![] }
+                    } else {
+                        FarthestPointHull::build(pts)
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    /// The exact `Δ_id(q)` of group `id`.
+    fn max_dist(&self, q: Point) -> impl Fn(u32) -> f64 + '_ {
+        move |id| self.hulls[id as usize].max_dist(q)
+    }
+
+    pub fn len(&self) -> usize {
+        self.tree.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.tree.is_empty()
+    }
+
+    /// `Δ(q) = min_i Δ_i(q)` and the attaining group id.
+    pub fn min_max_dist(&self, q: Point) -> Option<(f64, u32)> {
+        self.two_min_max_dist(q).map(|(d, id, _)| (d, id))
+    }
+
+    /// The two smallest `Δ_i(q)` values: `(best, best group id, second)`;
+    /// `second` is `+∞` with a single group (see Lemma 2.1's `j ≠ i`).
+    pub fn two_min_max_dist(&self, q: Point) -> Option<(f64, u32, f64)> {
+        self.two_min_max_dist_where(q, |_| true)
+    }
+
+    /// Like [`two_min_max_dist`](Self::two_min_max_dist), restricted to
+    /// groups for which `live(id)` holds — the query primitive for callers
+    /// that overlay tombstones on a static index. Returns `None` when no
+    /// live group exists; `second` is `+∞` with exactly one live group.
+    pub fn two_min_max_dist_where(
+        &self,
+        q: Point,
+        live: impl FnMut(u32) -> bool,
+    ) -> Option<(f64, u32, f64)> {
+        self.tree.two_min_where(q, live, self.max_dist(q))
+    }
+
+    /// The `m` smallest `Δ_i(q)` values with group ids, sorted ascending.
+    pub fn k_min_max_dist(&self, q: Point, m: usize) -> Vec<(f64, u32)> {
+        self.tree.k_min(q, m, self.max_dist(q))
     }
 }
 
@@ -458,7 +555,7 @@ mod tests {
         assert!(second.is_infinite());
     }
 
-    /// [`GroupIndex::fold_two_min_pruned`] from an empty pair, in the
+    /// [`GroupTree::fold_two_min_pruned`] from an empty pair, in the
     /// shape of [`GroupIndex::two_min_max_dist_where`]'s answer.
     fn pruned(
         idx: &GroupIndex,
@@ -468,7 +565,8 @@ mod tests {
     ) -> Option<(f64, u32, f64)> {
         let mut best = (f64::INFINITY, u32::MAX);
         let mut second = f64::INFINITY;
-        idx.fold_two_min_pruned(q, live, counts, &mut best, &mut second);
+        idx.tree
+            .fold_two_min_pruned(q, live, idx.max_dist(q), counts, &mut best, &mut second);
         (best.1 != u32::MAX).then_some((best.0, best.1, second))
     }
 
@@ -486,7 +584,7 @@ mod tests {
         // Progressive kills: after each batch, the pruned and unpruned
         // filtered traversals must agree exactly (the overlay only skips
         // provably-dead subtrees, never changes an answer).
-        let mut counts = idx.live_counts();
+        let mut counts = idx.tree.live_counts();
         assert_eq!(counts[0] as usize, idx.len());
         let mut dead = vec![false; groups.len()];
         for round in 0..30 {
@@ -495,7 +593,7 @@ mod tests {
                 let id = (next() * groups.len() as f64) as usize % groups.len();
                 if !dead[id] {
                     dead[id] = true;
-                    idx.kill(id as u32, &mut counts);
+                    idx.tree.kill(id as u32, &mut counts);
                 }
             }
             let live_total = dead.iter().filter(|&&d| !d).count();
@@ -518,7 +616,7 @@ mod tests {
         for (id, d) in dead.iter_mut().enumerate() {
             if !*d {
                 *d = true;
-                idx.kill(id as u32, &mut counts);
+                idx.tree.kill(id as u32, &mut counts);
             }
         }
         assert_eq!(counts[0], 0);
@@ -535,7 +633,7 @@ mod tests {
         let (left, right) = groups.split_at(31);
         let (a, b) = (GroupIndex::build(left), GroupIndex::build(right));
         let union = GroupIndex::build(&groups);
-        let (ca, cb) = (a.live_counts(), b.live_counts());
+        let (ca, cb) = (a.tree.live_counts(), b.tree.live_counts());
         let mut state = 19u64;
         let mut next = move || {
             state ^= state << 13;
@@ -547,10 +645,12 @@ mod tests {
             let q = Point::new(next(), next());
             let mut best = (f64::INFINITY, u32::MAX);
             let mut second = f64::INFINITY;
-            a.fold_two_min_pruned(q, |_| true, &ca, &mut best, &mut second);
+            a.tree
+                .fold_two_min_pruned(q, |_| true, a.max_dist(q), &ca, &mut best, &mut second);
             let from_a = best.1;
             best.1 = u32::MAX;
-            b.fold_two_min_pruned(q, |_| true, &cb, &mut best, &mut second);
+            b.tree
+                .fold_two_min_pruned(q, |_| true, b.max_dist(q), &cb, &mut best, &mut second);
             let id = if best.1 == u32::MAX {
                 from_a
             } else {
@@ -574,15 +674,15 @@ mod tests {
         ];
         let idx = GroupIndex::build(&groups);
         assert_eq!(idx.len(), 2);
-        let mut counts = idx.live_counts();
-        idx.kill(1, &mut counts); // empty id: ignored
-        idx.kill(99, &mut counts); // out of range: ignored
+        let mut counts = idx.tree.live_counts();
+        idx.tree.kill(1, &mut counts); // empty id: ignored
+        idx.tree.kill(99, &mut counts); // out of range: ignored
         assert_eq!(counts[0], 2);
         let q = Point::new(0.0, 0.0);
         let (d, id, _) = pruned(&idx, q, |_| true, &counts).unwrap();
         assert_eq!(id, 0);
         assert!((d - 1.0).abs() < 1e-12);
-        idx.kill(0, &mut counts);
+        idx.tree.kill(0, &mut counts);
         let (_, id, second) = pruned(&idx, q, |id| id == 2, &counts).unwrap();
         assert_eq!(id, 2);
         assert!(second.is_infinite());

@@ -1,4 +1,4 @@
-//! A 2-D kd-tree over points with `u32` payloads.
+//! A 2-D kd-tree over points with `Copy` payloads (`u32` by default).
 //!
 //! Supports exact nearest-neighbor queries, lazy best-first incremental
 //! k-nearest-neighbor iteration (the backend of the paper's spiral search,
@@ -49,29 +49,21 @@ impl Node {
 /// assert_eq!(order, vec![0, 1, 2]);
 /// ```
 #[derive(Clone, Debug)]
-pub struct KdTree {
+pub struct KdTree<P = u32> {
     /// Leaf coordinates in structure-of-arrays layout, so leaf scans run on
     /// the chunked-lane distance kernels (`crate::soa`) instead of striding
-    /// over `(Point, u32)` pairs.
+    /// over `(Point, payload)` pairs.
     slab: PointSlab,
-    /// Payloads, parallel to `slab`.
-    ids: Vec<u32>,
+    /// Payloads, parallel to `slab` (in the tree's order, so a hit reads
+    /// its payload next to its neighbours').
+    ids: Vec<P>,
     nodes: Vec<Node>,
 }
 
 impl KdTree {
-    /// Builds a tree over `(point, payload)` pairs. `O(n log n)`.
-    pub fn build(mut items: Vec<(Point, u32)>) -> Self {
-        let mut nodes = Vec::with_capacity(2 * items.len() / LEAF_SIZE + 4);
-        if !items.is_empty() {
-            let n = items.len();
-            Self::build_rec(&mut items, 0, n, &mut nodes);
-        }
-        // Transpose the partitioned AoS build buffer into the flat slabs the
-        // query kernels scan.
-        let slab = PointSlab::from_points(items.iter().map(|&(p, _)| p));
-        let ids = items.iter().map(|&(_, id)| id).collect();
-        KdTree { slab, ids, nodes }
+    /// Builds a tree over `(point, id)` pairs. `O(n log n)`.
+    pub fn build(items: Vec<(Point, u32)>) -> Self {
+        Self::with_payloads(items)
     }
 
     /// Convenience: build from points with payload = index.
@@ -84,13 +76,25 @@ impl KdTree {
                 .collect(),
         )
     }
+}
 
-    fn build_rec(
-        items: &mut [(Point, u32)],
-        start: usize,
-        end: usize,
-        nodes: &mut Vec<Node>,
-    ) -> u32 {
+impl<P: Copy> KdTree<P> {
+    /// Builds a tree over `(point, payload)` pairs, keeping the payloads in
+    /// the tree's order. `O(n log n)`.
+    pub fn with_payloads(mut items: Vec<(Point, P)>) -> Self {
+        let mut nodes = Vec::with_capacity(2 * items.len() / LEAF_SIZE + 4);
+        if !items.is_empty() {
+            let n = items.len();
+            Self::build_rec(&mut items, 0, n, &mut nodes);
+        }
+        // Transpose the partitioned AoS build buffer into the flat slabs the
+        // query kernels scan.
+        let slab = PointSlab::from_points(items.iter().map(|&(p, _)| p));
+        let ids = items.iter().map(|&(_, id)| id).collect();
+        KdTree { slab, ids, nodes }
+    }
+
+    fn build_rec(items: &mut [(Point, P)], start: usize, end: usize, nodes: &mut Vec<Node>) -> u32 {
         let bbox = Aabb::from_points(items[start..end].iter().map(|&(p, _)| p));
         let id = nodes.len() as u32;
         nodes.push(Node {
@@ -125,16 +129,16 @@ impl KdTree {
     }
 
     /// The nearest item to `q`: `(point, payload, distance)`.
-    pub fn nearest(&self, q: Point) -> Option<(Point, u32, f64)> {
+    pub fn nearest(&self, q: Point) -> Option<(Point, P, f64)> {
         if self.is_empty() {
             return None;
         }
-        let mut best: Option<(Point, u32, f64)> = None;
+        let mut best: Option<(Point, P, f64)> = None;
         self.nearest_rec(0, q, &mut best);
         best
     }
 
-    fn nearest_rec(&self, node: u32, q: Point, best: &mut Option<(Point, u32, f64)>) {
+    fn nearest_rec(&self, node: u32, q: Point, best: &mut Option<(Point, P, f64)>) {
         let n = &self.nodes[node as usize];
         if let Some((_, _, bd)) = best {
             if n.bbox.dist_to_point(q) >= *bd {
@@ -167,19 +171,14 @@ impl KdTree {
     }
 
     /// Reports every item within (closed) distance `r` of `q`.
-    pub fn for_each_in_disk<F: FnMut(Point, u32)>(&self, q: Point, r: f64, mut f: F) {
+    pub fn for_each_in_disk<F: FnMut(Point, P)>(&self, q: Point, r: f64, mut f: F) {
         self.for_each_in_disk_with_dist(q, r, |p, id, _| f(p, id));
     }
 
     /// [`Self::for_each_in_disk`], also passing each hit's distance — the
     /// leaf kernel computes it anyway (bit-identical to `q.dist(p)`), so
     /// stage-2 style consumers that filter on the distance get it for free.
-    pub fn for_each_in_disk_with_dist<F: FnMut(Point, u32, f64)>(
-        &self,
-        q: Point,
-        r: f64,
-        mut f: F,
-    ) {
+    pub fn for_each_in_disk_with_dist<F: FnMut(Point, P, f64)>(&self, q: Point, r: f64, mut f: F) {
         if self.is_empty() {
             return;
         }
@@ -187,13 +186,13 @@ impl KdTree {
     }
 
     /// Collects payloads of items within distance `r` of `q`.
-    pub fn in_disk(&self, q: Point, r: f64) -> Vec<u32> {
+    pub fn in_disk(&self, q: Point, r: f64) -> Vec<P> {
         let mut out = vec![];
         self.for_each_in_disk(q, r, |_, id| out.push(id));
         out
     }
 
-    fn range_rec<F: FnMut(Point, u32, f64)>(&self, node: u32, q: Point, r: f64, f: &mut F) {
+    fn range_rec<F: FnMut(Point, P, f64)>(&self, node: u32, q: Point, r: f64, f: &mut F) {
         let n = &self.nodes[node as usize];
         if n.bbox.dist_to_point(q) > r {
             return;
@@ -213,7 +212,7 @@ impl KdTree {
 
     /// Lazy best-first iterator yielding items in non-decreasing distance
     /// from `q`. Amortized `O(log n)` per item; stop early for k-NN.
-    pub fn nearest_iter(&self, q: Point) -> NearestIter<'_> {
+    pub fn nearest_iter(&self, q: Point) -> NearestIter<'_, P> {
         let mut heap = BinaryHeap::new();
         if !self.is_empty() {
             heap.push(HeapEntry {
@@ -229,7 +228,7 @@ impl KdTree {
     }
 
     /// The `k` nearest items, sorted by distance.
-    pub fn k_nearest(&self, q: Point, k: usize) -> Vec<(Point, u32, f64)> {
+    pub fn k_nearest(&self, q: Point, k: usize) -> Vec<(Point, P, f64)> {
         self.nearest_iter(q).take(k).collect()
     }
 }
@@ -270,14 +269,14 @@ impl Ord for HeapEntry {
 }
 
 /// See [`KdTree::nearest_iter`].
-pub struct NearestIter<'a> {
-    tree: &'a KdTree,
+pub struct NearestIter<'a, P = u32> {
+    tree: &'a KdTree<P>,
     q: Point,
     heap: BinaryHeap<HeapEntry>,
 }
 
-impl<'a> Iterator for NearestIter<'a> {
-    type Item = (Point, u32, f64);
+impl<P: Copy> Iterator for NearestIter<'_, P> {
+    type Item = (Point, P, f64);
 
     fn next(&mut self) -> Option<Self::Item> {
         while let Some(entry) = self.heap.pop() {

@@ -14,7 +14,8 @@
 //! * [`group_index::GroupIndex`] — grouped point sets summarized by their
 //!   smallest enclosing circles: `Δ(q) = min_i max_j ‖q − p_ij‖` by
 //!   branch-and-bound with exact refinement (the first stage of the
-//!   Theorem 3.2 query).
+//!   Theorem 3.2 query); [`group_index::GroupTree`] is the same search
+//!   for callers that keep each group's circle and hull themselves.
 //!
 //! The kd-tree's leaf scans run on the structure-of-arrays kernels in
 //! [`soa`]: flat `x[]`/`y[]` slabs scanned in fixed-width chunks with
@@ -30,7 +31,7 @@ pub mod quadtree;
 pub mod soa;
 
 pub use disk_index::DiskIndex;
-pub use group_index::GroupIndex;
+pub use group_index::{GroupIndex, GroupTree};
 pub use kdtree::KdTree;
 pub use quadtree::QuadTree;
 pub use soa::{KernelStats, PointSlab};

@@ -8,7 +8,8 @@
 //!   (and a fresh Theorem 3.2 index) exactly;
 //! * quantification — the merged path, a sorted collect of the live
 //!   entries inside the Lemma 2.1 radius from per-bucket kd summaries
-//!   (cold, then again warm), must be **bit-identical** to the
+//!   (twice, so a query after another on the same thread agrees too),
+//!   must be **bit-identical** to the
 //!   Eq. (2) sweep over the fresh build, as must that sweep over the
 //!   dynamic set's own `live_set()`. Both paths share one sweep core fed
 //!   the same entry order, so any divergence is a real bug, not float
@@ -133,15 +134,15 @@ fn check_all_families(d: &DynamicSet, mirror: &Mirror, q: Point) -> Result<(), T
     // The merged path (the radius collect over per-bucket kd summaries,
     // tombstones filtered as it collects) must answer with the oracle's
     // π > 0 sites, ascending by id, bit-identical — and, by Lemma 2.1, a
-    // subset of NN≠0(q) — first touching cold summaries, then again with
-    // every bucket warm.
+    // subset of NN≠0(q) — on the first query and again on a repeat, which
+    // reuses the thread's collect and sweep buffers.
     let want_merged: Vec<(SiteId, f64)> = pi_fresh
         .iter()
         .enumerate()
         .filter(|&(_, &p)| p > 0.0)
         .map(|(dense, &p)| (ids[dense], p))
         .collect();
-    for pass in ["cold-or-warm", "warm"] {
+    for pass in ["first", "repeat"] {
         let (pi_merged, mstats) = d.quantification_merged_with_stats(q);
         prop_assert_eq!(
             pi_merged.len(),
@@ -169,13 +170,6 @@ fn check_all_families(d: &DynamicSet, mirror: &Mirror, q: Point) -> Result<(), T
             );
         }
         prop_assert!(mstats.entries_merged <= mstats.live_locations);
-        if pass == "warm" {
-            prop_assert_eq!(
-                mstats.warm_buckets,
-                mstats.buckets,
-                "all touched buckets must be warm on the second pass"
-            );
-        }
     }
     Ok(())
 }
